@@ -87,13 +87,6 @@ def parse_args(argv=None):
         "ephemeral); use 0.0.0.0:<port> for workers on other machines",
     )
     parser.add_argument(
-        "--compress-broadcast",
-        action="store_true",
-        help="zlib-compress the per-epoch weight broadcast to "
-        "collection workers (transport encoding only; results are "
-        "bitwise identical either way)",
-    )
-    parser.add_argument(
         "--async-collect",
         action="store_true",
         help="pipeline collection with PPO updates (one-epoch policy "
@@ -213,7 +206,6 @@ def build_budget(args) -> ExperimentBudget:
         collect_jobs=args.collect_jobs,
         collect_workers=args.collect_workers,
         collect_bind=args.collect_bind,
-        compress_broadcast=args.compress_broadcast,
         async_collect=args.async_collect,
         sa_chains=args.sa_chains,
         position_samples=(args.positions, args.positions),

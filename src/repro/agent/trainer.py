@@ -17,14 +17,15 @@ Episode collection has two engines selected by ``TrainerConfig.batch_size``:
   own derived RNG stream, so trajectories are invariant to the batch
   width (any ``batch_size >= 2`` yields identical results).
 
-On top of the batched engine, ``TrainerConfig.collect_jobs`` shards an
-epoch's collection across a persistent worker pool
-(:class:`~repro.parallel.collector.EpisodeCollector`): weights are
-broadcast once per epoch, each worker collects a contiguous slice of
-episode indices on the exact same ``episode.{index}`` streams, and the
-slices merge back in index order — so ``collect_jobs=N`` training is
-bitwise identical to ``collect_jobs=1`` (regression-pinned), the knob
-trades only wall-clock.
+The batched engine collects through one
+:class:`~repro.parallel.collector.EpisodeCollector`.  With
+``TrainerConfig.collect_jobs`` / ``collect_workers`` it adds a local
+process pool / leased remote workers above in-process collection:
+weights are broadcast once per epoch, each worker collects a
+contiguous slice of episode indices on the exact same
+``episode.{index}`` streams, and the slices merge back in index order —
+so sharded training is bitwise identical to in-process collection
+(regression-pinned); the knobs trade only wall-clock.
 
 ``TrainerConfig.async_collect`` pipelines the two phases (opt-in):
 while the learner runs the PPO update for epoch k, the collector pool
@@ -51,13 +52,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from repro.agent.networks import ActorCritic
-from repro.env import BatchedFloorplanEnv, FloorplanEnv
-from repro.nn import Adam, dumps_payload, load_payload, loads_payload, save_payload
-from repro.parallel.collector import (
-    POLICY_PAYLOAD_KIND,
-    EpisodeCollector,
-    collect_slice,
-)
+from repro.env import FloorplanEnv
+from repro.nn import Adam, dumps_payload, load_payload, save_payload
+from repro.parallel.collector import POLICY_PAYLOAD_KIND, EpisodeCollector
 from repro.rl import (
     Episode,
     PPOConfig,
@@ -153,11 +150,6 @@ class TrainerConfig:
     # run resumed from such a state is bitwise identical to one that
     # was never interrupted.
     checkpoint_every: int = 0
-    # zlib-compress the per-epoch weight broadcast to collection
-    # workers.  Non-semantic: it is a transport encoding only — the
-    # decoded state dict (and therefore every collected episode) is
-    # bitwise identical either way.
-    compress_broadcast: bool = False
 
     def __post_init__(self) -> None:
         if self.epochs < 1 or self.episodes_per_epoch < 1:
@@ -259,19 +251,14 @@ class RLPlannerTrainer:
             )
         self._act_rng = seeds.rng("actions")
         self._ppo_rng = seeds.rng("ppo")
-        self._seeds = seeds
         # Global episode counter: episode k of the run always draws from
         # the stream "episode.k", regardless of batch width, which is
         # what makes batched collection width-invariant.
         self._episode_index = 0
-        self.batched_env: BatchedFloorplanEnv | None = None
-        if self.config.batch_size > 1:
-            self.batched_env = BatchedFloorplanEnv(
-                env.system, env.reward_calculator, env.config
-            )
         collect_jobs = self.config.collect_jobs
         collect_workers = self.config.collect_workers
-        if (collect_jobs > 1 or collect_workers) and self.batched_env is None:
+        sharded = collect_jobs > 1 or collect_workers
+        if sharded and self.config.batch_size == 1:
             _logger.warning(
                 "collect_jobs=%d/collect_workers=%d requested but "
                 "batch_size=1 selects the sequential engine, whose episodes "
@@ -285,27 +272,15 @@ class RLPlannerTrainer:
             collect_workers = 0
         self.collect_jobs = collect_jobs
         self.collect_workers = collect_workers
-        self._collector = None  # EpisodeCollector | RemoteEpisodeCollector
-        if collect_workers:
-            # Deferred import: the remote module pulls in the socket
-            # transport, which pure in-process training never needs.
-            from repro.parallel.remote import RemoteEpisodeCollector
-
-            host, _, port = self.config.collect_bind.rpartition(":")
-            self._collector = RemoteEpisodeCollector(
-                env.system,
-                env.reward_calculator,
-                env.config,
-                workers=collect_workers,
-                batch_size=self.config.batch_size,
-                seed=self.config.seed,
-                encoder_channels=self.config.encoder_channels,
-                host=host,
-                port=int(port),
-                local_jobs=collect_jobs,
-                compress_broadcast=self.config.compress_broadcast,
-            )
-        elif collect_jobs > 1:
+        # The batched engine's one collection path (None = sequential).
+        self._collector: EpisodeCollector | None = None
+        if self.config.batch_size > 1:
+            remote = {}
+            if collect_workers:
+                host, _, port = self.config.collect_bind.rpartition(":")
+                remote = dict(
+                    workers=collect_workers, host=host, port=int(port)
+                )
             self._collector = EpisodeCollector(
                 env.system,
                 env.reward_calculator,
@@ -314,10 +289,10 @@ class RLPlannerTrainer:
                 batch_size=self.config.batch_size,
                 seed=self.config.seed,
                 encoder_channels=self.config.encoder_channels,
-                compress_broadcast=self.config.compress_broadcast,
+                **remote,
             )
         self.async_collect = bool(self.config.async_collect)
-        if self.async_collect and self._collector is None:
+        if self.async_collect and collect_jobs < 2 and not collect_workers:
             _logger.warning(
                 "async_collect without collect_jobs >= 2: the pipelined "
                 "staleness schedule still runs (results match a pooled "
@@ -328,12 +303,9 @@ class RLPlannerTrainer:
         # Async (pipelined) collection state.  _pending is the epoch
         # block whose collection was dispatched but not yet consumed:
         # (start_index, count), with _stale_weights holding the exact
-        # serialized policy it must be collected with.  _stale_network
-        # is the lazily built replica those bytes load into when
-        # collection runs in-process.
+        # serialized policy it must be collected with.
         self._pending: tuple | None = None
         self._stale_weights: bytes | None = None
-        self._stale_network: ActorCritic | None = None
         self._progress = self._fresh_progress()
 
     @staticmethod
@@ -380,28 +352,17 @@ class RLPlannerTrainer:
     def collect_episodes(self, n: int, greedy: bool = False) -> list:
         """Collect ``n`` episodes; returns ``[(Episode, info), ...]``.
 
-        Dispatches to the sequential path for ``batch_size=1``, to the
-        in-process lockstep loop (:func:`~repro.parallel.collector.
-        collect_slice`) for ``collect_jobs=1``, and to the worker pool
-        otherwise.  All three advance the global episode counter, so
-        episode ``k`` of a run is the same episode everywhere.
+        Dispatches to the sequential path for ``batch_size=1`` and to
+        the collector otherwise.  Both advance the global episode
+        counter, so episode ``k`` of a run is the same episode
+        everywhere.
         """
         start_index = self._episode_index
         self._episode_index += n
-        if self.batched_env is None:
+        if self._collector is None:
             return [self.collect_episode(greedy=greedy) for _ in range(n)]
-        if self._collector is not None:
-            return self._collector.collect(
-                self.network, start_index, n, greedy=greedy
-            )
-        return collect_slice(
-            self.network,
-            self.batched_env,
-            self._seeds,
-            start_index,
-            n,
-            self.config.batch_size,
-            greedy=greedy,
+        return self._collector.collect(
+            self.network, start_index, n, greedy=greedy
         )
 
     # ------------------------------------------------------------------
@@ -411,41 +372,7 @@ class RLPlannerTrainer:
     def _policy_payload(self) -> bytes:
         """The current policy, serialized as a broadcast payload."""
         return dumps_payload(
-            self.network.state_dict(),
-            kind=POLICY_PAYLOAD_KIND,
-            compress=self.config.compress_broadcast,
-        )
-
-    def _collect_stale(self, weights: bytes, start: int, count: int) -> list:
-        """Collect a block with an explicit (possibly stale) policy.
-
-        Routes to the pool when one exists; otherwise loads the payload
-        into a local replica — never the live network, which may
-        already hold post-update weights — and collects in-process.
-        Both paths run the same :func:`collect_slice` loop on the same
-        bytes, so they agree bitwise.
-        """
-        if self._collector is not None:
-            return self._collector.collect_with_weights(
-                weights, start, count
-            )
-        if self._stale_network is None:
-            self._stale_network = ActorCritic(
-                self.env.observation_shape,
-                self.env.n_actions,
-                channels=self.config.encoder_channels,
-                rng=np.random.default_rng(0),
-            )
-        self._stale_network.load_state_dict(
-            loads_payload(weights, kind=POLICY_PAYLOAD_KIND)
-        )
-        return collect_slice(
-            self._stale_network,
-            self.batched_env,
-            self._seeds,
-            start,
-            count,
-            self.config.batch_size,
+            self.network.state_dict(), kind=POLICY_PAYLOAD_KIND
         )
 
     def _collect_epoch_async(self, epoch: int) -> tuple:
@@ -462,31 +389,32 @@ class RLPlannerTrainer:
         """
         cfg = self.config
         n = cfg.episodes_per_epoch
+        collector = self._collector
         if self._pending is not None:
             start, count = self._pending
             self._pending = None
-            if self._collector is not None and self._collector.prefetching:
-                collected = self._collector.collect_prefetched()
+            if collector.prefetching:
+                collected = collector.collect_prefetched()
             else:
-                # No futures in flight (in-process mode, a resumed
-                # checkpoint, or a degraded/failed dispatch): collect
-                # now from the stored stale bytes — same policy, same
+                # Nothing in flight (a resumed checkpoint): collect now
+                # from the stored stale bytes — same policy, same
                 # episodes, no overlap.
-                collected = self._collect_stale(
+                collected = collector.collect_with_weights(
                     self._stale_weights, start, count
                 )
         else:
-            start, count = self._episode_index, n
+            start = self._episode_index
             self._episode_index += n
-            collected = self._collect_stale(self._policy_payload(), start, n)
+            collected = collector.collect_with_weights(
+                self._policy_payload(), start, n
+            )
         if epoch + 1 < cfg.epochs:
             weights = self._policy_payload()  # pre-update theta_epoch
             self._stale_weights = weights
             next_start = self._episode_index
             self._episode_index += n
             self._pending = (next_start, n)
-            if self._collector is not None:
-                self._collector.prefetch(weights, next_start, n)
+            collector.prefetch(weights, next_start, n)
         else:
             self._stale_weights = None
         return start, collected
@@ -499,12 +427,10 @@ class RLPlannerTrainer:
         with ``collect_bind`` port 0 this is how the actual ephemeral
         port is discovered.
         """
-        if self._collector is None or not hasattr(self._collector, "address"):
-            return None
-        return self._collector.address
+        return None if self._collector is None else self._collector.address
 
     def close_collector(self) -> None:
-        """Release collection workers (no-op when in-process).
+        """Release collection workers (no-op when none are running).
 
         Idempotent; the local pool respawns — and the remote
         coordinator rebinds its remembered port — lazily if collection

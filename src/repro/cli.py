@@ -63,7 +63,6 @@ def _budget_from_args(args) -> ExperimentBudget:
         collect_jobs=args.collect_jobs,
         collect_workers=args.collect_workers,
         collect_bind=args.collect_bind,
-        compress_broadcast=args.compress_broadcast,
         async_collect=args.async_collect,
         sa_chains=args.sa_chains,
         sa_incremental=args.sa_incremental,
@@ -111,13 +110,6 @@ def _add_budget_args(parser) -> None:
         help="host:port the collection coordinator binds (port 0 = "
         "ephemeral); use 0.0.0.0:<port> to accept workers from other "
         "machines",
-    )
-    parser.add_argument(
-        "--compress-broadcast",
-        action="store_true",
-        help="zlib-compress the per-epoch weight broadcast to "
-        "collection workers (transport encoding only: decoded weights "
-        "and collected episodes are bitwise identical either way)",
     )
     parser.add_argument(
         "--async-collect",

@@ -142,11 +142,6 @@ class ExperimentBudget:
     # streams), so neither knob enters a store key.
     collect_workers: int = 0
     collect_bind: str = "127.0.0.1:0"
-    # zlib-compress the per-epoch weight broadcast to collection
-    # workers (TrainerConfig.compress_broadcast).  A transport encoding
-    # only — decoded weights and collected episodes are bitwise
-    # identical either way — so it never enters a store key.
-    compress_broadcast: bool = False
     # Pipeline episode collection with PPO updates: epoch k+1 is
     # collected with the pre-update epoch-k policy while the learner
     # runs update k (TrainerConfig.async_collect).  One epoch of policy
@@ -192,7 +187,6 @@ _NON_SEMANTIC_BUDGET_FIELDS = (
     "collect_jobs",
     "collect_workers",
     "collect_bind",
-    "compress_broadcast",
 )
 
 
@@ -341,7 +335,6 @@ def _run_rl(
             collect_jobs=budget.collect_jobs,
             collect_workers=budget.collect_workers,
             collect_bind=budget.collect_bind,
-            compress_broadcast=budget.compress_broadcast,
             async_collect=budget.async_collect,
             seed=budget.seed,
             use_rnd=use_rnd,

@@ -39,7 +39,6 @@ import hashlib
 import io
 import json
 import pickle
-import zlib
 from pathlib import Path
 
 import numpy as np
@@ -78,24 +77,6 @@ _FOOTER_MAGIC = b"RPRSHA2\x00"
 _DIGEST_BYTES = 32
 _FOOTER_BYTES = len(_FOOTER_MAGIC) + _DIGEST_BYTES
 
-#: Leading marker of a zlib-compressed payload (``compress=True``).
-#: The compressed stream wraps the *entire* sealed payload — archive
-#: bytes plus integrity footer — so the footer digest is always
-#: computed and verified over the uncompressed bytes: compression is a
-#: pure transport encoding, invisible to the schema.  Footer-less
-#: legacy bytes can never start with this marker (npz archives start
-#: with zip's ``PK``), so auto-detection on load is unambiguous.
-_ZLIB_MAGIC = b"RPRZLB1\x00"
-
-#: zlib level used for ``compress=True``.  Level 1 targets the
-#: broadcast use case: policy-weight payloads are re-sent to every
-#: collection worker every epoch, so encode speed matters more than
-#: the last few percent of ratio (the arrays inside the archive are
-#: already npz-deflated; what shrinks here is mostly the repeated
-#: metadata/framing and any pickled progress state).
-_ZLIB_LEVEL = 1
-
-
 class CheckpointSchemaError(RuntimeError):
     """The checkpoint's schema version or kind does not match."""
 
@@ -121,25 +102,6 @@ class PayloadIntegrityError(CheckpointSchemaError, OSError):
 def _seal(data: bytes) -> bytes:
     """Append the integrity footer to serialized payload bytes."""
     return data + _FOOTER_MAGIC + hashlib.sha256(data).digest()
-
-
-def _maybe_decompress(data: bytes, source: str) -> bytes:
-    """Undo the optional zlib transport encoding (see ``_ZLIB_MAGIC``).
-
-    Bytes without the marker pass through untouched.  A marked stream
-    that fails to inflate was corrupted in transit, which is exactly
-    what :class:`PayloadIntegrityError` means — the sealed payload
-    inside would have failed its footer too, we just find out earlier.
-    """
-    if not data.startswith(_ZLIB_MAGIC):
-        return data
-    try:
-        return zlib.decompress(data[len(_ZLIB_MAGIC) :])
-    except zlib.error as error:
-        raise PayloadIntegrityError(
-            f"{source}: compressed payload bytes fail to inflate "
-            f"({error}) — the stream was corrupted in transit or on disk"
-        ) from error
 
 
 def _unseal(data: bytes, source: str) -> bytes:
@@ -282,7 +244,7 @@ def _unpack(arrays: dict, kind: str | None, source: str) -> dict:
     return _decode(meta["tree"], arrays)
 
 
-def save_payload(payload: dict, path, kind: str, *, compress: bool = False) -> None:
+def save_payload(payload: dict, path, kind: str) -> None:
     """Write a nested checkpoint payload to ``path`` (.npz).
 
     ``kind`` names what the payload is (``"rlplanner-trainer"``,
@@ -293,11 +255,9 @@ def save_payload(payload: dict, path, kind: str, *, compress: bool = False) -> N
     typically overwritten in place, and a kill mid-write must corrupt
     the *new* file, never the last good one.  The written bytes are
     exactly :func:`dumps_payload`'s (integrity footer included), so the
-    two forms are interchangeable byte-for-byte.  ``compress=True``
-    applies the same opt-in zlib transport encoding (auto-detected on
-    load, decoded payload bitwise identical).
+    two forms are interchangeable byte-for-byte.
     """
-    data = dumps_payload(payload, kind, compress=compress)
+    data = dumps_payload(payload, kind)
     path = Path(path)
     if not path.suffix:
         path = path.with_suffix(".npz")  # historical np.savez convention
@@ -322,7 +282,7 @@ def load_payload(path, kind: str | None = None) -> dict:
     return loads_payload(path.read_bytes(), kind, source=str(path))
 
 
-def dumps_payload(payload: dict, kind: str, *, compress: bool = False) -> bytes:
+def dumps_payload(payload: dict, kind: str) -> bytes:
     """Serialize a payload to ``bytes`` (same schema as the ``.npz``).
 
     Used where the payload crosses a process boundary instead of a
@@ -330,21 +290,10 @@ def dumps_payload(payload: dict, kind: str, *, compress: bool = False) -> bytes:
     as one opaque byte string per epoch.  The bytes end in a SHA-256
     integrity footer so corruption in transit fails loudly (and
     transiently) at :func:`loads_payload`.
-
-    ``compress=True`` additionally zlib-wraps the sealed bytes (marked
-    with a leading magic so :func:`loads_payload` auto-detects it;
-    no flag needed on the receiving side).  The integrity footer is
-    computed — and verified — over the *uncompressed* bytes, so the
-    decoded payload is bitwise identical to the uncompressed form and
-    a decompressed stream still fails loudly on any bit flip the
-    deflate framing happened to survive.
     """
     buffer = io.BytesIO()
     np.savez_compressed(buffer, **_pack(payload, kind))
-    data = _seal(buffer.getvalue())
-    if compress:
-        return _ZLIB_MAGIC + zlib.compress(data, _ZLIB_LEVEL)
-    return data
+    return _seal(buffer.getvalue())
 
 
 def loads_payload(
@@ -355,10 +304,8 @@ def loads_payload(
     Verifies the integrity footer first; an archive that then fails to
     parse at all (a truncation that also destroyed the footer) raises
     :class:`PayloadIntegrityError` rather than a raw zip error.
-    Zlib-compressed payloads (``dumps_payload(..., compress=True)``)
-    are detected by their leading magic and inflated transparently.
     """
-    body = _unseal(_maybe_decompress(data, source), source)
+    body = _unseal(data, source)
     try:
         with np.load(io.BytesIO(body)) as npz:
             arrays = {key: npz[key].copy() for key in npz.files}

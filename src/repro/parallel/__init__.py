@@ -11,11 +11,16 @@ them across process pools:
   receiving the measured RL runtime), ordered result collection, and a
   ``jobs=1`` in-process fallback that is bit-for-bit the sequential
   path.
-* :mod:`repro.parallel.collector` — distributed PPO episode collection
-  *inside* one RL arm: a persistent worker pool that receives the
-  policy weights once per epoch and collects contiguous slices of
-  per-episode RNG streams, bitwise identical to in-process collection
-  at any worker count.
+* :mod:`repro.parallel.collector` — PPO episode collection *inside*
+  one RL arm.  One :class:`EpisodeCollector` cuts each epoch into
+  wave-aligned slices of per-episode RNG streams and drives them down
+  one degrade ladder of slice executors — leased remote workers, a
+  local process pool, in-process collection — merging in index order.
+  A failed round sends its missing slices one rung down in the same
+  call; ``max_failures`` failed rounds degrade a rung until a bounded
+  re-probe.  Every rung runs the same lockstep loop on the same
+  broadcast weight bytes, so results are bitwise identical to
+  in-process collection at any worker count, under any fault.
 * :mod:`repro.parallel.cache` — file locking and atomic-rename writes
   so workers share one on-disk artifact cache (the thermal
   characterization tables) instead of racing to recompute it.
@@ -28,9 +33,9 @@ them across process pools:
   path above is CI-testable.
 * :mod:`repro.parallel.transport` — length-prefixed, checksummed TCP
   frames carrying the existing payload schema between machines.
-* :mod:`repro.parallel.remote` — lease-based multi-machine episode
-  collection: a coordinator with heartbeats, fencing and re-dispatch,
-  the remote worker loop, and :class:`RemoteEpisodeCollector`.
+* :mod:`repro.parallel.remote` — the ladder's leased-TCP rung: a
+  coordinator with heartbeats, fencing and re-dispatch, and the remote
+  worker loop.
 """
 
 from repro.parallel.cache import FileLock, atomic_replace
@@ -58,7 +63,6 @@ __all__ = [
     "JobOutcome",
     "JobSpec",
     "JobTimeoutError",
-    "RemoteEpisodeCollector",
     "RemoteTraceback",
     "RetryPolicy",
     "SweepReport",
@@ -75,7 +79,7 @@ __all__ = [
 ]
 
 _COLLECTOR_EXPORTS = ("EpisodeCollector", "collect_slice", "partition_episodes")
-_REMOTE_EXPORTS = ("RemoteEpisodeCollector", "WorkerCoordinator", "run_worker")
+_REMOTE_EXPORTS = ("WorkerCoordinator", "run_worker")
 
 
 def __getattr__(name: str):

@@ -1,76 +1,63 @@
-"""Distributed PPO episode collection over a persistent process pool.
+"""PPO episode collection: one lockstep loop, one collector, one ladder.
 
-The trainer's batched engine already made every episode a pure function
-of (policy weights, its own ``episode.{index}`` RNG stream): episode
-``k`` of a run draws from ``SeedSequence(seed).rng(f"episode.{k}")`` no
-matter which lockstep wave it rides in, which is what makes batched
-collection width-invariant.  This module pushes that property across
-process boundaries:
+The trainer's batched engine makes every episode a pure function of
+(policy weights, its own ``episode.{index}`` RNG stream): episode ``k``
+of a run draws from ``SeedSequence(seed).rng(f"episode.{k}")`` no
+matter which lockstep wave, process or machine runs it.  Everything in
+this module rests on that property:
 
 * :func:`collect_wave` / :func:`collect_slice` — the one and only
-  lockstep collection loop.  The trainer's in-process path and the pool
-  workers both run *this* code, so ``collect_jobs=N`` cannot drift from
-  ``collect_jobs=1`` by construction.
-* :class:`EpisodeCollector` — a persistent worker pool.  Workers build
-  their environment + network replica once (pool initializer); each
-  epoch the trainer broadcasts its policy weights (the versioned
+  lockstep collection loop.  In-process collection, pool workers and
+  remote workers all run *this* code, so no execution backend can
+  drift from another by construction.
+* :class:`ReplicaCollector` — an env + network replica that runs that
+  loop from broadcast weight bytes (the versioned
   :func:`repro.nn.dumps_payload` schema — the same bytes a checkpoint
-  would hold) and assigns each worker a contiguous, *wave-aligned*
-  slice of episode indices (:func:`partition_episodes`).  Every episode
-  keeps its exact ``episode.{index}`` stream *and* its exact lockstep
-  wave width, and the parent merges the slices back in index order, so
-  the merged epoch is **bitwise identical** to in-process collection —
-  the regression tests pin ``collect_jobs`` 2 and 4 against 1 for the
-  plain, RND and batched trainers, including kill+resume.
+  would hold).  It is the in-process rung and the engine inside every
+  pool and remote worker.
+* :class:`EpisodeCollector` — the trainer-facing collector.  It cuts an
+  epoch into contiguous, *wave-aligned* slices
+  (:func:`partition_episodes`), hands them to a ladder of slice
+  executors — leased TCP workers (:mod:`repro.parallel.remote`), a
+  local process pool, and in-process collection — and merges the
+  slices back in index order.  Every episode keeps its exact stream
+  *and* its exact wave width, so the merged epoch is **bitwise
+  identical** to in-process collection at any worker count, under any
+  fault (regression-pinned for the plain, RND, batched and async
+  trainers, including kill+resume).
 
 Because the per-episode streams are *stateless* — derived on demand
 from ``(seed, index)`` — workers carry no RNG state between epochs.
 The only cross-epoch collection state is the trainer's global episode
-counter, which PR 5's checkpoint payload already captures
-(``state_dict()["episode_index"]``); kill+resume under sharded
-collection therefore stays bitwise with no extra bookkeeping.
+counter, which the checkpoint payload already captures, so kill+resume
+stays bitwise under any executor.  The sequential engine
+(``batch_size=1``) shares one action stream across episodes and cannot
+be sliced; the trainer never builds a collector for it.
 
-The sequential engine (``batch_size=1``) shares one action stream
-across episodes — episode ``k``'s trajectory depends on every draw
-before it — so it cannot be sharded without changing its golden-pinned
-results; the trainer falls back to in-process collection for it
-(loudly).
-
-**Fault tolerance.**  Because every slice is a pure function of the
-broadcast weights and its ``episode.{index}`` SeedSequence streams,
-losing a worker loses no information: :meth:`EpisodeCollector.collect`
-detects dead workers (``BrokenProcessPool``) and stalled epochs (no
-slice completing within ``slice_timeout``), rebuilds the pool on fresh
-processes, and re-dispatches exactly the missing slices — the merged
-epoch is **bitwise identical** to an undisturbed one (regression-
-pinned).  After ``max_pool_failures`` consecutive failed rounds the
-collector degrades to in-process collection (same
-:func:`collect_slice` loop, still bitwise) instead of fighting a
-broken machine.  A worker-initializer failure is captured in the
-worker and re-raised promptly as a
-:class:`~repro.parallel.faults.WorkerInitError` carrying the real
-traceback, never surfacing as an opaque ``BrokenProcessPool``.
-Degradation is not a life sentence: after ``reprobe_after`` in-process
-epochs the collector re-probes the pool (one probation round — a
-single failed round re-degrades), so a run that outlives a transient
-machine-wide stall gets its workers back.
+**The degrade ladder.**  One rule covers every rung.  A round that
+leaves slices undelivered (a dead or stalled pool worker, no leased
+remote worker for ``worker_wait_s``, a transient-failure storm) sends
+its missing slices one rung down *in the same call*; ``max_failures``
+consecutive failed rounds degrade a rung; after ``reprobe_after``
+rounds below it, a degraded rung is re-probed — one probation round —
+once it reports ready (the pool is always ready, the remote rung once a
+worker holds a lease).  In-process collection is the floor and never
+fails over.  Deterministic errors (a slice that raises a real bug, a
+:class:`~repro.parallel.faults.WorkerInitError`) propagate at once:
+they would reproduce on every rung.
 
 **Pipelined (async) collection.**  :meth:`EpisodeCollector.prefetch`
-dispatches a slice set *without blocking* and
+dispatches a slice set to the top live rung *without blocking* and
 :meth:`EpisodeCollector.collect_prefetched` harvests it later — the
-futures-based handoff behind the trainer's ``async_collect`` mode,
-where collection of epoch k+1 (with the *pre-update* epoch-k weights)
-overlaps the PPO update of epoch k.  The broadcast payload is
-double-buffered by construction: the prefetch holds its own serialized
-weight bytes, so the learner is free to mutate the live network while
-workers collect.  All fault tolerance carries over — a lost prefetch
-worker is re-dispatched at harvest time *from the stored bytes*, so
-faults can never change which policy collected an epoch.
+handoff behind the trainer's ``async_collect`` mode.  The prefetch
+holds its own serialized weight bytes, so the learner may mutate the
+live network meanwhile, and slices lost at harvest are re-collected
+from the stored bytes: a fault can never change which policy
+collected an epoch.
 """
 
 from __future__ import annotations
 
-import time
 import traceback
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor
 from concurrent.futures import wait as futures_wait
@@ -87,6 +74,8 @@ __all__ = [
     "EpisodeCollector",
     "POLICY_PAYLOAD_KIND",
     "ReplicaCollector",
+    "SliceRung",
+    "collect_one_slice",
     "collect_slice",
     "collect_wave",
     "partition_episodes",
@@ -215,16 +204,16 @@ def collect_slice(
 
 
 class ReplicaCollector:
-    """A lazily built env + network replica collecting from weight bytes.
+    """An env + network replica running the lockstep loop on demand.
 
-    The one in-process collection engine every fallback path shares:
-    the pool's degradation rung, the remote collector's last rung, and
-    the remote worker's task loop all call :meth:`collect` with the
-    broadcast payload bytes and a list of ``(index, (start, size))``
-    slices.  Construction is deferred to first use (degradation paths
-    are usually never taken), and the network's init weights are
-    irrelevant — every call starts by loading the broadcast payload —
-    so a fixed dummy RNG keeps it cheap and seed-independent.
+    The in-process rung of :class:`EpisodeCollector` and the engine of
+    every pool and remote worker.  Construction is deferred: the
+    batched env is built on first use and the network replica only
+    when weight bytes arrive, so a lockstep trainer that passes its
+    live network never pays for a second one.  The replica's init
+    weights are irrelevant — every bytes-driven call starts by loading
+    the broadcast payload — so a fixed dummy RNG keeps it cheap and
+    seed-independent.
     """
 
     def __init__(
@@ -233,47 +222,57 @@ class ReplicaCollector:
         self._env_args = (system, reward_calculator, env_config)
         self._channels = tuple(channels)
         self.batch_size = batch_size
-        self._seed = seed
+        self._seeds = SeedSequence(seed)
         self._network = None
         self._batched_env = None
-        self._seeds: SeedSequence | None = None
 
-    def _ensure(self) -> None:
-        if self._network is not None:
-            return
+    def _env(self):
         # Imported lazily: repro.agent.__init__ imports the trainer,
-        # which imports this module — a module-level import of the
-        # networks would close that cycle during interpreter start-up.
+        # which imports this module — module-level imports of the env
+        # and the networks would close that cycle at start-up.
+        from repro.env import BatchedFloorplanEnv
+
+        if self._batched_env is None:
+            self._batched_env = BatchedFloorplanEnv(*self._env_args)
+        return self._batched_env
+
+    def build(self) -> "ReplicaCollector":
+        """Construct the env and network replica now, not on first use."""
         from repro.agent.networks import ActorCritic
-        from repro.env import BatchedFloorplanEnv, FloorplanEnv
+        from repro.env import FloorplanEnv
 
-        env = FloorplanEnv(*self._env_args)
-        self._network = ActorCritic(
-            env.observation_shape,
-            env.n_actions,
-            channels=self._channels,
-            rng=np.random.default_rng(0),
-        )
-        self._batched_env = BatchedFloorplanEnv(*self._env_args)
-        self._seeds = SeedSequence(self._seed)
+        self._env()
+        if self._network is None:
+            env = FloorplanEnv(*self._env_args)
+            self._network = ActorCritic(
+                env.observation_shape,
+                env.n_actions,
+                channels=self._channels,
+                rng=np.random.default_rng(0),
+            )
+        return self
 
-    def collect(self, weights: bytes, slices: list, greedy: bool) -> dict:
+    def collect(
+        self, weights: bytes | None, slices: list, greedy: bool, network=None
+    ) -> dict:
         """Run ``[(index, (start, size)), ...]``; returns {index: pairs}.
 
-        Loads the broadcast payload into the replica — never a live
-        training network, which under async collection may already hold
-        post-update weights — then runs the one lockstep loop.  The
-        payload round-trips bit-for-bit, so every engine that runs this
-        code on the same bytes agrees bitwise.
+        Loads the broadcast ``weights`` into the replica — never a live
+        training network, which under async collection may already
+        hold post-update weights.  A lockstep caller may pass its live
+        ``network`` instead and skip the payload round trip: the
+        payload round-trips bit for bit, so both agree bitwise.
         """
-        self._ensure()
-        self._network.load_state_dict(
-            loads_payload(weights, kind=POLICY_PAYLOAD_KIND)
-        )
+        if network is None:
+            network = self.build()._network
+            network.load_state_dict(
+                loads_payload(weights, kind=POLICY_PAYLOAD_KIND)
+            )
+        batched_env = self._env()
         return {
             index: collect_slice(
-                self._network,
-                self._batched_env,
+                network,
+                batched_env,
                 self._seeds,
                 start,
                 size,
@@ -284,60 +283,46 @@ class ReplicaCollector:
         }
 
 
+def collect_one_slice(
+    replica, weights, start_index, count, greedy, chaos_point
+) -> list:
+    """A worker's task: fire ``chaos_point``, collect one slice.
+
+    ``chaos_point`` names the injection site (``collector.slice`` for
+    lockstep rounds, ``collector.prefetch`` for slices dispatched ahead
+    of time by the async trainer), so chaos runs can target one mode
+    without disturbing the other.  Shared by pool and remote workers.
+    """
+    chaos.maybe_fail(chaos_point, f"slice@{start_index}")
+    return replica.collect(weights, [(0, (start_index, count))], greedy)[0]
+
+
 # ----------------------------------------------------------------------
-# worker side
+# pool worker side
 # ----------------------------------------------------------------------
 
-#: Per-process replica of the collection stack, built once by the pool
-#: initializer and reused for every epoch the worker serves.
-_WORKER_STATE: dict | None = None
+#: This pool worker's :class:`ReplicaCollector`, built once by the
+#: initializer — or the traceback of its failed construction.
+_WORKER_STATE: ReplicaCollector | str | None = None
 
 
-def _init_worker(
-    system, reward_calculator, env_config, channels, batch_size, seed
-) -> None:
-    """Pool initializer: build this worker's env + network replica.
-
-    Runs once per worker process.  The network's init weights are
-    irrelevant — every task starts by loading the broadcast weights —
-    so a fixed dummy RNG keeps construction cheap and seed-independent.
+def _init_worker(*replica_args) -> None:
+    """Pool initializer: build this worker's replica once.
 
     A construction failure (bad env config, missing table file...) is
     **captured**, not raised: an initializer that raises kills the
     worker, the executor respawns it, it dies again, and the parent
     eventually sees an opaque ``BrokenProcessPool`` with the real
-    traceback lost to a worker's stderr.  Instead the failure is parked
-    in the worker state and the first task re-raises it as a
-    :class:`WorkerInitError` carrying the full traceback — promptly and
-    debuggably.
+    traceback lost to a worker's stderr.  Instead the traceback is
+    parked and the first task re-raises it as a
+    :class:`WorkerInitError` — promptly and debuggably.
     """
     global _WORKER_STATE
     try:
         chaos.maybe_fail("collector.init")
-        # Imported here, not at module level: repro.agent.__init__
-        # imports the trainer, which imports this module — a module-
-        # level import of the networks would close that cycle during
-        # interpreter start-up.
-        from repro.agent.networks import ActorCritic
-        from repro.env import BatchedFloorplanEnv, FloorplanEnv
-
-        env = FloorplanEnv(system, reward_calculator, env_config)
-        network = ActorCritic(
-            env.observation_shape,
-            env.n_actions,
-            channels=channels,
-            rng=np.random.default_rng(0),
-        )
-        _WORKER_STATE = {
-            "network": network,
-            "batched_env": BatchedFloorplanEnv(
-                system, reward_calculator, env_config
-            ),
-            "seeds": SeedSequence(seed),
-            "batch_size": batch_size,
-        }
+        _WORKER_STATE = ReplicaCollector(*replica_args).build()
     except BaseException:  # noqa: BLE001 - captured for prompt re-raise
-        _WORKER_STATE = {"init_error": traceback.format_exc()}
+        _WORKER_STATE = traceback.format_exc()
 
 
 def _collect_remote(
@@ -347,178 +332,135 @@ def _collect_remote(
     greedy: bool,
     chaos_point: str = "collector.slice",
 ) -> list:
-    """Worker task: load the broadcast weights, collect one slice.
-
-    ``chaos_point`` names the injection site this dispatch fires
-    (``collector.slice`` for lockstep epochs, ``collector.prefetch``
-    for slices dispatched ahead of time by the async trainer) so chaos
-    runs can target one mode without disturbing the other.
-    """
-    state = _WORKER_STATE
-    if state is None:  # pragma: no cover - initializer contract
+    """Pool task: load the broadcast weights, collect one slice."""
+    if _WORKER_STATE is None:  # pragma: no cover - initializer contract
         raise RuntimeError("collector worker was never initialized")
-    if "init_error" in state:
+    if isinstance(_WORKER_STATE, str):
         raise WorkerInitError(
-            "collection worker failed to initialize:\n" + state["init_error"]
+            "collection worker failed to initialize:\n" + _WORKER_STATE
         )
-    chaos.maybe_fail(chaos_point, f"slice@{start_index}")
-    state["network"].load_state_dict(
-        loads_payload(weights, kind=POLICY_PAYLOAD_KIND)
-    )
-    return collect_slice(
-        state["network"],
-        state["batched_env"],
-        state["seeds"],
-        start_index,
-        count,
-        state["batch_size"],
-        greedy=greedy,
+    return collect_one_slice(
+        _WORKER_STATE, weights, start_index, count, greedy, chaos_point
     )
 
 
 # ----------------------------------------------------------------------
-# parent side
+# slice executors (the rungs above in-process collection)
 # ----------------------------------------------------------------------
 
 
-class EpisodeCollector:
-    """Persistent worker pool for sharded episode collection.
+class SliceRung:
+    """One executor on the degrade ladder, plus its ladder state.
 
-    Parameters
-    ----------
-    system, reward_calculator, env_config:
-        The environment replica each worker builds (must be picklable —
-        the fast thermal model is; a live ``splu``-holding grid solver
-        is not, and RL arms never train against one).
-    jobs:
-        Worker processes (>= 2; ``collect_jobs=1`` never constructs a
-        collector).
-    batch_size:
-        Lockstep wave width inside each worker (>= 2: the sequential
-        engine's shared action stream cannot be sharded).
-    seed:
-        The trainer seed; workers re-derive the exact per-episode
-        streams from it.
-    encoder_channels:
-        Conv widths of the actor-critic replica.
-    slice_timeout:
-        Straggler detection: if no slice completes for this many
-        seconds while work is outstanding, the epoch is declared
-        stalled, the pool's workers are killed and rebuilt, and the
-        missing slices are re-dispatched (bitwise-safe — slices are
-        pure functions of the broadcast weights and seed streams).
-        ``None`` (default) disables the stall clock.
-    policy:
-        :class:`~repro.parallel.faults.RetryPolicy` supplying the
-        backoff pauses between pool rebuilds (its attempt budget is
-        not used here — ``max_pool_failures`` bounds the rebuilds).
-    max_pool_failures:
-        After this many *consecutive* failed dispatch rounds (a round
-        that completes at least one slice resets the count), the
-        collector stops fighting the machine and degrades to
-        in-process collection — same :func:`collect_slice` loop, so
-        still bitwise.
-    reprobe_after:
-        Degradation is bounded, not sticky: after this many in-process
-        collection rounds the collector re-probes the pool with one
-        probation round (a single failed round re-degrades immediately,
-        a successful one fully rehabilitates the pool).  ``0`` restores
-        the old degrade-forever behavior.  Re-probing never changes
-        results — only which process runs the same pure slice
-        functions.
-
-    Workers spawn lazily on the first :meth:`collect` and persist
-    across epochs; :meth:`close` (or the context manager) releases
-    them.  Any failure or interrupt mid-collection shuts the pool down
-    with ``cancel_futures=True`` before propagating, so a Ctrl-C never
-    strands worker processes behind a dead trainer.
+    Subclasses implement :meth:`dispatch` (start a slice set, return a
+    handle) and :meth:`gather` (await it, fill ``results``, return
+    ``None`` or a description of the failure).  The ladder fields are
+    owned by :class:`EpisodeCollector`.
     """
 
-    def __init__(
-        self,
-        system,
-        reward_calculator,
-        env_config,
-        *,
-        jobs: int,
-        batch_size: int,
-        seed: int,
-        encoder_channels: tuple = (16, 32, 32),
-        slice_timeout: float | None = None,
-        policy: RetryPolicy | None = None,
-        max_pool_failures: int = 3,
-        reprobe_after: int = 2,
-        compress_broadcast: bool = False,
-    ):
-        if jobs < 2:
-            raise ValueError("EpisodeCollector needs jobs >= 2")
-        if batch_size < 2:
-            raise ValueError(
-                "distributed collection requires the batched engine "
-                "(batch_size >= 2); the sequential engine's episodes "
-                "share one action stream and cannot be sharded bitwise"
-            )
-        if max_pool_failures < 1:
-            raise ValueError("max_pool_failures must be >= 1")
-        if reprobe_after < 0:
-            raise ValueError("reprobe_after must be >= 0 (0 = never)")
-        self.jobs = jobs
-        self.batch_size = batch_size
-        self.slice_timeout = slice_timeout
-        self.policy = policy if policy is not None else RetryPolicy()
-        self.max_pool_failures = max_pool_failures
-        self.reprobe_after = reprobe_after
-        # Opt-in zlib on the per-epoch weight broadcast.  Transport
-        # encoding only: loads_payload auto-detects it, the decoded
-        # state dict is bitwise identical, so episodes are too.
-        self.compress_broadcast = bool(compress_broadcast)
-        self._env_args = (system, reward_calculator, env_config)
-        self._seed = seed
-        self._initargs = (
-            system,
-            reward_calculator,
-            env_config,
-            tuple(encoder_channels),
-            batch_size,
-            seed,
-        )
-        self._pool: ProcessPoolExecutor | None = None
-        self._consecutive_failures = 0
-        self._degraded = False
-        self._inprocess_rounds = 0
-        self._fallback: ReplicaCollector | None = None
-        # Outstanding prefetch (async mode): {"weights", "slices",
-        # "futures", "greedy"} or None.  At most one at a time.
-        self._prefetch: dict | None = None
+    #: Human-readable rung name, used in logs and ``degraded_rungs``.
+    name = ""
+
+    def __init__(self):
+        self.failures = 0  # consecutive failed rounds
+        self.degraded = False
+        self.below = 0  # rounds run below this rung while degraded
 
     @property
     def active(self) -> bool:
-        """Whether worker processes are currently alive."""
-        return self._pool is not None
+        """Whether the rung holds processes or a socket right now."""
+        return False
+
+    def ready(self) -> bool:
+        """Whether a degraded rung may be re-probed."""
+        return True
+
+    def dispatch(self, weights, slices, greedy, chaos_point):
+        raise NotImplementedError
+
+    def gather(self, handle, results: dict, slice_timeout) -> str | None:
+        raise NotImplementedError
+
+    def cancel(self, handle) -> None:
+        """Drop a dispatched slice set nobody will gather."""
+
+    def reset(self) -> None:
+        """Release whatever a failed round may have left wedged."""
+
+    def close(self, wait: bool = True) -> None:
+        """Release the rung's resources; they come back lazily."""
+
+
+class _PoolRung(SliceRung):
+    """A persistent local process pool (``jobs`` workers)."""
+
+    name = "collection pool"
+
+    def __init__(self, jobs: int, replica_args: tuple):
+        super().__init__()
+        self.jobs = jobs
+        self._replica_args = replica_args
+        self._pool: ProcessPoolExecutor | None = None
 
     @property
-    def degraded(self) -> bool:
-        """Whether the collector has fallen back to in-process collection."""
-        return self._degraded
+    def active(self) -> bool:
+        return self._pool is not None
 
-    def _ensure_pool(self) -> ProcessPoolExecutor:
+    def dispatch(self, weights, slices, greedy, chaos_point) -> dict:
+        """Submit ``slices``; returns {future: index}."""
         if self._pool is None:
             _logger.info("starting %d collection workers", self.jobs)
             self._pool = ProcessPoolExecutor(
                 max_workers=self.jobs,
                 initializer=_init_worker,
-                initargs=self._initargs,
+                initargs=self._replica_args,
             )
-        return self._pool
+        # Looked up at call time, by module name, so the submitted
+        # callable pickles by reference.
+        return {
+            self._pool.submit(
+                _collect_remote, weights, start, size, greedy, chaos_point
+            ): index
+            for index, (start, size) in slices
+        }
 
-    def _teardown_pool(self) -> None:
+    def gather(self, futures: dict, results: dict, slice_timeout):
+        pending = set(futures)
+        while pending:
+            finished, pending = futures_wait(
+                pending, timeout=slice_timeout, return_when=FIRST_COMPLETED
+            )
+            if not finished:
+                return (
+                    f"no slice completed within slice_timeout="
+                    f"{slice_timeout:.1f}s"
+                )
+            for future in finished:
+                error = future.exception()
+                if error is None:
+                    results[futures[future]] = future.result()
+                elif RetryPolicy.is_transient(error):
+                    # Dead worker / broken pool: sibling futures are
+                    # lost with it.
+                    return f"worker lost: {error!r}"
+                else:
+                    # A real exception from the slice itself (or a
+                    # WorkerInitError): reproduces anywhere — raise.
+                    raise error
+        return None
+
+    def cancel(self, futures: dict) -> None:
+        for future in futures:
+            future.cancel()
+
+    def reset(self) -> None:
         """Kill the worker processes and forget the pool (hung-safe).
 
         ``shutdown(wait=True)`` would block on a hung worker forever;
         instead the process table is snapshotted, the executor is
         abandoned with ``cancel_futures``, and the workers are
         terminated outright.  Slices are side-effect-free, so a killed
-        worker loses nothing that re-dispatch cannot reproduce.
+        worker loses nothing another rung cannot reproduce.
         """
         if self._pool is None:
             return
@@ -529,81 +471,323 @@ class EpisodeCollector:
                 process.terminate()
         self._pool = None
 
-    def _collect_in_process(
-        self, weights: bytes, slices: list, greedy: bool
-    ) -> dict:
-        """Run ``slices`` through the same lockstep loop, in the parent.
+    def close(self, wait: bool = True) -> None:
+        if self._pool is not None:
+            self._pool.shutdown(wait=wait, cancel_futures=not wait)
+            self._pool = None
 
-        The degradation path, delegated to a lazily cached
-        :class:`ReplicaCollector` (which loads the *broadcast payload*,
-        never the trainer's live network — see its docstring).
-        """
-        if self._fallback is None:
-            self._fallback = ReplicaCollector(
-                *self._env_args,
-                channels=self._initargs[3],
-                batch_size=self.batch_size,
-                seed=self._seed,
+
+# ----------------------------------------------------------------------
+# the collector
+# ----------------------------------------------------------------------
+
+
+class EpisodeCollector:
+    """Sliced episode collection down one degrade ladder.
+
+    Parameters
+    ----------
+    system, reward_calculator, env_config:
+        The environment every replica builds (must be picklable for
+        the pool and remote rungs — the fast thermal model is; a live
+        ``splu``-holding grid solver is not, and RL arms never train
+        against one).
+    batch_size:
+        Lockstep wave width (>= 2: the sequential engine's shared
+        action stream cannot be sliced).
+    seed:
+        The trainer seed; every replica re-derives the exact
+        per-episode streams from it.
+    jobs:
+        Local pool workers; ``>= 2`` adds the pool rung.
+    workers:
+        Remote slice granularity; ``>= 1`` adds the leased-TCP rung
+        (see :class:`~repro.parallel.remote.RemoteRung`).  It sets how
+        many wave-aligned slices an epoch is cut into, not how many
+        workers must connect: leased workers serve the queue
+        work-stealing style.
+    encoder_channels:
+        Conv widths of the actor-critic replica.
+    host, port, lease_s, heartbeat_s, worker_wait_s:
+        The remote rung's coordinator: bind address (``port=0`` binds
+        an ephemeral port, kept across close/reopen), lease expiry,
+        heartbeat interval, and how long a round waits with no leased
+        worker before it counts as failed.
+    slice_timeout:
+        Straggler clock for both worker rungs: a pool round in which no
+        slice completes for this long, or a remote slice held this long
+        by one lease, fails (``None`` = off).
+    max_failures:
+        Consecutive failed rounds that degrade a rung.
+    reprobe_after:
+        Rounds below a degraded rung before it is re-probed (``0`` =
+        never).  Re-probing never changes results — only which process
+        runs the same pure slice functions.
+
+    Pool workers spawn lazily and persist across rounds; the remote
+    coordinator binds at construction so workers can lease in before
+    the first epoch.  :meth:`close` (or the context manager) releases
+    both; any failure or interrupt mid-collection kills the pool
+    workers before propagating, so a Ctrl-C never strands them behind
+    a dead trainer.
+    """
+
+    def __init__(
+        self,
+        system,
+        reward_calculator,
+        env_config,
+        *,
+        batch_size: int,
+        seed: int,
+        jobs: int = 1,
+        workers: int = 0,
+        encoder_channels: tuple = (16, 32, 32),
+        host: str = "127.0.0.1",
+        port: int = 0,
+        lease_s: float = 15.0,
+        heartbeat_s: float | None = None,
+        worker_wait_s: float = 30.0,
+        slice_timeout: float | None = None,
+        max_failures: int = 3,
+        reprobe_after: int = 2,
+    ):
+        if batch_size < 2:
+            raise ValueError(
+                "EpisodeCollector requires the batched engine "
+                "(batch_size >= 2); the sequential engine's episodes "
+                "share one action stream and cannot be sliced bitwise"
             )
-        return self._fallback.collect(weights, slices, greedy)
+        if jobs < 1:
+            raise ValueError(f"jobs must be >= 1, got {jobs}")
+        if workers < 0:
+            raise ValueError(
+                "remote collection needs workers >= 1 (0 = no remote "
+                f"rung), got {workers}"
+            )
+        if max_failures < 1:
+            raise ValueError("max_failures must be >= 1")
+        if reprobe_after < 0:
+            raise ValueError("reprobe_after must be >= 0 (0 = never)")
+        self.batch_size = batch_size
+        self.slice_timeout = slice_timeout
+        self.max_failures = max_failures
+        self.reprobe_after = reprobe_after
+        self._granularity = max(jobs, workers)
+        replica_args = (
+            system,
+            reward_calculator,
+            env_config,
+            tuple(encoder_channels),
+            batch_size,
+            seed,
+        )
+        self._replica = ReplicaCollector(*replica_args)
+        self._remote = None
+        if workers:
+            # Deferred import: the remote rung pulls in the socket
+            # transport, which local collection never needs.
+            from repro.parallel.remote import RemoteRung
 
-    def _degrade(self, reason: str) -> None:
-        _logger.error(
-            "collection pool failed %d consecutive round(s) (%s); "
-            "degrading to in-process collection — results stay bitwise "
-            "identical, only wall clock suffers%s",
-            self._consecutive_failures,
+            self._remote = RemoteRung(
+                replica_args,
+                host=host,
+                port=port,
+                lease_s=lease_s,
+                heartbeat_s=heartbeat_s,
+                worker_wait_s=worker_wait_s,
+            )
+        self._rungs = [self._remote] if self._remote is not None else []
+        if jobs >= 2:
+            self._rungs.append(_PoolRung(jobs, replica_args))
+        # Outstanding prefetch (async mode) or None.  At most one.
+        self._prefetch: dict | None = None
+
+    # -- state ----------------------------------------------------------
+
+    @property
+    def active(self) -> bool:
+        """Whether pool workers or a remote coordinator are alive."""
+        return any(rung.active for rung in self._rungs)
+
+    @property
+    def degraded(self) -> bool:
+        """Whether any rung above in-process collection is degraded."""
+        return any(rung.degraded for rung in self._rungs)
+
+    @property
+    def degraded_rungs(self) -> list:
+        """Names of the degraded rungs, top of the ladder first."""
+        return [rung.name for rung in self._rungs if rung.degraded]
+
+    @property
+    def address(self) -> tuple | None:
+        """The ``(host, port)`` remote workers connect to, or None."""
+        return None if self._remote is None else self._remote.address
+
+    @property
+    def prefetching(self) -> bool:
+        """Whether a prefetched slice set is outstanding."""
+        return self._prefetch is not None
+
+    # -- the ladder -----------------------------------------------------
+
+    def _slices(self, start_index: int, count: int) -> list:
+        return list(
+            enumerate(
+                partition_episodes(
+                    start_index, count, self.batch_size, self._granularity
+                )
+            )
+        )
+
+    def _begin_round(self) -> list:
+        """Re-probe what is due; returns the rungs live this round.
+
+        A degraded rung counts every round run below it (the round
+        that degraded it included).  After ``reprobe_after`` such
+        rounds, and once the rung reports ready, it gets one probation
+        round: ``failures`` restarts at ``max_failures - 1``, so one
+        more failed round re-degrades it.
+        """
+        live = []
+        for rung in self._rungs:
+            if (
+                rung.degraded
+                and self.reprobe_after
+                and rung.below >= self.reprobe_after
+                and rung.ready()
+            ):
+                _logger.warning(
+                    "re-probing the %s after %d round(s) below it — one "
+                    "probation round, results unaffected",
+                    rung.name,
+                    rung.below,
+                )
+                rung.degraded = False
+                rung.failures = self.max_failures - 1
+            if rung.degraded:
+                rung.below += 1
+            else:
+                live.append(rung)
+        return live
+
+    def _round_failed(self, rung: SliceRung, reason: str, missing: int):
+        rung.failures += 1
+        rung.reset()
+        _logger.warning(
+            "%s round failed (%s); %d missing slice(s) go one rung down "
+            "[failure %d/%d]",
+            rung.name,
             reason,
+            missing,
+            rung.failures,
+            self.max_failures,
+        )
+        if rung.failures < self.max_failures:
+            return
+        _logger.error(
+            "the %s failed %d consecutive round(s); degrading it — results "
+            "stay bitwise identical, only wall clock suffers%s",
+            rung.name,
+            rung.failures,
             (
-                f"; the pool will be re-probed after "
-                f"{self.reprobe_after} in-process round(s)"
+                f"; re-probed after {self.reprobe_after} round(s) below it"
                 if self.reprobe_after
                 else ""
             ),
         )
-        self._teardown_pool()
-        self._degraded = True
-        self._inprocess_rounds = 0
+        rung.degraded = True
+        rung.below = 1
 
-    def _maybe_reprobe(self) -> None:
-        """Bounded re-probe: lift degradation after ``reprobe_after`` rounds.
+    @staticmethod
+    def _dispatch(rung, weights, slices, greedy, chaos_point) -> tuple:
+        """``(handle, None)``, or ``(None, failure)`` on a transient error."""
+        try:
+            return rung.dispatch(weights, slices, greedy, chaos_point), None
+        except Exception as error:  # noqa: BLE001 - classified
+            # A worker dying mid-dispatch breaks the pool and makes the
+            # next submit raise: a lost round, not a crash.
+            if not RetryPolicy.is_transient(error):
+                raise
+            return None, f"dispatch failed: {error!r}"
 
-        The rehabilitated pool gets exactly one probation round —
-        ``_consecutive_failures`` restarts at ``max_pool_failures - 1``,
-        so a single failed round re-degrades (and restarts the re-probe
-        clock), while a successful round resets the count to zero as
-        usual.
+    def _run(
+        self,
+        weights,
+        slices: list,
+        greedy: bool,
+        chaos_point: str,
+        live: list,
+        handle=None,
+        network=None,
+    ) -> list:
+        """Drive ``slices`` down ``live`` then in-process; merged list.
+
+        ``handle`` is a slice set already dispatched to ``live[0]``
+        (the prefetch handoff), gathered before anything new is sent.
         """
-        if not self._degraded or not self.reprobe_after:
-            return
-        if self._inprocess_rounds < self.reprobe_after:
-            return
-        _logger.warning(
-            "re-probing the collection pool after %d in-process "
-            "round(s) — one probation round, results unaffected",
-            self._inprocess_rounds,
-        )
-        self._degraded = False
-        self._inprocess_rounds = 0
-        self._consecutive_failures = self.max_pool_failures - 1
+        results: dict = {}
+        try:
+            for rung in live:
+                missing = [item for item in slices if item[0] not in results]
+                if not missing:
+                    break
+                failure = None
+                if handle is None:
+                    handle, failure = self._dispatch(
+                        rung, weights, missing, greedy, chaos_point
+                    )
+                if failure is None:
+                    failure = rung.gather(handle, results, self.slice_timeout)
+                handle = None
+                if failure is None:
+                    rung.failures = 0
+                else:
+                    self._round_failed(
+                        rung, failure, len(slices) - len(results)
+                    )
+            missing = [item for item in slices if item[0] not in results]
+            if missing:
+                results.update(
+                    self._replica.collect(weights, missing, greedy, network)
+                )
+        except BaseException:
+            # A real bug, WorkerInitError, or Ctrl-C in the parent:
+            # never strand pool workers behind it.
+            for rung in live:
+                rung.reset()
+            raise
+        # Slices are keyed by partition index, so this IS the fixed
+        # index-order merge the best-placement selection relies on.
+        return [pair for index, _ in slices for pair in results[index]]
+
+    # -- collection -----------------------------------------------------
 
     def collect(
         self, network, start_index: int, count: int, greedy: bool = False
     ) -> list:
         """Collect ``count`` episodes starting at global ``start_index``.
 
-        Broadcasts ``network``'s weights once, fans contiguous index
-        slices over the workers, and returns ``[(Episode, info), ...]``
-        merged in strict index order — bitwise identical to one
-        in-process :func:`collect_slice` over the same range.
+        Returns ``[(Episode, info), ...]`` in strict index order —
+        bitwise identical to one :func:`collect_slice` over the range.
+        With no live worker rung the live ``network`` collects
+        directly, with no weight encode; otherwise its weights are
+        broadcast once.
         """
-        weights = dumps_payload(
-            network.state_dict(),
-            kind=POLICY_PAYLOAD_KIND,
-            compress=self.compress_broadcast,
-        )
-        return self.collect_with_weights(
-            weights, start_index, count, greedy=greedy
+        live = self._begin_round()
+        weights = None
+        if live:
+            weights = dumps_payload(
+                network.state_dict(), kind=POLICY_PAYLOAD_KIND
+            )
+        return self._run(
+            weights,
+            self._slices(start_index, count),
+            greedy,
+            "collector.slice",
+            live,
+            network=network,
         )
 
     def collect_with_weights(
@@ -616,38 +800,15 @@ class EpisodeCollector:
         """Like :meth:`collect`, but from already-serialized weights.
 
         The async trainer's entry point: the payload bytes pin *which*
-        policy collects, independent of what the live network holds by
-        the time collection actually runs.
-
-        Survives worker loss: dead workers (``BrokenProcessPool``) and
-        stalled epochs (``slice_timeout``) trigger a pool rebuild and
-        re-dispatch of exactly the slices that never completed.  A
-        deterministic exception from a slice (a real bug) propagates
-        immediately; so does :class:`WorkerInitError` (rebuilt workers
-        would fail construction identically).  After
-        ``max_pool_failures`` consecutive failed rounds the remaining
-        slices run in-process and the collector degrades (until the
-        bounded re-probe lifts it).
+        policy collects, whatever the live network holds by then.
         """
-        slices = list(
-            enumerate(
-                partition_episodes(
-                    start_index, count, self.batch_size, self.jobs
-                )
-            )
+        return self._run(
+            weights,
+            self._slices(start_index, count),
+            greedy,
+            "collector.slice",
+            self._begin_round(),
         )
-        return self._run_rounds(
-            weights, slices, {}, None, greedy, "collector.slice"
-        )
-
-    # ------------------------------------------------------------------
-    # pipelined (async) handoff
-    # ------------------------------------------------------------------
-
-    @property
-    def prefetching(self) -> bool:
-        """Whether a prefetched slice set is outstanding."""
-        return self._prefetch is not None
 
     def prefetch(
         self,
@@ -656,248 +817,73 @@ class EpisodeCollector:
         count: int,
         greedy: bool = False,
     ) -> None:
-        """Dispatch a slice set to the pool without waiting for it.
+        """Dispatch a slice set to the top live rung without waiting.
 
-        The double-buffered half of async collection: ``weights`` is a
-        self-contained serialized payload, so the caller may mutate its
-        live network (run the PPO update) while workers collect.
-        Harvest with :meth:`collect_prefetched`.
-
-        Degraded (or submission-failed) prefetches dispatch nothing —
-        the caller's harvest falls back to :meth:`collect_with_weights`
-        with the same stored bytes, so overlap is lost but results are
-        not.  At most one prefetch may be outstanding.
+        ``weights`` is a self-contained serialized payload, so the
+        caller may mutate its live network (run the PPO update) while
+        workers collect.  Harvest with :meth:`collect_prefetched`.
+        With no live worker rung (or a failed dispatch) nothing is
+        sent and the harvest collects synchronously from the same
+        bytes — overlap lost, results unchanged.
         """
         if self._prefetch is not None:
             raise RuntimeError(
                 "a prefetch is already outstanding; harvest it with "
                 "collect_prefetched() or drop it with cancel_prefetch()"
             )
-        self._maybe_reprobe()
-        if self._degraded:
-            return
-        slices = list(
-            enumerate(
-                partition_episodes(
-                    start_index, count, self.batch_size, self.jobs
+        slices = self._slices(start_index, count)
+        live = self._begin_round()
+        handle = None
+        if live:
+            handle, failure = self._dispatch(
+                live[0], weights, slices, greedy, "collector.prefetch"
+            )
+            if failure is not None:
+                _logger.warning(
+                    "prefetch %s; the round runs at harvest time", failure
                 )
-            )
-        )
-        try:
-            futures = self._submit_round(
-                weights, slices, greedy, "collector.prefetch"
-            )
-        except Exception as error:  # noqa: BLE001 - resilience path
-            # A dead pool at submit time counts as one failed round;
-            # the harvest-side retry loop (or eventual degradation)
-            # takes it from here.  A non-transient error (a real bug)
-            # would reproduce at harvest time too — surface it now.
-            if not self.policy.is_transient(error):
-                raise
-            _logger.warning(
-                "prefetch dispatch failed (%r); collection will run "
-                "synchronously at harvest time",
-                error,
-            )
-            self._teardown_pool()
-            self._consecutive_failures += 1
-            return
+                live[0].reset()
         self._prefetch = {
             "weights": weights,
             "slices": slices,
-            "futures": futures,
             "greedy": greedy,
+            "live": live,
+            "handle": handle,
         }
 
     def collect_prefetched(self) -> list:
-        """Harvest the outstanding prefetch (blocking), merged in order.
-
-        Fault tolerance matches :meth:`collect_with_weights`: slices
-        lost with a dead worker are re-dispatched from the prefetch's
-        *stored* weight bytes, so a fault can never change which policy
-        collected the epoch.
-        """
-        state = self._prefetch
-        self._prefetch = None
+        """Harvest the outstanding prefetch (blocking), merged in order."""
+        state, self._prefetch = self._prefetch, None
         if state is None:
             raise RuntimeError("no prefetch is outstanding")
-        return self._run_rounds(
+        return self._run(
             state["weights"],
             state["slices"],
-            {},
-            state["futures"],
             state["greedy"],
             "collector.prefetch",
+            state["live"],
+            handle=state["handle"],
         )
 
     def cancel_prefetch(self) -> None:
         """Drop the outstanding prefetch, if any (idempotent).
 
-        Queued slices are cancelled; already-running ones finish in
-        their workers and are discarded.  Nothing is consumed, so
-        determinism is unaffected.
+        Nothing is consumed, so determinism is unaffected: queued
+        slices are cancelled, running ones finish and are discarded.
         """
-        state = self._prefetch
-        self._prefetch = None
-        if state is None:
-            return
-        for future in state["futures"]:
-            future.cancel()
-
-    # ------------------------------------------------------------------
-
-    def _run_rounds(
-        self,
-        weights: bytes,
-        slices: list,
-        results: dict,
-        futures: dict | None,
-        greedy: bool,
-        chaos_point: str,
-    ) -> list:
-        """Drive ``slices`` to completion; the one retry/degrade loop.
-
-        ``futures`` carries an already-dispatched round (the prefetch
-        handoff) to harvest before any new dispatch.  Missing slices
-        are re-dispatched on fresh pools with backoff until they
-        complete, a deterministic error propagates, or
-        ``max_pool_failures`` consecutive failures degrade the rest to
-        in-process collection.
-        """
-        self._maybe_reprobe()
-        if self._degraded:
-            self._inprocess_rounds += 1
-            results.update(
-                self._collect_in_process(
-                    weights,
-                    [item for item in slices if item[0] not in results],
-                    greedy,
-                )
-            )
-            return self._merge(results, slices)
-        try:
-            while True:
-                missing = [item for item in slices if item[0] not in results]
-                if not missing:
-                    break
-                if self._consecutive_failures >= self.max_pool_failures:
-                    self._degrade("giving up on the pool")
-                    self._inprocess_rounds += 1
-                    results.update(
-                        self._collect_in_process(weights, missing, greedy)
-                    )
-                    break
-                round_failure = None
-                if futures is None:
-                    try:
-                        futures = self._submit_round(
-                            weights, missing, greedy, chaos_point
-                        )
-                    except Exception as error:
-                        # A worker dying between two submits of the same
-                        # round breaks the pool mid-dispatch and makes
-                        # the *next* submit raise synchronously; that is
-                        # a lost round like any other, not a crash.
-                        if not self.policy.is_transient(error):
-                            raise
-                        round_failure = f"dispatch failed: {error!r}"
-                if round_failure is None:
-                    round_failure = self._gather_round(futures, results)
-                futures = None
-                if round_failure is None:
-                    self._consecutive_failures = 0
-                else:
-                    self._consecutive_failures += 1
-                    _logger.warning(
-                        "collection round failed (%s); rebuilding the pool "
-                        "and re-dispatching %d missing slice(s) "
-                        "[failure %d/%d]",
-                        round_failure,
-                        sum(
-                            1
-                            for item in slices
-                            if item[0] not in results
-                        ),
-                        self._consecutive_failures,
-                        self.max_pool_failures,
-                    )
-                    self._teardown_pool()
-                    if self._consecutive_failures < self.max_pool_failures:
-                        time.sleep(
-                            self.policy.backoff(
-                                "collector", self._consecutive_failures
-                            )
-                        )
-        except BaseException:
-            # Real bug, WorkerInitError, or Ctrl-C in the parent: never
-            # strand the pool — cancel queued slices and abandon the rest.
-            self.close(wait=False)
-            raise
-        return self._merge(results, slices)
-
-    def _submit_round(
-        self, weights: bytes, missing: list, greedy: bool, chaos_point: str
-    ) -> dict:
-        """Dispatch ``missing`` to the pool; returns {future: index}."""
-        pool = self._ensure_pool()
-        return {
-            pool.submit(
-                _collect_remote, weights, start, size, greedy, chaos_point
-            ): index
-            for index, (start, size) in missing
-        }
-
-    def _gather_round(self, futures: dict, results: dict) -> str | None:
-        """Await one dispatched round; fills ``results`` in place.
-
-        Returns ``None`` on full success, else a short description of
-        the failure (the round should be retried on a fresh pool).
-        Deterministic slice exceptions and init failures are raised,
-        not returned — they would reproduce on any pool.
-        """
-        pending = set(futures)
-        while pending:
-            finished, pending = futures_wait(
-                pending,
-                timeout=self.slice_timeout,
-                return_when=FIRST_COMPLETED,
-            )
-            if not finished:
-                # Straggler: nothing completed inside the stall window.
-                return (
-                    f"no slice completed within slice_timeout="
-                    f"{self.slice_timeout:.1f}s"
-                )
-            for future in finished:
-                error = future.exception()
-                if error is None:
-                    results[futures[future]] = future.result()
-                elif self.policy.is_transient(error):
-                    # Dead worker / broken pool: sibling futures are
-                    # lost with it; report the round failed.
-                    return f"worker lost: {error!r}"
-                else:
-                    # A real exception from the slice itself (or a
-                    # WorkerInitError): reproduces on retry — raise.
-                    raise error
-        return None
-
-    @staticmethod
-    def _merge(results: dict, slices: list) -> list:
-        # Slices are keyed by their partition index, so concatenation
-        # in that order IS the fixed index-order merge the
-        # best-placement selection relies on — however many dispatch
-        # rounds (or the in-process fallback) produced them.
-        return [
-            pair for index, _ in slices for pair in results[index]
-        ]
+        state, self._prefetch = self._prefetch, None
+        if state is not None and state.get("handle") is not None:
+            state["live"][0].cancel(state["handle"])
 
     def close(self, wait: bool = True) -> None:
-        """Release the worker processes (idempotent)."""
+        """Release workers and the coordinator (idempotent).
+
+        Both come back lazily — the coordinator on the same port — if
+        collection continues.
+        """
         self.cancel_prefetch()
-        if self._pool is not None:
-            self._pool.shutdown(wait=wait, cancel_futures=not wait)
-            self._pool = None
+        for rung in self._rungs:
+            rung.close(wait=wait)
 
     def __enter__(self) -> "EpisodeCollector":
         return self

@@ -1,11 +1,9 @@
 """Multi-machine episode collection: lease-based coordinator + workers.
 
-PR 6–8 made one training run span a machine's worth of processes; this
-module takes the same epoch protocol across machines.  The *protocol*
-is unchanged — per epoch the trainer broadcasts one serialized policy
-payload (:func:`repro.nn.dumps_payload`) and fans wave-aligned episode
-slices (:func:`repro.parallel.collector.partition_episodes`) out to
-workers, merging results in index order — only the *transport* is new:
+The top rung of :class:`~repro.parallel.collector.EpisodeCollector`'s
+degrade ladder.  The *protocol* is the collector's — one serialized
+policy payload (:func:`repro.nn.dumps_payload`) per round and
+wave-aligned episode slices merged in index order — carried over
 length-prefixed, checksummed TCP frames (:mod:`repro.parallel.
 transport`) instead of a ``ProcessPoolExecutor``.
 
@@ -25,23 +23,17 @@ Three pieces:
   wrong epoch.
 * :func:`run_worker` — the remote worker loop (the
   ``scripts/collect_worker.py`` entrypoint).  Connects, registers,
-  builds its env+network replica from the coordinator's init payload
-  (a :class:`~repro.parallel.collector.ReplicaCollector` — the exact
-  code every other collection engine runs), serves task frames, and
-  **reconnects with seeded backoff** (reusing
-  :class:`~repro.parallel.faults.RetryPolicy`) after any transient
-  transport failure.
-* :class:`RemoteEpisodeCollector` — the trainer-facing engine,
-  interface-compatible with :class:`~repro.parallel.collector.
-  EpisodeCollector` (collect / collect_with_weights / prefetch /
-  collect_prefetched / cancel_prefetch / close).  Degradation mirrors
-  PR 7's ladder: persistent loss of all remote workers falls back to a
-  local worker pool (when ``local_jobs >= 2``), then to in-process
-  collection — every rung runs the same pure slice functions on the
-  same broadcast bytes, so **results are bitwise identical at any
-  worker count, under any fault**, and a kill+resume of the training
-  process stays bitwise even when it comes back with a different
-  number of remote workers.
+  builds its :class:`~repro.parallel.collector.ReplicaCollector` from
+  the coordinator's init payload (the exact code every other rung
+  runs), serves task frames, and **reconnects with seeded backoff**
+  (reusing :class:`~repro.parallel.faults.RetryPolicy`) after any
+  transient transport failure.
+* :class:`RemoteRung` — the adapter the collector's ladder drives:
+  one coordinator epoch per round.  Every rung runs the same pure
+  slice functions on the same broadcast bytes, so **results are
+  bitwise identical at any worker count, under any fault**, and a
+  kill+resume of the training process stays bitwise even when it
+  comes back with a different number of remote workers.
 """
 
 from __future__ import annotations
@@ -57,10 +49,9 @@ from collections import deque
 from repro.nn import dumps_payload, loads_payload
 from repro.parallel import chaos
 from repro.parallel.collector import (
-    POLICY_PAYLOAD_KIND,
-    EpisodeCollector,
     ReplicaCollector,
-    partition_episodes,
+    SliceRung,
+    collect_one_slice,
 )
 from repro.parallel.faults import RetryPolicy
 from repro.parallel.transport import (
@@ -74,7 +65,7 @@ from repro.utils import get_logger
 
 __all__ = [
     "RemoteCollectionError",
-    "RemoteEpisodeCollector",
+    "RemoteRung",
     "RemoteSliceError",
     "RemoteStallError",
     "WorkerCoordinator",
@@ -759,13 +750,14 @@ def _serve_task(replica, sock, send_lock, meta, blob, detail, lease_id):
     """
     index = meta["task"]
     try:
-        chaos.maybe_fail(
+        pairs = collect_one_slice(
+            replica,
+            blob,
+            meta["start"],
+            meta["count"],
+            meta["greedy"],
             meta.get("chaos_point", "collector.slice"),
-            f"slice@{meta['start']}",
         )
-        pairs = replica.collect(
-            blob, [(index, (meta["start"], meta["count"]))], meta["greedy"]
-        )[index]
         result = dumps_payload({"pairs": pairs}, kind=SLICE_RESULT_KIND)
     except Exception as error:  # noqa: BLE001 - reported, classified
         send_frame(
@@ -828,7 +820,7 @@ def run_worker(
 ) -> int:
     """Serve collection tasks from the coordinator at ``(host, port)``.
 
-    The remote half of :class:`RemoteEpisodeCollector` — run it on any
+    The remote half of :class:`RemoteRung` — run it on any
     machine that can reach the coordinator (``scripts/collect_worker.py``
     is the CLI wrapper).  Returns 0 on a clean coordinator-initiated
     shutdown.
@@ -978,130 +970,60 @@ def run_worker(
 
 
 # ----------------------------------------------------------------------
-# trainer-facing engine
+# the collector's remote rung
 # ----------------------------------------------------------------------
 
 
-class RemoteEpisodeCollector:
-    """Fan episode collection out to leased remote workers.
+class RemoteRung(SliceRung):
+    """The top rung of :class:`~repro.parallel.collector.EpisodeCollector`.
 
-    Interface-compatible with :class:`~repro.parallel.collector.
-    EpisodeCollector` — the trainer treats both identically.  The
-    ``workers`` count sets the *partition granularity* (how many
-    wave-aligned slices an epoch is cut into), not a connection
-    requirement: however many workers are actually leased serve the
-    queue work-stealing style, and results are bitwise identical at
-    any count by the same wave-alignment argument as the local pool.
-
-    Degradation ladder (each rung runs the same pure slice functions
-    on the same broadcast bytes, so results never change):
-
-    1. **remote** — leased workers over TCP;
-    2. **local pool** — an embedded :class:`EpisodeCollector` when
-       ``local_jobs >= 2`` (with its own internal retry/degrade);
-    3. **in-process** — a :class:`ReplicaCollector` in the trainer.
-
-    A round that leaves slices undelivered (no live workers for
-    ``worker_wait_s``, or a transient-failure storm) completes the
-    missing slices down the ladder; ``max_remote_failures``
-    *consecutive* such rounds degrade remote dispatch entirely, and a
-    bounded re-probe (``reprobe_after`` non-remote rounds, and only
-    once a worker is actually leased again) lifts it.
+    Dispatches a slice set as one coordinator epoch and gathers it;
+    a round that ends with slices undelivered (no leased worker for
+    ``worker_wait_s``, a transient-failure storm) reports its partial
+    results and fails, so the collector completes the rest one rung
+    down.  Ready for a re-probe only once a worker holds a lease —
+    probing an empty coordinator would stall ``worker_wait_s`` for
+    nothing.
     """
+
+    name = "remote workers"
 
     def __init__(
         self,
-        system,
-        reward_calculator,
-        env_config,
+        replica_args: tuple,
         *,
-        workers: int,
-        batch_size: int,
-        seed: int,
-        encoder_channels: tuple = (16, 32, 32),
-        host: str = "127.0.0.1",
-        port: int = 0,
-        local_jobs: int = 1,
-        lease_s: float = 15.0,
-        heartbeat_s: float | None = None,
-        worker_wait_s: float = 30.0,
-        task_timeout_s: float | None = None,
-        policy: RetryPolicy | None = None,
-        max_remote_failures: int = 3,
-        reprobe_after: int = 2,
-        compress_broadcast: bool = False,
+        host: str,
+        port: int,
+        lease_s: float,
+        heartbeat_s: float | None,
+        worker_wait_s: float,
     ):
-        if workers < 1:
-            raise ValueError("RemoteEpisodeCollector needs workers >= 1")
-        if batch_size < 2:
-            raise ValueError(
-                "distributed collection requires the batched engine "
-                "(batch_size >= 2); the sequential engine's episodes "
-                "share one action stream and cannot be sharded bitwise"
-            )
-        if max_remote_failures < 1:
-            raise ValueError("max_remote_failures must be >= 1")
-        if reprobe_after < 0:
-            raise ValueError("reprobe_after must be >= 0 (0 = never)")
-        self.workers = workers
-        self.batch_size = batch_size
-        self.policy = policy if policy is not None else RetryPolicy()
-        self.worker_wait_s = worker_wait_s
-        self.task_timeout_s = task_timeout_s
-        self.max_remote_failures = max_remote_failures
-        self.reprobe_after = reprobe_after
-        # Transport encoding only: workers auto-detect the zlib wrapper in
-        # loads_payload, the decoded state dict is bitwise identical, so
-        # collected episodes are too.
-        self.compress_broadcast = bool(compress_broadcast)
-        self._lease_s = lease_s
-        self._heartbeat_s = heartbeat_s
-        self._host = host
-        self._port = port
+        super().__init__()
+        system, reward_calculator, env_config, channels, batch_size, seed = (
+            replica_args
+        )
         self._init_payload = dumps_payload(
             {
                 "system": system,
                 "reward_calculator": reward_calculator,
                 "env_config": env_config,
-                "channels": tuple(encoder_channels),
+                "channels": channels,
                 "batch_size": batch_size,
                 "seed": seed,
             },
             kind=WORKER_INIT_KIND,
         )
-        self._local: EpisodeCollector | None = None
-        if local_jobs >= 2:
-            self._local = EpisodeCollector(
-                system,
-                reward_calculator,
-                env_config,
-                jobs=local_jobs,
-                batch_size=batch_size,
-                seed=seed,
-                encoder_channels=encoder_channels,
-                policy=self.policy,
-                compress_broadcast=self.compress_broadcast,
-            )
-        self._fallback = ReplicaCollector(
-            system,
-            reward_calculator,
-            env_config,
-            tuple(encoder_channels),
-            batch_size,
-            seed,
-        )
-        self._coordinator: WorkerCoordinator | None = None
-        self._remote_failures = 0
-        self._degraded = False
-        self._nonremote_rounds = 0
-        self._prefetch: dict | None = None
-        self._ensure_coordinator()
+        self._host = host
+        self._port = port
+        self._lease_s = lease_s
+        self._heartbeat_s = heartbeat_s
+        self.worker_wait_s = worker_wait_s
+        self.coordinator: WorkerCoordinator | None = None
+        self._ensure()  # bind now: workers may lease in before epoch 0
 
-    # -- lifecycle ------------------------------------------------------
-
-    def _ensure_coordinator(self) -> WorkerCoordinator:
-        if self._coordinator is None:
-            self._coordinator = WorkerCoordinator(
+    def _ensure(self) -> WorkerCoordinator:
+        if self.coordinator is None:
+            self.coordinator = WorkerCoordinator(
                 self._init_payload,
                 host=self._host,
                 port=self._port,
@@ -1111,266 +1033,47 @@ class RemoteEpisodeCollector:
             # Pin the ephemeral port: a close()/reopen cycle (train()
             # closes the collector after every run) rebinds the same
             # address so long-lived workers can find it again.
-            self._port = self._coordinator.address[1]
-        return self._coordinator
+            self._port = self.coordinator.address[1]
+        return self.coordinator
 
     @property
     def address(self) -> tuple:
         """The coordinator's ``(host, port)`` workers connect to."""
-        return self._ensure_coordinator().address
+        return self._ensure().address
 
     @property
     def active(self) -> bool:
-        """Whether the coordinator is currently listening."""
-        return self._coordinator is not None
+        return self.coordinator is not None
 
-    @property
-    def degraded(self) -> bool:
-        """Whether remote dispatch has been given up on (for now)."""
-        return self._degraded
-
-    def close(self, wait: bool = True) -> None:
-        """Drain leased workers, release everything (idempotent).
-
-        The coordinator rebinds lazily (same port) if collection
-        continues, mirroring the local pool's lazy respawn.
-        """
-        self.cancel_prefetch()
-        if self._coordinator is not None:
-            self._coordinator.close()
-            self._coordinator = None
-        if self._local is not None:
-            self._local.close(wait=wait)
-
-    def __enter__(self) -> "RemoteEpisodeCollector":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close(wait=exc_info[0] is None)
-
-    # -- collection -----------------------------------------------------
-
-    def collect(
-        self, network, start_index: int, count: int, greedy: bool = False
-    ) -> list:
-        """Collect ``count`` episodes from ``start_index`` (merged)."""
-        weights = dumps_payload(
-            network.state_dict(),
-            kind=POLICY_PAYLOAD_KIND,
-            compress=self.compress_broadcast,
-        )
-        return self.collect_with_weights(
-            weights, start_index, count, greedy=greedy
+    def ready(self) -> bool:
+        return (
+            self.coordinator is not None
+            and self.coordinator.live_workers() > 0
         )
 
-    def collect_with_weights(
-        self,
-        weights: bytes,
-        start_index: int,
-        count: int,
-        greedy: bool = False,
-    ) -> list:
-        """Like :meth:`collect`, from already-serialized weights."""
-        slices = self._slices(start_index, count)
-        results = self._collect_slices(
-            weights, slices, greedy, "collector.slice", epoch_id=None
-        )
-        return self._merge(results, slices)
+    def dispatch(self, weights, slices, greedy, chaos_point) -> int:
+        return self._ensure().begin_epoch(weights, slices, greedy, chaos_point)
 
-    def _slices(self, start_index: int, count: int) -> list:
-        return list(
-            enumerate(
-                partition_episodes(
-                    start_index, count, self.batch_size, self.workers
-                )
-            )
-        )
-
-    @staticmethod
-    def _merge(results: dict, slices: list) -> list:
-        return [pair for index, _ in slices for pair in results[index]]
-
-    def _degrade(self, reason: str) -> None:
-        _logger.error(
-            "remote collection failed %d consecutive round(s) (%s); "
-            "degrading to %s — results stay bitwise identical, only "
-            "wall clock suffers; remote dispatch re-probes once a "
-            "worker re-leases%s",
-            self._remote_failures,
-            reason,
-            "the local pool" if self._local is not None else "in-process",
-            (
-                f" (after {self.reprobe_after} non-remote round(s))"
-                if self.reprobe_after
-                else ""
-            ),
-        )
-        self._degraded = True
-        self._nonremote_rounds = 0
-
-    def _maybe_reprobe(self) -> None:
-        """Lift degradation once workers are back (bounded, probation).
-
-        Unlike the local pool's blind re-probe, a remote re-probe is
-        gated on a worker actually holding a lease — probing an empty
-        coordinator would stall ``worker_wait_s`` for nothing.  The
-        rehabilitated path gets one probation round
-        (``_remote_failures`` restarts at ``max_remote_failures - 1``).
-        """
-        if not self._degraded or not self.reprobe_after:
-            return
-        if self._nonremote_rounds < self.reprobe_after:
-            return
-        if self._coordinator is None or not self._coordinator.live_workers():
-            return
-        _logger.warning(
-            "re-probing remote collection after %d non-remote round(s) "
-            "— one probation round, results unaffected",
-            self._nonremote_rounds,
-        )
-        self._degraded = False
-        self._nonremote_rounds = 0
-        self._remote_failures = self.max_remote_failures - 1
-
-    def _collect_slices(
-        self,
-        weights: bytes,
-        slices: list,
-        greedy: bool,
-        chaos_point: str,
-        epoch_id: int | None,
-    ) -> dict:
-        """Drive one slice set down the ladder; returns {index: pairs}.
-
-        ``epoch_id`` carries an already-dispatched epoch (the prefetch
-        handoff); it is driven even when remote dispatch has since
-        degraded — its results may already be in flight.
-        """
-        results: dict = {}
-        self._maybe_reprobe()
-        if epoch_id is not None or not self._degraded:
-            try:
-                if epoch_id is None:
-                    epoch_id = self._ensure_coordinator().begin_epoch(
-                        weights, slices, greedy, chaos_point
-                    )
-                results = self._coordinator.drive_epoch(
+    def gather(self, epoch_id: int, results: dict, slice_timeout):
+        try:
+            results.update(
+                self.coordinator.drive_epoch(
                     epoch_id,
                     worker_wait_s=self.worker_wait_s,
-                    task_timeout_s=self.task_timeout_s,
+                    task_timeout_s=slice_timeout,
                 )
-                self._remote_failures = 0
-            except RemoteStallError as error:
-                results = dict(error.results)
-                self._remote_failures += 1
-                missing = sum(
-                    1 for item in slices if item[0] not in results
-                )
-                _logger.warning(
-                    "remote round incomplete (%s); completing %d "
-                    "missing slice(s) down the degradation ladder "
-                    "[failure %d/%d]",
-                    error,
-                    missing,
-                    self._remote_failures,
-                    self.max_remote_failures,
-                )
-                if self._remote_failures >= self.max_remote_failures:
-                    self._degrade(str(error))
-        else:
-            self._nonremote_rounds += 1
-        missing = [item for item in slices if item[0] not in results]
-        if not missing:
-            return results
-        if self._local is not None:
-            # Each missing slice starts on a wave boundary, so the
-            # pool's own sub-partition stays wave-aligned — bitwise.
-            for index, (start, size) in missing:
-                results[index] = self._local.collect_with_weights(
-                    weights, start, size, greedy=greedy
-                )
-        else:
-            results.update(self._fallback.collect(weights, missing, greedy))
-        return results
-
-    # -- pipelined (async) handoff -------------------------------------
-
-    @property
-    def prefetching(self) -> bool:
-        """Whether a prefetched slice set is outstanding."""
-        return self._prefetch is not None
-
-    def prefetch(
-        self,
-        weights: bytes,
-        start_index: int,
-        count: int,
-        greedy: bool = False,
-    ) -> None:
-        """Dispatch a slice set without waiting (async double-buffer).
-
-        Remote dispatch starts immediately (leased workers collect
-        while the caller runs its PPO update).  Degraded prefetches
-        delegate the overlap to the local pool when one exists;
-        otherwise nothing is dispatched and the harvest collects
-        synchronously — overlap lost, results unchanged.
-        """
-        if self._prefetch is not None:
-            raise RuntimeError(
-                "a prefetch is already outstanding; harvest it with "
-                "collect_prefetched() or drop it with cancel_prefetch()"
             )
-        slices = self._slices(start_index, count)
-        state = {
-            "weights": weights,
-            "slices": slices,
-            "greedy": greedy,
-            "epoch": None,
-            "local": False,
-        }
-        self._maybe_reprobe()
-        if not self._degraded:
-            state["epoch"] = self._ensure_coordinator().begin_epoch(
-                weights, slices, greedy, "collector.prefetch"
-            )
-        elif self._local is not None:
-            self._local.prefetch(weights, start_index, count, greedy=greedy)
-            state["local"] = True
-        self._prefetch = state
+        except RemoteStallError as error:
+            results.update(error.results)
+            return str(error)
+        return None
 
-    def collect_prefetched(self) -> list:
-        """Harvest the outstanding prefetch (blocking), merged in order."""
-        state = self._prefetch
-        self._prefetch = None
-        if state is None:
-            raise RuntimeError("no prefetch is outstanding")
-        if state["local"]:
-            self._nonremote_rounds += 1
-            if self._local.prefetching:
-                return self._local.collect_prefetched()
-            return self._merge(
-                self._fallback.collect(
-                    state["weights"], state["slices"], state["greedy"]
-                ),
-                state["slices"],
-            )
-        results = self._collect_slices(
-            state["weights"],
-            state["slices"],
-            state["greedy"],
-            "collector.prefetch",
-            epoch_id=state["epoch"],
-        )
-        return self._merge(results, state["slices"])
+    def cancel(self, epoch_id: int) -> None:
+        if self.coordinator is not None:
+            self.coordinator.abort_epoch(epoch_id)
 
-    def cancel_prefetch(self) -> None:
-        """Drop the outstanding prefetch, if any (idempotent)."""
-        state = self._prefetch
-        self._prefetch = None
-        if state is None:
-            return
-        if state["local"] and self._local is not None:
-            self._local.cancel_prefetch()
-            return
-        if state["epoch"] is not None and self._coordinator is not None:
-            self._coordinator.abort_epoch(state["epoch"])
+    def close(self, wait: bool = True) -> None:
+        """Drain leased workers; the coordinator rebinds lazily."""
+        if self.coordinator is not None:
+            self.coordinator.close()
+            self.coordinator = None

@@ -221,8 +221,12 @@ class ServeEngine:
         """Reward/thermal evaluation of one placement (micro-batched).
 
         Concurrent requests sharing a (bundle, evaluator) group ride
-        one ``RewardCalculator.evaluate_batch`` call — bitwise equal to
-        the scalar path at any batch composition.
+        one ``RewardCalculator.evaluate_batch`` call.  The response is
+        bitwise equal to ``evaluate_batch`` on that placement alone, at
+        any batch composition.  It is *not* always bitwise equal to the
+        scalar ``RewardCalculator.evaluate``: the fast thermal model's
+        scalar and batched paths can differ in the last bit (seen on
+        ``multi_gpu``), well inside any tolerance.
         """
         self._count("evaluate")
         spec = self._spec(system)

@@ -37,6 +37,13 @@ _BUDGET_FIELDS = frozenset(
     f.name for f in dataclasses.fields(ExperimentBudget)
 )
 
+#: Budget fields that claim host resources — forked collection
+#: workers, a TCP coordinator bound on a chosen address.  They are the
+#: operator's to set, never an HTTP client's: a request may only carry
+#: their defaults (as every ``budget_to_dict`` output does).
+_HOST_BUDGET_FIELDS = ("collect_jobs", "collect_workers", "collect_bind")
+_DEFAULT_BUDGET = ExperimentBudget()
+
 
 class BadRequest(ValueError):
     """Client error: malformed or semantically invalid request body."""
@@ -52,7 +59,8 @@ def budget_from_dict(data: dict) -> ExperimentBudget:
 
     Unknown fields are rejected rather than ignored — a typo'd knob
     silently running at its default would poison the memoization key's
-    meaning (the caller thinks it asked for something it didn't).
+    meaning (the caller thinks it asked for something it didn't).  So
+    are non-default host-resource fields (:data:`_HOST_BUDGET_FIELDS`).
     """
     if not isinstance(data, dict):
         raise BadRequest("budget must be a JSON object")
@@ -64,9 +72,16 @@ def budget_from_dict(data: dict) -> ExperimentBudget:
         if name in decoded and isinstance(decoded[name], list):
             decoded[name] = tuple(decoded[name])
     try:
-        return ExperimentBudget(**decoded)
+        budget = ExperimentBudget(**decoded)
     except (TypeError, ValueError) as error:
         raise BadRequest(f"invalid budget: {error}") from error
+    for name in _HOST_BUDGET_FIELDS:
+        if getattr(budget, name) != getattr(_DEFAULT_BUDGET, name):
+            raise BadRequest(
+                f"budget field {name!r} claims server resources and "
+                f"must stay at its default {getattr(_DEFAULT_BUDGET, name)!r}"
+            )
+    return budget
 
 
 def breakdown_to_dict(breakdown) -> dict:

@@ -387,7 +387,6 @@ class TestCollectorChaos:
             ),
         )
         trainer = _make_trainer(trainer_env, collect_jobs=2)
-        trainer._collector.policy = _fast_policy()
         disturbed = _distill(trainer.train())
         assert disturbed == reference
         assert not trainer._collector.degraded
@@ -410,7 +409,6 @@ class TestCollectorChaos:
         )
         trainer = _make_trainer(trainer_env, collect_jobs=2)
         trainer._collector.slice_timeout = 2.0
-        trainer._collector.policy = _fast_policy()
         disturbed = _distill(trainer.train())
         assert disturbed == reference
 
@@ -426,8 +424,7 @@ class TestCollectorChaos:
             dict(point="collector.slice", mode="crash", times=0),
         )
         trainer = _make_trainer(trainer_env, collect_jobs=2)
-        trainer._collector.policy = _fast_policy()
-        trainer._collector.max_pool_failures = 1
+        trainer._collector.max_failures = 1
         disturbed = _distill(trainer.train())
         assert disturbed == reference
         assert trainer._collector.degraded
@@ -440,7 +437,7 @@ class TestCollectorChaos:
         epoch 2 is healed by epoch 4 (satellite: bounded re-probe)."""
         reference = _distill(_make_trainer(trainer_env, epochs=4).train())
         # Epochs cover episodes [0,5), [5,10), [10,15), [15,20): killing
-        # slice@5 hits epoch 2, and max_pool_failures=1 degrades at once.
+        # slice@5 hits epoch 2, and max_failures=1 degrades at once.
         _chaos_env(
             monkeypatch,
             dict(
@@ -452,8 +449,7 @@ class TestCollectorChaos:
             ),
         )
         trainer = _make_trainer(trainer_env, epochs=4, collect_jobs=2)
-        trainer._collector.policy = _fast_policy()
-        trainer._collector.max_pool_failures = 1
+        trainer._collector.max_failures = 1
         assert trainer._collector.reprobe_after == 2
         logger = logging.getLogger("repro")
         logger.addHandler(caplog.handler)
@@ -488,8 +484,7 @@ class TestCollectorChaos:
             ),
         )
         trainer = _make_trainer(trainer_env, epochs=4, collect_jobs=2)
-        trainer._collector.policy = _fast_policy()
-        trainer._collector.max_pool_failures = 1
+        trainer._collector.max_failures = 1
         trainer._collector.reprobe_after = 0
         disturbed = _distill(trainer.train())
         assert disturbed == reference
@@ -520,7 +515,6 @@ class TestCollectorChaos:
         trainer = _make_trainer(
             trainer_env, epochs=3, collect_jobs=2, async_collect=True
         )
-        trainer._collector.policy = _fast_policy()
         disturbed = _distill(trainer.train())
         trainer_degraded = trainer._collector.degraded
         trainer.close_collector()
@@ -548,8 +542,7 @@ class TestCollectorChaos:
         trainer = _make_trainer(
             trainer_env, epochs=3, collect_jobs=2, async_collect=True
         )
-        trainer._collector.policy = _fast_policy()
-        trainer._collector.max_pool_failures = 1
+        trainer._collector.max_failures = 1
         trainer._collector.reprobe_after = 0
         disturbed = _distill(trainer.train())
         trainer_degraded = trainer._collector.degraded

@@ -365,7 +365,7 @@ class TestCollectorLifecycle:
                 env.system,
                 env.reward_calculator,
                 env.config,
-                jobs=1,
+                jobs=0,
                 batch_size=4,
                 seed=0,
             )
@@ -428,66 +428,3 @@ class TestCollectorLifecycle:
         with pytest.raises(RuntimeError, match="worker exploded"):
             trainer.collect_episodes(4)
         assert not trainer._collector.active
-
-
-# ----------------------------------------------------------------------
-# compressed weight broadcast (transport encoding, never semantic)
-# ----------------------------------------------------------------------
-
-
-class TestCompressedBroadcast:
-    """Satellite: opt-in zlib on the per-epoch weight broadcast.
-
-    The compressed stream wraps the ENTIRE sealed payload, so the
-    SHA-256 footer is computed and verified over the uncompressed
-    bytes; ``loads_payload`` auto-detects the wrapper.  Decoded weights
-    are bitwise identical, so collected episodes are too — pinned here
-    against the uncompressed sharded run (itself pinned to in-process
-    collection above).
-    """
-
-    def test_compressed_payload_round_trips_bitwise(self):
-        state = {
-            "w": np.arange(64, dtype=np.float64).reshape(8, 8) / 9.0,
-            "b": np.array([1e-300, -0.0, np.pi]),
-        }
-        plain = dumps_payload(state, kind="collector-policy")
-        packed = dumps_payload(state, kind="collector-policy", compress=True)
-        assert packed.startswith(b"RPRZLB1\x00")
-        assert packed != plain
-        restored = loads_payload(packed, kind="collector-policy")
-        for key in state:
-            assert restored[key].tobytes() == state[key].tobytes()
-            assert restored[key].dtype == state[key].dtype
-        # The two transport encodings decode to identical dicts.
-        plain_restored = loads_payload(plain, kind="collector-policy")
-        for key in state:
-            assert (
-                restored[key].tobytes() == plain_restored[key].tobytes()
-            )
-
-    def test_corrupt_compressed_stream_fails_loudly(self):
-        from repro.nn.serialization import PayloadIntegrityError
-
-        packed = dumps_payload(
-            {"w": np.zeros(8)}, kind="collector-policy", compress=True
-        )
-        with pytest.raises(PayloadIntegrityError):
-            loads_payload(packed[: len(packed) // 2], kind="collector-policy")
-        flipped = bytearray(packed)
-        flipped[-1] ^= 0x20
-        with pytest.raises(PayloadIntegrityError):
-            loads_payload(bytes(flipped), kind="collector-policy")
-
-    def test_compressed_broadcast_training_is_bitwise_identical(
-        self, trainer_env
-    ):
-        reference = _distill(
-            _make_trainer(trainer_env, collect_jobs=2).train()
-        )
-        compressed = _distill(
-            _make_trainer(
-                trainer_env, collect_jobs=2, compress_broadcast=True
-            ).train()
-        )
-        assert compressed == reference

@@ -25,6 +25,7 @@ Covers the PR-9 tentpole guarantees:
   kill+resumes bitwise across a *different* worker count.
 """
 
+import json
 import logging
 import socket
 import threading
@@ -38,16 +39,16 @@ from repro.agent.networks import ActorCritic
 from repro.env import EnvConfig, FloorplanEnv
 from repro.nn import dumps_payload
 from repro.parallel import remote as remote_module
-from repro.parallel.chaos import ChaosInjector, ChaosSpec, set_chaos
+from repro.parallel.chaos import CHAOS_ENV, ChaosInjector, ChaosSpec, set_chaos
 from repro.parallel.collector import (
     POLICY_PAYLOAD_KIND,
+    EpisodeCollector,
     ReplicaCollector,
     partition_episodes,
 )
 from repro.parallel.faults import RetryPolicy
 from repro.parallel.remote import (
     SLICE_RESULT_KIND,
-    RemoteEpisodeCollector,
     RemoteSliceError,
     run_worker,
 )
@@ -99,7 +100,7 @@ def _collector(parts, **overrides):
         worker_wait_s=20.0,
     )
     defaults.update(overrides)
-    return RemoteEpisodeCollector(system, calc, env_config, **defaults)
+    return EpisodeCollector(system, calc, env_config, **defaults)
 
 
 def _reference(parts, weights, start, count, workers=4, greedy=False):
@@ -255,13 +256,13 @@ class TestFaultRecovery:
             )
         )
         reference = _reference(parts, weights, 0, 5)
-        collector = _collector(parts, task_timeout_s=0.7)
+        collector = _collector(parts, slice_timeout=0.7)
         host, port = collector.address
         stop = threading.Event()
         thread, _ = _start_worker(host, port, "dropw", stop_event=stop)
         try:
             got = collector.collect_with_weights(weights, 0, 5)
-            stats = collector._coordinator.stats
+            stats = collector._remote.coordinator.stats
             assert stats["fenced"] >= 1
             assert stats["requeued"] >= 1
         finally:
@@ -317,7 +318,7 @@ class TestFaultRecovery:
         try:
             got = collector.collect_with_weights(weights, 0, 5)
             # The same worker re-leased after the injected disconnect.
-            assert collector._coordinator.stats["registered"] >= 2
+            assert collector._remote.coordinator.stats["registered"] >= 2
         finally:
             collector.close()
             stop.set()
@@ -344,7 +345,7 @@ class TestFaultRecovery:
         thread, _ = _start_worker(host, port, "livew", stop_event=stop)
         try:
             got = collector.collect_with_weights(weights, 0, 5)
-            assert collector._coordinator.stats["fenced"] >= 1
+            assert collector._remote.coordinator.stats["fenced"] >= 1
         finally:
             dead.close()
             collector.close()
@@ -409,7 +410,7 @@ class TestFaultRecovery:
         try:
             reference = _reference(parts, weights, 0, 5, workers=2)
             got = collector.collect_with_weights(weights, 0, 5)
-            stats = collector._coordinator.stats
+            stats = collector._remote.coordinator.stats
             assert stats["duplicate_results"] >= 1
             assert len(got) == 5
             assert _distill(got) == _distill(reference)
@@ -453,7 +454,7 @@ class TestFaultRecovery:
         try:
             got = collector.collect_with_weights(weights, 0, 5)
             assert (
-                collector._coordinator.stats["transient_task_errors"] >= 1
+                collector._remote.coordinator.stats["transient_task_errors"] >= 1
             )
         finally:
             collector.close()
@@ -494,14 +495,14 @@ class TestFaultRecovery:
 
 
 class TestDegradationLadder:
-    @pytest.mark.parametrize("local_jobs", [1, 2])
-    def test_no_workers_falls_back_bitwise(self, parts, weights, local_jobs):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_no_workers_falls_back_bitwise(self, parts, weights, jobs):
         reference = _reference(parts, weights, 0, 5)
         collector = _collector(
             parts,
             worker_wait_s=0.2,
-            max_remote_failures=1,
-            local_jobs=local_jobs,
+            max_failures=1,
+            jobs=jobs,
         )
         try:
             got = collector.collect_with_weights(weights, 0, 5)
@@ -514,11 +515,50 @@ class TestDegradationLadder:
         assert _distill(got) == _distill(reference)
         assert _distill(got2) == _distill(_reference(parts, weights, 5, 5))
 
+    def test_three_rungs_in_one_epoch_bitwise(
+        self, parts, weights, tmp_path, monkeypatch
+    ):
+        """No remote worker ever leases and a pool worker crashes: in
+        one call the slices fall remote -> pool -> in-process, both
+        worker rungs degrade, and the merge is still bitwise."""
+        sentinels = tmp_path / "chaos"
+        monkeypatch.setenv(
+            CHAOS_ENV,
+            json.dumps(
+                {
+                    "point": "collector.slice",
+                    "mode": "crash",
+                    "times": 1,
+                    "dir": str(sentinels),
+                }
+            ),
+        )
+        collector = _collector(
+            parts, worker_wait_s=0.2, jobs=2, max_failures=1
+        )
+        try:
+            got = collector.collect_with_weights(weights, 0, 5)
+            assert collector.degraded_rungs == [
+                "remote workers",
+                "collection pool",
+            ]
+            # Both worker rungs are skipped now: in-process, no stall.
+            got2 = collector.collect_with_weights(weights, 5, 5)
+            assert collector.degraded_rungs == [
+                "remote workers",
+                "collection pool",
+            ]
+        finally:
+            collector.close()
+        assert len(list(sentinels.iterdir())) == 1  # the crash fired
+        assert _distill(got) == _distill(_reference(parts, weights, 0, 5))
+        assert _distill(got2) == _distill(_reference(parts, weights, 5, 5))
+
     def test_reprobe_lifts_degradation_once_a_worker_leases(
         self, parts, weights
     ):
         collector = _collector(
-            parts, worker_wait_s=0.2, max_remote_failures=1, reprobe_after=1
+            parts, worker_wait_s=0.2, max_failures=1, reprobe_after=1
         )
         stop = threading.Event()
         thread = None
@@ -536,11 +576,11 @@ class TestDegradationLadder:
             thread, _ = _start_worker(host, port, "backw", stop_event=stop)
             deadline = time.monotonic() + 10.0
             while (
-                not collector._coordinator.live_workers()
+                not collector._remote.coordinator.live_workers()
                 and time.monotonic() < deadline
             ):
                 time.sleep(0.05)
-            assert collector._coordinator.live_workers() >= 1
+            assert collector._remote.coordinator.live_workers() >= 1
 
             got = collector.collect_with_weights(weights, 9, 3)
             assert not collector.degraded
@@ -568,7 +608,7 @@ class TestWorkerLifecycle:
         ]
         deadline = time.monotonic() + 10.0
         while (
-            collector._coordinator.live_workers() < 2
+            collector._remote.coordinator.live_workers() < 2
             and time.monotonic() < deadline
         ):
             time.sleep(0.05)
@@ -587,7 +627,7 @@ class TestWorkerLifecycle:
         thread, box = _start_worker(host, port, "stopw", stop_event=stop)
         deadline = time.monotonic() + 10.0
         while (
-            not collector._coordinator.live_workers()
+            not collector._remote.coordinator.live_workers()
             and time.monotonic() < deadline
         ):
             time.sleep(0.05)
@@ -611,11 +651,11 @@ class TestWorkerLifecycle:
     def test_validation(self, parts):
         system, calc, env_config = parts
         with pytest.raises(ValueError, match="workers >= 1"):
-            RemoteEpisodeCollector(
-                system, calc, env_config, workers=0, batch_size=2, seed=0
+            EpisodeCollector(
+                system, calc, env_config, workers=-1, batch_size=2, seed=0
             )
         with pytest.raises(ValueError, match="batched engine"):
-            RemoteEpisodeCollector(
+            EpisodeCollector(
                 system, calc, env_config, workers=2, batch_size=1, seed=0
             )
 

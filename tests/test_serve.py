@@ -460,6 +460,31 @@ class TestHTTPSurface:
         assert excinfo.value.status == 400
         assert "sa_itertions" in str(excinfo.value)
 
+    def test_host_resource_budget_is_400_and_starts_nothing(
+        self, serve_stack, monkeypatch
+    ):
+        """A client may not make the server fork collection workers or
+        bind a coordinator: the request is refused before any arm."""
+        import repro.parallel.collector as collector_module
+
+        built = []
+        real_init = collector_module.EpisodeCollector.__init__
+
+        def spy_init(self, *args, **kwargs):
+            built.append(kwargs)
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(
+            collector_module.EpisodeCollector, "__init__", spy_init
+        )
+        _, client = serve_stack
+        budget = budget_to_dict(tiny_budget(collect_workers=1))
+        with pytest.raises(ServeError) as excinfo:
+            client.place("synthetic1", "RLPlanner", budget)
+        assert excinfo.value.status == 400
+        assert "collect_workers" in str(excinfo.value)
+        assert built == []
+
     def test_served_place_round_trips_bitwise(
         self, serve_stack, serve_budget, cold_place
     ):
@@ -617,6 +642,21 @@ class TestSchema:
     def test_unknown_field_is_rejected(self):
         with pytest.raises(BadRequest, match="unknown budget fields"):
             budget_from_dict({"sa_itertions": 10})
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("collect_jobs", 2),
+            ("collect_workers", 1),
+            ("collect_bind", "0.0.0.0:7777"),
+        ],
+    )
+    def test_host_resource_fields_are_rejected(self, field, value):
+        with pytest.raises(BadRequest, match=field):
+            budget_from_dict({field: value})
+        # Their defaults (what budget_to_dict always carries) pass.
+        default = getattr(ExperimentBudget(), field)
+        assert getattr(budget_from_dict({field: default}), field) == default
 
     def test_non_object_budget_is_rejected(self):
         with pytest.raises(BadRequest):

@@ -1009,18 +1009,3 @@ class TestThreadSafeCounters:
         )
         # The raw attributes agree with the snapshot once quiescent.
         assert (store.hits, store.misses) == store.counters()
-
-    def test_compressed_payloads_interop_with_uncompressed(self, tmp_path):
-        # An opt-in compressed payload on disk loads through the same
-        # call sites as an uncompressed one (auto-detection), with the
-        # footer still verified over the uncompressed bytes.
-        state = {"w": np.linspace(0.0, 1.0, 32), "epoch": 4}
-        plain_path = tmp_path / "plain.npz"
-        packed_path = tmp_path / "packed.npz"
-        save_payload(state, plain_path, kind="test")
-        save_payload(state, packed_path, kind="test", compress=True)
-        assert packed_path.read_bytes().startswith(b"RPRZLB1\x00")
-        plain = load_payload(plain_path, kind="test")
-        packed = load_payload(packed_path, kind="test")
-        assert plain["w"].tobytes() == packed["w"].tobytes()
-        assert plain["epoch"] == packed["epoch"] == 4

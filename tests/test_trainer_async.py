@@ -126,7 +126,10 @@ class TestAsyncDeterminism:
             trainer = _make_trainer(trainer_env, async_collect=True)
         finally:
             logger.removeHandler(caplog.handler)
-        assert trainer._collector is None
+        # In-process async collects through the collector too, but
+        # starts no pool and no coordinator.
+        assert not trainer._collector.active
+        assert trainer.collector_address is None
         assert any(
             "async_collect without collect_jobs" in rec.getMessage()
             for rec in caplog.records
