@@ -115,9 +115,9 @@ class TrainerConfig:
     async_collect: bool = False
     # Remote (multi-machine) episode collection.  0 = off.  >= 1 opens
     # a lease-based TCP coordinator (bound at ``collect_bind``) and
-    # cuts each epoch into ``collect_workers`` wave-aligned slices
-    # served by whatever remote workers (scripts/collect_worker.py)
-    # lease in — the count sets partition granularity, not a connection
+    # cuts each epoch into ``max(collect_workers, collect_jobs)``
+    # wave-aligned slices served by whatever remote workers
+    # (scripts/collect_worker.py) lease in — the count sets partition granularity, not a connection
     # requirement.  Like collect_jobs, the knob is non-semantic: slices
     # are pure in (weight bytes, per-episode seed streams), so results
     # are bitwise identical to in-process collection at any worker

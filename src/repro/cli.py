@@ -99,7 +99,7 @@ def _add_budget_args(parser) -> None:
         default=0,
         help="remote (multi-machine) episode collection: open a "
         "lease-based TCP coordinator and cut each epoch into this many "
-        "wave-aligned slices served by scripts/collect_worker.py "
+        "(or --collect-jobs, if larger) wave-aligned slices served by scripts/collect_worker.py "
         "processes (0 = off); bitwise identical to in-process at any "
         "count, degrades to --collect-jobs then in-process when no "
         "workers are reachable; requires --batch-size >= 2",

@@ -53,7 +53,8 @@ handoff behind the trainer's ``async_collect`` mode.  The prefetch
 holds its own serialized weight bytes, so the learner may mutate the
 live network meanwhile, and slices lost at harvest are re-collected
 from the stored bytes: a fault can never change which policy
-collected an epoch.
+collected an epoch.  A prefetch and its harvest are one round, so a
+failed dispatch counts once and the harvest starts one rung down.
 """
 
 from __future__ import annotations
@@ -358,7 +359,7 @@ class SliceRung:
     owned by :class:`EpisodeCollector`.
     """
 
-    #: Human-readable rung name, used in logs and ``degraded_rungs``.
+    #: Human-readable rung name, used in logs.
     name = ""
 
     def __init__(self):
@@ -501,11 +502,11 @@ class EpisodeCollector:
     jobs:
         Local pool workers; ``>= 2`` adds the pool rung.
     workers:
-        Remote slice granularity; ``>= 1`` adds the leased-TCP rung
-        (see :class:`~repro.parallel.remote.RemoteRung`).  It sets how
-        many wave-aligned slices an epoch is cut into, not how many
-        workers must connect: leased workers serve the queue
-        work-stealing style.
+        ``>= 1`` adds the leased-TCP rung (see
+        :class:`~repro.parallel.remote.RemoteRung`).  An epoch is cut
+        into ``max(jobs, workers)`` wave-aligned slices; ``workers``
+        never sets how many workers must connect: leased workers serve
+        the queue work-stealing style.
     encoder_channels:
         Conv widths of the actor-critic replica.
     host, port, lease_s, heartbeat_s, worker_wait_s:
@@ -614,11 +615,6 @@ class EpisodeCollector:
     def degraded(self) -> bool:
         """Whether any rung above in-process collection is degraded."""
         return any(rung.degraded for rung in self._rungs)
-
-    @property
-    def degraded_rungs(self) -> list:
-        """Names of the degraded rungs, top of the ladder first."""
-        return [rung.name for rung in self._rungs if rung.degraded]
 
     @property
     def address(self) -> tuple | None:
@@ -822,9 +818,10 @@ class EpisodeCollector:
         ``weights`` is a self-contained serialized payload, so the
         caller may mutate its live network (run the PPO update) while
         workers collect.  Harvest with :meth:`collect_prefetched`.
-        With no live worker rung (or a failed dispatch) nothing is
-        sent and the harvest collects synchronously from the same
-        bytes — overlap lost, results unchanged.
+        With no live worker rung nothing is sent and the harvest
+        collects synchronously from the same bytes — overlap lost,
+        results unchanged.  A failed dispatch is a failed round of the
+        top rung, so the harvest starts one rung down.
         """
         if self._prefetch is not None:
             raise RuntimeError(
@@ -839,10 +836,8 @@ class EpisodeCollector:
                 live[0], weights, slices, greedy, "collector.prefetch"
             )
             if failure is not None:
-                _logger.warning(
-                    "prefetch %s; the round runs at harvest time", failure
-                )
-                live[0].reset()
+                self._round_failed(live[0], failure, len(slices))
+                live = live[1:]
         self._prefetch = {
             "weights": weights,
             "slices": slices,

@@ -23,6 +23,7 @@ import json
 import logging
 import time
 import uuid
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -31,6 +32,7 @@ from repro.experiments.report import MethodResult
 from repro.experiments.runner import _inject_rl_runtime
 from repro.parallel import JobSpec, RetryPolicy, SweepReport, run_jobs
 from repro.parallel import chaos as chaos_module
+from repro.parallel.collector import _PoolRung
 from repro.parallel.chaos import (
     CHAOS_ENV,
     ChaosInjector,
@@ -549,6 +551,48 @@ class TestCollectorChaos:
         trainer.close_collector()
         assert disturbed == reference
         assert trainer_degraded
+
+    def test_failed_prefetch_dispatch_degrades_after_max_failures(
+        self, trainer_env, monkeypatch
+    ):
+        """A pool that breaks at every prefetch dispatch: each failure
+        is one failed round whose slices run one rung down at harvest
+        (no second dispatch), so the pool degrades after exactly
+        ``max_failures`` epochs and the run still matches bitwise."""
+        reference_trainer = _make_trainer(
+            trainer_env, epochs=4, collect_jobs=2, async_collect=True
+        )
+        reference = _distill(reference_trainer.train())
+        reference_trainer.close_collector()
+
+        dispatched = []
+        real_dispatch = _PoolRung.dispatch
+
+        def dispatch(rung, weights, slices, greedy, chaos_point):
+            dispatched.append(chaos_point)
+            if chaos_point == "collector.prefetch":
+                raise BrokenProcessPool("pool broke at prefetch dispatch")
+            return real_dispatch(rung, weights, slices, greedy, chaos_point)
+
+        monkeypatch.setattr(_PoolRung, "dispatch", dispatch)
+        trainer = _make_trainer(
+            trainer_env, epochs=4, collect_jobs=2, async_collect=True
+        )
+        trainer._collector.max_failures = 2
+        trainer._collector.reprobe_after = 0
+        disturbed = _distill(trainer.train())
+        trainer_degraded = trainer._collector.degraded
+        trainer.close_collector()
+        assert disturbed == reference
+        assert trainer_degraded
+        # Epoch 0 collects synchronously on the pool; the prefetches
+        # for epochs 1 and 2 fail and degrade it; epoch 3's prefetch
+        # sends nothing.
+        assert dispatched == [
+            "collector.slice",
+            "collector.prefetch",
+            "collector.prefetch",
+        ]
 
     def test_init_failure_surfaces_as_worker_init_error(
         self, trainer_env, monkeypatch
