@@ -25,6 +25,11 @@ Usage::
 Target (tracked in the README): ``collect_jobs=4`` collects >= 2x the
 episodes/sec of in-process collection on a >=4-core host.
 
+The **broadcast leg** records what one epoch's policy broadcast costs:
+the payload bytes, the trainer's encode (``dumps_payload`` of its state
+dict, once per epoch) and a worker's decode (``loads_payload``, once
+per worker per epoch), medians over repeated runs.
+
 The **async leg** additionally times full ``train()`` runs — update
 compute included — lockstep vs ``async_collect`` at the same worker
 count, recording the actor/learner overlap speedup (epochs/sec).  Its
@@ -56,6 +61,8 @@ from pathlib import Path
 
 from repro.agent import RLPlannerTrainer, TrainerConfig
 from repro.env import EnvConfig, FloorplanEnv
+from repro.nn import dumps_payload, loads_payload
+from repro.parallel.collector import POLICY_PAYLOAD_KIND
 from repro.reward import RewardCalculator, RewardConfig
 from repro.rl import PPOConfig
 from repro.systems import synthetic_system
@@ -118,6 +125,32 @@ def measure_window(
         elapsed = time.perf_counter() - start
         if elapsed >= seconds:
             return collected / elapsed
+
+
+def measure_broadcast(trainer: RLPlannerTrainer, repeats: int) -> dict:
+    """Bytes and median encode/decode seconds of one policy broadcast.
+
+    Encodes exactly what the collector broadcasts each epoch (the live
+    network's state dict, ``collector-policy`` payload) and decodes it
+    the way every worker does.
+    """
+    encode, decode = [], []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        weights = dumps_payload(
+            trainer.network.state_dict(), kind=POLICY_PAYLOAD_KIND
+        )
+        encode.append(time.perf_counter() - start)
+        start = time.perf_counter()
+        loads_payload(weights, kind=POLICY_PAYLOAD_KIND)
+        decode.append(time.perf_counter() - start)
+    return {
+        "policy_parameters": trainer.network.n_parameters(),
+        "payload_bytes": len(weights),
+        "encode_s": statistics.median(encode),
+        "decode_s": statistics.median(decode),
+        "repeats": repeats,
+    }
 
 
 def measure_train(
@@ -325,6 +358,13 @@ def run(args) -> int:
         f"scenario: grid={args.grid} batch_size={args.batch_size} "
         f"episodes/call={args.episodes} on {cpu_count} cpu core(s)"
     )
+    broadcast = measure_broadcast(trainers[jobs_list[0]], max(args.rounds, 3))
+    print(
+        f"broadcast per epoch: {broadcast['payload_bytes'] / 1e6:.2f} MB "
+        f"({broadcast['policy_parameters']} parameters), encode "
+        f"{broadcast['encode_s'] * 1e3:.1f} ms, decode "
+        f"{broadcast['decode_s'] * 1e3:.1f} ms"
+    )
     try:
         for trainer in trainers.values():  # warm pools, caches, code paths
             trainer.collect_episodes(args.episodes)
@@ -403,6 +443,7 @@ def run(args) -> int:
         "target_met": bool(
             speedups and speedups[jobs_list[-1]] >= args.target
         ),
+        "broadcast": broadcast,
         "async_overlap": async_fragment,
         "remote_transport": remote_fragment,
     }

@@ -41,6 +41,9 @@ class ActorCritic(Module):
         Conv widths of the three encoder layers.
     rng:
         Weight-init random source.
+    init:
+        ``"orthogonal"`` (training from scratch) or ``"zeros"`` (no
+        random draw; see :meth:`from_state_dict`).
     """
 
     def __init__(
@@ -49,16 +52,17 @@ class ActorCritic(Module):
         n_actions: int,
         channels: tuple = (16, 32, 32),
         rng: np.random.Generator = None,
+        init: str = "orthogonal",
     ):
         rng = rng or np.random.default_rng()
         c, rows, cols = obs_shape
         c1, c2, c3 = channels
         self.encoder = Sequential(
-            Conv2d(c, c1, 3, stride=1, padding=1, rng=rng),
+            Conv2d(c, c1, 3, stride=1, padding=1, rng=rng, init=init),
             ReLU(),
-            Conv2d(c1, c2, 3, stride=2, padding=1, rng=rng),
+            Conv2d(c1, c2, 3, stride=2, padding=1, rng=rng, init=init),
             ReLU(),
-            Conv2d(c2, c3, 3, stride=2, padding=1, rng=rng),
+            Conv2d(c2, c3, 3, stride=2, padding=1, rng=rng, init=init),
             ReLU(),
             Flatten(),
         )
@@ -68,10 +72,31 @@ class ActorCritic(Module):
         feat_cols = (feat_cols + 1) // 2
         feature_dim = c3 * feat_rows * feat_cols
         # Small-gain policy head -> near-uniform initial policy.
-        self.policy_head = Linear(feature_dim, n_actions, gain=0.01, rng=rng)
-        self.value_head = Linear(feature_dim, 1, gain=1.0, rng=rng)
+        self.policy_head = Linear(
+            feature_dim, n_actions, gain=0.01, init=init, rng=rng
+        )
+        self.value_head = Linear(feature_dim, 1, gain=1.0, init=init, rng=rng)
         self.obs_shape = tuple(obs_shape)
         self.n_actions = n_actions
+
+    @classmethod
+    def from_state_dict(
+        cls,
+        state: dict,
+        obs_shape: tuple,
+        n_actions: int,
+        channels: tuple,
+    ) -> "ActorCritic":
+        """A network holding ``state``, built without a random init.
+
+        For replicas of a trained policy (collection workers, the serve
+        registry): the orthogonal init's QR factorizations would only
+        be overwritten.  The strict :meth:`load_state_dict` still
+        rejects a missing parameter or a shape mismatch.
+        """
+        network = cls(obs_shape, n_actions, channels, init="zeros")
+        network.load_state_dict(state)
+        return network
 
     # ------------------------------------------------------------------
 

@@ -9,8 +9,10 @@ cost for multi-thousand-wire bundles).
 Nets are processed in descending wire count (fattest bundles get first
 pick, as in TAP-2.5D); within a net, site pairs are chosen either
 
-* ``"greedy"`` — repeatedly take the closest free (site_a, site_b) pair
-  (sorted-distance sweep, near-optimal for convex perimeter geometries), or
+* ``"greedy"`` — accept free (site_a, site_b) pairs from the
+  sorted-distance order in first-in-row-and-column passes (close to a
+  closest-free-pair sweep but not identical; see
+  :meth:`BumpAssigner._pair_greedy`), or
 * ``"hungarian"`` — optimal pairing between the k best candidate sites on
   each side via :func:`scipy.optimize.linear_sum_assignment`.
 """
@@ -214,12 +216,27 @@ class BumpAssigner:
 
     @staticmethod
     def _pair_greedy(xy_a: np.ndarray, xy_b: np.ndarray, n_pairs: int):
-        """Sorted-distance sweep: take the closest free pair repeatedly.
+        """Chunked greedy pairing over the sorted-distance order.
 
         Candidates are prefiltered to the sites nearest the peer die so
         the sweep touches a small matrix; the winning pairs always lie on
         the facing perimeters, so the filter does not change the result
         in practice.
+
+        This is *not* a sequential closest-free-pair sweep.  The sorted
+        entries are walked in chunks of 4096.  Within a chunk, each pass
+        accepts every alive entry that comes first in both its row and
+        its column among the chunk's alive entries; an entry whose row
+        or column is claimed first by an entry that is itself blocked
+        waits for a later pass.  A pass that would overshoot
+        ``n_pairs`` keeps its earliest entries.  Pairs are returned in
+        pass order, not in sorted-distance order.  A pass can thus
+        accept farther pairs ahead of deferred nearer ones, and once the
+        ``n_pairs`` cutoff bites, that changes *which* pairs are kept:
+        the result can differ from a sequential sweep in order and in
+        membership (measured on random die pairs in the ROADMAP).
+        ``tests/data/golden_bump_wirelength.json`` pins this behaviour
+        as it is.
         """
         keep = min(max(2 * n_pairs, n_pairs + 16), len(xy_a), len(xy_b))
         center_b = xy_b.mean(axis=0)
@@ -242,8 +259,7 @@ class BumpAssigner:
         used_cols = np.zeros(keep, dtype=bool)
         # Lazy sweep over the sorted entries in chunks: each chunk drops
         # already-used rows/cols vectorized, then resolves the intra-chunk
-        # conflicts with the first-occurrence passes (small arrays).  The
-        # acceptance order is identical to a sequential sweep.
+        # conflicts with the first-occurrence passes (small arrays).
         chunk_size = 4096
         for start in range(0, len(order), chunk_size):
             if len(chosen_a) >= n_pairs:

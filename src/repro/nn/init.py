@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["orthogonal", "kaiming_uniform"]
+__all__ = ["orthogonal", "orthogonal_layout", "kaiming_uniform"]
 
 
 def orthogonal(shape: tuple, gain: float = 1.0, rng: np.random.Generator = None) -> np.ndarray:
@@ -19,8 +19,7 @@ def orthogonal(shape: tuple, gain: float = 1.0, rng: np.random.Generator = None)
     matching the PyTorch convention.
     """
     rng = rng or np.random.default_rng()
-    if len(shape) < 2:
-        raise ValueError("orthogonal init needs at least 2 dimensions")
+    weight = orthogonal_layout(shape)
     rows = shape[0]
     cols = int(np.prod(shape[1:]))
     flat = rng.normal(size=(rows, cols))
@@ -31,7 +30,27 @@ def orthogonal(shape: tuple, gain: float = 1.0, rng: np.random.Generator = None)
     q *= np.sign(np.diag(r))
     if rows < cols:
         q = q.T
-    return (gain * q).reshape(shape)
+    weight[...] = (gain * q).reshape(shape)
+    return weight
+
+
+def orthogonal_layout(shape: tuple) -> np.ndarray:
+    """Zeros in the memory layout :func:`orthogonal` returns for ``shape``.
+
+    A wide matrix (fewer rows than flattened columns) is factored
+    transposed, so its weight is a strided view of a C-ordered
+    ``(cols, rows)`` buffer, not a C-ordered array.  The layout is part
+    of the result: BLAS may round a product differently when an operand
+    arrives transposed, so a network that loads trained weights
+    reproduces the original bitwise only in the original's layout.
+    """
+    if len(shape) < 2:
+        raise ValueError("orthogonal init needs at least 2 dimensions")
+    rows = shape[0]
+    cols = int(np.prod(shape[1:]))
+    if rows < cols:
+        return np.zeros((cols, rows)).T.reshape(shape)
+    return np.zeros((rows, cols)).reshape(shape)
 
 
 def kaiming_uniform(shape: tuple, fan_in: int = None, rng: np.random.Generator = None) -> np.ndarray:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.init import kaiming_uniform, orthogonal
+from repro.nn.init import kaiming_uniform, orthogonal, orthogonal_layout
 from repro.nn.tensor import Tensor
 
 __all__ = ["Module", "Linear", "Conv2d", "ReLU", "Tanh", "Flatten", "Sequential"]
@@ -84,7 +84,10 @@ class Linear(Module):
     in_features, out_features:
         Matrix shape.
     init:
-        ``"orthogonal"`` (with ``gain``) or ``"kaiming"``.
+        ``"orthogonal"`` (with ``gain``), ``"kaiming"``, or ``"zeros"``:
+        no random draw, zeros in the orthogonal weight's memory layout
+        (:func:`~repro.nn.init.orthogonal_layout`), for a layer whose
+        weights are loaded next.
     """
 
     def __init__(
@@ -99,6 +102,8 @@ class Linear(Module):
             w = orthogonal((in_features, out_features), gain=gain, rng=rng)
         elif init == "kaiming":
             w = kaiming_uniform((in_features, out_features), fan_in=in_features, rng=rng)
+        elif init == "zeros":
+            w = orthogonal_layout((in_features, out_features))
         else:
             raise ValueError(f"unknown init {init!r}")
         self.weight = Tensor(w, requires_grad=True)
@@ -111,7 +116,11 @@ class Linear(Module):
 
 
 class Conv2d(Module):
-    """2D convolution layer (stride/padding, square kernels)."""
+    """2D convolution layer (stride/padding, square kernels).
+
+    ``init`` is ``"orthogonal"`` (with ``gain``) or ``"zeros"``, as for
+    :class:`Linear`.
+    """
 
     def __init__(
         self,
@@ -122,9 +131,16 @@ class Conv2d(Module):
         padding: int = 0,
         gain: float = np.sqrt(2.0),
         rng: np.random.Generator = None,
+        init: str = "orthogonal",
     ):
         shape = (out_channels, in_channels, kernel_size, kernel_size)
-        self.weight = Tensor(orthogonal(shape, gain=gain, rng=rng), requires_grad=True)
+        if init == "orthogonal":
+            w = orthogonal(shape, gain=gain, rng=rng)
+        elif init == "zeros":
+            w = orthogonal_layout(shape)
+        else:
+            raise ValueError(f"unknown init {init!r}")
+        self.weight = Tensor(w, requires_grad=True)
         self.bias = Tensor(np.zeros(out_channels), requires_grad=True)
         self.stride = stride
         self.padding = padding

@@ -25,6 +25,23 @@ weight-only files: :func:`load_payload` raises
 :class:`LegacyCheckpointError` on an archive without ``__meta__``
 instead of silently resuming with reset optimizer/RNG state.
 
+**Member layout.**  A payload archive is a plain ``.npz`` (one
+``.npy`` member per slot) whose compression is chosen per member from
+the payload's own schema: numeric arrays — weights, Adam moments, RNG
+state — are written **stored** (``ZIP_STORED``), because trained
+float64 weights barely deflate (a policy payload is about 4% larger
+stored) and deflating them cost more than everything else in a policy
+broadcast; the members holding pickled objects (episodes, placements,
+breakdowns) and the JSON ``__meta__`` tree are **deflated**
+(``ZIP_DEFLATED``), because pickled episodes shrink about 100x.  A
+trainer checkpoint is written and read about ten times faster; it can
+grow by more than 4%, because Adam moments of policy-head columns that
+never received a gradient are zeros that deflate well (measured: 32.7
+-> 50.8 MB for a ``multi_gpu`` grid-32 trainer after one epoch).
+``np.load`` reads stored and deflated members alike, so archives
+written before this layout (``np.savez_compressed`` throughout) still
+load bitwise; nothing in the schema version depends on it.
+
 Every payload (bytes or file) is sealed with a SHA-256 **integrity
 footer**: truncated or bit-flipped payloads fail loudly as
 :class:`PayloadIntegrityError` — an ``OSError`` subclass, so the retry
@@ -39,6 +56,7 @@ import hashlib
 import io
 import json
 import pickle
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -145,8 +163,12 @@ def load_state_dict(path) -> dict:
 _JSON_SCALARS = (bool, int, float, str, type(None))
 
 
-def _encode(value, arrays: dict):
-    """Encode ``value`` into a JSON-able tree, hoisting arrays out."""
+def _encode(value, arrays: dict, pickled: set):
+    """Encode ``value`` into a JSON-able tree, hoisting arrays out.
+
+    Slots holding pickled objects are also added to ``pickled``: they
+    are the archive members worth deflating.
+    """
     if isinstance(value, np.ndarray):
         slot = f"a{len(arrays)}"
         arrays[slot] = value
@@ -164,24 +186,28 @@ def _encode(value, arrays: dict):
                 raise TypeError(
                     f"payload dict keys must be str, got {type(key).__name__}"
                 )
-            items[key] = _encode(item, arrays)
+            items[key] = _encode(item, arrays, pickled)
         return {"t": "dict", "items": items}
     if isinstance(value, (list, tuple)):
         return {
             "t": "tuple" if isinstance(value, tuple) else "list",
-            "items": [_encode(item, arrays) for item in value],
+            "items": [_encode(item, arrays, pickled) for item in value],
         }
     # Anything else (placements, breakdowns, ...) rides along pickled.
     slot = f"a{len(arrays)}"
     arrays[slot] = np.frombuffer(
         pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL), dtype=np.uint8
     )
+    pickled.add(slot)
     return {"t": "pickle", "slot": slot}
 
 
 def _decode(node, arrays: dict):
     kind = node["t"]
     if kind == "array":
+        # A copy, not the loaded array itself: np.load hands back a
+        # Fortran-ordered member as a transposed view, and the copy is
+        # C-ordered whatever layout the array was written in.
         return arrays[node["slot"]].copy()
     if kind == "scalar":
         return arrays[node["slot"]][()]
@@ -198,10 +224,16 @@ def _decode(node, arrays: dict):
     raise CheckpointSchemaError(f"unknown payload node type {kind!r}")
 
 
-def _pack(payload: dict, kind: str) -> dict:
-    """Encode a payload into the flat ``{slot: array}`` npz mapping."""
+def _pack(payload: dict, kind: str) -> tuple:
+    """Encode a payload into the flat ``{slot: array}`` npz mapping.
+
+    Returns ``(arrays, deflated)``: ``deflated`` names the slots that
+    hold serialized objects (pickles and the ``__meta__`` JSON), the
+    only members :func:`_write_npz` compresses.
+    """
     arrays: dict = {}
-    tree = _encode(payload, arrays)
+    pickled: set = set()
+    tree = _encode(payload, arrays, pickled)
     meta = {
         "format": _FORMAT,
         "version": CHECKPOINT_SCHEMA_VERSION,
@@ -211,7 +243,25 @@ def _pack(payload: dict, kind: str) -> dict:
     arrays[_META_KEY] = np.frombuffer(
         json.dumps(meta).encode("utf-8"), dtype=np.uint8
     )
-    return arrays
+    return arrays, pickled | {_META_KEY}
+
+
+def _write_npz(buffer, arrays: dict, deflated: set) -> None:
+    """``np.savez`` with a per-member choice of compression.
+
+    Members named in ``deflated`` are ``ZIP_DEFLATED``, all others
+    ``ZIP_STORED``.  Each member is the same ``.npy`` record (same
+    default timestamp) that ``np.savez`` writes, so ``np.load`` reads
+    the archive like any other.
+    """
+    with zipfile.ZipFile(buffer, mode="w", allowZip64=True) as archive:
+        for slot, array in arrays.items():
+            member = zipfile.ZipInfo(f"{slot}.npy")
+            member.compress_type = (
+                zipfile.ZIP_DEFLATED if slot in deflated else zipfile.ZIP_STORED
+            )
+            with archive.open(member, mode="w", force_zip64=True) as out:
+                np.lib.format.write_array(out, np.asanyarray(array))
 
 
 def _unpack(arrays: dict, kind: str | None, source: str) -> dict:
@@ -287,12 +337,14 @@ def dumps_payload(payload: dict, kind: str) -> bytes:
 
     Used where the payload crosses a process boundary instead of a
     filesystem: the collector broadcasts policy weights to its workers
-    as one opaque byte string per epoch.  The bytes end in a SHA-256
-    integrity footer so corruption in transit fails loudly (and
-    transiently) at :func:`loads_payload`.
+    as one opaque byte string per epoch.  Numeric arrays are stored
+    uncompressed and only pickled members are deflated (see the module
+    docstring), so encoding a policy costs about what copying its bytes
+    does.  The bytes end in a SHA-256 integrity footer so corruption in
+    transit fails loudly (and transiently) at :func:`loads_payload`.
     """
     buffer = io.BytesIO()
-    np.savez_compressed(buffer, **_pack(payload, kind))
+    _write_npz(buffer, *_pack(payload, kind))
     return _seal(buffer.getvalue())
 
 
@@ -308,7 +360,8 @@ def loads_payload(
     body = _unseal(data, source)
     try:
         with np.load(io.BytesIO(body)) as npz:
-            arrays = {key: npz[key].copy() for key in npz.files}
+            # Each access reads a fresh, writable array out of the zip.
+            arrays = {key: npz[key] for key in npz.files}
     except PayloadIntegrityError:
         raise
     except Exception as error:

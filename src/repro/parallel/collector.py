@@ -211,10 +211,10 @@ class ReplicaCollector:
     every pool and remote worker.  Construction is deferred: the
     batched env is built on first use and the network replica only
     when weight bytes arrive, so a lockstep trainer that passes its
-    live network never pays for a second one.  The replica's init
-    weights are irrelevant — every bytes-driven call starts by loading
-    the broadcast payload — so a fixed dummy RNG keeps it cheap and
-    seed-independent.
+    live network never pays for a second one.  The first payload
+    builds the replica straight from its state dict
+    (:meth:`ActorCritic.from_state_dict`, no random init); later
+    payloads load into it in place.
     """
 
     def __init__(
@@ -238,20 +238,27 @@ class ReplicaCollector:
         return self._batched_env
 
     def build(self) -> "ReplicaCollector":
-        """Construct the env and network replica now, not on first use."""
-        from repro.agent.networks import ActorCritic
-        from repro.env import FloorplanEnv
+        """Construct the env now, not on first use.
 
+        The network has no weights to hold until a payload arrives, so
+        :meth:`_replica` builds it from the first one.
+        """
         self._env()
-        if self._network is None:
-            env = FloorplanEnv(*self._env_args)
-            self._network = ActorCritic(
-                env.observation_shape,
-                env.n_actions,
-                channels=self._channels,
-                rng=np.random.default_rng(0),
-            )
         return self
+
+    def _replica(self, weights: bytes):
+        """The network replica, holding the broadcast ``weights``."""
+        from repro.agent.networks import ActorCritic
+
+        state = loads_payload(weights, kind=POLICY_PAYLOAD_KIND)
+        if self._network is None:
+            env = self._env()
+            self._network = ActorCritic.from_state_dict(
+                state, env.observation_shape, env.n_actions, self._channels
+            )
+        else:
+            self._network.load_state_dict(state)
+        return self._network
 
     def collect(
         self, weights: bytes | None, slices: list, greedy: bool, network=None
@@ -265,10 +272,7 @@ class ReplicaCollector:
         payload round-trips bit for bit, so both agree bitwise.
         """
         if network is None:
-            network = self.build()._network
-            network.load_state_dict(
-                loads_payload(weights, kind=POLICY_PAYLOAD_KIND)
-            )
+            network = self._replica(weights)
         batched_env = self._env()
         return {
             index: collect_slice(

@@ -316,13 +316,12 @@ class ServeEngine:
             network = self._networks.get(net_key)
             if network is None:
                 env = envs[0]
-                network = ActorCritic(
+                network = ActorCritic.from_state_dict(
+                    info["state"],
                     env.observation_shape,
                     env.n_actions,
-                    channels=info["channels"],
-                    rng=np.random.default_rng(0),
+                    info["channels"],
                 )
-                network.load_state_dict(info["state"])
                 self._networks[net_key] = network
         return network, envs[1], bundle
 

@@ -1,5 +1,8 @@
 """Tests for microbump site generation, assignment and wirelength."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +15,14 @@ from repro.bumps import (
 )
 from repro.chiplet import Chiplet, ChipletSystem, Interposer, Net, Placement
 from repro.geometry import Rect
+from repro.systems import get_benchmark
+
+from golden_bump_utils import (
+    GOLDEN_BUMP_PATH,
+    GOLDEN_BUMP_SYSTEMS,
+    golden_calculator,
+    walk_placements,
+)
 
 
 @pytest.fixture
@@ -208,3 +219,26 @@ class TestAssignment:
         estimate = estimate_wirelength(p)
         assert assignment.total_wirelength <= estimate + wires * 17.0
         assert assignment.total_wirelength >= 0.0
+
+
+class TestGoldenBumpWirelength:
+    """The default reward path's wirelength, pinned bitwise per system."""
+
+    @pytest.fixture(scope="class")
+    def golden(self):
+        path = Path(__file__).resolve().parent.parent / GOLDEN_BUMP_PATH
+        return json.loads(path.read_text())
+
+    @pytest.mark.parametrize("system", GOLDEN_BUMP_SYSTEMS)
+    def test_wirelength_matches_golden(self, golden, system):
+        spec = get_benchmark(system)
+        placements = walk_placements(spec)
+        assert [p.as_dict() for p in placements] == golden[system]["placements"]
+        calculator = golden_calculator(spec)
+        scalar = [float(calculator.wirelength(p)).hex() for p in placements]
+        assert scalar == golden[system]["wirelength"], (
+            f"{system}: bump-assigned wirelength diverged from the golden; "
+            "if intentional, rerun scripts/gen_golden_bump.py"
+        )
+        batched = calculator.wirelength_many(placements)
+        assert [float(w).hex() for w in batched] == scalar

@@ -16,6 +16,9 @@ Covers the PR-6 tentpole guarantees:
 * (reward, episode-index)-keyed best-placement selection: ties can
   never flip the reported best, whatever order episodes arrive in;
 * slice partitioning and the policy-weights payload round-trip;
+* worker replicas are built straight from the broadcast payload (no
+  orthogonal init) in the source network's memory layout, and act
+  bitwise like it;
 * worker pools are released when training finishes or dies.
 
 The in-process/golden anchoring chain: ``collect_jobs=1`` at
@@ -26,16 +29,25 @@ and to the golden experiments table, and this file pins every
 """
 
 import logging
+import pickle
 
 import numpy as np
 import pytest
 
 from repro.agent import RLPlannerTrainer, TrainerConfig
+from repro.agent.networks import ActorCritic
 from repro.agent.trainer import _improves_best
 from repro.env import EnvConfig, FloorplanEnv
 from repro.nn import CheckpointSchemaError, dumps_payload, loads_payload
+from repro.nn import layers as layers_module
 from repro.parallel import collector as collector_module
-from repro.parallel.collector import EpisodeCollector, partition_episodes
+from repro.parallel.collector import (
+    POLICY_PAYLOAD_KIND,
+    EpisodeCollector,
+    ReplicaCollector,
+    partition_episodes,
+)
+from repro.parallel.remote import SLICE_RESULT_KIND
 from repro.reward import RewardCalculator, RewardConfig
 from repro.rl import PPOConfig, RNDConfig
 
@@ -49,8 +61,26 @@ def _exploding_remote(weights, start_index, count, greedy, chaos_point="collecto
     raise RuntimeError("worker exploded")
 
 
+def _forbidden_orthogonal(*args, **kwargs):
+    raise AssertionError("a weight replica must not run the orthogonal init")
+
+
 def _hex(value) -> str:
     return float(value).hex()
+
+
+def _episode_bits(pairs) -> list:
+    """Bitwise-comparable ``[(Episode, info), ...]`` trajectories."""
+    return [
+        (
+            episode.actions,
+            [_hex(v) for v in episode.log_probs],
+            [_hex(v) for v in episode.values],
+            _hex(episode.total_reward),
+            [obs.tobytes() for obs in episode.observations],
+        )
+        for episode, _ in pairs
+    ]
 
 
 def _history_hex(result):
@@ -213,6 +243,98 @@ class TestPolicyPayloadBytes:
         data = dumps_payload({"x": 1}, kind="collector-policy")
         with pytest.raises(CheckpointSchemaError, match="kind"):
             loads_payload(data, kind="rlplanner-trainer")
+
+
+class TestReplicaFromPayload:
+    """Replicas are built straight from the broadcast state dict."""
+
+    channels = (4, 8, 8)
+
+    def _source(self, env):
+        return ActorCritic(
+            env.observation_shape,
+            env.n_actions,
+            channels=self.channels,
+            rng=np.random.default_rng(5),
+        )
+
+    def _replica(self, env):
+        return ReplicaCollector(
+            env.system, env.reward_calculator, env.config, self.channels, 2, 3
+        )
+
+    def test_replica_skips_init_and_acts_bitwise(
+        self, trainer_env, monkeypatch
+    ):
+        source = self._source(trainer_env)
+        weights = dumps_payload(source.state_dict(), kind=POLICY_PAYLOAD_KIND)
+        reference = self._replica(trainer_env).collect(
+            None, [(0, (0, 5))], greedy=False, network=source
+        )[0]
+        monkeypatch.setattr(layers_module, "orthogonal", _forbidden_orthogonal)
+
+        replica = self._replica(trainer_env).build()
+        got = replica.collect(weights, [(0, (0, 5))], greedy=False)[0]
+        network = replica._network
+        # Same values *and* the same memory layout: a conv weight in
+        # another layout can round differently in the BLAS call.
+        for mine, theirs in zip(network.parameters(), source.parameters()):
+            assert mine.data.tobytes() == theirs.data.tobytes()
+            assert mine.data.strides == theirs.data.strides
+        batched_env = replica._env()
+        observations, masks = batched_env.reset(3)
+        static = batched_env.observation_builder.STATIC_CHANNELS
+        for static_channels in (None, static):
+            outputs = [
+                net.act_batch(
+                    observations,
+                    masks,
+                    [np.random.default_rng(i) for i in range(3)],
+                    static_channels=static_channels,
+                )
+                for net in (network, source)
+            ]
+            for mine, theirs in zip(*outputs):
+                assert mine.tobytes() == theirs.tobytes()
+        assert _episode_bits(got) == _episode_bits(reference)
+
+        # A second broadcast loads in place into the same replica.
+        replica.collect(weights, [(0, (0, 1))], greedy=False)
+        assert replica._network is network
+
+    def test_pool_workers_skip_init_bitwise(self, trainer_env, monkeypatch):
+        reference = _make_trainer(trainer_env).collect_episodes(5)
+        trainer = _make_trainer(trainer_env, collect_jobs=2)
+        # Patched before the pool forks, so its workers see it too.
+        monkeypatch.setattr(layers_module, "orthogonal", _forbidden_orthogonal)
+        try:
+            got = trainer.collect_episodes(5)
+            assert trainer._collector.active  # really collected in the pool
+        finally:
+            trainer.close_collector()
+        assert _episode_bits(got) == _episode_bits(reference)
+
+    def test_slice_result_payload_stays_small(self, small_system, small_fast_model):
+        """Pickled episodes keep deflate: 16 grid-32 episodes pickle to
+        several MB of mostly-empty observation planes."""
+        env = FloorplanEnv(
+            small_system,
+            RewardCalculator(
+                small_fast_model,
+                RewardConfig(lambda_wl=1e-4, use_bump_assignment=False),
+            ),
+            EnvConfig(grid_size=32),
+        )
+        source = self._source(env)
+        pairs = self._replica(env).collect(
+            None, [(0, (0, 16))], greedy=False, network=source
+        )[0]
+        assert len(pairs) == 16
+        payload = dumps_payload({"pairs": pairs}, kind=SLICE_RESULT_KIND)
+        assert len(pickle.dumps(pairs)) > 2_000_000
+        assert len(payload) < 1_000_000
+        restored = loads_payload(payload, kind=SLICE_RESULT_KIND)["pairs"]
+        assert _episode_bits(restored) == _episode_bits(pairs)
 
 
 # ----------------------------------------------------------------------

@@ -623,6 +623,52 @@ class TestPolicyServing:
         second.pop("batch_size")
         assert first == second
 
+    def test_policy_network_is_built_without_random_init(
+        self, serve_stack, serve_budget, monkeypatch
+    ):
+        """Registration and the first rollout build the served network
+        straight from the payload's state dict: no orthogonal init, and
+        the source network's exact values and memory layout."""
+        from repro.nn import layers as layers_module
+
+        server, client = serve_stack
+        spec = get_benchmark("synthetic1")
+        bundle = server.engine.registry.bundle(spec, serve_budget)
+        env = FloorplanEnv(
+            spec.system,
+            bundle.evaluators["reward_fast"],
+            EnvConfig(grid_size=serve_budget.grid_size),
+        )
+        channels = (4, 8, 8)
+        source = ActorCritic(
+            env.observation_shape,
+            env.n_actions,
+            channels=channels,
+            rng=np.random.default_rng(7),
+        )
+        payload = dumps_payload(source.state_dict(), kind=POLICY_PAYLOAD_KIND)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the served policy ran the orthogonal init")
+
+        monkeypatch.setattr(layers_module, "orthogonal", forbidden)
+        client.register_policy("no-init-policy", payload, channels)
+        response = client.rollout(
+            "no-init-policy",
+            "synthetic1",
+            seed=2,
+            budget=budget_to_dict(serve_budget),
+        )
+        assert response["steps"] >= 1
+        (served,) = [
+            network
+            for key, network in server.engine._networks.items()
+            if key[0] == "no-init-policy"
+        ]
+        for mine, theirs in zip(served.parameters(), source.parameters()):
+            assert mine.data.tobytes() == theirs.data.tobytes()
+            assert mine.data.strides == theirs.data.strides
+
 
 # ----------------------------------------------------------------------
 # Schema

@@ -34,8 +34,11 @@ Covers the PR-5 tentpole guarantees:
 * ``resolve_jobs`` — the ``--jobs auto`` mode (satellite).
 """
 
+import io
 import json
 import os
+import pickle
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -47,7 +50,7 @@ from golden_experiments_utils import (
     build_golden_spec,
     run_golden_experiments,
 )
-from repro.agent import RLPlannerTrainer, TrainerConfig
+from repro.agent import ActorCritic, RLPlannerTrainer, TrainerConfig
 from repro.baselines import TAP25DConfig, TAP25DPlacer
 from repro.baselines.bstar import BStarConfig, BStarFloorplanner
 from repro.env import EnvConfig, FloorplanEnv
@@ -66,8 +69,10 @@ from repro.nn import (
     loads_payload,
     save_payload,
     save_state_dict,
+    serialization,
 )
 from repro.parallel import JobSpec, RetryPolicy, resolve_jobs, run_jobs
+from repro.parallel.collector import POLICY_PAYLOAD_KIND
 from repro.reward import RewardCalculator, RewardConfig
 from repro.rl import PPOConfig, RNDConfig
 from repro.store import RunStore, store_key
@@ -375,6 +380,110 @@ def _make_trainer(env, **overrides):
     )
     defaults.update(overrides)
     return RLPlannerTrainer(env, TrainerConfig(**defaults))
+
+
+def _archive(data: bytes) -> zipfile.ZipFile:
+    """The npz archive inside sealed payload bytes (footer stripped)."""
+    return zipfile.ZipFile(io.BytesIO(data[: -serialization._FOOTER_BYTES]))
+
+
+def _slot_kinds(data: bytes) -> dict:
+    """``{slot: node type}`` from a payload's ``__meta__`` tree."""
+    with _archive(data) as archive:
+        meta = json.loads(
+            np.lib.format.read_array(archive.open("__meta__.npy")).tobytes()
+        )
+    kinds = {}
+
+    def walk(node):
+        if "slot" in node:
+            kinds[node["slot"]] = node["t"]
+        items = node.get("items", ())
+        for child in items.values() if isinstance(items, dict) else items:
+            walk(child)
+
+    walk(meta["tree"])
+    return kinds
+
+
+def _bits(value):
+    """A bitwise-comparable form of a decoded payload."""
+    if isinstance(value, dict):
+        return {key: _bits(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return (type(value).__name__, [_bits(item) for item in value])
+    if isinstance(value, (np.ndarray, np.generic)):
+        return (value.dtype.str, np.shape(value), np.asarray(value).tobytes())
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, (bool, int, str, type(None))):
+        return value
+    return pickle.dumps(value)
+
+
+class TestPayloadMemberLayout:
+    """Numeric arrays are stored uncompressed; only pickled objects (and
+    the JSON meta tree) are deflated.  Archives deflated throughout — as
+    every payload was written before — still load bitwise."""
+
+    def _assert_layout(self, data: bytes) -> dict:
+        kinds = _slot_kinds(data)
+        with _archive(data) as archive:
+            compression = {
+                info.filename[: -len(".npy")]: info.compress_type
+                for info in archive.infolist()
+            }
+        assert set(compression) == set(kinds) | {"__meta__"}
+        for slot, kind in kinds.items():
+            expected = (
+                zipfile.ZIP_DEFLATED if kind == "pickle" else zipfile.ZIP_STORED
+            )
+            assert compression[slot] == expected, (slot, kind)
+        assert compression["__meta__"] == zipfile.ZIP_DEFLATED
+        return kinds
+
+    def _trained_state(self, trainer_env) -> dict:
+        trainer = _make_trainer(trainer_env, epochs=1, batch_size=2)
+        trainer.train()
+        return trainer.state_dict()
+
+    def test_policy_payload_stores_every_weight(self):
+        network = ActorCritic(
+            (7, 10, 10), 200, channels=(4, 8, 8), rng=np.random.default_rng(0)
+        )
+        data = dumps_payload(network.state_dict(), kind=POLICY_PAYLOAD_KIND)
+        assert set(self._assert_layout(data).values()) == {"array"}
+
+    def test_trainer_checkpoint_stores_arrays_deflates_pickles(
+        self, trainer_env, tmp_path
+    ):
+        trainer = _make_trainer(trainer_env, epochs=1, batch_size=2)
+        trainer.train()
+        path = tmp_path / "ckpt.npz"
+        trainer.save_checkpoint(path)
+        kinds = set(self._assert_layout(path.read_bytes()).values())
+        assert {"array", "pickle"} <= kinds
+
+    def test_fully_deflated_archive_still_loads_bitwise(
+        self, trainer_env, tmp_path
+    ):
+        state = self._trained_state(trainer_env)
+        kind = "rlplanner-trainer"
+        arrays, _ = serialization._pack(state, kind)
+        buffer = io.BytesIO()
+        np.savez_compressed(buffer, **arrays)
+        legacy = serialization._seal(buffer.getvalue())
+        with _archive(legacy) as archive:
+            assert {
+                info.compress_type for info in archive.infolist()
+            } == {zipfile.ZIP_DEFLATED}
+        path = tmp_path / "legacy.npz"
+        path.write_bytes(legacy)
+
+        expected = _bits(state)
+        assert _bits(loads_payload(legacy, kind=kind)) == expected
+        assert _bits(load_payload(path, kind=kind)) == expected
+        assert _bits(loads_payload(dumps_payload(state, kind), kind)) == expected
 
 
 class TestTrainerResume:
