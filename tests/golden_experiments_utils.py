@@ -15,6 +15,12 @@ machine speed; every other knob keeps the batched defaults
 (``rollout_batch_size=16``, ``sa_chains=16``) so the golden covers the
 engines the experiment harness actually runs.
 
+A bump-path twin (``tests/data/golden_experiments_bump.json``) runs the
+same four arms with ``use_bump_assignment=True`` — the reward path every
+bundled benchmark runs — on a smaller SA budget (each fast-SA proposal
+pays a microbump assignment).  It pins the batched environment's
+``evaluate_batch`` and both multi-chain SA arms on that path.
+
 Floats are stored via ``float.hex()`` so the comparison is bitwise, not
 approximate.  Both the checked-in generator
 (``scripts/gen_golden_experiments.py``) and the regression test import
@@ -22,6 +28,8 @@ this module so the scenario can never drift between them.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 from repro.experiments.runner import ExperimentBudget, run_all_methods
 from repro.reward import RewardConfig
@@ -31,6 +39,7 @@ from repro.thermal import ThermalConfig
 from golden_utils import build_golden_system
 
 GOLDEN_EXPERIMENTS_PATH = "tests/data/golden_experiments.json"
+GOLDEN_EXPERIMENTS_BUMP_PATH = "tests/data/golden_experiments_bump.json"
 
 GOLDEN_METHODS = (
     "RLPlanner",
@@ -40,13 +49,15 @@ GOLDEN_METHODS = (
 )
 
 
-def build_golden_spec() -> BenchmarkSpec:
+def build_golden_spec(use_bump_assignment: bool = False) -> BenchmarkSpec:
     """Tiny benchmark: golden three-die system on a coarse thermal grid."""
     return BenchmarkSpec(
         name="golden_exp",
         system=build_golden_system(),
         thermal_config=ThermalConfig(rows=16, cols=16, package_margin=8.0),
-        reward_config=RewardConfig(lambda_wl=1e-4, use_bump_assignment=False),
+        reward_config=RewardConfig(
+            lambda_wl=1e-4, use_bump_assignment=use_bump_assignment
+        ),
         description="golden experiment-runner scenario",
     )
 
@@ -64,16 +75,32 @@ def build_golden_budget() -> ExperimentBudget:
     )
 
 
-def run_golden_experiments(cache_dir, **runner_kwargs) -> dict:
+def build_golden_bump_budget() -> ExperimentBudget:
+    """The bump-path twin's budget: 2 chains, 400 fast-SA proposals.
+
+    Still multi-chain on both SA arms, but small enough that the
+    per-proposal microbump assignment keeps the run to a few seconds.
+    """
+    return dataclasses.replace(
+        build_golden_budget(), sa_iterations_hotspot=4, sa_chains=2
+    )
+
+
+def run_golden_experiments(
+    cache_dir, use_bump_assignment: bool = False, **runner_kwargs
+) -> dict:
     """Run all four arms sequentially; distill bitwise-comparable records.
 
     ``cache_dir`` must be a throwaway directory: the thermal-table cache
     round-trips through ``.npz`` (bit-exact) and the golden covers that
-    round-trip too.
+    round-trip too.  ``use_bump_assignment`` selects the bump-path twin
+    (its spec and budget).
     """
     results = run_all_methods(
-        build_golden_spec(),
-        build_golden_budget(),
+        build_golden_spec(use_bump_assignment),
+        build_golden_bump_budget()
+        if use_bump_assignment
+        else build_golden_budget(),
         cache_dir=cache_dir,
         methods=GOLDEN_METHODS,
         **runner_kwargs,

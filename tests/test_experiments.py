@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from golden_experiments_utils import (
+    GOLDEN_EXPERIMENTS_BUMP_PATH,
     GOLDEN_EXPERIMENTS_PATH,
     run_golden_experiments,
 )
@@ -107,6 +108,16 @@ class TestGoldenExperiments:
         behavior changes."""
         golden = json.loads(Path(GOLDEN_EXPERIMENTS_PATH).read_text())
         record = run_golden_experiments(tmp_path)
+        assert record == golden
+
+    def test_bump_path_bitwise(self, tmp_path):
+        """The same four arms on the default reward path (microbump
+        wirelength): pins the batched environment's ``evaluate_batch``
+        and both multi-chain SA arms where the benchmarks run them.
+        Regenerate via ``scripts/gen_golden_experiments.py --bump``
+        only for *intentional* behavior changes."""
+        golden = json.loads(Path(GOLDEN_EXPERIMENTS_BUMP_PATH).read_text())
+        record = run_golden_experiments(tmp_path, use_bump_assignment=True)
         assert record == golden
 
 
