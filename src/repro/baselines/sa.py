@@ -58,16 +58,6 @@ class SAConfig:
         ``seed + c``.
     n_chains:
         Number of independent lockstep chains (1 = sequential engine).
-    incremental:
-        Declares that the sequential (``n_chains=1``) evaluate chain
-        may exploit move locality: consecutive evaluated candidates
-        differ from the current state by a bounded number of moved
-        dies, so a delta evaluator (e.g. ``FastThermalModel(...,
-        incremental=True)``) can skip the full rebuild.  The engine
-        itself evaluates through the caller-supplied callables either
-        way — the flag is honored by the evaluator builder (see
-        ``TAP25DPlacer``) and is rejected for multi-chain runs, whose
-        lockstep batches have no single evaluate chain to diff against.
     history_stride:
         Record every ``stride``-th iteration into the history columns.
         1 (the default) preserves the original per-iteration trace.
@@ -88,7 +78,6 @@ class SAConfig:
     seed: int = 0
     calibration_samples: int = 20
     n_chains: int = 1
-    incremental: bool = False
     history_stride: int = 1
     checkpoint_every: int = 0
 
@@ -101,11 +90,6 @@ class SAConfig:
             raise ValueError("final_temperature must be positive")
         if self.n_chains < 1:
             raise ValueError("n_chains must be >= 1")
-        if self.incremental and self.n_chains > 1:
-            raise ValueError(
-                "incremental evaluation requires n_chains=1 (the delta "
-                "path diffs consecutive states of one evaluate chain)"
-            )
         if self.history_stride < 1:
             raise ValueError("history_stride must be >= 1")
 

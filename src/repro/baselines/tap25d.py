@@ -23,11 +23,8 @@ from repro.baselines.sa import SAConfig, SimulatedAnnealing
 from repro.chiplet import ChipletSystem, Placement
 from repro.chiplet.validate import placement_is_legal, placement_violations
 from repro.reward import RewardCalculator
-from repro.utils import get_logger
 
 __all__ = ["TAP25DConfig", "PlacerResult", "TAP25DPlacer"]
-
-_logger = get_logger("baselines.tap25d")
 
 
 @dataclass(frozen=True)
@@ -51,15 +48,6 @@ class TAP25DConfig:
         wins.  Chains > 1 evaluate candidates through the batched
         reward path (one vectorized thermal pass per step); ``1`` is the
         original sequential engine, kept bit-for-bit.
-    incremental:
-        Single-chain only: evaluate candidates through an incremental
-        ``FastThermalModel`` (O(moved x n) single-move deltas instead
-        of the full O(n^2) superposition rebuild — the win grows with
-        die count).  Requires the reward calculator's thermal evaluator
-        to be a fast model; ignored (with a log message) otherwise, and
-        ignored when ``n_chains > 1`` since the delta path needs one
-        consecutive evaluate chain to diff against.  Results match the
-        full evaluation to ~1e-9 degC (exactness-pinned), not bitwise.
     history_stride:
         Thin the recorded history to every ``stride``-th iteration.
     checkpoint_every:
@@ -77,7 +65,6 @@ class TAP25DConfig:
     time_limit: float | None = None
     seed: int = 0
     n_chains: int = 1
-    incremental: bool = False
     history_stride: int = 1
     checkpoint_every: int = 0
 
@@ -235,36 +222,6 @@ class TAP25DPlacer:
     # run
     # ------------------------------------------------------------------
 
-    def _annealing_calculator(self) -> RewardCalculator:
-        """The calculator the SA loop evaluates with.
-
-        ``config.incremental`` (single-chain only) swaps in a clone of
-        the reward calculator whose fast thermal model runs the
-        incremental single-move delta path — same tables, same reward
-        weights, same bump assigner, O(moved x n) per proposal.  The
-        swap is local to the annealing loop; the caller's calculator is
-        never mutated, and the final breakdown of the best layout is
-        still computed by the caller's (full-evaluation) calculator.
-        """
-        cfg = self.config
-        if not cfg.incremental or cfg.n_chains != 1:
-            return self.reward_calculator
-        from repro.thermal import FastThermalModel
-
-        thermal = self.reward_calculator.thermal
-        if not isinstance(thermal, FastThermalModel):
-            _logger.info(
-                "incremental=True ignored: thermal evaluator %s has no "
-                "incremental path (only FastThermalModel does)",
-                type(thermal).__name__,
-            )
-            return self.reward_calculator
-        return RewardCalculator(
-            FastThermalModel(thermal.tables, thermal.config, incremental=True),
-            self.reward_calculator.config,
-            assigner=self.reward_calculator.assigner,
-        )
-
     def run(self, resume_state=None, checkpoint_fn=None) -> PlacerResult:
         """Anneal from the shelf packing; returns the best layout found.
 
@@ -272,29 +229,20 @@ class TAP25DPlacer:
         in lockstep and each step's candidates are costed through
         ``RewardCalculator.evaluate_many`` — one batched
         wirelength/thermal pass per iteration instead of one scalar
-        evaluation per chain.  With ``config.incremental`` (single
-        chain) the scalar evaluations run through the fast model's
-        single-move delta path instead.
+        evaluation per chain.
 
         ``checkpoint_fn``/``resume_state`` pass straight through to the
         SA engine (see :meth:`SimulatedAnnealing.run`): a run resumed
-        from a snapshot reproduces the uninterrupted run bitwise —
-        except under ``config.incremental``, whose delta evaluator
-        carries accumulated running sums the snapshot does not capture
-        (a resumed leg rebuilds them drift-free, so it matches the
-        uninterrupted run only to the incremental path's documented
-        ~1e-9 degC exactness, not bitwise; the experiment harness
-        therefore disables checkpointing for incremental arms).
+        from a snapshot reproduces the uninterrupted run bitwise.
         """
         cfg = self.config
         start = time.perf_counter()
-        calculator = self._annealing_calculator()
 
         def evaluate(placement) -> float:
-            return -calculator.evaluate(placement).reward
+            return -self.reward_calculator.evaluate(placement).reward
 
         def evaluate_many(placements):
-            return -calculator.evaluate_many(placements)
+            return -self.reward_calculator.evaluate_many(placements)
 
         engine = SimulatedAnnealing(
             propose=self.propose,
@@ -306,7 +254,6 @@ class TAP25DPlacer:
                 time_limit=cfg.time_limit,
                 seed=cfg.seed,
                 n_chains=cfg.n_chains,
-                incremental=cfg.incremental and cfg.n_chains == 1,
                 history_stride=cfg.history_stride,
                 checkpoint_every=cfg.checkpoint_every,
             ),

@@ -65,7 +65,6 @@ def _budget_from_args(args) -> ExperimentBudget:
         collect_bind=args.collect_bind,
         async_collect=args.async_collect,
         sa_chains=args.sa_chains,
-        sa_incremental=args.sa_incremental,
         hotspot_reuse_factorization=args.hotspot_reuse_lu,
     )
 
@@ -128,12 +127,6 @@ def _add_budget_args(parser) -> None:
         "(1 = sequential engine, >1 = batched best-of-N chains; the "
         "HotSpot arm solves all chains through one factorization per "
         "step)",
-    )
-    parser.add_argument(
-        "--sa-incremental",
-        action="store_true",
-        help="single-chain fast-thermal SA evaluates through the "
-        "incremental O(moved x n) delta path (needs --sa-chains 1)",
     )
     parser.add_argument(
         "--hotspot-reuse-lu",

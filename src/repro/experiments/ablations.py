@@ -108,7 +108,9 @@ def run_ablation_arm(
     if variant == "rl/solver/base":
         # The whole point of the fast model: the solver-in-the-loop
         # variant gets the same *epoch* budget and pays the wall-clock
-        # price.
+        # price: ablations train on the sequential engine
+        # (batch_size=1), so every episode's terminal reward is one
+        # grid solve with its own factorization.
         return _train(spec, evaluators["reward_solver"], budget, variant)
     if variant == "rl/fast/wl-estimate":
         estimate_reward = RewardCalculator(

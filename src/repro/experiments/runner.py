@@ -104,11 +104,6 @@ class ExperimentBudget:
     # cost.  Both arms spread their total proposal budget over the
     # chains, keeping evaluation counts comparable across chain counts.
     sa_chains: int = 16
-    # Single-chain fast-thermal SA may use the incremental O(moved x n)
-    # delta evaluator (FastThermalModel(..., incremental=True)).  Only
-    # effective when sa_chains == 1 — the delta path exploits the
-    # move locality of one scalar evaluate() chain.
-    sa_incremental: bool = False
     # Keep the grid solver's splu factorization alive across SA steps
     # in the HotSpot arm (the homogeneous conductance matrix is
     # placement-independent).  Off by default: the paper's comparison
@@ -120,9 +115,8 @@ class ExperimentBudget:
     # annealer state every N SA iterations.  Neither knob changes any
     # result — a resumed arm is bitwise identical to an uninterrupted
     # one — so they are excluded from the arm's store key.  Arms whose
-    # runs are not reproducible to begin with (wall-clock-limited or
-    # incremental-evaluator SA) run checkpoint-free and rely on
-    # result-level caching only.
+    # runs are not reproducible to begin with (wall-clock-limited SA)
+    # run checkpoint-free and rely on result-level caching only.
     rl_checkpoint_every: int = 5
     sa_checkpoint_every: int = 50
     # Worker processes for RL episode collection *within* one arm
@@ -441,36 +435,6 @@ def _run_sa(
         # one vectorized reward pass per step.
         n_chains = max(budget.sa_chains, 1)
         n_iterations = max(100 * budget.sa_iterations_hotspot // n_chains, 1)
-    incremental = False
-    if variant == "TAP-2.5D*(FastThermal)" and budget.sa_incremental:
-        if n_chains == 1:
-            incremental = True
-        else:
-            _logger.warning(
-                "%s: sa_incremental requested but sa_chains=%d; the "
-                "incremental delta evaluator only serves single-chain "
-                "SA — running the batched full evaluation instead",
-                spec.name,
-                n_chains,
-            )
-    if incremental and resume is not None:
-        # The incremental delta evaluator carries accumulated running
-        # sums (with its own documented ~1e-12 drift and refresh phase)
-        # that an SA snapshot does not capture: a resumed leg would
-        # rebuild drift-free state and could flip a borderline
-        # Metropolis decision.  Rather than break the bitwise-resume
-        # guarantee, this arm runs checkpoint-free — the store still
-        # skips it entirely once its result is published.
-        _logger.warning(
-            "%s: %s runs with the incremental evaluator; in-flight "
-            "checkpoint/resume is disabled for it (its delta state is "
-            "not bitwise-snapshottable) — an interrupted arm restarts "
-            "from scratch, a completed arm is still skipped via the "
-            "run store",
-            spec.name,
-            variant,
-        )
-        resume = None
     if time_limit is not None and resume is not None:
         # A wall-clock-limited anneal stops at a scheduling-noise-
         # dependent iteration, so no run of it — resumed or not — is
@@ -491,7 +455,6 @@ def _run_sa(
         time_limit=time_limit,
         seed=budget.seed,
         n_chains=n_chains,
-        incremental=incremental,
         checkpoint_every=(
             budget.sa_checkpoint_every if resume is not None else 0
         ),

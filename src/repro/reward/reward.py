@@ -128,7 +128,7 @@ class RewardCalculator:
     Parameters
     ----------
     thermal_evaluator:
-        Object with ``evaluate(placement) -> ThermalResult`` — either
+        An evaluator with the :mod:`repro.thermal` protocol — either
         :class:`~repro.thermal.GridThermalSolver` (the HotSpot stand-in)
         or :class:`~repro.thermal.FastThermalModel` (the paper's).
     config:
@@ -176,97 +176,69 @@ class RewardCalculator:
         return estimate_wirelength_batch(placements)
 
     def evaluate_many(self, placements) -> np.ndarray:
-        """Rewards of a batch of placements in one vectorized pass.
+        """Rewards of a batch of placements, one batched thermal pass.
 
         The search-baseline hot path: multi-chain annealers and batched
         random search only need the scalar objective per candidate, so
         this skips the per-placement :class:`RewardBreakdown`
-        construction of :meth:`evaluate_batch` and fans the whole batch
-        into the batched wirelength estimator and the thermal
-        evaluator's vectorized peak-temperature path
-        (``max_temperatures``) when it offers one.  Rewards match
-        :meth:`evaluate` to float rounding.
+        construction of :meth:`evaluate_batch`.  The thermal
+        evaluator's ``exact_batched_rewards`` picks one of two paths:
 
-        Thermal evaluators that declare ``exact_batched_rewards``
-        (:class:`~repro.thermal.GridThermalSolver` does) are routed
-        through :meth:`evaluate_many_exact` instead: their per-candidate
-        cost dwarfs the reward arithmetic, and the callers that batch
-        them (the multi-chain HotSpot SA arm) rely on rewards being
-        *bitwise* equal to scalar evaluation, not merely close.
+        * ``False`` (the fast model): the whole batch is vectorized —
+          batched wirelength, ``max_temperatures``, batched penalty.
+          Rewards match :meth:`evaluate` to float rounding.
+        * ``True`` (the grid solver): only the thermal analysis is
+          batched (``max_temperatures``, bitwise by construction);
+          wirelength and reward combination stay on the scalar
+          codepaths per placement, so rewards are **bitwise** equal to
+          :meth:`evaluate`.  The multi-chain HotSpot SA arm relies on
+          that: ``SimulatedAnnealing.run_chains`` reproduces M
+          sequential seeded runs only if every batched cost equals the
+          scalar cost bit for bit (Metropolis comparisons amplify any
+          last-ulp difference — the batched bundle wirelength sums nets
+          in another order, the batched penalty uses ``np.exp`` where
+          the scalar uses ``math.exp``).  The thermal solve is >99 % of
+          a solver-backed reward, so the amortization is preserved.
         """
         placements = list(placements)
         if not placements:
             return np.empty(0)
-        if getattr(self.thermal, "exact_batched_rewards", False):
-            return self.evaluate_many_exact(placements)
+        if self.thermal.exact_batched_rewards:
+            max_temps = self.thermal.max_temperatures(placements)
+            rewards = np.empty(len(placements))
+            for i, placement in enumerate(placements):
+                rewards[i] = self.config.combine(
+                    self.wirelength(placement), max_temps[i] - KELVIN_OFFSET
+                )
+            self.evaluation_count += len(placements)
+            return rewards
         wirelengths = self.wirelength_many(placements)
-        batch_temps = getattr(self.thermal, "max_temperatures", None)
-        if batch_temps is not None:
-            max_temps = np.asarray(batch_temps(placements), dtype=np.float64)
-        else:
-            max_temps = np.array(
-                [self.thermal.evaluate(p).max_temperature for p in placements]
-            )
-        t_celsius = max_temps - KELVIN_OFFSET
+        max_temps = np.asarray(
+            self.thermal.max_temperatures(placements), dtype=np.float64
+        )
         self.evaluation_count += len(placements)
-        return self.config.combine_many(wirelengths, t_celsius)
-
-    def evaluate_many_exact(self, placements) -> np.ndarray:
-        """Batched rewards **bitwise identical** to scalar :meth:`evaluate`.
-
-        The exact-evaluator adapter behind the multi-chain HotSpot SA
-        arm: ``SimulatedAnnealing.run_chains`` reproduces M sequential
-        seeded runs only if every batched cost equals the scalar cost
-        bit for bit (Metropolis accept/reject comparisons amplify any
-        last-ulp difference into divergent trajectories).  The fully
-        vectorized path cannot promise that — the batched bundle
-        wirelength sums nets in a different order and the batched
-        penalty uses ``np.exp`` where the scalar uses ``math.exp`` — so
-        this adapter batches only the thermal analysis (the evaluator's
-        ``max_temperatures`` multi-RHS path, bitwise by construction)
-        and keeps wirelength and reward combination on the scalar
-        codepaths per placement.  For solver-backed rewards the thermal
-        solve is >99 % of the cost, so the amortization is preserved.
-        """
-        placements = list(placements)
-        if not placements:
-            return np.empty(0)
-        batch_temps = getattr(self.thermal, "max_temperatures", None)
-        if batch_temps is not None:
-            max_temps = np.asarray(batch_temps(placements), dtype=np.float64)
-        else:
-            max_temps = np.array(
-                [self.thermal.evaluate(p).max_temperature for p in placements]
-            )
-        rewards = np.empty(len(placements))
-        for i, placement in enumerate(placements):
-            rewards[i] = self.config.combine(
-                self.wirelength(placement), max_temps[i] - KELVIN_OFFSET
-            )
-        self.evaluation_count += len(placements)
-        return rewards
+        return self.config.combine_many(wirelengths, max_temps - KELVIN_OFFSET)
 
     def evaluate_batch(self, placements) -> list:
         """Evaluate a batch of completed placements in one pass.
 
         All placements share this calculator's (already characterized)
-        thermal evaluator and bump assigner.  When the thermal evaluator
-        offers a vectorized ``evaluate_batch`` (the fast model does),
-        the whole batch's thermal analysis runs as one vectorized pass;
-        otherwise it degrades to per-placement evaluation.  Returns one
-        :class:`RewardBreakdown` per placement, in order.
+        thermal evaluator and bump assigner; the whole batch's thermal
+        analysis is one ``evaluate_batch`` call on the evaluator: one
+        vectorized pass on the fast model, one shared factorization on
+        the grid solver (whose breakdowns are then bitwise equal to
+        :meth:`evaluate`).  Returns one :class:`RewardBreakdown` per
+        placement, in order.
         """
         placements = list(placements)
-        batch_eval = getattr(self.thermal, "evaluate_batch", None)
-        if batch_eval is None:
-            return [self.evaluate(placement) for placement in placements]
         if not placements:
             return []
         breakdowns = []
         start = time.perf_counter()
         wirelengths = [self.wirelength(p) for p in placements]
         t_wl = (time.perf_counter() - start) / len(placements)
-        for wirelength, thermal_result in zip(wirelengths, batch_eval(placements)):
+        thermal_results = self.thermal.evaluate_batch(placements)
+        for wirelength, thermal_result in zip(wirelengths, thermal_results):
             t_celsius = thermal_result.max_temperature - KELVIN_OFFSET
             self.evaluation_count += 1
             breakdowns.append(

@@ -1,6 +1,6 @@
 """Thermal analysis substrate.
 
-Two evaluators with one interface:
+Two evaluators share one protocol:
 
 * :class:`GridThermalSolver` — a HotSpot-style compact thermal model
   (finite-volume RC network over a layered 2.5D stack, solved with
@@ -10,9 +10,20 @@ Two evaluators with one interface:
   superposition surrogate built from self-/mutual-thermal-resistance
   tables characterized once against the grid solver.
 
-Both expose ``evaluate(placement) -> ThermalResult`` plus batched
-entries (``evaluate_many`` / ``max_temperatures``): the fast model
-vectorizes its table lookups across the batch, while the grid solver
+The protocol, which :class:`~repro.reward.RewardCalculator` relies on
+without probing for capabilities:
+
+* ``evaluate(placement) -> ThermalResult``;
+* ``evaluate_batch(placements) -> list[ThermalResult]``, one result per
+  placement, in order;
+* ``max_temperatures(placements) -> ndarray``, the peak temperature (K)
+  of each placement without per-die results;
+* the class attribute ``exact_batched_rewards``: ``True`` when batched
+  rewards must equal scalar ones bitwise, so the reward keeps its
+  wirelength and combination scalar around the batched thermal call.
+
+The fast model vectorizes its table lookups across the batch
+(``exact_batched_rewards = False``), while the grid solver
 back-substitutes all right-hand sides through one shared sparse
 factorization (its homogeneous conductance matrix is
 placement-independent) — bitwise identical to sequential solves, which

@@ -474,11 +474,13 @@ class FastThermalModel:
         Only ``ambient`` is consulted; defaults to the standard config.
     """
 
+    # Cheap evaluations: batched rewards need only match scalar ones to
+    # float rounding, so RewardCalculator.evaluate_many vectorizes the
+    # whole reward (batched wirelength estimate and penalty).
+    exact_batched_rewards = False
+
     def __init__(
-        self,
-        tables: ResistanceTables,
-        config: ThermalConfig | None = None,
-        incremental: bool = False,
+        self, tables: ResistanceTables, config: ThermalConfig | None = None
     ):
         self.tables = tables
         self.config = config or ThermalConfig()
@@ -486,34 +488,9 @@ class FastThermalModel:
             raise ValueError(
                 "tables were characterized at a different ambient temperature"
             )
-        self.evaluate_count = 0
-        # Opt-in single-move fast path: consecutive evaluate() calls that
-        # displace/swap/rotate a few dies update only the affected
-        # self/mutual coupling terms (O(n) per moved die) instead of
-        # rebuilding the full O(n^2) interaction.  Off by default because
-        # running sums accumulate ~1e-12-level float drift relative to
-        # the full evaluation (bounded by periodic refresh; the exactness
-        # test pins it below 1e-9).
-        self.incremental = incremental
-        self._incremental_state = None
 
     def evaluate(self, placement: Placement) -> ThermalResult:
         """Predict per-die and maximum temperature for a placement."""
-        if self.incremental:
-            from repro.thermal.incremental import IncrementalEvaluator
-
-            if (
-                self._incremental_state is None
-                or self._incremental_state.model is not self
-            ):
-                self._incremental_state = IncrementalEvaluator(self)
-            result = self._incremental_state.evaluate(placement)
-            self.evaluate_count += 1
-            return result
-        return self._evaluate_full(placement)
-
-    def _evaluate_full(self, placement: Placement) -> ThermalResult:
-        """The direct (non-incremental) superposition evaluation."""
         start = time.perf_counter()
         footprints = placement.footprints()
         names = list(footprints)
@@ -555,7 +532,6 @@ class FastThermalModel:
             temps[i] = ambient + float((self_field + mutual_field).max())
 
         chiplet_temps = {name: float(t) for name, t in zip(names, temps)}
-        self.evaluate_count += 1
         return ThermalResult(
             chiplet_temperatures=chiplet_temps,
             max_temperature=float(temps.max()),
@@ -590,7 +566,6 @@ class FastThermalModel:
             return [self.evaluate(p) for p in placements]
         names, temps = core
         n_b = len(placements)
-        self.evaluate_count += n_b
         elapsed = time.perf_counter() - start
         return [
             ThermalResult(
@@ -622,7 +597,6 @@ class FastThermalModel:
                 [self.evaluate(p).max_temperature for p in placements]
             )
         _, temps = core
-        self.evaluate_count += len(placements)
         return temps.max(axis=1)
 
     def _batch_temps(self, placements):

@@ -57,7 +57,7 @@ class GridThermalSolver:
     :meth:`evaluate` with any placement on that interposer.
 
     Batched evaluation: :meth:`solve_footprints_many` /
-    :meth:`evaluate_many` / :meth:`max_temperatures` solve M
+    :meth:`evaluate_batch` / :meth:`max_temperatures` solve M
     configurations through **one** factorization — because the
     homogeneous matrix is placement-independent, only the right-hand
     side varies between candidates, so the M assembled RHS columns are
@@ -74,9 +74,9 @@ class GridThermalSolver:
     """
 
     # Ground-truth evaluations are expensive and the batched solve is
-    # bitwise-exact, so RewardCalculator.evaluate_many routes batches
-    # through its exact adapter (scalar wirelength/combine, batched
-    # thermal) — multi-chain SA then reproduces sequential runs bitwise.
+    # bitwise-exact, so RewardCalculator.evaluate_many keeps wirelength
+    # and reward combination scalar around the batched thermal solve —
+    # multi-chain SA then reproduces sequential runs bitwise.
     exact_batched_rewards = True
 
     def __init__(
@@ -159,7 +159,7 @@ class GridThermalSolver:
     ) -> ThermalResult:
         """Per-die temperatures + package peak from one solved field.
 
-        Shared by :meth:`evaluate` and :meth:`evaluate_many` so the
+        Shared by :meth:`evaluate` and :meth:`evaluate_batch` so the
         batched path equals the scalar path by construction, not by
         hand-kept synchronization.
         """
@@ -178,7 +178,7 @@ class GridThermalSolver:
             elapsed=elapsed,
         )
 
-    def evaluate_many(self, placements) -> list:
+    def evaluate_batch(self, placements) -> list:
         """Batched :meth:`evaluate` sharing one factorization.
 
         All placements' right-hand sides are back-substituted through a
@@ -208,15 +208,14 @@ class GridThermalSolver:
     def max_temperatures(self, placements) -> np.ndarray:
         """Peak package temperature (K) per placement, via one block solve.
 
-        The batched-reward hook ``RewardCalculator.evaluate_many`` looks
-        for; temperatures are bitwise identical to per-placement
+        Temperatures are bitwise identical to per-placement
         :meth:`evaluate` calls.
         """
         placements = list(placements)
         if not placements:
             return np.empty(0)
         return np.array(
-            [result.max_temperature for result in self.evaluate_many(placements)]
+            [result.max_temperature for result in self.evaluate_batch(placements)]
         )
 
     def solve_footprints(self, footprints: dict, powers: dict) -> np.ndarray:

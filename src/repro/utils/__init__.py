@@ -1,7 +1,6 @@
-"""Small cross-cutting utilities: seeding, timing, logging."""
+"""Small cross-cutting utilities: seeding, logging."""
 
 from repro.utils.seeding import SeedSequence, new_rng
-from repro.utils.timer import Timer, timed
 from repro.utils.log import get_logger
 
-__all__ = ["SeedSequence", "new_rng", "Timer", "timed", "get_logger"]
+__all__ = ["SeedSequence", "new_rng", "get_logger"]

@@ -53,8 +53,6 @@ class TestBudgetConstruction:
         # Defaults since PR 2: batched collection and multi-chain SA.
         assert budget.rollout_batch_size == 16
         assert budget.sa_chains == 16
-        # PR 4 knobs default off.
-        assert budget.sa_incremental is False
         assert budget.hotspot_reuse_factorization is False
 
     def test_batch_size_flag(self, monkeypatch, fake_results):
@@ -121,17 +119,10 @@ class TestBudgetConstruction:
             return fake_results
 
         monkeypatch.setattr(cli, "run_table1", fake_run_table1)
-        cli.main(
-            [
-                "table1",
-                "--sa-chains",
-                "1",
-                "--sa-incremental",
-                "--hotspot-reuse-lu",
-            ]
-        )
-        assert captured["budget"].sa_incremental is True
+        cli.main(["table1", "--hotspot-reuse-lu"])
         assert captured["budget"].hotspot_reuse_factorization is True
+        with pytest.raises(SystemExit):
+            cli.main(["table1", "--sa-incremental"])
 
     def test_jobs_flag_forwarded(self, monkeypatch, fake_results):
         captured = {}

@@ -518,20 +518,3 @@ class TestBudgetWiring:
         assert evaluators["solver"].reuse_factorization is True
         default = build_evaluators(spec, _tiny_budget(), cache_dir=tmp_path)
         assert default["solver"].reuse_factorization is False
-
-    def test_sa_incremental_multichain_warns_and_falls_back(
-        self, tmp_path, caplog
-    ):
-        spec = _tiny_spec()
-        budget = _tiny_budget(sa_incremental=True, sa_chains=4)
-        with _capture_repro_logs(caplog):
-            results = run_all_methods(
-                spec,
-                budget,
-                cache_dir=tmp_path,
-                methods=("TAP-2.5D*(FastThermal)",),
-            )
-        assert any(
-            "sa_incremental" in rec.getMessage() for rec in caplog.records
-        )
-        assert np.isfinite(results[0].reward)

@@ -455,10 +455,12 @@ class TestHTTPSurface:
 
     def test_unknown_budget_field_is_400(self, serve_stack):
         _, client = serve_stack
-        with pytest.raises(ServeError) as excinfo:
-            client.place("synthetic1", METHOD, {"sa_itertions": 5})
-        assert excinfo.value.status == 400
-        assert "sa_itertions" in str(excinfo.value)
+        # A typo, and a field budgets no longer have.
+        for field, value in (("sa_itertions", 5), ("sa_incremental", True)):
+            with pytest.raises(ServeError) as excinfo:
+                client.place("synthetic1", METHOD, {field: value})
+            assert excinfo.value.status == 400
+            assert field in str(excinfo.value)
 
     def test_host_resource_budget_is_400_and_starts_nothing(
         self, serve_stack, monkeypatch

@@ -963,43 +963,6 @@ class TestResumableSweep:
             arm_store_key(spec, "TAP-2.5D*(FastThermal)", budget)
         )
 
-    def test_incremental_arm_runs_checkpoint_free(self, tmp_path):
-        """The incremental delta evaluator's accumulated sums are not
-        bitwise-snapshottable, so an --sa-incremental arm must not
-        write in-flight checkpoints (it stays result-cached only)."""
-        spec = build_golden_spec()
-        budget = ExperimentBudget(
-            **{
-                **build_golden_budget().__dict__,
-                "sa_chains": 1,
-                "sa_incremental": True,
-                "sa_checkpoint_every": 1,
-            }
-        )
-        store = RunStore(tmp_path / "store")
-        key = arm_store_key(spec, "TAP-2.5D*(FastThermal)", budget)
-        result = run_method_arm(
-            spec,
-            "TAP-2.5D*(FastThermal)",
-            budget,
-            cache_dir=tmp_path / "cache",
-            store_dir=store.root,
-        )
-        assert np.isfinite(result.reward)
-        # No checkpoint was ever written (a cadence of 1 would have
-        # left one after every iteration were the guard missing).
-        assert not list(store.root.rglob("*.ckpt.pkl"))
-        # The result is still published and reused.
-        rerun = RunStore(store.root)
-        again = run_method_arm(
-            spec,
-            "TAP-2.5D*(FastThermal)",
-            budget,
-            cache_dir=tmp_path / "cache",
-            store_dir=rerun.root,
-        )
-        assert _hex(again.reward) == _hex(result.reward)
-
 
 class TestTable2Store:
     def test_shards_publish_and_resume_bitwise(self, tmp_path):

@@ -13,7 +13,7 @@ Two families of guarantees land here:
    skewing reproduced tables.
 
 2. **Multi-RHS batched solver** — ``solve_footprints_many`` /
-   ``evaluate_many`` / ``max_temperatures`` must be *bitwise* identical
+   ``evaluate_batch`` / ``max_temperatures`` must be *bitwise* identical
    to sequential solves (that is what lets the HotSpot SA arm join the
    multi-chain annealing engine), must amortize to one factorization
    per batch in homogeneous mode, and must fall back to per-column
@@ -40,6 +40,7 @@ from repro.thermal import (
     ThermalConfig,
     characterize_tables,
 )
+from repro.thermal.config import KELVIN_OFFSET
 from repro.thermal.fast_model import (
     CHIPLET_TEMP_MAX_ERROR_C,
     CHIPLET_TEMP_MEAN_ERROR_C,
@@ -125,7 +126,7 @@ class TestMultiRHSBitwise:
         system, solver, _ = differential_setup
         placements = _seeded_placements(system, n=4)
         sequential = [solver.evaluate(p) for p in placements]
-        batched = solver.evaluate_many(placements)
+        batched = solver.evaluate_batch(placements)
         assert len(batched) == len(sequential)
         for seq, bat in zip(sequential, batched):
             assert bat.chiplet_temperatures == seq.chiplet_temperatures
@@ -150,8 +151,8 @@ class TestMultiRHSBitwise:
         system, cached_solver, _ = differential_setup
         fresh = GridThermalSolver(system.interposer, cached_solver.config)
         placements = _seeded_placements(system, n=3)
-        fields_fresh = fresh.evaluate_many(placements)
-        fields_cached = cached_solver.evaluate_many(placements)
+        fields_fresh = fresh.evaluate_batch(placements)
+        fields_cached = cached_solver.evaluate_batch(placements)
         for a, b in zip(fields_fresh, fields_cached):
             assert np.array_equal(a.grid_temperatures, b.grid_temperatures)
 
@@ -182,19 +183,19 @@ class TestSolveAccounting:
 
     def test_batched_call_counts_all_columns_one_factorization(self):
         solver, placements = self._solver_and_placements(reuse=False)
-        solver.evaluate_many(placements)
+        solver.evaluate_batch(placements)
         assert solver.solve_count == 3
         assert solver.factorization_count == 1
         # A second batched call re-factorizes (HotSpot-like per-call
         # cost at batch granularity) but still only once for the block.
-        solver.evaluate_many(placements)
+        solver.evaluate_batch(placements)
         assert solver.solve_count == 6
         assert solver.factorization_count == 2
 
     def test_reused_factorization_shared_across_batches(self):
         solver, placements = self._solver_and_placements(reuse=True)
-        solver.evaluate_many(placements)
-        solver.evaluate_many(placements)
+        solver.evaluate_batch(placements)
+        solver.evaluate_batch(placements)
         solver.evaluate(placements[0])
         assert solver.solve_count == 7
         assert solver.factorization_count == 1
@@ -224,7 +225,7 @@ class TestSolveAccounting:
             p = Placement(system)
             p.place("a", x, 10.0)
             placements.append(p)
-        batched = solver.evaluate_many(placements)
+        batched = solver.evaluate_batch(placements)
         # Coverage-dependent matrix: one factorization per configuration.
         assert solver.solve_count == 2
         assert solver.factorization_count == 2
@@ -237,7 +238,7 @@ class TestSolveAccounting:
 
     def test_empty_batch(self):
         solver, _ = self._solver_and_placements(reuse=False)
-        assert solver.evaluate_many([]) == []
+        assert solver.evaluate_batch([]) == []
         assert len(solver.max_temperatures([])) == 0
         assert solver.solve_count == 0
         assert solver.factorization_count == 0
@@ -269,17 +270,44 @@ class TestExactRewardAdapter:
         assert np.array_equal(batched, scalar)
 
     def test_exact_adapter_used_for_solver(self, hotspot_calc):
+        """The exact path: batched thermal, scalar wirelength/combine."""
         calc, system = hotspot_calc
         assert calc.thermal.exact_batched_rewards is True
         placements = _seeded_placements(system, n=3, seed=4)
-        exact = calc.evaluate_many_exact(placements)
+        max_temps = calc.thermal.max_temperatures(placements)
+        exact = np.array(
+            [
+                calc.config.combine(calc.wirelength(p), t - KELVIN_OFFSET)
+                for p, t in zip(placements, max_temps)
+            ]
+        )
         routed = calc.evaluate_many(placements)
         assert np.array_equal(exact, routed)
 
     def test_fast_model_keeps_vectorized_path(self, small_fast_model):
-        assert not getattr(
-            small_fast_model, "exact_batched_rewards", False
+        assert small_fast_model.exact_batched_rewards is False
+
+    def test_evaluate_batch_shares_one_factorization(
+        self, small_interposer, small_system
+    ):
+        """A grid-backed evaluate_batch factorizes once per call, even
+        without reuse, and every breakdown equals scalar evaluate."""
+        config = ThermalConfig(rows=16, cols=16, package_margin=8.0)
+        solver = GridThermalSolver(
+            small_interposer, config, reuse_factorization=False
         )
+        calc = RewardCalculator(solver, RewardConfig(lambda_wl=1e-4))
+        placements = _seeded_placements(small_system, n=4, seed=5)
+        batched = calc.evaluate_batch(placements)
+        assert solver.factorization_count == 1
+        calc.evaluate_batch(placements)
+        assert solver.factorization_count == 2
+        for p, bat in zip(placements, batched):
+            seq = calc.evaluate(p)
+            assert bat.reward == seq.reward
+            assert bat.wirelength == seq.wirelength
+            assert bat.max_temperature_c == seq.max_temperature_c
+            assert bat.thermal_penalty == seq.thermal_penalty
 
 
 class TestHotSpotArmMultiChain:

@@ -1,11 +1,8 @@
-"""Tests for seeding, timers and logging utilities."""
+"""Tests for seeding and logging utilities."""
 
 import logging
-import time
 
-import pytest
-
-from repro.utils import SeedSequence, Timer, get_logger, new_rng, timed
+from repro.utils import SeedSequence, get_logger, new_rng
 from repro.utils.seeding import derive_seed
 
 
@@ -32,44 +29,6 @@ class TestSeeding:
     def test_seed_sequence_streams_independent(self):
         seq = SeedSequence(7)
         assert not (seq.rng("a").random(3) == seq.rng("b").random(3)).all()
-
-
-class TestTimer:
-    def test_accumulates(self):
-        t = Timer()
-        with t:
-            time.sleep(0.01)
-        with t:
-            time.sleep(0.01)
-        assert t.elapsed >= 0.02
-        assert len(t.laps) == 2
-        assert t.mean_lap == pytest.approx(t.elapsed / 2)
-
-    def test_double_start_raises(self):
-        t = Timer()
-        t.start()
-        with pytest.raises(RuntimeError):
-            t.start()
-        t.stop()
-
-    def test_stop_without_start_raises(self):
-        with pytest.raises(RuntimeError):
-            Timer().stop()
-
-    def test_reset(self):
-        t = Timer()
-        with t:
-            pass
-        t.reset()
-        assert t.elapsed == 0.0 and not t.laps
-
-    def test_timed_context(self):
-        stats = {}
-        with timed(stats, "work"):
-            time.sleep(0.005)
-        with timed(stats, "work"):
-            pass
-        assert stats["work"] >= 0.005
 
 
 class TestLogger:
