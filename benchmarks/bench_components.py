@@ -14,6 +14,7 @@ from repro.bumps import BumpAssigner, estimate_wirelength
 from repro.env import ObservationBuilder, feasible_cells
 from repro.geometry import PlacementGrid
 from repro.nn import Adam
+from repro.reward import RewardCalculator
 from repro.rl import Episode, PPOConfig, PPOUpdater, RolloutBuffer
 from repro.systems import get_benchmark
 from repro.utils import new_rng
@@ -29,11 +30,22 @@ def placed_multi_gpu():
 
 
 def test_bench_bump_assignment_greedy(benchmark, placed_multi_gpu):
-    """Per-reward-evaluation bump assignment (grouped wires)."""
-    _, placement = placed_multi_gpu
-    assigner = BumpAssigner(wire_group_size=8)
+    """Per-reward-evaluation bump assignment, as the reward path runs it."""
+    spec, placement = placed_multi_gpu
+    assigner = RewardCalculator(None, spec.reward_config).assigner
     assignment = benchmark(assigner.assign, placement)
     assert assignment.total_wirelength > 0
+
+
+@pytest.mark.parametrize("system", ["multi_gpu", "ascend910", "cpu_dram"])
+def test_bench_wirelength_many(benchmark, system):
+    """Bump-assigned wirelength of 16 placements of a Table I system."""
+    spec = get_benchmark(system)
+    rng = new_rng(2)
+    placements = [random_legal_placement(spec.system, rng) for _ in range(16)]
+    calculator = RewardCalculator(None, spec.reward_config)
+    wirelengths = benchmark(calculator.wirelength_many, placements)
+    assert wirelengths.shape == (16,) and (wirelengths > 0).all()
 
 
 def test_bench_bump_assignment_hungarian(benchmark, placed_multi_gpu):

@@ -11,7 +11,7 @@ lengths — the TAP-2.5D recipe the paper adopts.  Two granularities:
   and the full pin map.
 """
 
-from repro.bumps.sites import BumpSite, perimeter_sites
+from repro.bumps.sites import BumpSite, perimeter_sites, site_coordinates
 from repro.bumps.assign import BumpAssigner, BumpAssignment, NetAssignment
 from repro.bumps.wirelength import (
     estimate_wirelength,
@@ -28,6 +28,7 @@ from repro.bumps.delay import (
 __all__ = [
     "BumpSite",
     "perimeter_sites",
+    "site_coordinates",
     "BumpAssigner",
     "BumpAssignment",
     "NetAssignment",

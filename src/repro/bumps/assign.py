@@ -25,22 +25,105 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from repro.chiplet import Placement
-from repro.bumps.sites import perimeter_sites
+from repro.bumps.sites import site_coordinates
 
 __all__ = ["NetAssignment", "BumpAssignment", "BumpAssigner"]
 
 
-def _first_occurrence(values: np.ndarray, n_values: int) -> np.ndarray:
-    """Mask of positions holding the first occurrence of each value.
+#: Entries of the sorted-distance order resolved together by the greedy
+#: pairing (part of its rule, see :meth:`BumpAssigner._pair_greedy`).
+_CHUNK = 4096
+#: A pass accepting at most this many entries hands the rest of its
+#: chunk to the sequential sweep.
+_NARROW_PASS = 2
 
-    ``values`` are ints in ``[0, n_values)``.  O(n), no sorting: a
-    reversed scatter makes the earliest position win.
+
+def _free_chunks(
+    dist: np.ndarray, used_rows: np.ndarray, used_cols: np.ndarray
+):
+    """Yield each chunk of the stable sorted order of ``dist``, as the
+    ``(rows, cols)`` of its entries whose row and column are free.
+
+    ``used_rows`` / ``used_cols`` are read when a chunk is built, so the
+    consumer marks its acceptances between chunks.  Chunk ``k`` is
+    positions ``[k * _CHUNK, (k + 1) * _CHUNK)`` of
+    ``np.argsort(dist, axis=None, kind="stable")``, built without that
+    argsort: only the values are sorted, which is several times cheaper.
+    The chunk holds the entries whose value lies between its first and
+    last value, except for ties at either end.  Ties of the first value
+    that an earlier chunk holds need no cut: the consumer resolves every
+    entry of a chunk it reads to the end, so each of them has a taken
+    row or column.  Ties of the last value can run into the next chunk;
+    a stable sort orders ties by index, so the ones past the chunk's end
+    in index order are dropped.  Only the free entries are then
+    argsorted.
     """
-    first = np.full(n_values, -1, dtype=np.int64)
-    first[values[::-1]] = np.arange(len(values) - 1, -1, -1)
-    mask = np.zeros(len(values), dtype=bool)
-    mask[first[first >= 0]] = True
-    return mask
+    values = dist.ravel()
+    ranked = np.sort(values)
+    for start in range(0, len(values), _CHUNK):
+        stop = min(start + _CHUNK, len(values))
+        low, high = ranked[start], ranked[stop - 1]
+        run = np.flatnonzero((values >= low) & (values <= high))
+        run_values = values[run]
+        rows, cols = np.divmod(run, dist.shape[1])
+        free = ~used_rows[rows] & ~used_cols[cols]
+        if stop < len(values) and ranked[stop] == high:
+            here = stop - np.searchsorted(ranked, high)
+            free[np.flatnonzero(run_values == high)[here:]] = False
+        order = np.argsort(run_values[free], kind="stable")
+        yield rows[free][order], cols[free][order]
+
+
+def _pass_heads(
+    rows: np.ndarray, cols: np.ndarray, n_lines: int
+) -> np.ndarray:
+    """Positions that come first in both their row and their column.
+
+    ``rows`` and ``cols`` are ints in ``[0, n_lines)``; a reversed
+    scatter makes the earliest position of each row (column) win.
+    """
+    positions = np.arange(len(rows))
+    first_row = np.empty(n_lines, dtype=np.intp)
+    first_col = np.empty(n_lines, dtype=np.intp)
+    first_row[rows[::-1]] = positions[::-1]
+    first_col[cols[::-1]] = positions[::-1]
+    return np.flatnonzero(
+        (first_row[rows] == positions) & (first_col[cols] == positions)
+    )
+
+
+def _swept_order(
+    rows: np.ndarray, cols: np.ndarray, n_lines: int
+) -> np.ndarray:
+    """Every position the passes would accept, in (pass, position) order.
+
+    One sweep in sorted order applies the pass-number rule of
+    :meth:`BumpAssigner._pair_greedy`.  A taken row or column accepts
+    nothing later, so a removed entry only records its removal pass on
+    the line it leaves free.
+    """
+    taken_row = [0] * n_lines  # pass that took the row, 0 while free
+    taken_col = [0] * n_lines
+    removed_row = [0] * n_lines  # latest removal pass in a free row
+    removed_col = [0] * n_lines
+    accepted, passes = [], []
+    entries = zip(range(len(rows)), rows.tolist(), cols.tolist())
+    for position, row, col in entries:
+        by_row = taken_row[row]
+        by_col = taken_col[col]
+        if by_row:
+            if not by_col and removed_col[col] < by_row:
+                removed_col[col] = by_row
+        elif by_col:
+            if removed_row[row] < by_col:
+                removed_row[row] = by_col
+        else:
+            taken = 1 + max(removed_row[row], removed_col[col])
+            taken_row[row] = taken_col[col] = taken
+            accepted.append(position)
+            passes.append(taken)
+    accepted = np.array(accepted, dtype=np.intp)
+    return accepted[np.argsort(passes, kind="stable")]
 
 
 @dataclass(frozen=True)
@@ -125,10 +208,9 @@ class BumpAssigner:
         site_xy = {}
         site_free = {}
         for name in placement.placed_names:
-            sites = perimeter_sites(
+            coords = site_coordinates(
                 placement.footprint(name), pitch=self.pitch, rings=self.rings
             )
-            coords = np.array([(s.x, s.y) for s in sites]).reshape(-1, 2)
             site_xy[name] = coords
             site_free[name] = np.ones(len(coords), dtype=bool)
 
@@ -219,24 +301,37 @@ class BumpAssigner:
         """Chunked greedy pairing over the sorted-distance order.
 
         Candidates are prefiltered to the sites nearest the peer die so
-        the sweep touches a small matrix; the winning pairs always lie on
-        the facing perimeters, so the filter does not change the result
-        in practice.
+        the pairing touches a small matrix; the winning pairs always lie
+        on the facing perimeters, so the filter does not change the
+        result in practice.
 
-        This is *not* a sequential closest-free-pair sweep.  The sorted
-        entries are walked in chunks of 4096.  Within a chunk, each pass
-        accepts every alive entry that comes first in both its row and
-        its column among the chunk's alive entries; an entry whose row
-        or column is claimed first by an entry that is itself blocked
-        waits for a later pass.  A pass that would overshoot
-        ``n_pairs`` keeps its earliest entries.  Pairs are returned in
-        pass order, not in sorted-distance order.  A pass can thus
-        accept farther pairs ahead of deferred nearer ones, and once the
-        ``n_pairs`` cutoff bites, that changes *which* pairs are kept:
-        the result can differ from a sequential sweep in order and in
-        membership (measured on random die pairs in the ROADMAP).
-        ``tests/data/golden_bump_wirelength.json`` pins this behaviour
-        as it is.
+        The rule, which ``tests/data/golden_bump_wirelength.json`` pins:
+        the entries of the distance matrix, in stable sorted order, are
+        taken in chunks of 4096, and each chunk starts from the entries
+        whose row and column are both still free.  Within a chunk, pass
+        1, 2, ... each accepts every remaining entry that comes first in
+        both its row and its column among the remaining entries, and
+        then removes every entry whose row or column it took.  Pairs come
+        out in chunk, then pass, then sorted order, and the first
+        ``n_pairs`` are kept.  This is *not* a sequential
+        closest-free-pair sweep: a pass can accept farther pairs ahead
+        of deferred nearer ones, so once the ``n_pairs`` cutoff bites the
+        kept pairs can differ in order and in membership.
+
+        An entry's fate depends only on the entries before it in its row
+        and column.  If one of those is accepted, the entry is removed
+        at the lowest pass among those acceptances (a later entry of its
+        row or column cannot come first while it remains).  Otherwise it
+        is accepted at pass 1 + the latest pass at which one of them was
+        removed.  So one sweep in sorted order yields every pass number
+        (:func:`_swept_order`).  The entries left after a pass follow
+        the same rule with passes counted afresh, so the sweep can take
+        over after any pass.  A pass costs a few array operations over
+        the chunk, a sweep a few Python operations per entry: wide
+        passes run vectorized, and once a pass would accept at most two
+        entries (nets between far-apart dies take one pair per pass),
+        the rest of the chunk is swept instead.  Chunks are built only
+        as far as they are read (:func:`_free_chunks`).
         """
         keep = min(max(2 * n_pairs, n_pairs + 16), len(xy_a), len(xy_b))
         center_b = xy_b.mean(axis=0)
@@ -249,37 +344,34 @@ class BumpAssigner:
         )[:keep]
         sub_a = xy_a[near_a]
         sub_b = xy_b[near_b]
-        dist = np.abs(sub_a[:, None, 0] - sub_b[None, :, 0]) + np.abs(
-            sub_a[:, None, 1] - sub_b[None, :, 1]
-        )
-        order = np.argsort(dist, axis=None, kind="stable")
-        all_rows, all_cols = np.divmod(order, dist.shape[1])
+        dist = np.abs(np.subtract.outer(sub_a[:, 0], sub_b[:, 0]))
+        dist += np.abs(np.subtract.outer(sub_a[:, 1], sub_b[:, 1]))
         chosen_a, chosen_b = [], []
+        need = n_pairs
         used_rows = np.zeros(keep, dtype=bool)
         used_cols = np.zeros(keep, dtype=bool)
-        # Lazy sweep over the sorted entries in chunks: each chunk drops
-        # already-used rows/cols vectorized, then resolves the intra-chunk
-        # conflicts with the first-occurrence passes (small arrays).
-        chunk_size = 4096
-        for start in range(0, len(order), chunk_size):
-            if len(chosen_a) >= n_pairs:
-                break
-            rows = all_rows[start : start + chunk_size]
-            cols = all_cols[start : start + chunk_size]
-            alive = ~used_rows[rows] & ~used_cols[cols]
-            rows, cols = rows[alive], cols[alive]
-            while len(chosen_a) < n_pairs and len(rows):
-                take = np.flatnonzero(
-                    _first_occurrence(rows, keep) & _first_occurrence(cols, keep)
-                )
-                take = take[: n_pairs - len(chosen_a)]
-                chosen_a.extend(rows[take].tolist())
-                chosen_b.extend(cols[take].tolist())
+        for rows, cols in _free_chunks(dist, used_rows, used_cols):
+            while need and len(rows):
+                take = _pass_heads(rows, cols, keep)
+                swept = len(take) <= _NARROW_PASS
+                if swept:
+                    take = _swept_order(rows, cols, keep)
+                take = take[:need]
+                chosen_a.append(rows[take])
+                chosen_b.append(cols[take])
                 used_rows[rows[take]] = True
                 used_cols[cols[take]] = True
+                need -= len(take)
+                if swept:
+                    break  # the sweep resolved the whole chunk
                 remaining = ~used_rows[rows] & ~used_cols[cols]
                 rows, cols = rows[remaining], cols[remaining]
-        return near_a[np.array(chosen_a)], near_b[np.array(chosen_b)]
+            if not need:
+                break
+        return (
+            near_a[np.concatenate(chosen_a)],
+            near_b[np.concatenate(chosen_b)],
+        )
 
     @staticmethod
     def _pair_hungarian(xy_a: np.ndarray, xy_b: np.ndarray, n_pairs: int):
