@@ -83,60 +83,18 @@ def random_search(
 ) -> PlacerResult:
     """Evaluate ``n_samples`` random legal placements; return the best.
 
-    ``batch_size > 1`` draws the same placement sequence but scores
-    ``batch_size`` candidates per vectorized
-    :meth:`~repro.reward.RewardCalculator.evaluate_many` call —
-    identical search results (to float rounding), several times the
-    evaluation throughput on the fast thermal model.  ``batch_size=1``
-    is the original sequential loop, kept bit-for-bit.
+    Candidates are drawn from one seeded stream and scored ``batch_size``
+    at a time through :meth:`~repro.reward.RewardCalculator.evaluate_batch`
+    (``batch_size=1`` is a batch of one).  Every reward is a row of the
+    calculator's batched core, so the search result is bitwise the same
+    for every batch size; larger batches only raise the evaluation
+    throughput on the fast thermal model.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
     rng = np.random.default_rng(seed)
     start = time.perf_counter()
-    if batch_size > 1:
-        return _random_search_batched(
-            system,
-            reward_calculator,
-            n_samples,
-            rng,
-            start,
-            time_limit,
-            batch_size,
-        )
     best_breakdown = None
-    best_placement = None
-    evaluations = 0
-    for _ in range(n_samples):
-        if time_limit is not None and time.perf_counter() - start > time_limit:
-            break
-        placement = random_legal_placement(system, rng)
-        breakdown = reward_calculator.evaluate(placement)
-        evaluations += 1
-        if best_breakdown is None or breakdown.reward > best_breakdown.reward:
-            best_breakdown = breakdown
-            best_placement = placement
-    if best_placement is None:
-        raise RuntimeError("random search evaluated no placements")
-    return PlacerResult(
-        placement=best_placement,
-        breakdown=best_breakdown,
-        n_evaluations=evaluations,
-        elapsed=time.perf_counter() - start,
-    )
-
-
-def _random_search_batched(
-    system: ChipletSystem,
-    reward_calculator: RewardCalculator,
-    n_samples: int,
-    rng: np.random.Generator,
-    start: float,
-    time_limit: float | None,
-    batch_size: int,
-) -> PlacerResult:
-    """Batched scoring loop of :func:`random_search`."""
-    best_reward = -np.inf
     best_placement = None
     evaluations = 0
     while evaluations < n_samples:
@@ -146,17 +104,18 @@ def _random_search_batched(
             random_legal_placement(system, rng)
             for _ in range(min(batch_size, n_samples - evaluations))
         ]
-        rewards = reward_calculator.evaluate_many(batch)
         evaluations += len(batch)
-        winner = int(np.argmax(rewards))
-        if rewards[winner] > best_reward:
-            best_reward = float(rewards[winner])
-            best_placement = batch[winner]
+        for placement, breakdown in zip(
+            batch, reward_calculator.evaluate_batch(batch)
+        ):
+            if best_breakdown is None or breakdown.reward > best_breakdown.reward:
+                best_breakdown = breakdown
+                best_placement = placement
     if best_placement is None:
         raise RuntimeError("random search evaluated no placements")
     return PlacerResult(
         placement=best_placement,
-        breakdown=reward_calculator.evaluate(best_placement),
+        breakdown=best_breakdown,
         n_evaluations=evaluations,
         elapsed=time.perf_counter() - start,
     )

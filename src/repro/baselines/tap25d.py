@@ -227,9 +227,8 @@ class TAP25DPlacer:
 
         With ``config.n_chains > 1`` the SA engine advances all chains
         in lockstep and each step's candidates are costed through
-        ``RewardCalculator.evaluate_many`` — one batched
-        wirelength/thermal pass per iteration instead of one scalar
-        evaluation per chain.
+        ``RewardCalculator.evaluate_many`` — one batched thermal pass
+        per iteration instead of one evaluation per chain.
 
         ``checkpoint_fn``/``resume_state`` pass straight through to the
         SA engine (see :meth:`SimulatedAnnealing.run`): a run resumed

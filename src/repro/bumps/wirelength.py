@@ -6,11 +6,9 @@ comes from :mod:`repro.bumps.assign` after microbump assignment.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.chiplet import Placement
 
-__all__ = ["estimate_wirelength", "estimate_wirelength_batch", "netlist_hpwl"]
+__all__ = ["estimate_wirelength", "netlist_hpwl"]
 
 
 def estimate_wirelength(placement: Placement) -> float:
@@ -29,49 +27,6 @@ def estimate_wirelength(placement: Placement) -> float:
             rect_b = placement.footprint(net.dst)
             total += net.wires * rect_a.center_manhattan(rect_b)
     return total
-
-
-def estimate_wirelength_batch(placements) -> np.ndarray:
-    """Vectorized :func:`estimate_wirelength` over a batch of placements.
-
-    The search-baseline hot path: multi-chain annealers evaluate every
-    chain's candidate per step, and all candidates share one system, so
-    die centers stack into a ``(batch, dies, 2)`` array and every net's
-    contribution is computed for the whole batch at once.  Values match
-    the scalar estimator to float rounding (the per-net summation order
-    differs); batches that mix systems or hold incomplete placements
-    fall back to the scalar loop.
-    """
-    placements = list(placements)
-    if not placements:
-        return np.empty(0)
-    system = placements[0].system
-    if any(
-        p.system is not system or not p.is_complete for p in placements
-    ):
-        return np.array([estimate_wirelength(p) for p in placements])
-    names = system.chiplet_names
-    index = {name: i for i, name in enumerate(names)}
-    # Half-extents per die and orientation, so centers come from the raw
-    # (x, y, rotated) tuples without building Rect objects.
-    half = np.array(
-        [(c.width / 2.0, c.height / 2.0) for c in system.chiplets]
-    )
-    half_rot = half[:, ::-1]
-    centers = np.empty((len(placements), len(names), 2))
-    for b, placement in enumerate(placements):
-        for name, (x, y, rotated) in placement.positions.items():
-            i = index[name]
-            h = half_rot[i] if rotated else half[i]
-            centers[b, i, 0] = x + h[0]
-            centers[b, i, 1] = y + h[1]
-    src = np.array([index[net.src] for net in system.nets], dtype=np.intp)
-    dst = np.array([index[net.dst] for net in system.nets], dtype=np.intp)
-    wires = np.array([net.wires for net in system.nets], dtype=np.float64)
-    if not len(src):
-        return np.zeros(len(placements))
-    manhattan = np.abs(centers[:, src] - centers[:, dst]).sum(axis=2)
-    return manhattan @ wires
 
 
 def netlist_hpwl(placement: Placement) -> float:

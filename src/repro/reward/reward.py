@@ -17,16 +17,11 @@ all four method combinations of Tables I/III are a matter of wiring.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.bumps import (
-    BumpAssigner,
-    estimate_wirelength,
-    estimate_wirelength_batch,
-)
+from repro.bumps import BumpAssigner, estimate_wirelength
 from repro.chiplet import Placement
 from repro.thermal.config import KELVIN_OFFSET
 
@@ -79,32 +74,6 @@ class RewardConfig:
             t_celsius
         )
 
-    def thermal_penalty_many(self, t_celsius: np.ndarray) -> np.ndarray:
-        """Elementwise :meth:`thermal_penalty` over a temperature array.
-
-        Each element runs the exact scalar operations (the logistic term
-        is only evaluated where the excess is positive, so no overflow
-        for far-below-limit temperatures either).
-        """
-        t_celsius = np.asarray(t_celsius, dtype=np.float64)
-        excess = np.maximum(t_celsius - self.t_limit, 0.0)
-        penalty = np.zeros_like(excess)
-        hot = excess > 0.0
-        if np.any(hot):
-            t_hot = t_celsius[hot]
-            penalty[hot] = excess[hot] ** self.alpha / (
-                1.0 + np.exp(-(t_hot - self.t_limit))
-            )
-        return penalty
-
-    def combine_many(
-        self, wirelength_mm: np.ndarray, t_celsius: np.ndarray
-    ) -> np.ndarray:
-        """Elementwise :meth:`combine` over wirelength/temperature arrays."""
-        return -self.lambda_wl * np.asarray(
-            wirelength_mm, dtype=np.float64
-        ) - self.mu * self.thermal_penalty_many(t_celsius)
-
 
 @dataclass(frozen=True)
 class RewardBreakdown:
@@ -114,16 +83,17 @@ class RewardBreakdown:
     wirelength: float
     max_temperature_c: float
     thermal_penalty: float
-    elapsed_wirelength: float = 0.0
-    elapsed_thermal: float = 0.0
-
-    @property
-    def elapsed(self) -> float:
-        return self.elapsed_wirelength + self.elapsed_thermal
 
 
 class RewardCalculator:
     """Evaluate placements: microbump assignment, thermal analysis, reward.
+
+    Every entry point is a view of one scoring core over a list of
+    placements: per-placement wirelength, one batched
+    ``max_temperatures`` call on the thermal evaluator, and the scalar
+    :meth:`RewardConfig.combine` per row.  :meth:`evaluate` is row 0 of
+    a batch of one, so scalar and batched rewards are bitwise equal by
+    construction on both evaluators.
 
     Parameters
     ----------
@@ -159,114 +129,59 @@ class RewardCalculator:
         return estimate_wirelength(placement)
 
     def wirelength_many(self, placements) -> np.ndarray:
-        """Batched :meth:`wirelength`.
+        """:meth:`wirelength` of each placement, in order."""
+        return np.array([self.wirelength(p) for p in placements], dtype=float)
 
-        The bundle estimator vectorizes across the batch; per-wire bump
-        assignment is inherently sequential (sites are allocated
-        greedily per placement) and runs as a loop.
+    def _score(self, placements: list) -> tuple:
+        """The scoring core: ``(reward, wirelength, degC, penalty)`` arrays.
+
+        Bump assignment is sequential per placement and the thermal
+        evaluator amortizes its work across the batch (one vectorized
+        pass on the fast model, one shared factorization on the grid
+        solver); each row is then combined by the scalar reward rule, so
+        a row never depends on the rest of the batch.  Multi-chain
+        annealing relies on that: it reproduces sequential seeded runs
+        only if every batched cost equals the scalar cost bit for bit,
+        since Metropolis comparisons amplify any last-ulp difference.
         """
-        placements = list(placements)
-        if self.config.use_bump_assignment:
-            return np.array(
-                [
-                    self.assigner.assign(p).total_wirelength
-                    for p in placements
-                ]
-            )
-        return estimate_wirelength_batch(placements)
+        n = len(placements)
+        wirelengths = self.wirelength_many(placements)
+        celsius = (
+            np.asarray(self.thermal.max_temperatures(placements), dtype=float)
+            - KELVIN_OFFSET
+        )
+        penalties = np.empty(n)
+        rewards = np.empty(n)
+        for i in range(n):
+            t_celsius = float(celsius[i])
+            penalties[i] = self.config.thermal_penalty(t_celsius)
+            rewards[i] = self.config.combine(float(wirelengths[i]), t_celsius)
+        self.evaluation_count += n
+        return rewards, wirelengths, celsius, penalties
 
     def evaluate_many(self, placements) -> np.ndarray:
-        """Rewards of a batch of placements, one batched thermal pass.
+        """Rewards of a batch of placements (the search-loop hot path).
 
-        The search-baseline hot path: multi-chain annealers and batched
-        random search only need the scalar objective per candidate, so
-        this skips the per-placement :class:`RewardBreakdown`
-        construction of :meth:`evaluate_batch`.  The thermal
-        evaluator's ``exact_batched_rewards`` picks one of two paths:
-
-        * ``False`` (the fast model): the whole batch is vectorized —
-          batched wirelength, ``max_temperatures``, batched penalty.
-          Rewards match :meth:`evaluate` to float rounding.
-        * ``True`` (the grid solver): only the thermal analysis is
-          batched (``max_temperatures``, bitwise by construction);
-          wirelength and reward combination stay on the scalar
-          codepaths per placement, so rewards are **bitwise** equal to
-          :meth:`evaluate`.  The multi-chain HotSpot SA arm relies on
-          that: ``SimulatedAnnealing.run_chains`` reproduces M
-          sequential seeded runs only if every batched cost equals the
-          scalar cost bit for bit (Metropolis comparisons amplify any
-          last-ulp difference — the batched bundle wirelength sums nets
-          in another order, the batched penalty uses ``np.exp`` where
-          the scalar uses ``math.exp``).  The thermal solve is >99 % of
-          a solver-backed reward, so the amortization is preserved.
+        Multi-chain annealers and batched search only need the scalar
+        objective per candidate, so this skips building
+        :class:`RewardBreakdown` objects.
         """
-        placements = list(placements)
-        if not placements:
-            return np.empty(0)
-        if self.thermal.exact_batched_rewards:
-            max_temps = self.thermal.max_temperatures(placements)
-            rewards = np.empty(len(placements))
-            for i, placement in enumerate(placements):
-                rewards[i] = self.config.combine(
-                    self.wirelength(placement), max_temps[i] - KELVIN_OFFSET
-                )
-            self.evaluation_count += len(placements)
-            return rewards
-        wirelengths = self.wirelength_many(placements)
-        max_temps = np.asarray(
-            self.thermal.max_temperatures(placements), dtype=np.float64
-        )
-        self.evaluation_count += len(placements)
-        return self.config.combine_many(wirelengths, max_temps - KELVIN_OFFSET)
+        return self._score(list(placements))[0]
 
     def evaluate_batch(self, placements) -> list:
-        """Evaluate a batch of completed placements in one pass.
-
-        All placements share this calculator's (already characterized)
-        thermal evaluator and bump assigner; the whole batch's thermal
-        analysis is one ``evaluate_batch`` call on the evaluator: one
-        vectorized pass on the fast model, one shared factorization on
-        the grid solver (whose breakdowns are then bitwise equal to
-        :meth:`evaluate`).  Returns one :class:`RewardBreakdown` per
-        placement, in order.
-        """
-        placements = list(placements)
-        if not placements:
-            return []
-        breakdowns = []
-        start = time.perf_counter()
-        wirelengths = [self.wirelength(p) for p in placements]
-        t_wl = (time.perf_counter() - start) / len(placements)
-        thermal_results = self.thermal.evaluate_batch(placements)
-        for wirelength, thermal_result in zip(wirelengths, thermal_results):
-            t_celsius = thermal_result.max_temperature - KELVIN_OFFSET
-            self.evaluation_count += 1
-            breakdowns.append(
-                RewardBreakdown(
-                    reward=self.config.combine(wirelength, t_celsius),
-                    wirelength=wirelength,
-                    max_temperature_c=t_celsius,
-                    thermal_penalty=self.config.thermal_penalty(t_celsius),
-                    elapsed_wirelength=t_wl,
-                    elapsed_thermal=thermal_result.elapsed,
-                )
+        """One :class:`RewardBreakdown` per placement, in order."""
+        return [
+            RewardBreakdown(
+                reward=float(reward),
+                wirelength=float(wirelength),
+                max_temperature_c=float(t_celsius),
+                thermal_penalty=float(penalty),
             )
-        return breakdowns
+            for reward, wirelength, t_celsius, penalty in zip(
+                *self._score(list(placements))
+            )
+        ]
 
     def evaluate(self, placement: Placement) -> RewardBreakdown:
         """Full reward evaluation of a complete placement."""
-        start = time.perf_counter()
-        wirelength = self.wirelength(placement)
-        t_wl = time.perf_counter() - start
-
-        thermal_result = self.thermal.evaluate(placement)
-        t_celsius = thermal_result.max_temperature - KELVIN_OFFSET
-        self.evaluation_count += 1
-        return RewardBreakdown(
-            reward=self.config.combine(wirelength, t_celsius),
-            wirelength=wirelength,
-            max_temperature_c=t_celsius,
-            thermal_penalty=self.config.thermal_penalty(t_celsius),
-            elapsed_wirelength=t_wl,
-            elapsed_thermal=thermal_result.elapsed,
-        )
+        return self.evaluate_batch([placement])[0]

@@ -85,15 +85,8 @@ def budget_from_dict(data: dict) -> ExperimentBudget:
 
 
 def breakdown_to_dict(breakdown) -> dict:
-    """RewardBreakdown -> JSON.  The elapsed_* fields are wall-clock
-    measurements and are deliberately excluded from the semantic
-    surface clients compare bitwise."""
-    return {
-        "reward": breakdown.reward,
-        "wirelength": breakdown.wirelength,
-        "max_temperature_c": breakdown.max_temperature_c,
-        "thermal_penalty": breakdown.thermal_penalty,
-    }
+    """RewardBreakdown -> JSON."""
+    return dataclasses.asdict(breakdown)
 
 
 def method_result_to_dict(result: MethodResult) -> dict:

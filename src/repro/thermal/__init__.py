@@ -13,19 +13,18 @@ Two evaluators share one protocol:
 The protocol, which :class:`~repro.reward.RewardCalculator` relies on
 without probing for capabilities:
 
-* ``evaluate(placement) -> ThermalResult``;
 * ``evaluate_batch(placements) -> list[ThermalResult]``, one result per
-  placement, in order;
+  placement, in order; a result never depends on which other placements
+  share the batch;
+* ``evaluate(placement) -> ThermalResult``, a row of ``evaluate_batch``
+  (bitwise equal to evaluating that placement as a batch of one);
 * ``max_temperatures(placements) -> ndarray``, the peak temperature (K)
-  of each placement without per-die results;
-* the class attribute ``exact_batched_rewards``: ``True`` when batched
-  rewards must equal scalar ones bitwise, so the reward keeps its
-  wirelength and combination scalar around the batched thermal call.
+  of each placement without per-die results — the one thermal call
+  behind every reward.
 
-The fast model vectorizes its table lookups across the batch
-(``exact_batched_rewards = False``), while the grid solver
-back-substitutes all right-hand sides through one shared sparse
-factorization (its homogeneous conductance matrix is
+The fast model vectorizes its table lookups across the batch, while the
+grid solver back-substitutes all right-hand sides through one shared
+sparse factorization (its homogeneous conductance matrix is
 placement-independent) — bitwise identical to sequential solves, which
 is what lets the HotSpot-backed SA arm run multi-chain.
 """
@@ -38,7 +37,6 @@ from repro.thermal.grid_solver import GridThermalSolver
 from repro.thermal.fast_model import FastThermalModel, ResistanceTables
 from repro.thermal.characterize import characterize_tables
 from repro.thermal.metrics import error_metrics
-from repro.thermal.transient import TransientResult, TransientThermalSolver
 
 __all__ = [
     "Material",
@@ -53,6 +51,4 @@ __all__ = [
     "ResistanceTables",
     "characterize_tables",
     "error_metrics",
-    "TransientThermalSolver",
-    "TransientResult",
 ]

@@ -132,28 +132,15 @@ def _interp_rows(x: np.ndarray, xs: np.ndarray, fp_rows: np.ndarray) -> np.ndarr
     return lo + (hi - lo) * frac
 
 
-def _bilinear_field(
-    xs: np.ndarray, ys: np.ndarray, field: np.ndarray, points: np.ndarray
-) -> np.ndarray:
-    """Vectorized bilinear sampling of a 2D field at ``(n, 2)`` points.
-
-    One-shot form of :class:`_BilinearStencil` (which holds the index
-    math when the same points sample several fields); sharing the
-    implementation keeps the two paths bitwise interchangeable.
-    """
-    return _BilinearStencil(xs, ys, points).sample(field)
-
-
 class _BilinearStencil:
-    """Reusable index/fraction terms of :func:`_bilinear_field`.
+    """Vectorized bilinear sampling of 2D fields at ``(n, 2)`` points.
 
     The anisotropy grids (``delta_xs``/``delta_ys``) are crops of the one
     shared solver grid, so every source die samples the same lattice at
     the same points within a batch — the clip/searchsorted half of the
-    bilinear lookup can be computed once per point set and reused across
-    sources, leaving only the per-field gather.  ``sample`` multiplies in
-    exactly :func:`_bilinear_field`'s association order, so results are
-    bitwise identical.
+    bilinear lookup is computed once per point set and reused across
+    sources, leaving only the per-field gather in :meth:`sample`.
+    Queries are clamped to the sampled range.
     """
 
     __slots__ = ("xs", "ys", "ix", "iy", "ix1", "iy1", "fx", "fy")
@@ -274,19 +261,11 @@ class SizeTables:
                 for k in range(rank)
             ]
 
-    def r_self_at(self, cx: float, cy: float) -> float:
-        """Interpolated peak self resistance at a die-center position."""
-        cx = float(np.clip(cx, self.xs[0], self.xs[-1]))
-        cy = float(np.clip(cy, self.ys[0], self.ys[-1]))
-        if self._self_spline is not None:
-            return float(self._self_spline(cy, cx)[0, 0])
-        return float(self.r_self[0, 0])
-
     def r_self_at_many(self, cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`r_self_at` for one die at many positions.
+        """Interpolated peak self resistance of one die at many positions.
 
-        Each point is evaluated independently (fitpack is pointwise), so
-        results match the scalar method regardless of the batch size.
+        Each die-center position is evaluated independently (fitpack is
+        pointwise), so a result never depends on the batch size.
         """
         cx = np.clip(np.asarray(cx, dtype=np.float64), self.xs[0], self.xs[-1])
         cy = np.clip(np.asarray(cy, dtype=np.float64), self.ys[0], self.ys[-1])
@@ -294,26 +273,12 @@ class SizeTables:
             return self._self_spline(cy, cx, grid=False)
         return np.full(cx.shape, float(self.r_self[0, 0]))
 
-    def mutual_profile(self, cx: float, cy: float) -> np.ndarray:
-        """Radial mutual profile for a source centered at ``(cx, cy)``.
-
-        Combines the SVD position modes; returns an array aligned with
-        :attr:`mut_distances`.
-        """
-        if self._mut_modes is None:
-            return _bilinear_blend(self.xs, self.ys, self.r_mutual, cx, cy)
-        cx = float(np.clip(cx, self.xs[0], self.xs[-1]))
-        cy = float(np.clip(cy, self.ys[0], self.ys[-1]))
-        profile = self._mut_mean.copy()
-        for k, spline in enumerate(self._mut_coef_splines):
-            profile += float(spline(cy, cx)[0, 0]) * self._mut_modes[k]
-        return profile
-
     def mutual_profiles_many(self, cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`mutual_profile`: (n,) positions -> (n, nd).
+        """Radial mutual profiles for sources at (n,) positions -> (n, nd).
 
-        Used by the batched evaluator to blend every episode's radial
-        profile for one source die in a single pass.
+        Combines the SVD position modes (a bilinear blend of the raw
+        profiles when too few positions were sampled for splines); each
+        row is aligned with :attr:`mut_distances`.
         """
         cx = np.asarray(cx, dtype=np.float64)
         cy = np.asarray(cy, dtype=np.float64)
@@ -333,25 +298,6 @@ class SizeTables:
             coefs = spline(cy, cx, grid=False)
             profiles += coefs[:, None] * self._mut_modes[k][None, :]
         return profiles
-
-    def r_mutual_at(self, distance, cx: float | None = None, cy: float | None = None):
-        """Mutual resistance at a distance from a source at ``(cx, cy)``.
-
-        Without a position the position-averaged profile is used.  The
-        anisotropy correction is *not* applied here (it depends on the
-        victim location, not the distance); see :meth:`mut_delta_at`.
-        """
-        if cx is None or cy is None:
-            radial = self._mut_mean
-        else:
-            radial = self.mutual_profile(cx, cy)
-        return np.interp(distance, self.mut_distances, radial)
-
-    def mut_delta_at(self, points: np.ndarray) -> np.ndarray:
-        """Anisotropy correction (K/W) at ``(n, 2)`` victim locations."""
-        return _bilinear_field(
-            self.delta_xs, self.delta_ys, self.mut_delta, points
-        )
 
     def sample_offsets(self) -> np.ndarray:
         """Die-relative (dx, dy) of the profile sample cells, shape (n, 2).
@@ -474,11 +420,6 @@ class FastThermalModel:
         Only ``ambient`` is consulted; defaults to the standard config.
     """
 
-    # Cheap evaluations: batched rewards need only match scalar ones to
-    # float rounding, so RewardCalculator.evaluate_many vectorizes the
-    # whole reward (batched wirelength estimate and penalty).
-    exact_batched_rewards = False
-
     def __init__(
         self, tables: ResistanceTables, config: ThermalConfig | None = None
     ):
@@ -490,72 +431,24 @@ class FastThermalModel:
             )
 
     def evaluate(self, placement: Placement) -> ThermalResult:
-        """Predict per-die and maximum temperature for a placement."""
-        start = time.perf_counter()
-        footprints = placement.footprints()
-        names = list(footprints)
-        system = placement.system
-        ambient = self.config.ambient
-        if not names:
-            return ThermalResult({}, ambient, elapsed=time.perf_counter() - start)
-
-        rects = [footprints[n] for n in names]
-        powers = np.array([system.chiplet(n).power for n in names])
-        die_tables = [self.tables.for_size(r.w, r.h) for r in rects]
-        centers = np.array([r.center for r in rects])
-        # Blend each source's radial profile for its actual position once.
-        radials = [
-            st.mutual_profile(rect.cx, rect.cy)
-            for st, rect in zip(die_tables, rects)
-        ]
-
-        temps = np.empty(len(names))
-        for i, rect in enumerate(rects):
-            st = die_tables[i]
-            # Per-sample-cell self rise (peak resistance shaped by profile).
-            self_field = (
-                st.r_self_at(rect.cx, rect.cy) * powers[i] * st.profile.ravel()
-            )
-            # Aggregate mutual field of every other die at the same cells.
-            points = st.sample_offsets() + np.array([rect.x, rect.y])
-            mutual_field = np.zeros(len(points))
-            for j in range(len(names)):
-                if j == i or powers[j] <= 0.0:
-                    continue
-                dist = np.hypot(
-                    points[:, 0] - centers[j, 0], points[:, 1] - centers[j, 1]
-                )
-                mutual_field += (
-                    np.interp(dist, die_tables[j].mut_distances, radials[j])
-                    + die_tables[j].mut_delta_at(points)
-                ) * powers[j]
-            temps[i] = ambient + float((self_field + mutual_field).max())
-
-        chiplet_temps = {name: float(t) for name, t in zip(names, temps)}
-        return ThermalResult(
-            chiplet_temperatures=chiplet_temps,
-            max_temperature=float(temps.max()),
-            grid_temperatures=None,
-            elapsed=time.perf_counter() - start,
-            metadata={"method": "fast_lti"},
-        )
+        """Per-die and maximum temperature: row 0 of a batch of one."""
+        return self.evaluate_batch([placement])[0]
 
     def evaluate_batch(self, placements) -> list:
-        """Vectorized :meth:`evaluate` for a batch of placements.
+        """Per-die and maximum temperatures of a batch of placements.
 
         All spline blends, radial interpolations and anisotropy lookups
         run once per (die, die) pair across the whole batch instead of
         once per placement — the terminal-reward half of the batched
         rollout engine's speedup.  Every per-placement result is
         computed elementwise along the batch axis, so it never depends
-        on which other placements share the batch (width invariance).
+        on which other placements share the batch: a row is bitwise
+        equal to :meth:`evaluate` of that placement.
 
-        The batch must place the same die *set* in every placement (the
-        lockstep rollout engine and the multi-chain annealers guarantee
-        this; per-die terms are keyed by name, so placement-dict order
-        is free to differ); otherwise this falls back to scalar
-        evaluation.  Per-result ``elapsed`` is the batch time divided
-        evenly.
+        A batch whose placements differ in die *set* or system is
+        evaluated as one batch of one per placement (per-die terms are
+        keyed by name, so placement-dict order is free to differ).
+        Per-result ``elapsed`` is the batch time divided evenly.
         """
         placements = list(placements)
         if not placements:
@@ -564,67 +457,62 @@ class FastThermalModel:
         core = self._batch_temps(placements)
         if core is None:
             return [self.evaluate(p) for p in placements]
-        names, temps = core
-        n_b = len(placements)
-        elapsed = time.perf_counter() - start
+        names, temps, peaks = core
+        elapsed = (time.perf_counter() - start) / len(placements)
         return [
             ThermalResult(
                 chiplet_temperatures={
                     name: float(temps[b, k]) for k, name in enumerate(names)
                 },
-                max_temperature=float(temps[b].max()),
+                max_temperature=float(peaks[b]),
                 grid_temperatures=None,
-                elapsed=elapsed / n_b,
-                metadata={"method": "fast_lti_batch"},
+                elapsed=elapsed,
+                metadata={"method": "fast_lti"},
             )
-            for b in range(n_b)
+            for b in range(len(placements))
         ]
 
     def max_temperatures(self, placements) -> np.ndarray:
-        """Peak package temperature (K) of each placement, vectorized.
+        """Peak package temperature (K) of each placement.
 
-        The search-loop hot path: identical temperatures to
+        The search-loop hot path: the temperatures of
         :meth:`evaluate_batch` without materializing per-die dicts or
-        :class:`ThermalResult` objects.  Falls back to scalar evaluation
-        for heterogeneous batches.
+        :class:`ThermalResult` objects.
         """
         placements = list(placements)
         if not placements:
             return np.empty(0)
         core = self._batch_temps(placements)
         if core is None:
-            return np.array(
-                [self.evaluate(p).max_temperature for p in placements]
+            return np.concatenate(
+                [self._batch_temps([p])[2] for p in placements]
             )
-        _, temps = core
-        return temps.max(axis=1)
+        return core[2]
 
     def _batch_temps(self, placements):
         """Vectorized per-die temperatures for a same-die-set batch.
 
-        Returns ``(names, temps)`` with ``temps`` of shape
-        ``(n_placements, n_dies)`` in Kelvin, or ``None`` when the batch
-        cannot vectorize (empty or differing die sets) and the caller
-        must fall back to scalar evaluation.
+        Returns ``(names, temps, peaks)``: ``temps`` of shape
+        ``(n_placements, n_dies)`` and each placement's peak ``peaks`` in
+        Kelvin (ambient for a placement with no dies).  Returns ``None``
+        when the batch cannot vectorize (differing die sets or systems);
+        a batch of one always vectorizes.
         """
         positions_list = [p.positions for p in placements]
         names = list(positions_list[0])
         system = placements[0].system
         # Powers and die sizes come from the shared system, so a batch
-        # mixing systems (even with matching die names) must fall back
-        # to scalar evaluation rather than borrow the first system's.
-        if (
-            not names
-            or any(p.system is not system for p in placements[1:])
-            or any(
-                pos.keys() != positions_list[0].keys()
-                for pos in positions_list[1:]
-            )
+        # mixing systems (even with matching die names) must split into
+        # batches of one rather than borrow the first system's.
+        if any(p.system is not system for p in placements[1:]) or any(
+            pos.keys() != positions_list[0].keys() for pos in positions_list[1:]
         ):
             return None
         n_b = len(placements)
         n_d = len(names)
         ambient = self.config.ambient
+        if not n_d:
+            return names, np.empty((n_b, 0)), np.full(n_b, ambient)
         chiplets = [system.chiplet(n) for n in names]
         powers = np.array([c.power for c in chiplets])
 
@@ -744,4 +632,4 @@ class FastThermalModel:
                 self_field[:, sl] + mutual[:, sl]
             ).max(axis=1)
 
-        return names, temps
+        return names, temps, temps.max(axis=1)

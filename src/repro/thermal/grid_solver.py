@@ -73,12 +73,6 @@ class GridThermalSolver:
     the sharing actually happens.
     """
 
-    # Ground-truth evaluations are expensive and the batched solve is
-    # bitwise-exact, so RewardCalculator.evaluate_many keeps wirelength
-    # and reward combination scalar around the batched thermal solve —
-    # multi-chain SA then reproduces sequential runs bitwise.
-    exact_batched_rewards = True
-
     def __init__(
         self,
         interposer: Interposer,

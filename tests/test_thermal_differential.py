@@ -107,14 +107,14 @@ class TestAccuracyEnvelope:
         assert chiplet_errors.mean() < CHIPLET_TEMP_MEAN_ERROR_C
 
     def test_fast_batch_matches_fast_scalar(self, differential_setup):
-        """The surrogate's own batch path agrees with its scalar path."""
+        """The surrogate's scalar evaluate is a row of its batch path."""
         system, _, fast = differential_setup
         placements = _seeded_placements(system, n=4)
         batch = fast.max_temperatures(placements)
         scalar = np.array(
             [fast.evaluate(p).max_temperature for p in placements]
         )
-        np.testing.assert_allclose(batch, scalar, rtol=0, atol=1e-9)
+        assert np.array_equal(batch, scalar)
 
 
 class TestMultiRHSBitwise:
@@ -272,7 +272,6 @@ class TestExactRewardAdapter:
     def test_exact_adapter_used_for_solver(self, hotspot_calc):
         """The exact path: batched thermal, scalar wirelength/combine."""
         calc, system = hotspot_calc
-        assert calc.thermal.exact_batched_rewards is True
         placements = _seeded_placements(system, n=3, seed=4)
         max_temps = calc.thermal.max_temperatures(placements)
         exact = np.array(
@@ -283,9 +282,6 @@ class TestExactRewardAdapter:
         )
         routed = calc.evaluate_many(placements)
         assert np.array_equal(exact, routed)
-
-    def test_fast_model_keeps_vectorized_path(self, small_fast_model):
-        assert small_fast_model.exact_batched_rewards is False
 
     def test_evaluate_batch_shares_one_factorization(
         self, small_interposer, small_system
@@ -311,7 +307,7 @@ class TestExactRewardAdapter:
 
 
 class TestHotSpotArmMultiChain:
-    """run_chains with the grid solver == M sequential seeded runs."""
+    """run_chains == M sequential seeded runs, on either evaluator."""
 
     N_CHAINS = 16
 
@@ -328,7 +324,21 @@ class TestHotSpotArmMultiChain:
     def test_16_chains_bitwise_equal_16_sequential_runs(
         self, annealing_pieces
     ):
-        calc, placer = annealing_pieces
+        self._assert_chains_equal_sequential_runs(*annealing_pieces)
+
+    def test_16_chains_bitwise_equal_16_sequential_runs_fast_model(
+        self, small_system, small_fast_model
+    ):
+        """Every reward is a row of one batched call, so the fast model
+        reproduces sequential runs bitwise as well."""
+        calc = RewardCalculator(
+            small_fast_model,
+            RewardConfig(lambda_wl=1e-4, use_bump_assignment=False),
+        )
+        placer = TAP25DPlacer(small_system, calc, TAP25DConfig())
+        self._assert_chains_equal_sequential_runs(calc, placer)
+
+    def _assert_chains_equal_sequential_runs(self, calc, placer):
         initial = placer.initial_placement()
 
         def evaluate(placement):

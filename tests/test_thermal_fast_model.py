@@ -38,13 +38,12 @@ class TestTables:
     def test_r_self_positive_and_edge_heavier(self, small_tables):
         st = small_tables.for_size(8, 8)
         assert np.all(st.r_self > 0)
-        center = st.r_self_at(15.0, 15.0)
-        corner = st.r_self_at(4.0, 4.0)
+        center, corner = st.r_self_at_many([15.0, 4.0], [15.0, 4.0])
         assert corner > center
 
     def test_mutual_profile_decreasing_overall(self, small_tables):
         st = small_tables.for_size(8, 8)
-        profile = st.mutual_profile(15.0, 15.0)
+        (profile,) = st.mutual_profiles_many([15.0], [15.0])
         # Near field should dominate far field.
         assert profile[1] > profile[-1] > 0
 
@@ -70,8 +69,8 @@ class TestTables:
         assert np.allclose(st_orig.r_mutual, st_load.r_mutual)
         assert np.allclose(st_orig.mut_delta, st_load.mut_delta)
         # Interpolators must behave identically after reload.
-        assert st_load.r_self_at(12.3, 9.7) == pytest.approx(
-            st_orig.r_self_at(12.3, 9.7)
+        assert st_load.r_self_at_many([12.3], [9.7])[0] == pytest.approx(
+            st_orig.r_self_at_many([12.3], [9.7])[0]
         )
 
 
