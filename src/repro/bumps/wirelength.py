@@ -20,12 +20,22 @@ def estimate_wirelength(placement: Placement) -> float:
     microseconds.
     """
     system = placement.system
+    # Die centers, built once per placement with Rect's float operations.
+    centers = {}
+    for name, (x, y, rotated) in placement.positions.items():
+        chiplet = system.chiplet(name)
+        w, h = (
+            (chiplet.height, chiplet.width)
+            if rotated
+            else (chiplet.width, chiplet.height)
+        )
+        centers[name] = (x + w / 2.0, y + h / 2.0)
     total = 0.0
     for net in system.nets:
-        if placement.is_placed(net.src) and placement.is_placed(net.dst):
-            rect_a = placement.footprint(net.src)
-            rect_b = placement.footprint(net.dst)
-            total += net.wires * rect_a.center_manhattan(rect_b)
+        if net.src in centers and net.dst in centers:
+            ax, ay = centers[net.src]
+            bx, by = centers[net.dst]
+            total += net.wires * (abs(ax - bx) + abs(ay - by))
     return total
 
 

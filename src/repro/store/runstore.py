@@ -50,8 +50,10 @@ __all__ = ["DEFAULT_STORE_DIR", "RunStore", "STORE_SCHEMA_VERSION", "store_key"]
 #: Bump on any change that silently alters what a stored result means
 #: (reward semantics, budget interpretation, checkpoint payloads...).
 #: Every key mixes it in, so a bump orphans — rather than corrupts —
-#: existing artifacts.
-STORE_SCHEMA_VERSION = 1
+#: existing artifacts.  v2: the grid solver's symmetric factorization
+#: and blocked characterization moved every thermal figure at the 1e-10
+#: level, so results and checkpoints from v1 are not resumed into it.
+STORE_SCHEMA_VERSION = 2
 
 DEFAULT_STORE_DIR = Path(".cache/runstore")
 

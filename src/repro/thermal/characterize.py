@@ -4,8 +4,11 @@ For each distinct die size appearing in a system (including the rotated
 orientation of rotatable dies):
 
 1. the die is placed alone at every point of an ``ny x nx`` grid of
-   feasible center positions and the package is solved; the hottest-cell
-   rise per watt at each position fills the **2D self-resistance table**;
+   feasible center positions and the package is solved for all of them
+   in one blocked back-substitution
+   (:meth:`~repro.thermal.grid_solver.GridThermalSolver.solve_footprints_block`);
+   the hottest-cell rise per watt at each position fills the **2D
+   self-resistance table**;
 2. from the same solves, the temperature rise per watt of every
    chiplet-layer cell *outside* the die is binned by its distance to the
    die center, giving the **1D mutual-resistance table** for that die
@@ -57,7 +60,7 @@ def tables_fingerprint(
     )
     keys = sorted(size_key(w, h) for w, h in sizes)
     desc = (
-        "v3"
+        "v4"
         f"|ip={interposer.width}x{interposer.height}"
         f"|margin={config.package_margin}"
         f"|grid={config.rows}x{config.cols}"
@@ -238,49 +241,56 @@ def _characterize_one_size(
     delta_sum = np.zeros(solver.grid.shape)
     delta_count = np.zeros(solver.grid.shape, dtype=np.int64)
 
-    for iy, cy in enumerate(ys):
-        for ix, cx in enumerate(xs):
-            rect = Rect.from_center(cx, cy, width, height)
-            temps = solver.solve_footprints({"src": rect}, {"src": _REFERENCE_POWER})
-            chip_layer = temps[chip_idx]
-            rise = chip_layer - config.ambient
-            cover = solver.chip_coverage(rect)
-            under_die = cover >= 0.5
-            if not under_die.any():
-                under_die = cover > 0.0
-            peak = rise[under_die].max()
-            r_self[iy, ix] = peak / _REFERENCE_POWER
-            # Normalized self-rise shape under the die.
-            u = (mesh_x[under_die] - rect.x) / rect.w
-            v = (mesh_y[under_die] - rect.y) / rect.h
-            bu = np.clip((u * nu).astype(int), 0, nu - 1)
-            bv = np.clip((v * nv).astype(int), 0, nv - 1)
-            np.add.at(profile_sum, (bv, bu), rise[under_die] / peak)
-            np.add.at(profile_count, (bv, bu), 1)
-            # Mutual: rise per watt at interposer cells outside the die
-            # footprint, binned radially for this source position.
-            outside = (cover <= 0.0) & on_interposer
-            dist = np.hypot(mesh_x - cx, mesh_y - cy)[outside]
-            values = (rise[outside] / _REFERENCE_POWER).ravel()
-            bin_idx = np.clip(np.digitize(dist.ravel(), edges) - 1, 0, n_bins - 1)
-            mut_sum = np.zeros(n_bins)
-            mut_count = np.zeros(n_bins, dtype=np.int64)
-            np.add.at(mut_sum, bin_idx, values)
-            np.add.at(mut_count, bin_idx, 1)
-            valid = mut_count > 0
-            bin_centers = 0.5 * (edges[:-1] + edges[1:])
-            r_mutual[iy, ix] = np.interp(
-                bin_centers,
-                bin_centers[valid],
-                mut_sum[valid] / np.maximum(mut_count[valid], 1),
-            )
-            # Per-cell residual of the radial model for this source.
-            radial_pred = np.interp(
-                np.hypot(mesh_x - cx, mesh_y - cy), bin_centers, r_mutual[iy, ix]
-            )
-            residual = rise / _REFERENCE_POWER - radial_pred
-            delta_sum[outside] += residual[outside]
-            delta_count[outside] += 1
+    # The whole position sweep back-substitutes as one block.
+    sweep = [
+        (iy, ix, cx, cy, Rect.from_center(cx, cy, width, height))
+        for iy, cy in enumerate(ys)
+        for ix, cx in enumerate(xs)
+    ]
+    fields = solver.solve_footprints_block(
+        [{"src": rect} for *_, rect in sweep],
+        [{"src": _REFERENCE_POWER}] * len(sweep),
+    )
+    for (iy, ix, cx, cy, rect), temps in zip(sweep, fields):
+        chip_layer = temps[chip_idx]
+        rise = chip_layer - config.ambient
+        cover = solver.chip_coverage(rect)
+        under_die = cover >= 0.5
+        if not under_die.any():
+            under_die = cover > 0.0
+        peak = rise[under_die].max()
+        r_self[iy, ix] = peak / _REFERENCE_POWER
+        # Normalized self-rise shape under the die.
+        u = (mesh_x[under_die] - rect.x) / rect.w
+        v = (mesh_y[under_die] - rect.y) / rect.h
+        bu = np.clip((u * nu).astype(int), 0, nu - 1)
+        bv = np.clip((v * nv).astype(int), 0, nv - 1)
+        np.add.at(profile_sum, (bv, bu), rise[under_die] / peak)
+        np.add.at(profile_count, (bv, bu), 1)
+        # Mutual: rise per watt at interposer cells outside the die
+        # footprint, binned radially for this source position.
+        outside = (cover <= 0.0) & on_interposer
+        dist = np.hypot(mesh_x - cx, mesh_y - cy)[outside]
+        values = (rise[outside] / _REFERENCE_POWER).ravel()
+        bin_idx = np.clip(np.digitize(dist.ravel(), edges) - 1, 0, n_bins - 1)
+        mut_sum = np.zeros(n_bins)
+        mut_count = np.zeros(n_bins, dtype=np.int64)
+        np.add.at(mut_sum, bin_idx, values)
+        np.add.at(mut_count, bin_idx, 1)
+        valid = mut_count > 0
+        bin_centers = 0.5 * (edges[:-1] + edges[1:])
+        r_mutual[iy, ix] = np.interp(
+            bin_centers,
+            bin_centers[valid],
+            mut_sum[valid] / np.maximum(mut_count[valid], 1),
+        )
+        # Per-cell residual of the radial model for this source.
+        radial_pred = np.interp(
+            np.hypot(mesh_x - cx, mesh_y - cy), bin_centers, r_mutual[iy, ix]
+        )
+        residual = rise / _REFERENCE_POWER - radial_pred
+        delta_sum[outside] += residual[outside]
+        delta_count[outside] += 1
 
     centers = 0.5 * (edges[:-1] + edges[1:])
     delta_xs, delta_ys, mut_delta = _crop_delta(

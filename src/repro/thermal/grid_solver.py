@@ -56,21 +56,31 @@ class GridThermalSolver:
     The solver is placement-agnostic: construct once per package and call
     :meth:`evaluate` with any placement on that interposer.
 
-    Batched evaluation: :meth:`solve_footprints_many` /
-    :meth:`evaluate_batch` / :meth:`max_temperatures` solve M
-    configurations through **one** factorization — because the
-    homogeneous matrix is placement-independent, only the right-hand
-    side varies between candidates, so the M assembled RHS columns are
-    back-substituted through a single shared LU.  Each column runs the
-    same single-vector kernel a sequential solve runs, so batched
-    results are bitwise identical to M sequential solves
-    (regression-tested); ``reuse_factorization=False`` still amortizes
-    the factorization *within* one batched call, which is what lets the
-    ``TAP-2.5D(HotSpot)`` arm join the multi-chain annealing engine.
-    All solve paths (fresh, cached, batched) share one ``splu``-based
-    codepath; ``solve_count`` counts solved columns and
-    ``factorization_count`` counts factorizations, so tests can assert
-    the sharing actually happens.
+    Factorization: the conductance matrix is symmetric and diagonally
+    dominant with non-positive off-diagonals (an SPD M-matrix), so it is
+    factorized symmetrically: a minimum-degree order on ``A + A^T``,
+    SuperLU's symmetric mode and no partial pivoting.  On multi_gpu's
+    64x64 package that halves the L+U fill of the default column order
+    and roughly halves both factorization and solve time.
+
+    Batched evaluation: :meth:`evaluate`, :meth:`evaluate_batch` and
+    :meth:`max_temperatures` all go through
+    :meth:`solve_footprints_many`, which solves M configurations
+    through **one** factorization — the homogeneous matrix is
+    placement-independent, so only the right-hand side varies between
+    candidates.  Each column is back-substituted with the single-vector
+    kernel, so a placement's temperatures do not depend on the batch it
+    is solved in (regression-tested); ``evaluate(p)`` is
+    ``evaluate_batch([p])[0]``.  ``reuse_factorization=False`` still
+    amortizes the factorization *within* one batched call, which is
+    what lets the ``TAP-2.5D(HotSpot)`` arm join the multi-chain
+    annealing engine.  :meth:`solve_footprints_block` back-substitutes
+    the same columns as one multi-column block; it is faster, differs
+    from the column path at the 1e-13 level, and serves
+    characterization, whose position sweep is one batch by definition.
+    ``solve_count`` counts solved columns and ``factorization_count``
+    counts factorizations, so tests can assert the sharing actually
+    happens.
     """
 
     def __init__(
@@ -138,25 +148,12 @@ class GridThermalSolver:
 
     def evaluate(self, placement: Placement) -> ThermalResult:
         """Solve the thermal field for a (complete or partial) placement."""
-        start = time.perf_counter()
-        footprints = placement.footprints()
-        powers = {
-            name: placement.system.chiplet(name).power for name in footprints
-        }
-        temps = self.solve_footprints(footprints, powers)
-        return self._extract_result(
-            footprints, temps, time.perf_counter() - start
-        )
+        return self.evaluate_batch([placement])[0]
 
     def _extract_result(
         self, footprints: dict, temps: np.ndarray, elapsed: float
     ) -> ThermalResult:
-        """Per-die temperatures + package peak from one solved field.
-
-        Shared by :meth:`evaluate` and :meth:`evaluate_batch` so the
-        batched path equals the scalar path by construction, not by
-        hand-kept synchronization.
-        """
+        """Per-die temperatures + package peak from one solved field."""
         chip_layer = temps[self._chip_idx]
         chiplet_temps = {
             name: self._die_max_temperature(chip_layer, rect)
@@ -173,15 +170,13 @@ class GridThermalSolver:
         )
 
     def evaluate_batch(self, placements) -> list:
-        """Batched :meth:`evaluate` sharing one factorization.
+        """Thermal results for many placements sharing one factorization.
 
         All placements' right-hand sides are back-substituted through a
-        single shared factorization (see :meth:`solve_footprints_many`
-        for why that is column-by-column, not a block solve); per-die
-        temperature extraction is the scalar helper applied per field,
-        so every result is bitwise identical to a sequential
-        :meth:`evaluate` of the same placement.  Per-result ``elapsed``
-        is the batch time divided evenly.
+        single shared factorization, column by column (see
+        :meth:`solve_footprints_many`), so every result is bitwise
+        identical to a batch of one of the same placement.  Per-result
+        ``elapsed`` is the batch time divided evenly.
         """
         placements = list(placements)
         if not placements:
@@ -200,7 +195,7 @@ class GridThermalSolver:
         ]
 
     def max_temperatures(self, placements) -> np.ndarray:
-        """Peak package temperature (K) per placement, via one block solve.
+        """Peak package temperature (K) per placement, one factorization.
 
         Temperatures are bitwise identical to per-placement
         :meth:`evaluate` calls.
@@ -213,12 +208,7 @@ class GridThermalSolver:
         )
 
     def solve_footprints(self, footprints: dict, powers: dict) -> np.ndarray:
-        """Temperature field (K) for arbitrary die rectangles and powers.
-
-        This is the low-level entry used by both :meth:`evaluate` and the
-        surrogate characterization (which solves synthetic one- and
-        two-die configurations).
-        """
+        """Temperature field (K) for arbitrary die rectangles and powers."""
         rhs = self._assemble_rhs(footprints, powers)
         solution = self._factor_for(footprints).solve(rhs)
         self.solve_count += 1
@@ -232,17 +222,56 @@ class GridThermalSolver:
 
         Homogeneous chiplet layer (default): the conductance matrix is
         placement-independent, so all M right-hand sides are
-        back-substituted through a **single** factorization — bitwise
-        identical to M sequential :meth:`solve_footprints` calls
-        (each column runs the same single-vector SuperLU kernel;
-        regression-tested).  With ``reuse_factorization`` the cached
-        factorization is shared across calls as well; without it one
-        fresh factorization per call preserves the HotSpot-like "build
-        the model each time" cost at the granularity of the batch.
+        back-substituted through a **single** factorization.  With
+        ``reuse_factorization`` the cached factorization is shared
+        across calls as well; without it one fresh factorization per
+        call preserves the HotSpot-like "build the model each time"
+        cost at the granularity of the batch.
+
+        Each column is back-substituted on its own, NOT as one
+        ``factor.solve(block)``: SuperLU's multi-column kernels
+        accumulate in another order than the single-vector kernel
+        (about 1e-13 relative on multi_gpu), so a block solve would make
+        a placement's temperatures depend on its batch — and the
+        multi-chain SA == sequential contract rests on them not doing
+        so.  :meth:`solve_footprints_block` is the blocked variant.
 
         Heterogeneous mode: the matrix depends on die coverage, so each
         configuration is assembled, factorized and solved on its own
         (no amortization is possible).
+        """
+        return self._solve_configurations(
+            footprints_list,
+            powers_list,
+            lambda factor, rhs: np.stack([factor.solve(row) for row in rhs]),
+        )
+
+    def solve_footprints_block(
+        self, footprints_list, powers_list
+    ) -> np.ndarray:
+        """:meth:`solve_footprints_many` as one blocked back-substitution.
+
+        The M right-hand sides go through the shared factorization in a
+        single ``factor.solve(block)`` call, whose multi-column kernels
+        are about 2x faster per column than M single-vector solves and
+        agree with them to about 1e-13 relative.  Characterization
+        sweeps use it; evaluation paths that promise batch-independent
+        results do not.  Heterogeneous mode solves each configuration on
+        its own, exactly as :meth:`solve_footprints_many` does.
+        """
+        return self._solve_configurations(
+            footprints_list,
+            powers_list,
+            lambda factor, rhs: factor.solve(rhs.T).T,
+        )
+
+    def _solve_configurations(
+        self, footprints_list, powers_list, back_substitute
+    ) -> np.ndarray:
+        """Shared body of the batched solves.
+
+        ``back_substitute(factor, rhs)`` maps the ``(M, N)`` right-hand
+        sides, one configuration per row, to the ``(M, N)`` solutions.
         """
         footprints_list = list(footprints_list)
         powers_list = list(powers_list)
@@ -258,21 +287,14 @@ class GridThermalSolver:
                     for footprints, powers in zip(footprints_list, powers_list)
                 ]
             )
-        columns = [
-            self._assemble_rhs(footprints, powers)
-            for footprints, powers in zip(footprints_list, powers_list)
-        ]
-        factor = self._factor_for({})
-        # Column-by-column back-substitution, NOT factor.solve(block):
-        # SuperLU switches to blocked (level-3 BLAS) triangular kernels
-        # for multi-column right-hand sides, and their accumulation
-        # order can differ from the single-vector kernel by an ulp
-        # (observed ~1e-13 on the multi_gpu system) — which would break
-        # the bitwise contract with sequential solves that the
-        # multi-chain SA equivalence rests on.  The factorization is
-        # the dominant cost, so the amortization is unaffected.
-        solution = np.stack([factor.solve(column) for column in columns])
-        self.solve_count += len(columns)
+        rhs = np.stack(
+            [
+                self._assemble_rhs(footprints, powers)
+                for footprints, powers in zip(footprints_list, powers_list)
+            ]
+        )
+        solution = back_substitute(self._factor_for({}), rhs)
+        self.solve_count += len(footprints_list)
         return solution.reshape(
             len(footprints_list), self._n_layers, rows, cols
         )
@@ -284,18 +306,22 @@ class GridThermalSolver:
     def _factorize(self, footprints: dict):
         """LU-factorize the conductance matrix for the given placement.
 
-        Every solve path — fresh per-call, cached homogeneous, and
-        multi-RHS block — funnels through this one ``splu`` call.
-        (``spsolve``, ``spla.factorized`` and ``splu`` all drive the
-        same SuperLU factorization, so unifying the legacy fresh/reuse
-        split on ``splu`` is bitwise-neutral; regression-tested against
-        both legacy behaviors and the pre-refactor golden SA run.)
+        Every solve path — fresh per-call, cached homogeneous, batched
+        and blocked — funnels through this one ``splu`` call.  The
+        matrix is an SPD M-matrix (see the class notes), so the
+        symmetric order and the unpivoted diagonal are safe: every pivot
+        is positive and elimination is stable without row exchanges.
         """
         matrix = self._assemble_matrix(
             self._chiplet_layer_conductivity(footprints)
         )
         self.factorization_count += 1
-        return spla.splu(matrix.tocsc())
+        return spla.splu(
+            matrix.tocsc(),
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0.0,
+            options=dict(SymmetricMode=True),
+        )
 
     def _factor_for(self, footprints: dict):
         """The factorization to solve with, honoring the caching policy."""

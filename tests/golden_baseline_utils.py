@@ -7,10 +7,9 @@ annealer and random search — to the exact results the pre-refactor
 (sequential, one-evaluation-per-proposal) engines produced.  The
 multi-chain/batched engines added in PR 2 must leave the ``n_chains=1``
 path bit-for-bit intact; this golden is what enforces that.  The
-``tap25d_hotspot`` record was generated *before* the multi-RHS solver
-refactor (PR 3), so it additionally proves the unified ``splu``
-codepath reproduces the legacy ``spsolve`` solves bit-for-bit through a
-whole annealing run.
+``tap25d_hotspot`` record pins the grid solver's factorization through
+a whole annealing run; it was regenerated once, when the solver moved
+to its symmetric unpivoted ``splu`` (a 1e-10 relative reward shift).
 
 Floats are stored via ``float.hex()`` so the comparison is bitwise, not
 approximate.  Both the checked-in generator

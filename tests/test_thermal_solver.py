@@ -1,10 +1,15 @@
 """Physics tests for the grid thermal solver (the HotSpot stand-in)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
+from repro.baselines import TAP25DPlacer
 from repro.chiplet import Chiplet, ChipletSystem, Interposer, Placement
-from repro.thermal import GridThermalSolver, ThermalConfig
+from repro.systems import get_benchmark
+from repro.thermal import GridThermalSolver, ThermalConfig, characterize_tables
 from repro.thermal.config import KELVIN_OFFSET
 from repro.thermal.materials import MATERIALS, Material
 from repro.thermal.stack import Layer, LayerStack, default_chiplet_stack
@@ -137,7 +142,7 @@ class TestSolverConfigurations:
 
         With the homogeneous chiplet layer the conductance matrix is
         placement-independent, so the cached LU must give *bitwise*
-        identical temperature fields to a fresh ``spsolve`` for any
+        identical temperature fields to a fresh factorization for any
         placement — including ones the factorization never saw.
         """
         fresh = GridThermalSolver(small_interposer, small_config)
@@ -231,6 +236,96 @@ class TestSolverConfigurations:
                 GridThermalSolver(small_interposer, config).evaluate(p).max_temperature
             )
         assert temps[1] < temps[0]
+
+
+class TestSymmetricFactorization:
+    """The symmetric unpivoted factorization on multi_gpu's own matrix."""
+
+    N_PLACEMENTS = 8
+    WALK_MOVES = 40
+
+    @pytest.fixture(scope="class")
+    def production(self):
+        spec = get_benchmark("multi_gpu")
+        solver = GridThermalSolver(spec.system.interposer, spec.thermal_config)
+        matrix = solver._assemble_matrix(
+            solver._chiplet_layer_conductivity({})
+        ).tocsc()
+        return spec, solver, matrix
+
+    def _placements(self, system):
+        """Random walks of legal SA moves from the shelf packing."""
+        placer = TAP25DPlacer(system, None)
+        rng = np.random.default_rng(0)
+        start = placer.initial_placement()
+        placements = []
+        for _ in range(self.N_PLACEMENTS):
+            current = start
+            for _ in range(self.WALK_MOVES):
+                candidate = placer.propose(current, rng, 0.0)
+                if candidate is not None:
+                    current = candidate
+            placements.append(current)
+        return placements
+
+    def test_matrix_is_symmetric(self, production):
+        _, _, matrix = production
+        assert abs(matrix - matrix.T).max() == 0.0
+
+    def test_residual(self, production):
+        spec, solver, matrix = production
+        placements = self._placements(spec.system)
+        footprints = [p.footprints() for p in placements]
+        powers = [
+            {name: spec.system.chiplet(name).power for name in fps}
+            for fps in footprints
+        ]
+        fields = solver.solve_footprints_many(footprints, powers)
+        for fps, pws, field in zip(footprints, powers, fields):
+            rhs = solver._assemble_rhs(fps, pws)
+            residual = matrix @ field.ravel() - rhs
+            assert np.abs(residual).max() <= 1e-10 * np.abs(rhs).max()
+
+    def test_fill_at_most_0_6_of_default_order(self, production):
+        _, solver, matrix = production
+        symmetric = solver._factorize({})
+        default = spla.splu(matrix)
+        assert symmetric.L.nnz + symmetric.U.nnz <= 0.6 * (
+            default.L.nnz + default.U.nnz
+        )
+
+
+class TestBlockedCharacterization:
+    def test_blocked_sweep_matches_column_sweep(
+        self, small_interposer, small_config
+    ):
+        """One blocked back-substitution per die size agrees with the
+        column-by-column sweep to 1e-12 of each table's magnitude."""
+        sizes = [(8.0, 8.0), (4.0, 6.0)]
+        blocked = characterize_tables(
+            small_interposer, sizes, small_config, position_samples=(4, 3)
+        )
+        columns = GridThermalSolver(
+            small_interposer, small_config, reuse_factorization=True
+        )
+        columns.solve_footprints_block = columns.solve_footprints_many
+        reference = characterize_tables(
+            small_interposer,
+            sizes,
+            small_config,
+            position_samples=(4, 3),
+            solver=columns,
+        )
+        assert columns.solve_count == 2 * 4 * 3
+        for width, height in sizes:
+            got = blocked.for_size(width, height)
+            want = reference.for_size(width, height)
+            for field in dataclasses.fields(want):
+                a = np.asarray(getattr(got, field.name), dtype=np.float64)
+                b = np.asarray(getattr(want, field.name), dtype=np.float64)
+                assert a.shape == b.shape, field.name
+                scale = np.abs(b).max()
+                assert np.abs(a - b).max() <= 1e-12 * scale, field.name
 
 
 class TestStackAndMaterials:
