@@ -1,13 +1,20 @@
-"""Fixed scenario shared by the golden-trainer test and its generator.
+"""Fixed scenario shared by the golden-trainer tests and their generators.
 
 The golden regression (``tests/data/golden_sequential_trainer.json``)
 pins the sequential (``batch_size=1``) training path to the exact
-trajectory the pre-refactor trainer produced.  Both the checked-in
-generator (``scripts/gen_golden_trainer.py``) and the regression test
+trajectory the pre-refactor trainer produced.  Its twin
+(``tests/data/golden_trainer_weights.json``) pins the learner: the
+trained parameters after the same run, at batch widths 1 and 4.  The
+rewards alone cannot catch a broken update, because a near-uniform
+policy samples the same actions whether or not its weights moved.
+Both checked-in generators (``scripts/gen_golden_trainer.py`` and
+``scripts/gen_golden_trainer_weights.py``) and the regression tests
 import this module so the scenario can never drift between them.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from repro.agent import RLPlannerTrainer, TrainerConfig
 from repro.chiplet import Chiplet, ChipletSystem, Interposer, Net
@@ -18,6 +25,8 @@ from repro.thermal import FastThermalModel, ThermalConfig, characterize_tables
 
 GOLDEN_SEED = 123
 GOLDEN_PATH = "tests/data/golden_sequential_trainer.json"
+GOLDEN_WEIGHTS_PATH = "tests/data/golden_trainer_weights.json"
+GOLDEN_WEIGHTS_BATCH_SIZES = (1, 4)
 
 
 def build_golden_system() -> ChipletSystem:
@@ -84,3 +93,22 @@ def run_golden(trainer: RLPlannerTrainer) -> dict:
         ),
         "deadlock_count": result.deadlock_count,
     }
+
+
+def weight_summary(trainer: RLPlannerTrainer) -> dict:
+    """Parameter name -> ``{"sum", "l2"}`` of the trained network."""
+    return {
+        name: {"sum": float(value.sum()), "l2": float(np.sqrt((value * value).sum()))}
+        for name, value in trainer.network.state_dict().items()
+    }
+
+
+def run_golden_weights(env: FloorplanEnv) -> dict:
+    """Batch width (as a string key) -> :func:`weight_summary` after
+    :func:`run_golden` at that width."""
+    record = {}
+    for width in GOLDEN_WEIGHTS_BATCH_SIZES:
+        trainer = build_golden_trainer(env, batch_size=width)
+        run_golden(trainer)
+        record[str(width)] = weight_summary(trainer)
+    return record

@@ -22,9 +22,11 @@ import pytest
 
 from golden_utils import (
     GOLDEN_PATH,
+    GOLDEN_WEIGHTS_PATH,
     build_golden_env,
     build_golden_trainer,
     run_golden,
+    run_golden_weights,
 )
 from repro.agent import TrainerConfig
 
@@ -59,6 +61,24 @@ class TestGoldenEquivalence:
         assert record["deadlock_count"] == golden_record["deadlock_count"]
         # The actual product: the best floorplan, position for position.
         assert record["best_placement"] == golden_record["best_placement"]
+
+
+class TestGoldenWeights:
+    def test_trained_weights_match_golden(self, golden_env):
+        """The learner itself is pinned: every parameter's sum and L2
+        norm after the golden run, at batch widths 1 and 4.  The reward
+        pins above pass even when an update never touches some weights,
+        because the near-uniform early policy samples the same actions."""
+        golden = json.loads((REPO_ROOT / GOLDEN_WEIGHTS_PATH).read_text())
+        record = run_golden_weights(golden_env)
+        assert record.keys() == golden.keys()
+        for width, summary in golden.items():
+            assert record[width].keys() == summary.keys()
+            for name, stats in summary.items():
+                for stat, value in stats.items():
+                    assert record[width][name][stat] == pytest.approx(
+                        value, rel=1e-12
+                    ), (width, name, stat)
 
 
 class TestBatchWidthInvariance:
