@@ -227,21 +227,41 @@ class TAP25DPlacer:
 
         With ``config.n_chains > 1`` the SA engine advances all chains
         in lockstep and each step's candidates are costed through
-        ``RewardCalculator.evaluate_many`` — one batched thermal pass
+        ``RewardCalculator.evaluate_batch`` — one batched thermal pass
         per iteration instead of one evaluation per chain.
 
         ``checkpoint_fn``/``resume_state`` pass straight through to the
         SA engine (see :meth:`SimulatedAnnealing.run`): a run resumed
         from a snapshot reproduces the uninterrupted run bitwise.
+
+        The winner's :class:`RewardBreakdown` is carried out of the
+        anneal rather than re-evaluated: the cost closures keep the
+        breakdown of the lowest-cost placement they have scored, and
+        the engine's winner is that very object (its best is the first
+        strict minimum over the states it accepted).  Only when it is
+        not (the winner came from a resumed snapshot, was a tie, or
+        was beaten by a calibration probe) is the winner scored afresh.
         """
         cfg = self.config
         start = time.perf_counter()
+        # [placement, cost, breakdown] of the lowest-cost placement scored.
+        incumbent = [None, np.inf, None]
+
+        def keep_lowest(placements, breakdowns) -> np.ndarray:
+            costs = np.array([-b.reward for b in breakdowns], dtype=np.float64)
+            k = int(np.argmin(costs))
+            if costs[k] < incumbent[1]:
+                incumbent[:] = [placements[k], costs[k], breakdowns[k]]
+            return costs
 
         def evaluate(placement) -> float:
-            return -self.reward_calculator.evaluate(placement).reward
+            breakdown = self.reward_calculator.evaluate(placement)
+            return float(keep_lowest([placement], [breakdown])[0])
 
         def evaluate_many(placements):
-            return -self.reward_calculator.evaluate_many(placements)
+            return keep_lowest(
+                placements, self.reward_calculator.evaluate_batch(placements)
+            )
 
         engine = SimulatedAnnealing(
             propose=self.propose,
@@ -268,7 +288,10 @@ class TAP25DPlacer:
             checkpoint_fn=checkpoint_fn,
         )
         best_placement = result.best_state
-        breakdown = self.reward_calculator.evaluate(best_placement)
+        if best_placement is incumbent[0]:
+            breakdown = incumbent[2]
+        else:
+            breakdown = self.reward_calculator.evaluate(best_placement)
         # Fold the interrupted leg's wall clock back in so a resumed
         # run reports its full runtime, not just the final leg.
         prior = resume_state["elapsed"] if resume_state is not None else 0.0

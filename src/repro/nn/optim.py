@@ -49,7 +49,26 @@ class SGD:
 
 
 class Adam:
-    """Adam (Kingma & Ba 2015) with bias correction."""
+    """Adam (Kingma & Ba 2015) with bias correction.
+
+    :meth:`step` runs in place.  Each parameter is walked in blocks
+    along axis 0 through two preallocated scratch buffers, so no
+    full-size temporary is allocated.  A block along axis 0 is a view
+    even of an orthogonal-layout weight, which is not C-contiguous (its
+    ``reshape(-1)`` would be a copy, and updating the copy would leave
+    the weight unchanged).  Per element the float operations and their
+    order are those of the out-of-place expression::
+
+        m *= b1;  m += (1-b1)*g
+        v *= b2;  v += (1-b2)*g**2
+        p -= (lr*(m/bias1)) / (sqrt(v/bias2) + eps)
+
+    so the update is bitwise that of the out-of-place form.
+    """
+
+    # Elements per block: the two scratch blocks plus the parameter,
+    # moment and gradient blocks stay cache-resident.
+    BLOCK_ELEMENTS = 16384
 
     def __init__(
         self,
@@ -67,6 +86,24 @@ class Adam:
         self._m = [np.zeros_like(p.data) for p in self.parameters]
         self._v = [np.zeros_like(p.data) for p in self.parameters]
         self._t = 0
+        self._blocks = [self._row_blocks(p.data.shape) for p in self.parameters]
+        scratch = max(
+            (
+                p.data[blocks[0]].size
+                for p, blocks in zip(self.parameters, self._blocks)
+                if blocks
+            ),
+            default=0,
+        )
+        self._scratch = (np.empty(scratch), np.empty(scratch))
+
+    @classmethod
+    def _row_blocks(cls, shape: tuple) -> list:
+        """Indices of a parameter's blocks along axis 0."""
+        if not shape:
+            return [Ellipsis]
+        rows = max(1, cls.BLOCK_ELEMENTS // max(int(np.prod(shape[1:])), 1))
+        return [slice(i, i + rows) for i in range(0, shape[0], rows)]
 
     def zero_grad(self) -> None:
         for p in self.parameters:
@@ -76,16 +113,30 @@ class Adam:
         self._t += 1
         bias1 = 1.0 - self.beta1**self._t
         bias2 = 1.0 - self.beta2**self._t
-        for p, m, v in zip(self.parameters, self._m, self._v):
+        one_minus_b1 = 1.0 - self.beta1
+        one_minus_b2 = 1.0 - self.beta2
+        buf_a, buf_b = self._scratch
+        for p, m, v, blocks in zip(self.parameters, self._m, self._v, self._blocks):
             if p.grad is None:
                 continue
-            m *= self.beta1
-            m += (1.0 - self.beta1) * p.grad
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (p.grad**2)
-            m_hat = m / bias1
-            v_hat = v / bias2
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            for rows in blocks:
+                g, mb, vb, pb = p.grad[rows], m[rows], v[rows], p.data[rows]
+                a = buf_a[: g.size].reshape(g.shape)
+                b = buf_b[: g.size].reshape(g.shape)
+                mb *= self.beta1
+                np.multiply(g, one_minus_b1, out=a)
+                mb += a
+                vb *= self.beta2
+                np.multiply(g, g, out=a)
+                a *= one_minus_b2
+                vb += a
+                np.divide(mb, bias1, out=a)
+                a *= self.lr
+                np.divide(vb, bias2, out=b)
+                np.sqrt(b, out=b)
+                b += self.eps
+                a /= b
+                pb -= a
 
     def state_dict(self) -> dict:
         return {

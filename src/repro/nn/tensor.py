@@ -428,7 +428,15 @@ class Tensor:
     # ------------------------------------------------------------------
 
     def conv2d(self, weight: "Tensor", bias: "Tensor" = None, stride: int = 1, padding: int = 0):
-        """2D convolution: input (N,C,H,W), weight (F,C,kh,kw), bias (F,)."""
+        """2D convolution: input (N,C,H,W), weight (F,C,kh,kw), bias (F,).
+
+        The backward returns the input's gradient only when the input
+        requires one: for the first conv, whose input is the
+        observation, neither ``w_mat.T @ grad`` nor the col2im fold is
+        built.  Weight and bias gradients are the same either way.  The
+        fold accumulates in ``(C, N, H, W)`` order (see :func:`_col2im`)
+        with the same per-element ``+=`` sequence as an ``(N, C)`` fold.
+        """
         x = self.data
         w = weight.data
         n, c, h, wdt = x.shape
@@ -459,7 +467,7 @@ class Tensor:
             np.matmul(w_mat, cols[:, row], out=out[row])
         out = out.reshape(n, f, out_h, out_w)
         if bias is not None:
-            out = out + bias.data.reshape(1, f, 1, 1)
+            out += bias.data.reshape(1, f, 1, 1)  # ``out`` is fresh: in place
 
         parents = (self, weight) + ((bias,) if bias is not None else ())
 
@@ -470,17 +478,20 @@ class Tensor:
             grad_mat = grad.transpose(1, 0, 2, 3).reshape(f, -1)  # (F, N*L)
             cols_flat = cols.reshape(cols.shape[0], -1)  # (K, N*L)
             grad_w = (grad_mat @ cols_flat.T).reshape(w.shape)
-            grad_cols = w_mat.T @ grad_mat
-            grad_x_pad = _col2im(
-                grad_cols, x_pad.shape, kh, kw, stride, out_h, out_w
-            )
-            if padding:
-                grad_x = grad_x_pad[:, :, padding:-padding, padding:-padding]
-            else:
-                grad_x = grad_x_pad
-            results = [(self, grad_x), (weight, grad_w)]
+            results = [(weight, grad_w)]
             if bias is not None:
                 results.append((bias, grad.sum(axis=(0, 2, 3))))
+            # ``Tensor.backward`` would discard a no-grad input's
+            # gradient, so it is not built.
+            if self.requires_grad:
+                grad_x_pad = _col2im(
+                    w_mat.T @ grad_mat, x_pad.shape, kh, kw, stride, out_h, out_w
+                )
+                if padding:
+                    grad_x = grad_x_pad[:, :, padding:-padding, padding:-padding]
+                else:
+                    grad_x = grad_x_pad
+                results.append((self, grad_x))
             return tuple(results)
 
         return Tensor._from_op(out, parents, backward)
@@ -506,13 +517,21 @@ def _im2col(x_pad, kh, kw, stride, out_h, out_w):
 
 
 def _col2im(cols, x_shape, kh, kw, stride, out_h, out_w):
-    """Fold (C*kh*kw, N*L) gradients back onto the padded input."""
+    """Fold (C*kh*kw, N*L) gradients back onto the padded input (N,C,H,W).
+
+    The fold accumulates in the column buffer's own ``(C, N, H, W)``
+    order, so each kernel tap ``(i, j)`` reads a contiguous block rather
+    than a transposed one.  Every element still receives the same
+    ``+=`` sequence onto zeros, in ``(i, j)`` order, as an
+    ``(N, C)``-ordered fold.  The result is an ``(N, C, H, W)``
+    transposed view of that buffer.
+    """
     n, c, h, w = x_shape
-    grad = np.zeros(x_shape, dtype=cols.dtype)
+    grad = np.zeros((c, n, h, w), dtype=cols.dtype)
     cols6 = cols.reshape(c, kh, kw, n, out_h, out_w)
     for i in range(kh):
         for j in range(kw):
             grad[
                 :, :, i : i + stride * out_h : stride, j : j + stride * out_w : stride
-            ] += cols6[:, i, j].transpose(1, 0, 2, 3)
-    return grad
+            ] += cols6[:, i, j]
+    return grad.transpose(1, 0, 2, 3)

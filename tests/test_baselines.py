@@ -130,6 +130,23 @@ class TestTAP25D:
         validate_placement(result.placement)
         assert result.n_evaluations > 10
 
+    @pytest.mark.parametrize("n_chains", [1, 4])
+    def test_winner_breakdown_carried_out_of_anneal(
+        self, small_system, calculator, n_chains
+    ):
+        """The winner's breakdown comes from the anneal's own scoring:
+        no evaluation beyond the anneal's, and it equals a fresh
+        evaluation of the winning placement field for field."""
+        placer = TAP25DPlacer(
+            small_system,
+            calculator,
+            TAP25DConfig(n_iterations=40, seed=3, n_chains=n_chains),
+        )
+        before = calculator.evaluation_count
+        result = placer.run()
+        assert calculator.evaluation_count - before == result.n_evaluations
+        assert result.breakdown == calculator.evaluate(result.placement)
+
     def test_move_mix_validation(self):
         with pytest.raises(ValueError):
             TAP25DConfig(displace_fraction=0.9, swap_fraction=0.3)

@@ -195,6 +195,46 @@ class TestOptimizers:
         optimizer2.load_state_dict(state)
         assert optimizer2._t == 1
 
+    @pytest.mark.parametrize("block_elements", [Adam.BLOCK_ELEMENTS, 100])
+    def test_adam_in_place_on_orthogonal_layout_bitwise(
+        self, block_elements, monkeypatch
+    ):
+        """An orthogonal-init conv weight is a transposed, non-contiguous
+        view; Adam must update that very array, and match the textbook
+        expression bitwise (also when a weight spans several blocks)."""
+        monkeypatch.setattr(Adam, "BLOCK_ELEMENTS", block_elements)
+        rng = np.random.default_rng(7)
+        conv = Conv2d(9, 4, 3, rng=rng)
+        assert not conv.weight.data.flags["C_CONTIGUOUS"]
+        params = conv.parameters()
+        arrays = [p.data for p in params]
+        lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
+        optimizer = Adam(params, lr=lr, betas=(b1, b2), eps=eps)
+        ref_p = [a.copy() for a in arrays]
+        ref_m = [np.zeros_like(a) for a in arrays]
+        ref_v = [np.zeros_like(a) for a in arrays]
+        for t in range(1, 6):
+            for p in params:
+                p.grad = rng.normal(size=p.shape)
+            optimizer.step()
+            bias1 = 1.0 - b1**t
+            bias2 = 1.0 - b2**t
+            for i, p in enumerate(params):
+                ref_m[i] = b1 * ref_m[i] + (1.0 - b1) * p.grad
+                ref_v[i] = b2 * ref_v[i] + (1.0 - b2) * (p.grad**2)
+                ref_p[i] = ref_p[i] - lr * (ref_m[i] / bias1) / (
+                    np.sqrt(ref_v[i] / bias2) + eps
+                )
+                assert p.data is arrays[i]
+                assert np.array_equal(p.data, ref_p[i]), (t, i)
+
+    def test_adam_scalar_parameter(self):
+        p = Tensor(np.array(2.0), requires_grad=True)
+        optimizer = Adam([p], lr=0.1)
+        p.grad = np.array(1.0)
+        optimizer.step()
+        assert p.data == pytest.approx(1.9)
+
     def test_lr_validation(self):
         with pytest.raises(ValueError):
             Adam([], lr=0.0)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.nn import Tensor, no_grad
+from repro.nn.tensor import _col2im
 
 
 def numeric_grad(fn, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
@@ -245,6 +246,61 @@ class TestConv2d:
             b0,
             atol=1e-5,
         )
+
+
+    @pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 0), (2, 1)])
+    def test_no_grad_input_gets_no_gradient(self, stride, padding):
+        """A conv over an input that needs no gradient (the observation)
+        returns no input gradient, and its weight and bias gradients are
+        bitwise those of the same conv over a requires-grad input."""
+        rng = np.random.default_rng(4)
+        x0 = rng.normal(size=(3, 2, 7, 7))
+        w0 = rng.normal(size=(4, 2, 3, 3))
+        b0 = rng.normal(size=4)
+        out_shape = Tensor(x0).conv2d(Tensor(w0), stride=stride, padding=padding).shape
+        upstream = rng.normal(size=out_shape)
+        grads = {}
+        for input_grad in (False, True):
+            x = Tensor(x0.copy(), requires_grad=input_grad)
+            w = Tensor(w0.copy(), requires_grad=True)
+            b = Tensor(b0.copy(), requires_grad=True)
+            out = x.conv2d(w, b, stride=stride, padding=padding)
+            parents = [parent for parent, _ in out._backward(upstream)]
+            assert any(parent is x for parent in parents) == input_grad
+            (out * Tensor(upstream)).sum().backward()
+            assert (x.grad is not None) == input_grad
+            grads[input_grad] = (w.grad, b.grad)
+        for skipped, built in zip(grads[False], grads[True]):
+            assert np.array_equal(skipped, built)
+
+
+def _col2im_nc_order(cols, x_shape, kh, kw, stride, out_h, out_w):
+    """The ``(N, C)``-ordered fold: a strided scatter per kernel tap."""
+    n, c, h, w = x_shape
+    grad = np.zeros(x_shape, dtype=cols.dtype)
+    cols6 = cols.reshape(c, kh, kw, n, out_h, out_w)
+    for i in range(kh):
+        for j in range(kw):
+            grad[
+                :, :, i : i + stride * out_h : stride, j : j + stride * out_w : stride
+            ] += cols6[:, i, j].transpose(1, 0, 2, 3)
+    return grad
+
+
+class TestCol2im:
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("padding", [0, 1])
+    def test_bitwise_equals_nc_order_fold(self, stride, padding):
+        rng = np.random.default_rng(5)
+        n, c, h, w, k = 3, 4, 9, 8, 3
+        x_shape = (n, c, h + 2 * padding, w + 2 * padding)
+        out_h = (x_shape[2] - k) // stride + 1
+        out_w = (x_shape[3] - k) // stride + 1
+        cols = rng.normal(size=(c * k * k, n * out_h * out_w))
+        folded = _col2im(cols, x_shape, k, k, stride, out_h, out_w)
+        expected = _col2im_nc_order(cols, x_shape, k, k, stride, out_h, out_w)
+        assert folded.shape == expected.shape
+        assert np.array_equal(folded, expected)
 
 
 class TestNoGrad:
