@@ -89,9 +89,9 @@ class Adam:
         self._blocks = [self._row_blocks(p.data.shape) for p in self.parameters]
         scratch = max(
             (
-                p.data[blocks[0]].size
+                p.data[rows].size
                 for p, blocks in zip(self.parameters, self._blocks)
-                if blocks
+                for rows in blocks
             ),
             default=0,
         )
