@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.baselines.sa import SAConfig, SimulatedAnnealing
-from repro.baselines.tap25d import PlacerResult
+from repro.baselines.tap25d import PlacerResult, WinnerScorer
 from repro.chiplet import ChipletSystem, Placement
 from repro.chiplet.validate import placement_is_legal, placement_violations
 from repro.reward import RewardCalculator
@@ -296,22 +296,22 @@ class BStarFloorplanner:
         engine: a resumed run reproduces the uninterrupted run bitwise
         (the snapshot carries the per-chain incumbents, so the initial
         legality search is skipped entirely on resume).
+
+        The winner's breakdown is carried out of the anneal, keyed on the
+        tree the engine returns (see
+        :class:`~repro.baselines.tap25d.WinnerScorer`).
         """
         cfg = self.config
         start = time.perf_counter()
         rng = np.random.default_rng(cfg.seed)
 
-        def evaluate(tree: BStarTree) -> float:
-            return -self.reward_calculator.evaluate(tree.pack()).reward
-
-        def evaluate_many(trees):
-            return -self.reward_calculator.evaluate_many(
-                [tree.pack() for tree in trees]
-            )
+        scorer = WinnerScorer(
+            self.reward_calculator, to_placement=BStarTree.pack
+        )
 
         engine = SimulatedAnnealing(
             propose=self._propose,
-            evaluate=evaluate,
+            evaluate=scorer.evaluate,
             config=SAConfig(
                 n_iterations=cfg.n_iterations,
                 initial_temperature=cfg.initial_temperature,
@@ -322,7 +322,7 @@ class BStarFloorplanner:
                 history_stride=cfg.history_stride,
                 checkpoint_every=cfg.checkpoint_every,
             ),
-            evaluate_many=evaluate_many,
+            evaluate_many=scorer.evaluate_many,
         )
         if cfg.n_chains > 1:
             # A resume only reads the chain count from the initial
@@ -352,7 +352,7 @@ class BStarFloorplanner:
             )
         best_tree = result.best_state
         placement = best_tree.pack()
-        breakdown = self.reward_calculator.evaluate(placement)
+        breakdown = scorer.winner_breakdown(best_tree)
         # Fold the interrupted leg's wall clock back in so a resumed
         # run reports its full runtime, not just the final leg.
         prior = resume_state["elapsed"] if resume_state is not None else 0.0

@@ -91,6 +91,60 @@ class PlacerResult:
         return self.breakdown.reward
 
 
+class WinnerScorer:
+    """SA cost closures that carry the winner's breakdown out of the anneal.
+
+    :meth:`evaluate` / :meth:`evaluate_many` cost states (lower is
+    better: the negated reward) through ``RewardCalculator.evaluate`` /
+    ``evaluate_batch`` and keep the breakdown of the lowest-cost state
+    scored.  The engine's winner is normally that very object (its best
+    is the first strict minimum over the states it accepted), so
+    :meth:`winner_breakdown` returns it without another evaluation.
+    Only when it is not (the winner came from a resumed snapshot, was a
+    tie, or was beaten by a calibration probe) is the winner scored
+    afresh.
+
+    Parameters
+    ----------
+    reward_calculator:
+        The shared objective.
+    to_placement:
+        Maps an annealing state to the placement it scores (identity
+        when the states are placements).
+    """
+
+    def __init__(self, reward_calculator: RewardCalculator, to_placement=None):
+        self.reward_calculator = reward_calculator
+        self.to_placement = to_placement or (lambda state: state)
+        # [state, cost, breakdown] of the lowest-cost state scored.
+        self._incumbent = [None, np.inf, None]
+
+    def _keep_lowest(self, states, breakdowns) -> np.ndarray:
+        costs = np.array([-b.reward for b in breakdowns], dtype=np.float64)
+        k = int(np.argmin(costs))
+        if costs[k] < self._incumbent[1]:
+            self._incumbent[:] = [states[k], costs[k], breakdowns[k]]
+        return costs
+
+    def evaluate(self, state) -> float:
+        breakdown = self.reward_calculator.evaluate(self.to_placement(state))
+        return float(self._keep_lowest([state], [breakdown])[0])
+
+    def evaluate_many(self, states) -> np.ndarray:
+        return self._keep_lowest(
+            states,
+            self.reward_calculator.evaluate_batch(
+                [self.to_placement(state) for state in states]
+            ),
+        )
+
+    def winner_breakdown(self, state):
+        """The :class:`RewardBreakdown` of the engine's best state."""
+        if state is self._incumbent[0]:
+            return self._incumbent[2]
+        return self.reward_calculator.evaluate(self.to_placement(state))
+
+
 class TAP25DPlacer:
     """SA-based thermal-aware placer for one system.
 
@@ -235,37 +289,14 @@ class TAP25DPlacer:
         from a snapshot reproduces the uninterrupted run bitwise.
 
         The winner's :class:`RewardBreakdown` is carried out of the
-        anneal rather than re-evaluated: the cost closures keep the
-        breakdown of the lowest-cost placement they have scored, and
-        the engine's winner is that very object (its best is the first
-        strict minimum over the states it accepted).  Only when it is
-        not (the winner came from a resumed snapshot, was a tie, or
-        was beaten by a calibration probe) is the winner scored afresh.
+        anneal rather than re-evaluated (see :class:`WinnerScorer`).
         """
         cfg = self.config
         start = time.perf_counter()
-        # [placement, cost, breakdown] of the lowest-cost placement scored.
-        incumbent = [None, np.inf, None]
-
-        def keep_lowest(placements, breakdowns) -> np.ndarray:
-            costs = np.array([-b.reward for b in breakdowns], dtype=np.float64)
-            k = int(np.argmin(costs))
-            if costs[k] < incumbent[1]:
-                incumbent[:] = [placements[k], costs[k], breakdowns[k]]
-            return costs
-
-        def evaluate(placement) -> float:
-            breakdown = self.reward_calculator.evaluate(placement)
-            return float(keep_lowest([placement], [breakdown])[0])
-
-        def evaluate_many(placements):
-            return keep_lowest(
-                placements, self.reward_calculator.evaluate_batch(placements)
-            )
-
+        scorer = WinnerScorer(self.reward_calculator)
         engine = SimulatedAnnealing(
             propose=self.propose,
-            evaluate=evaluate,
+            evaluate=scorer.evaluate,
             config=SAConfig(
                 n_iterations=cfg.n_iterations,
                 initial_temperature=cfg.initial_temperature,
@@ -276,7 +307,7 @@ class TAP25DPlacer:
                 history_stride=cfg.history_stride,
                 checkpoint_every=cfg.checkpoint_every,
             ),
-            evaluate_many=evaluate_many,
+            evaluate_many=scorer.evaluate_many,
         )
         rng = np.random.default_rng(cfg.seed)
         # A resume ignores the initial state (the snapshot carries the
@@ -288,10 +319,7 @@ class TAP25DPlacer:
             checkpoint_fn=checkpoint_fn,
         )
         best_placement = result.best_state
-        if best_placement is incumbent[0]:
-            breakdown = incumbent[2]
-        else:
-            breakdown = self.reward_calculator.evaluate(best_placement)
+        breakdown = scorer.winner_breakdown(best_placement)
         # Fold the interrupted leg's wall clock back in so a resumed
         # run reports its full runtime, not just the final leg.
         prior = resume_state["elapsed"] if resume_state is not None else 0.0

@@ -17,6 +17,7 @@ all four method combinations of Tables I/III are a matter of wiring.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,13 +144,37 @@ class RewardCalculator:
         annealing relies on that: it reproduces sequential seeded runs
         only if every batched cost equals the scalar cost bit for bit,
         since Metropolis comparisons amplify any last-ulp difference.
+
+        The two halves read nothing of each other, so they overlap: the
+        batched ``max_temperatures`` call runs on a worker thread
+        started here while this thread assigns bumps, and SuperLU's
+        factorization and solves release the GIL, so a grid-backed
+        call costs about the larger half instead of the sum.  The
+        worker is joined before this method returns or raises; no
+        thread outlives the call (callers fork worker processes between
+        calls).  Errors surface as in a serial evaluation: a wirelength
+        error wins (the worker is joined first), and a thermal error is
+        re-raised as the same exception object.
         """
         n = len(placements)
-        wirelengths = self.wirelength_many(placements)
-        celsius = (
-            np.asarray(self.thermal.max_temperatures(placements), dtype=float)
-            - KELVIN_OFFSET
-        )
+        # [max temperatures (K), exception] of the thermal half.
+        thermal = [None, None]
+
+        def solve() -> None:
+            try:
+                thermal[0] = self.thermal.max_temperatures(placements)
+            except BaseException as exc:
+                thermal[1] = exc
+
+        worker = threading.Thread(target=solve, name="reward-thermal")
+        worker.start()
+        try:
+            wirelengths = self.wirelength_many(placements)
+        finally:
+            worker.join()
+        if thermal[1] is not None:
+            raise thermal[1]
+        celsius = np.asarray(thermal[0], dtype=float) - KELVIN_OFFSET
         penalties = np.empty(n)
         rewards = np.empty(n)
         for i in range(n):

@@ -22,6 +22,11 @@ without probing for capabilities:
   of each placement without per-die results — the one thermal call
   behind every reward.
 
+``max_temperatures`` may run on a thread other than the main one,
+concurrently with bump assignment: the reward call overlaps the two
+halves.  An evaluator must therefore share no mutable state with the
+bump assigner (both only read the placements).
+
 The fast model vectorizes its table lookups across the batch, while the
 grid solver back-substitutes all right-hand sides through one shared
 sparse factorization (its homogeneous conductance matrix is

@@ -103,6 +103,23 @@ class TestBStarFloorplanner:
         assert result.reward < 0.0
         assert result.n_evaluations > 5
 
+    @pytest.mark.parametrize("n_chains", [1, 4])
+    def test_winner_breakdown_carried_out_of_anneal(
+        self, small_system, calculator, n_chains
+    ):
+        """The winning tree's breakdown comes from the anneal's own
+        scoring: no evaluation beyond the anneal's, and it equals a
+        fresh evaluation of the winning packing field for field."""
+        planner = BStarFloorplanner(
+            small_system,
+            calculator,
+            BStarConfig(n_iterations=40, seed=3, n_chains=n_chains),
+        )
+        before = calculator.evaluation_count
+        result = planner.run()
+        assert calculator.evaluation_count - before == result.n_evaluations
+        assert result.breakdown == calculator.evaluate(result.placement)
+
     def test_compaction_tradeoff_vs_spread(self, small_system, calculator):
         """The compacted baseline should run hotter than a spread layout."""
         planner = BStarFloorplanner(

@@ -1,6 +1,9 @@
 """Tests for the joint wirelength/temperature reward."""
 
 import math
+import threading
+import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -176,3 +179,94 @@ class TestScalarIsBatchRow:
             scalar = calc.evaluate(placement)
             assert scalar == batch[i], i
             assert scalar.reward == many[i], i
+
+
+class _StubThermal:
+    """Thermal evaluator stub: optionally sets an event, sleeps or raises."""
+
+    def __init__(self, ready=None, delay=0.0, error=None):
+        self.ready = ready
+        self.delay = delay
+        self.error = error
+        self.finished = False
+
+    def max_temperatures(self, placements):
+        if self.ready is not None:
+            self.ready.set()
+        time.sleep(self.delay)
+        self.finished = True
+        if self.error is not None:
+            raise self.error
+        return np.full(len(placements), 350.0)
+
+
+class _StubAssigner:
+    """Bump assigner stub: optionally waits (once) on an event or raises."""
+
+    WAIT_S = 10.0
+
+    def __init__(self, wait_for=None, error=None):
+        self.wait_for = wait_for
+        self.error = error
+        self.waits = []
+
+    def assign(self, placement):
+        if self.wait_for is not None and not self.waits:
+            self.waits.append(self.wait_for.wait(self.WAIT_S))
+        if self.error is not None:
+            raise self.error
+        return SimpleNamespace(total_wirelength=1000.0)
+
+
+ENTRY_POINTS = {
+    "evaluate": lambda calc, placements: calc.evaluate(placements[0]),
+    "evaluate_batch": lambda calc, placements: calc.evaluate_batch(placements),
+    "evaluate_many": lambda calc, placements: calc.evaluate_many(placements),
+}
+
+
+class TestThermalOverlap:
+    """The thermal half runs on a worker thread while this thread
+    assigns bumps; the worker never outlives the call, and errors
+    surface as in a serial evaluation."""
+
+    PLACEMENTS = [object(), object()]
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_halves_run_concurrently(self, entry):
+        """The assigner waits for the thermal call to start: serially
+        (wirelength first) the wait would time out."""
+        ready = threading.Event()
+        assigner = _StubAssigner(wait_for=ready)
+        calc = RewardCalculator(_StubThermal(ready=ready), assigner=assigner)
+        threads = threading.active_count()
+        ENTRY_POINTS[entry](calc, self.PLACEMENTS)
+        assert assigner.waits == [True]
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_thermal_error_is_reraised_unchanged(self, entry):
+        error = RuntimeError("thermal failed")
+        calc = RewardCalculator(_StubThermal(error=error), assigner=_StubAssigner())
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError) as info:
+            ENTRY_POINTS[entry](calc, self.PLACEMENTS)
+        assert info.value is error
+        assert calc.evaluation_count == 0
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_wirelength_error_wins_after_join(self, entry):
+        """Both halves raise: the wirelength error reaches the caller,
+        and only after the worker has finished."""
+        wirelength_error = ValueError("assignment failed")
+        thermal = _StubThermal(delay=0.2, error=RuntimeError("thermal failed"))
+        calc = RewardCalculator(
+            thermal, assigner=_StubAssigner(error=wirelength_error)
+        )
+        threads = threading.active_count()
+        with pytest.raises(ValueError) as info:
+            ENTRY_POINTS[entry](calc, self.PLACEMENTS)
+        assert info.value is wirelength_error
+        assert thermal.finished
+        assert threading.active_count() == threads
