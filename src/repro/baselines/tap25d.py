@@ -116,14 +116,16 @@ class WinnerScorer:
     def __init__(self, reward_calculator: RewardCalculator, to_placement=None):
         self.reward_calculator = reward_calculator
         self.to_placement = to_placement or (lambda state: state)
-        # [state, cost, breakdown] of the lowest-cost state scored.
-        self._incumbent = [None, np.inf, None]
+        # The lowest-cost state scored so far, its cost and breakdown.
+        self._state, self._cost, self._breakdown = None, np.inf, None
 
     def _keep_lowest(self, states, breakdowns) -> np.ndarray:
         costs = np.array([-b.reward for b in breakdowns], dtype=np.float64)
         k = int(np.argmin(costs))
-        if costs[k] < self._incumbent[1]:
-            self._incumbent[:] = [states[k], costs[k], breakdowns[k]]
+        if costs[k] < self._cost:
+            self._state, self._cost, self._breakdown = (
+                states[k], costs[k], breakdowns[k]
+            )
         return costs
 
     def evaluate(self, state) -> float:
@@ -140,8 +142,8 @@ class WinnerScorer:
 
     def winner_breakdown(self, state):
         """The :class:`RewardBreakdown` of the engine's best state."""
-        if state is self._incumbent[0]:
-            return self._incumbent[2]
+        if state is self._state:
+            return self._breakdown
         return self.reward_calculator.evaluate(self.to_placement(state))
 
 
