@@ -1,10 +1,10 @@
-"""Search-baseline throughput: sequential vs lockstep multi-chain SA.
+"""Search-baseline throughput: one chain vs lockstep multi-chain SA.
 
 Measures cost-evaluations/sec of complete :class:`TAP25DPlacer` runs on
-the default synthetic system (the same scenario ``bench_rollout.py``
-trains on) for ``n_chains`` in {1, 4, 16}: 1 is the original sequential
-Metropolis engine, wider counts advance that many chains in lockstep
-with one batched ``RewardCalculator.evaluate_many`` pass per step.
+the default synthetic system for ``n_chains`` in {1, 4, 16}: every
+count advances that many chains in lockstep with one batched
+``RewardCalculator.evaluate_batch`` pass per step, so the one-chain leg
+is the baseline the wider counts amortize against.
 Arms alternate inside each measurement round so single-core frequency
 noise cannot bias one of them; the reported figure is the median across
 rounds.
@@ -35,7 +35,7 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_baselines.py --strict   # exit 1 below target
 
 Target (tracked in the README): n_chains=16 achieves >= 3x the
-sequential engine's evaluations/sec, in both thermal modes.
+one-chain evaluations/sec, in both thermal modes.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ from repro.thermal.characterize import load_or_characterize
 DEFAULT_CACHE_DIR = ".cache/thermal_tables"
 
 # Grid resolution of the --thermal hotspot scenario.  Coarser than the
-# production default (64x64) so the sequential arm finishes benchmark
+# production default (64x64) so the one-chain arm finishes benchmark
 # windows in reasonable time; the factorization/solve cost *ratio* the
 # speedup depends on only grows with resolution, so the measured
 # multiple is conservative.
@@ -187,7 +187,7 @@ def run(args) -> int:
         "rounds": args.rounds,
         "window_seconds": args.window_seconds,
         "evals_per_sec": {str(w): medians[w] for w in widths},
-        "speedup_vs_sequential": {str(w): speedups[w] for w in speedups},
+        "speedup_vs_one_chain": {str(w): speedups[w] for w in speedups},
         "target": args.target,
     }
     out_path = Path(args.out)
@@ -251,8 +251,8 @@ def main(argv=None) -> int:
         args.iterations = 100 if args.thermal == "hotspot" else 150
     if args.smoke:
         args.rounds = 1
-        # The hotspot arm pays a sparse factorization per sequential
-        # evaluation; cap its smoke budget harder so CI stays fast.
+        # The hotspot arm's one-chain leg pays a sparse factorization
+        # per evaluation; cap its smoke budget harder so CI stays fast.
         cap = 30 if args.thermal == "hotspot" else 60
         args.iterations = min(args.iterations, cap)
         args.window_seconds = min(args.window_seconds, 0.5)

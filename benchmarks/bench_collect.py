@@ -60,7 +60,7 @@ import time
 from pathlib import Path
 
 from repro.agent import RLPlannerTrainer, TrainerConfig
-from repro.env import EnvConfig, FloorplanEnv
+from repro.env import BatchedFloorplanEnv, EnvConfig
 from repro.nn import dumps_payload, loads_payload
 from repro.parallel.collector import POLICY_PAYLOAD_KIND
 from repro.reward import RewardCalculator, RewardConfig
@@ -73,7 +73,7 @@ DEFAULT_CACHE_DIR = ".cache/thermal_tables"
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
-def build_env(grid_size: int, system_seed: int) -> FloorplanEnv:
+def build_env(grid_size: int, system_seed: int) -> BatchedFloorplanEnv:
     """The benchmark scenario: one synthetic system + fast thermal model."""
     system = synthetic_system(seed=system_seed)
     config = ThermalConfig()
@@ -93,11 +93,11 @@ def build_env(grid_size: int, system_seed: int) -> FloorplanEnv:
         FastThermalModel(tables, config),
         RewardConfig(use_bump_assignment=False),
     )
-    return FloorplanEnv(system, calc, EnvConfig(grid_size=grid_size))
+    return BatchedFloorplanEnv(system, calc, EnvConfig(grid_size=grid_size))
 
 
 def make_trainer(
-    env: FloorplanEnv, batch_size: int, collect_jobs: int, seed: int
+    env: BatchedFloorplanEnv, batch_size: int, collect_jobs: int, seed: int
 ) -> RLPlannerTrainer:
     return RLPlannerTrainer(
         env,
@@ -154,7 +154,7 @@ def measure_broadcast(trainer: RLPlannerTrainer, repeats: int) -> dict:
 
 
 def measure_train(
-    env: FloorplanEnv, args, async_collect: bool, jobs: int
+    env: BatchedFloorplanEnv, args, async_collect: bool, jobs: int
 ) -> float:
     """Epochs/sec of one full ``train()`` run (collection + updates)."""
     trainer = RLPlannerTrainer(
@@ -178,7 +178,7 @@ def measure_train(
     return args.async_epochs / (time.perf_counter() - start)
 
 
-def run_async_leg(env: FloorplanEnv, args, cpu_count: int) -> tuple:
+def run_async_leg(env: BatchedFloorplanEnv, args, cpu_count: int) -> tuple:
     """Lockstep vs pipelined ``train()`` at the same worker count.
 
     Returns ``(payload_fragment, exit_status)``.  Alternates the two
@@ -229,7 +229,7 @@ def run_async_leg(env: FloorplanEnv, args, cpu_count: int) -> tuple:
     return fragment, status
 
 
-def run_remote_leg(env: FloorplanEnv, args, cpu_count: int) -> tuple:
+def run_remote_leg(env: BatchedFloorplanEnv, args, cpu_count: int) -> tuple:
     """Lease-based TCP collection vs the same-width local pool.
 
     Returns ``(payload_fragment, exit_status)``.  Two localhost

@@ -10,7 +10,7 @@ Run:
 """
 
 from repro.agent import RLPlannerTrainer, TrainerConfig
-from repro.env import EnvConfig, FloorplanEnv
+from repro.env import BatchedFloorplanEnv, EnvConfig
 from repro.experiments.runner import ExperimentBudget, build_evaluators
 from repro.systems import get_benchmark
 from repro.thermal import GridThermalSolver
@@ -27,7 +27,7 @@ def main() -> None:
     budget = ExperimentBudget(rl_epochs=30)
     evaluators = build_evaluators(spec, budget)
 
-    env = FloorplanEnv(
+    env = BatchedFloorplanEnv(
         spec.system, evaluators["reward_fast"], EnvConfig(grid_size=budget.grid_size)
     )
     trainer = RLPlannerTrainer(

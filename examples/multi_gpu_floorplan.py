@@ -13,7 +13,7 @@ import argparse
 
 from repro.baselines import TAP25DConfig, TAP25DPlacer
 from repro.agent import RLPlannerTrainer, TrainerConfig
-from repro.env import EnvConfig, FloorplanEnv
+from repro.env import BatchedFloorplanEnv, EnvConfig
 from repro.experiments.runner import ExperimentBudget, build_evaluators
 from repro.systems import get_benchmark
 from repro.viz import render_floorplan
@@ -39,7 +39,7 @@ def main() -> None:
     evaluators = build_evaluators(spec, budget)
 
     print("\ntraining RLPlanner (fast thermal model in the loop)...")
-    env = FloorplanEnv(
+    env = BatchedFloorplanEnv(
         spec.system, evaluators["reward_fast"], EnvConfig(grid_size=budget.grid_size)
     )
     trainer = RLPlannerTrainer(

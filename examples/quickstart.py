@@ -8,7 +8,7 @@ better floorplans).
 """
 
 from repro.chiplet import Chiplet, ChipletSystem, Interposer, Net
-from repro.env import EnvConfig, FloorplanEnv
+from repro.env import BatchedFloorplanEnv, EnvConfig
 from repro.agent import RLPlannerTrainer, TrainerConfig
 from repro.reward import RewardCalculator, RewardConfig
 from repro.thermal import FastThermalModel, ThermalConfig
@@ -47,7 +47,7 @@ def main() -> None:
     )
 
     # 4. Train the agent.
-    env = FloorplanEnv(system, reward, EnvConfig(grid_size=24))
+    env = BatchedFloorplanEnv(system, reward, EnvConfig(grid_size=24))
     trainer = RLPlannerTrainer(
         env, TrainerConfig(epochs=25, episodes_per_epoch=8, seed=0, log_every=5)
     )

@@ -14,7 +14,7 @@ Run:
 
 from repro.agent import RLPlannerTrainer, TrainerConfig
 from repro.bumps import BumpAssigner, worst_net_delay
-from repro.env import EnvConfig, FloorplanEnv
+from repro.env import BatchedFloorplanEnv, EnvConfig
 from repro.experiments.runner import ExperimentBudget, build_evaluators
 from repro.systems import get_benchmark
 
@@ -23,7 +23,7 @@ GRID = 24
 
 
 def make_trainer(spec, evaluators, seed=0):
-    env = FloorplanEnv(
+    env = BatchedFloorplanEnv(
         spec.system, evaluators["reward_fast"], EnvConfig(grid_size=GRID)
     )
     return RLPlannerTrainer(

@@ -7,7 +7,8 @@ Run from the repo root:
 Only rerun this when an *intentional* behavior change invalidates the
 golden values — the whole point of ``tests/data/golden_baselines.json``
 is that the ``n_chains=1`` search baselines stay bitwise-faithful to the
-original sequential engines (floats are compared via ``float.hex()``).
+results the original single-chain engines produced (floats are compared
+via ``float.hex()``).
 """
 
 from __future__ import annotations

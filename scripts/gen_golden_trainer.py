@@ -1,13 +1,13 @@
-"""Regenerate the golden sequential-trainer trajectory.
+"""Regenerate the golden trainer trajectory.
 
 Run from the repo root:
 
     PYTHONPATH=src python scripts/gen_golden_trainer.py
 
-Only rerun this when an *intentional* behavior change invalidates the
-golden values — the whole point of ``tests/data/
-golden_sequential_trainer.json`` is that ``batch_size=1`` training stays
-bitwise-faithful to the original sequential trainer.
+Writes ``tests/data/golden_trainer.json``: the rewards, best placement
+and deadlock count of the golden run at rollout width 4.  Only rerun
+this when an *intentional* behavior change invalidates the golden
+values; a no-op diff means training is unchanged.
 """
 
 from __future__ import annotations

@@ -5,8 +5,8 @@ Run from the repo root:
     PYTHONPATH=src python scripts/gen_golden_trainer_weights.py
 
 Writes ``tests/data/golden_trainer_weights.json``: the sum and L2 norm
-of every network parameter after the golden run at batch widths 1 and
-4.  Only rerun this when an *intentional* change to the learner's
+of every network parameter after the golden run at rollout width 4.
+Only rerun this when an *intentional* change to the learner's
 numerics invalidates it; a no-op diff means the PPO update is unchanged.
 """
 

@@ -32,6 +32,7 @@ import time
 from dataclasses import asdict
 from pathlib import Path
 
+from repro.cli import rollout_width
 from repro.experiments import run_table2
 from repro.experiments.report import save_results
 from repro.experiments.runner import ExperimentBudget
@@ -57,9 +58,10 @@ def parse_args(argv=None):
     parser.add_argument("--sa-iters", type=int, default=150)
     parser.add_argument(
         "--batch-size",
-        type=int,
+        type=rollout_width,
         default=16,
-        help="rollout batch width for RL collection (1 = sequential)",
+        help="rollout batch width for RL collection (lockstep waves, "
+        ">= 2)",
     )
     parser.add_argument(
         "--collect-jobs",
@@ -67,8 +69,7 @@ def parse_args(argv=None):
         default=1,
         help="worker processes for episode collection within each RL "
         "arm ('auto' = available CPUs, in-process with a warning on "
-        "single-CPU hosts); bitwise identical at any count, needs "
-        "--batch-size >= 2 to take effect",
+        "single-CPU hosts); bitwise identical at any count",
     )
     parser.add_argument(
         "--collect-workers",
@@ -78,7 +79,7 @@ def parse_args(argv=None):
         "open a lease-based TCP coordinator serving wave-aligned "
         "slices to scripts/collect_worker.py processes (0 = off); "
         "bitwise identical at any count, degrades to --collect-jobs "
-        "then in-process; needs --batch-size >= 2",
+        "then in-process",
     )
     parser.add_argument(
         "--collect-bind",
@@ -91,15 +92,15 @@ def parse_args(argv=None):
         action="store_true",
         help="pipeline collection with PPO updates (one-epoch policy "
         "staleness; reproducible at a fixed seed, not bitwise-equal "
-        "to the lockstep schedule); needs --batch-size >= 2",
+        "to the lockstep schedule)",
     )
     parser.add_argument(
         "--sa-chains",
         type=int,
         default=16,
-        help="lockstep chains for both SA baselines (1 = sequential; "
-        "the HotSpot arm batches all chains through one factorization "
-        "per step)",
+        help="lockstep chains for both SA baselines (best-of-N; the "
+        "HotSpot arm batches all chains through one factorization per "
+        "step)",
     )
     parser.add_argument(
         "--positions",

@@ -13,7 +13,7 @@ from repro.thermal import (
     characterize_tables,
 )
 from repro.reward import RewardCalculator, RewardConfig
-from repro.env import EnvConfig, FloorplanEnv
+from repro.env import BatchedFloorplanEnv, EnvConfig
 from repro.agent import ActorCritic, RLPlannerTrainer, TrainerConfig
 from repro.baselines import TAP25DConfig, TAP25DPlacer, random_search
 
@@ -31,7 +31,7 @@ __all__ = [
     "characterize_tables",
     "RewardCalculator",
     "RewardConfig",
-    "FloorplanEnv",
+    "BatchedFloorplanEnv",
     "EnvConfig",
     "ActorCritic",
     "RLPlannerTrainer",

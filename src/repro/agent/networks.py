@@ -112,26 +112,6 @@ class ActorCritic(Module):
         dist = MaskedCategorical(logits, np.asarray(masks, dtype=bool))
         return dist, values
 
-    def act(
-        self,
-        observation: np.ndarray,
-        mask: np.ndarray,
-        rng: np.random.Generator,
-        greedy: bool = False,
-    ) -> tuple:
-        """Rollout action selection (no graph recorded).
-
-        Returns (action, log_prob, value) as Python scalars.
-        """
-        with no_grad():
-            dist, values = self.evaluate(
-                observation[None, ...], np.asarray(mask, dtype=bool)[None, ...]
-            )
-            action = int(dist.mode()[0]) if greedy else int(dist.sample(rng)[0])
-            log_prob = float(dist.log_prob(np.array([action])).data[0])
-            value = float(values.data[0])
-        return action, log_prob, value
-
     def act_batch(
         self,
         observations: np.ndarray,

@@ -6,18 +6,13 @@ seen so far — the floorplanner's actual product.  Training stops after
 ``epochs`` epochs or ``time_limit`` seconds, whichever comes first (the
 paper compares methods under matched wall-clock budgets).
 
-Episode collection has two engines selected by ``TrainerConfig.batch_size``:
+Episodes step in lockstep waves of ``TrainerConfig.batch_size`` through
+a :class:`~repro.env.BatchedFloorplanEnv`, with one batched actor-critic
+forward per step.  Each episode samples from its own derived RNG
+stream, so trajectories are invariant to the batch width (any
+``batch_size >= 2`` yields identical results).
 
-* ``batch_size=1`` — the original sequential path: one environment, one
-  single-observation forward pass per step.  Kept intact so golden
-  regression tests can pin training trajectories across refactors.
-* ``batch_size>1`` — the batched rollout engine: episodes step in
-  lockstep through a :class:`~repro.env.BatchedFloorplanEnv` with one
-  batched actor-critic forward per step.  Each episode samples from its
-  own derived RNG stream, so trajectories are invariant to the batch
-  width (any ``batch_size >= 2`` yields identical results).
-
-The batched engine collects through one
+Collection runs through one
 :class:`~repro.parallel.collector.EpisodeCollector`.  With
 ``TrainerConfig.collect_jobs`` / ``collect_workers`` it adds a local
 process pool / leased remote workers above in-process collection:
@@ -52,11 +47,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from repro.agent.networks import ActorCritic
-from repro.env import FloorplanEnv
+from repro.env import BatchedFloorplanEnv
 from repro.nn import Adam, dumps_payload, load_payload, save_payload
 from repro.parallel.collector import POLICY_PAYLOAD_KIND, EpisodeCollector
 from repro.rl import (
-    Episode,
     PPOConfig,
     PPOUpdater,
     RNDConfig,
@@ -84,22 +78,17 @@ class TrainerConfig:
 
     epochs: int = 600
     episodes_per_epoch: int = 16
-    # Rollout batch width.  1 = the original sequential collection path
-    # (one forward pass per step per episode, one shared action stream)
-    # kept bit-for-bit intact for regression pinning.  >1 = lockstep
-    # batched collection: up to ``batch_size`` episodes step together
-    # through a BatchedFloorplanEnv with one batched forward per step,
-    # each episode on its own derived RNG stream — so trajectories are
-    # identical for ANY batch_size >= 2 (8 and 16 give the same result,
-    # just at different speed).
-    batch_size: int = 1
+    # Rollout batch width (>= 2): up to ``batch_size`` episodes step
+    # together through a BatchedFloorplanEnv with one batched forward
+    # per step, each episode on its own derived RNG stream — so
+    # trajectories are identical for ANY batch_size >= 2 (8 and 16 give
+    # the same result, just at different speed).
+    batch_size: int = 16
     # Worker processes for episode collection.  1 = collect in-process.
     # >1 = shard each epoch's episodes over a persistent process pool:
     # weights broadcast once per epoch, contiguous index slices per
     # worker, merged in index order — bitwise identical to in-process
-    # collection at any worker count.  Requires the batched engine;
-    # with ``batch_size=1`` the trainer warns and collects in-process
-    # (the sequential engine's shared action stream cannot be sharded).
+    # collection at any worker count.
     collect_jobs: int = 1
     # Pipelined (async) collection: overlap epoch k's PPO update with
     # the collection of epoch k+1, which is dispatched *before* the
@@ -108,8 +97,7 @@ class TrainerConfig:
     # reproducible at a fixed seed — but they differ from lockstep runs
     # (the data for epoch e >= 1 comes from a one-update-older policy),
     # which is why the mode is opt-in and participates in experiment
-    # store keys.  Requires the batched engine (batch_size >= 2);
-    # wall-clock overlap additionally needs collect_jobs >= 2 (with
+    # store keys.  Wall-clock overlap needs collect_jobs >= 2 (with
     # in-process collection the same schedule runs, just without the
     # speedup).
     async_collect: bool = False
@@ -124,7 +112,7 @@ class TrainerConfig:
     # count, under worker kills, disconnects and lease expiries — only
     # wall clock changes.  With no remote workers reachable the
     # trainer degrades to the local pool (collect_jobs >= 2), then to
-    # in-process.  Requires the batched engine (batch_size >= 2).
+    # in-process.
     collect_workers: int = 0
     # host:port the coordinator binds ("127.0.0.1:0" = loopback,
     # ephemeral port; use "0.0.0.0:<port>" to accept workers from other
@@ -154,8 +142,10 @@ class TrainerConfig:
     def __post_init__(self) -> None:
         if self.epochs < 1 or self.episodes_per_epoch < 1:
             raise ValueError("epochs and episodes_per_epoch must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        if self.batch_size < 2:
+            raise ValueError(
+                "batch_size must be >= 2 (episodes step in lockstep waves)"
+            )
         if self.collect_jobs < 1:
             raise ValueError("collect_jobs must be >= 1")
         if self.collect_workers < 0:
@@ -169,17 +159,6 @@ class TrainerConfig:
                 )
         if self.checkpoint_every < 0:
             raise ValueError("checkpoint_every must be >= 0")
-        if self.async_collect and self.batch_size < 2:
-            # Refusing (rather than falling back) keeps the mode
-            # honest: async_collect is semantic — results keyed as
-            # async must actually be async — and the sequential
-            # engine's golden-pinned shared action stream has no
-            # stale-weights variant to offer.
-            raise ValueError(
-                "async_collect requires the batched engine "
-                "(batch_size >= 2); the sequential engine cannot "
-                "collect with stale weights"
-            )
 
 
 @dataclass
@@ -218,7 +197,7 @@ def _improves_best(
 
 
 class RLPlannerTrainer:
-    """Train an :class:`ActorCritic` on a :class:`FloorplanEnv`.
+    """Train an :class:`ActorCritic` on a :class:`BatchedFloorplanEnv`.
 
     Parameters
     ----------
@@ -229,7 +208,9 @@ class RLPlannerTrainer:
         RLPlanner(RND) variant.
     """
 
-    def __init__(self, env: FloorplanEnv, config: TrainerConfig | None = None):
+    def __init__(
+        self, env: BatchedFloorplanEnv, config: TrainerConfig | None = None
+    ):
         self.env = env
         self.config = config or TrainerConfig()
         seeds = SeedSequence(self.config.seed)
@@ -249,50 +230,34 @@ class RLPlannerTrainer:
             self.rnd = RandomNetworkDistillation(
                 obs_dim, self.config.rnd, rng=seeds.rng("rnd")
             )
-        self._act_rng = seeds.rng("actions")
         self._ppo_rng = seeds.rng("ppo")
         # Global episode counter: episode k of the run always draws from
         # the stream "episode.k", regardless of batch width, which is
         # what makes batched collection width-invariant.
         self._episode_index = 0
-        collect_jobs = self.config.collect_jobs
-        collect_workers = self.config.collect_workers
-        sharded = collect_jobs > 1 or collect_workers
-        if sharded and self.config.batch_size == 1:
-            _logger.warning(
-                "collect_jobs=%d/collect_workers=%d requested but "
-                "batch_size=1 selects the sequential engine, whose episodes "
-                "share one action stream and cannot be sharded bitwise; "
-                "collecting in-process instead (set batch_size >= 2 to "
-                "distribute collection)",
-                collect_jobs,
-                collect_workers,
+        cfg = self.config
+        remote = {}
+        if cfg.collect_workers:
+            host, _, port = cfg.collect_bind.rpartition(":")
+            remote = dict(
+                workers=cfg.collect_workers, host=host, port=int(port)
             )
-            collect_jobs = 1
-            collect_workers = 0
-        self.collect_jobs = collect_jobs
-        self.collect_workers = collect_workers
-        # The batched engine's one collection path (None = sequential).
-        self._collector: EpisodeCollector | None = None
-        if self.config.batch_size > 1:
-            remote = {}
-            if collect_workers:
-                host, _, port = self.config.collect_bind.rpartition(":")
-                remote = dict(
-                    workers=collect_workers, host=host, port=int(port)
-                )
-            self._collector = EpisodeCollector(
-                env.system,
-                env.reward_calculator,
-                env.config,
-                jobs=collect_jobs,
-                batch_size=self.config.batch_size,
-                seed=self.config.seed,
-                encoder_channels=self.config.encoder_channels,
-                **remote,
-            )
-        self.async_collect = bool(self.config.async_collect)
-        if self.async_collect and collect_jobs < 2 and not collect_workers:
+        self._collector = EpisodeCollector(
+            env.system,
+            env.reward_calculator,
+            env.config,
+            jobs=cfg.collect_jobs,
+            batch_size=cfg.batch_size,
+            seed=cfg.seed,
+            encoder_channels=cfg.encoder_channels,
+            **remote,
+        )
+        self.async_collect = bool(cfg.async_collect)
+        if (
+            self.async_collect
+            and cfg.collect_jobs < 2
+            and not cfg.collect_workers
+        ):
             _logger.warning(
                 "async_collect without collect_jobs >= 2: the pipelined "
                 "staleness schedule still runs (results match a pooled "
@@ -326,41 +291,14 @@ class RLPlannerTrainer:
 
     # ------------------------------------------------------------------
 
-    def collect_episode(self, greedy: bool = False) -> tuple:
-        """Roll out one episode; returns (Episode, terminal info dict).
-
-        This is the original sequential path (single shared action
-        stream); it backs ``batch_size=1`` and the golden regression
-        that pins it to the pre-batching trainer.
-        """
-        observation, mask = self.env.reset()
-        episode = Episode()
-        info = {}
-        while True:
-            action, log_prob, value = self.network.act(
-                observation, mask, self._act_rng, greedy=greedy
-            )
-            episode.add_step(observation, mask, action, log_prob, value)
-            result = self.env.step(action)
-            if result.done:
-                episode.set_terminal_reward(result.reward)
-                info = result.info
-                break
-            observation, mask = result.observation, result.mask
-        return episode, info
-
     def collect_episodes(self, n: int, greedy: bool = False) -> list:
         """Collect ``n`` episodes; returns ``[(Episode, info), ...]``.
 
-        Dispatches to the sequential path for ``batch_size=1`` and to
-        the collector otherwise.  Both advance the global episode
-        counter, so episode ``k`` of a run is the same episode
-        everywhere.
+        Advances the global episode counter, so episode ``k`` of a run
+        is the same episode everywhere.
         """
         start_index = self._episode_index
         self._episode_index += n
-        if self._collector is None:
-            return [self.collect_episode(greedy=greedy) for _ in range(n)]
         return self._collector.collect(
             self.network, start_index, n, greedy=greedy
         )
@@ -427,7 +365,7 @@ class RLPlannerTrainer:
         with ``collect_bind`` port 0 this is how the actual ephemeral
         port is discovered.
         """
-        return None if self._collector is None else self._collector.address
+        return self._collector.address
 
     def close_collector(self) -> None:
         """Release collection workers (no-op when none are running).
@@ -436,8 +374,7 @@ class RLPlannerTrainer:
         coordinator rebinds its remembered port — lazily if collection
         continues.
         """
-        if self._collector is not None:
-            self._collector.close()
+        self._collector.close()
 
     def train(self, checkpoint_fn=None) -> TrainingResult:
         """Run the full training loop; returns the best floorplan found.
@@ -591,12 +528,6 @@ class RLPlannerTrainer:
         )
 
     # ------------------------------------------------------------------
-
-    def greedy_rollout(self) -> tuple:
-        """Deterministic rollout with the current policy."""
-        return self.collect_episode(greedy=True)
-
-    # ------------------------------------------------------------------
     # full-state checkpointing
     # ------------------------------------------------------------------
 
@@ -604,7 +535,7 @@ class RLPlannerTrainer:
         """Everything needed to resume training bitwise.
 
         Network weights, Adam first/second moments and step counter,
-        the action/PPO RNG generator states (``bit_generator.state``),
+        the PPO RNG generator state (``bit_generator.state``),
         the RND predictor + its optimizer and running observation/bonus
         statistics (the frozen target re-derives from the seed), the
         global episode counter (the only collection state sharded
@@ -652,7 +583,6 @@ class RLPlannerTrainer:
             "episode_index": self._episode_index,
             "network": self.network.state_dict(),
             "optimizer": self.optimizer.state_dict(),
-            "act_rng": self._act_rng.bit_generator.state,
             "ppo_rng": self._ppo_rng.bit_generator.state,
             "progress": progress,
             "rnd": None,
@@ -670,7 +600,7 @@ class RLPlannerTrainer:
         """Restore a :meth:`state_dict`; the next :meth:`train` resumes.
 
         Loading into a trainer with a different seed or collection
-        engine is allowed (weight transfer is legitimate) but warned
+        mode is allowed (weight transfer is legitimate) but warned
         about: a *resumed* run is only bitwise-faithful when both
         match.
         """
@@ -680,16 +610,6 @@ class RLPlannerTrainer:
                 "reproduce the original run",
                 state.get("seed"),
                 self.config.seed,
-            )
-        if bool(state.get("batch_size", 1) > 1) != bool(
-            self.config.batch_size > 1
-        ):
-            _logger.warning(
-                "checkpoint batch_size %s and trainer batch_size %s select "
-                "different collection engines; resuming will not reproduce "
-                "the original run",
-                state.get("batch_size"),
-                self.config.batch_size,
             )
         if bool(state.get("async_collect", False)) != bool(
             self.config.async_collect
@@ -723,7 +643,6 @@ class RLPlannerTrainer:
                 self._episode_index -= int(prefetch["count"])
         self.network.load_state_dict(state["network"])
         self.optimizer.load_state_dict(state["optimizer"])
-        self._act_rng.bit_generator.state = state["act_rng"]
         self._ppo_rng.bit_generator.state = state["ppo_rng"]
         self._progress = dict(state["progress"])
         self._progress["history"] = list(self._progress["history"])

@@ -33,10 +33,9 @@ __all__ = ["BStarConfig", "BStarTree", "BStarFloorplanner"]
 class BStarConfig:
     """Annealing parameters for the B*-tree search.
 
-    ``n_chains > 1`` runs that many lockstep chains from independently
-    randomized initial trees, evaluating each step's packings through
-    the batched reward path; ``1`` is the original sequential engine,
-    kept bit-for-bit.
+    ``n_chains`` lockstep chains start from independently randomized
+    initial trees and evaluate each step's packings through the batched
+    reward path.
     """
 
     n_iterations: int = 2000
@@ -286,9 +285,9 @@ class BStarFloorplanner:
     def run(self, resume_state=None, checkpoint_fn=None) -> PlacerResult:
         """Anneal; returns the best legal compacted floorplan.
 
-        Multi-chain runs (``config.n_chains > 1``) draw one independent
-        random initial tree per chain from the shared seed stream, then
-        advance all chains in lockstep with one batched reward
+        Each of the ``config.n_chains`` chains draws its own random
+        initial tree from the shared seed stream, then all chains
+        advance in lockstep with one batched reward
         evaluation per step (every chain packs the same die set, so the
         fast thermal model vectorizes across chains).
 
@@ -324,32 +323,17 @@ class BStarFloorplanner:
             ),
             evaluate_many=scorer.evaluate_many,
         )
-        if cfg.n_chains > 1:
-            # A resume only reads the chain count from the initial
-            # states (the snapshot carries the incumbents); skip the
-            # per-chain legality search then.
-            initials = (
-                [None] * cfg.n_chains
-                if resume_state is not None
-                else [
-                    self._legal_initial_tree(rng)
-                    for _ in range(cfg.n_chains)
-                ]
-            )
-            result = engine.run_chains(
-                initials, resume_state=resume_state, checkpoint_fn=checkpoint_fn
-            )
-        else:
-            initial = (
-                None
-                if resume_state is not None
-                else self._legal_initial_tree(rng)
-            )
-            result = engine.run(
-                initial,
-                resume_state=resume_state,
-                checkpoint_fn=checkpoint_fn,
-            )
+        # A resume only reads the chain count from the initial states
+        # (the snapshot carries the incumbents); skip the per-chain
+        # legality search then.
+        initials = (
+            [None] * cfg.n_chains
+            if resume_state is not None
+            else [self._legal_initial_tree(rng) for _ in range(cfg.n_chains)]
+        )
+        result = engine.run_chains(
+            initials, resume_state=resume_state, checkpoint_fn=checkpoint_fn
+        )
         best_tree = result.best_state
         placement = best_tree.pack()
         breakdown = scorer.winner_breakdown(best_tree)

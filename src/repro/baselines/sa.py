@@ -1,29 +1,24 @@
-"""Generic simulated-annealing engine: single- and multi-chain.
+"""Generic simulated-annealing engine: M chains in lockstep.
 
 State representation, move proposal and cost evaluation are supplied by
 the caller; the engine owns the Metropolis acceptance rule, the
 geometric cooling schedule, automatic initial-temperature calibration,
 and budget accounting (iterations and/or wall clock).
 
-Two execution engines share the configuration:
+``n_chains=M`` independent chains advance in lockstep.  Chain ``c``
+draws proposals and acceptance tests from its own RNG stream
+(``seed + c``), carries its own temperature/acceptance state, and the
+engine issues **one** ``evaluate_many(states)`` call per iteration so a
+vectorized cost evaluator (e.g. the fast thermal model's batched path)
+amortizes its work across the whole chain population.  The result is
+the best state over all chains — best-of-M restarts at a fraction of
+the cost of M separate runs.  ``n_chains=1`` is one chain of the same
+engine (golden-pinned by ``tests/data/golden_baselines.json``).
 
-* ``n_chains=1`` — the original sequential Metropolis loop, kept
-  bit-for-bit intact (golden-pinned by ``tests/data/
-  golden_baselines.json``): one proposal, one scalar ``evaluate`` per
-  iteration.
-* ``n_chains=M>1`` — M independent chains advanced in lockstep.  Chain
-  ``c`` draws proposals and acceptance tests from its own RNG stream
-  (``seed + c``), carries its own temperature/acceptance state, and the
-  engine issues **one** ``evaluate_many(states)`` call per iteration so
-  a vectorized cost evaluator (e.g. the fast thermal model's batched
-  path) amortizes its work across the whole chain population.  The
-  result is the best state over all chains — best-of-M restarts at a
-  fraction of the sequential cost.
-
-Chain ``c`` of the lockstep engine consumes randomness in exactly the
-order a sequential run with ``seed + c`` would, so when ``evaluate_many``
-agrees bitwise with ``evaluate`` the multi-chain run reproduces M
-sequential runs exactly (regression-tested).
+Chain ``c`` consumes randomness exactly as a one-chain run with
+``seed + c`` does, so when ``evaluate_many`` agrees bitwise with
+``evaluate`` the multi-chain run reproduces M single-chain runs exactly
+(regression-tested).
 """
 
 from __future__ import annotations
@@ -48,7 +43,7 @@ class SAConfig:
     initial_temperature:
         ``None`` auto-calibrates so early uphill moves are accepted with
         ~50 % probability (standard practice; TAP-2.5D does the same).
-        Calibration is per chain when ``n_chains > 1``.
+        Calibration is per chain.
     final_temperature:
         End of the geometric schedule.
     time_limit:
@@ -57,7 +52,7 @@ class SAConfig:
         RNG seed for proposals and acceptance; chain ``c`` uses
         ``seed + c``.
     n_chains:
-        Number of independent lockstep chains (1 = sequential engine).
+        Number of independent lockstep chains.
     history_stride:
         Record every ``stride``-th iteration into the history columns.
         1 (the default) preserves the original per-iteration trace.
@@ -181,7 +176,7 @@ class SAHistory:
 
 @dataclass
 class SAResult:
-    """Outcome of one annealing run (single- or multi-chain)."""
+    """Outcome of one annealing run."""
 
     best_state: object
     best_cost: float
@@ -212,9 +207,9 @@ class SimulatedAnnealing:
     config:
         Schedule and budget.
     evaluate_many:
-        Optional vectorized ``evaluate_many(states) -> costs`` used by
-        the multi-chain engine; defaults to mapping ``evaluate`` over
-        the batch (bitwise-identical costs, no speedup).
+        Optional vectorized ``evaluate_many(states) -> costs``; defaults
+        to mapping ``evaluate`` over the batch (bitwise-identical costs,
+        no speedup).
     """
 
     def __init__(
@@ -238,14 +233,10 @@ class SimulatedAnnealing:
         ``checkpoint_fn``; the run continues from that iteration and is
         bitwise identical to an uninterrupted run.
         """
-        if self.config.n_chains > 1:
-            return self.run_chains(
-                [initial_state] * self.config.n_chains,
-                resume_state=resume_state,
-                checkpoint_fn=checkpoint_fn,
-            )
-        return self._run_sequential(
-            initial_state, resume_state=resume_state, checkpoint_fn=checkpoint_fn
+        return self.run_chains(
+            [initial_state] * self.config.n_chains,
+            resume_state=resume_state,
+            checkpoint_fn=checkpoint_fn,
         )
 
     def _should_checkpoint(self, iteration: int, checkpoint_fn) -> bool:
@@ -257,135 +248,6 @@ class SimulatedAnnealing:
             and done % every == 0
             and done < self.config.n_iterations
         )
-
-    @staticmethod
-    def _check_snapshot(snapshot: dict, engine: str) -> None:
-        found = snapshot.get("engine")
-        if found != engine:
-            raise ValueError(
-                f"cannot resume a {found!r} snapshot with the {engine!r} "
-                "engine (chain count changed between runs?)"
-            )
-
-    # ------------------------------------------------------------------
-    # sequential engine (n_chains=1) — golden-pinned, do not disturb
-    # ------------------------------------------------------------------
-
-    def _run_sequential(
-        self, initial_state, resume_state=None, checkpoint_fn=None
-    ) -> SAResult:
-        cfg = self.config
-        rng = np.random.default_rng(cfg.seed)
-        history = SAHistory(cfg.n_iterations, cfg.history_stride)
-
-        if resume_state is None:
-            start = time.perf_counter()
-            current = initial_state
-            current_cost = self.evaluate(current)
-            best, best_cost = current, current_cost
-            n_evaluations = 1
-            n_accepted = 0
-
-            t0 = cfg.initial_temperature
-            if t0 is None:
-                t0, calibration_evals = self._calibrate(
-                    current, current_cost, rng
-                )
-                n_evaluations += calibration_evals
-            cooling = (cfg.final_temperature / t0) ** (
-                1.0 / max(cfg.n_iterations, 1)
-            )
-            temperature = t0
-            start_iteration = 0
-        else:
-            self._check_snapshot(resume_state, "sequential")
-            rng.bit_generator.state = resume_state["rng_state"]
-            current = resume_state["current"]
-            current_cost = resume_state["current_cost"]
-            best = resume_state["best"]
-            best_cost = resume_state["best_cost"]
-            n_evaluations = resume_state["n_evaluations"]
-            n_accepted = resume_state["n_accepted"]
-            cooling = resume_state["cooling"]
-            temperature = resume_state["temperature"]
-            history.load_state_dict(resume_state["history"])
-            start_iteration = resume_state["iteration"]
-            # Resume the wall clock where the interrupted run left it so
-            # time_limit budgets span the whole run.
-            start = time.perf_counter() - resume_state["elapsed"]
-
-        for iteration in range(start_iteration, cfg.n_iterations):
-            if (
-                cfg.time_limit is not None
-                and time.perf_counter() - start > cfg.time_limit
-            ):
-                break
-            progress = iteration / cfg.n_iterations
-            candidate = self.propose(current, rng, progress)
-            temperature *= cooling
-            if candidate is not None:
-                candidate_cost = self.evaluate(candidate)
-                n_evaluations += 1
-                delta = candidate_cost - current_cost
-                if delta <= 0 or rng.random() < math.exp(
-                    -delta / max(temperature, 1e-12)
-                ):
-                    current, current_cost = candidate, candidate_cost
-                    n_accepted += 1
-                    if current_cost < best_cost:
-                        best, best_cost = current, current_cost
-                history.record(iteration, temperature, current_cost, best_cost)
-            if self._should_checkpoint(iteration, checkpoint_fn):
-                checkpoint_fn(
-                    {
-                        "engine": "sequential",
-                        "iteration": iteration + 1,
-                        "rng_state": rng.bit_generator.state,
-                        "current": current,
-                        "current_cost": current_cost,
-                        "best": best,
-                        "best_cost": best_cost,
-                        "n_evaluations": n_evaluations,
-                        "n_accepted": n_accepted,
-                        "cooling": cooling,
-                        "temperature": temperature,
-                        "history": history.state_dict(),
-                        "elapsed": time.perf_counter() - start,
-                    }
-                )
-
-        return SAResult(
-            best_state=best,
-            best_cost=best_cost,
-            n_evaluations=n_evaluations,
-            n_accepted=n_accepted,
-            elapsed=time.perf_counter() - start,
-            history=history,
-        )
-
-    def _calibrate(self, state, cost, rng: np.random.Generator) -> tuple:
-        """Initial temperature from the uphill-move cost spread.
-
-        Returns (temperature, evaluations spent).
-        """
-        deltas = []
-        evaluations = 0
-        for _ in range(self.config.calibration_samples):
-            candidate = self.propose(state, rng, 0.0)
-            if candidate is None:
-                continue
-            delta = self.evaluate(candidate) - cost
-            evaluations += 1
-            if delta > 0:
-                deltas.append(delta)
-        if not deltas:
-            return 1.0, evaluations
-        # Accept an average uphill move with probability ~0.5 initially.
-        return float(np.mean(deltas) / math.log(2.0)), evaluations
-
-    # ------------------------------------------------------------------
-    # lockstep multi-chain engine
-    # ------------------------------------------------------------------
 
     def _evaluate_states(self, states) -> np.ndarray:
         if self.evaluate_many is not None:
@@ -436,11 +298,12 @@ class SimulatedAnnealing:
             temperature = t0.copy()
             start_iteration = 0
         else:
-            self._check_snapshot(resume_state, "chains")
-            if resume_state["n_chains"] != chains:
+            engine = resume_state.get("engine")
+            found = resume_state.get("n_chains")
+            if engine != "chains" or found != chains:
                 raise ValueError(
-                    f"snapshot has {resume_state['n_chains']} chains, "
-                    f"run_chains was given {chains} initial states"
+                    f"cannot resume a snapshot of engine {engine!r} with "
+                    f"{found} chains from {chains} initial states"
                 )
             for rng, state in zip(rngs, resume_state["rng_states"]):
                 rng.bit_generator.state = state
@@ -528,10 +391,11 @@ class SimulatedAnnealing:
         )
 
     def _calibrate_chains(self, states, costs, rngs) -> tuple:
-        """Per-chain :meth:`_calibrate` with batched evaluations.
+        """Per-chain initial temperatures, with batched evaluations.
 
-        Each chain performs the same proposal draws a sequential
-        calibration with its seed would; only the cost evaluations are
+        Each chain draws ``calibration_samples`` proposals from its own
+        RNG and sets its temperature so an average uphill move is
+        accepted with probability ~0.5.  The cost evaluations are
         fanned into ``evaluate_many`` (evaluation consumes no RNG, so
         the batching is unobservable to the chains).  Returns
         (per-chain temperatures, evaluations spent).

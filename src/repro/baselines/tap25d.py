@@ -45,9 +45,8 @@ class TAP25DConfig:
     n_chains:
         Independent lockstep annealing chains; every chain spends the
         full ``n_iterations`` budget and the best layout over all chains
-        wins.  Chains > 1 evaluate candidates through the batched
-        reward path (one vectorized thermal pass per step); ``1`` is the
-        original sequential engine, kept bit-for-bit.
+        wins.  Each step's candidates go through the batched reward
+        path (one vectorized thermal pass per step).
     history_stride:
         Thin the recorded history to every ``stride``-th iteration.
     checkpoint_every:
@@ -281,8 +280,8 @@ class TAP25DPlacer:
     def run(self, resume_state=None, checkpoint_fn=None) -> PlacerResult:
         """Anneal from the shelf packing; returns the best layout found.
 
-        With ``config.n_chains > 1`` the SA engine advances all chains
-        in lockstep and each step's candidates are costed through
+        The SA engine advances all ``config.n_chains`` chains in
+        lockstep and each step's candidates are costed through
         ``RewardCalculator.evaluate_batch`` — one batched thermal pass
         per iteration instead of one evaluation per chain.
 

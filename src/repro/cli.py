@@ -69,6 +69,16 @@ def _budget_from_args(args) -> ExperimentBudget:
     )
 
 
+def rollout_width(text) -> int:
+    """Parse ``--batch-size``: episodes step in lockstep waves of >= 2."""
+    width = int(text)  # ValueError on garbage, as argparse expects
+    if width < 2:
+        raise argparse.ArgumentTypeError(
+            f"--batch-size must be >= 2, got {width}"
+        )
+    return width
+
+
 def _add_budget_args(parser) -> None:
     parser.add_argument("--epochs", type=int, default=30)
     parser.add_argument("--episodes", type=int, default=8)
@@ -77,10 +87,10 @@ def _add_budget_args(parser) -> None:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
         "--batch-size",
-        type=int,
+        type=rollout_width,
         default=16,
-        help="rollout batch width for RL collection "
-        "(1 = sequential engine, >1 = lockstep batched engine)",
+        help="rollout batch width for RL collection: episodes step in "
+        "lockstep waves of this many (>= 2)",
     )
     parser.add_argument(
         "--collect-jobs",
@@ -89,8 +99,7 @@ def _add_budget_args(parser) -> None:
         help="worker processes for RL episode collection within one "
         "training run ('auto' = available CPUs, falling back to "
         "in-process with a warning on single-CPU hosts); bitwise "
-        "identical to 1 at any count, requires --batch-size >= 2 to "
-        "take effect",
+        "identical to 1 at any count",
     )
     parser.add_argument(
         "--collect-workers",
@@ -101,7 +110,7 @@ def _add_budget_args(parser) -> None:
         "(or --collect-jobs, if larger) wave-aligned slices served by scripts/collect_worker.py "
         "processes (0 = off); bitwise identical to in-process at any "
         "count, degrades to --collect-jobs then in-process when no "
-        "workers are reachable; requires --batch-size >= 2",
+        "workers are reachable",
     )
     parser.add_argument(
         "--collect-bind",
@@ -117,16 +126,15 @@ def _add_budget_args(parser) -> None:
         "is collected with the pre-update epoch-k policy while the "
         "learner runs update k (one-epoch staleness; reproducible at "
         "a fixed seed, but not bitwise-equal to the default lockstep "
-        "schedule); requires --batch-size >= 2",
+        "schedule)",
     )
     parser.add_argument(
         "--sa-chains",
         type=int,
         default=16,
         help="lockstep annealing chains for both SA baselines "
-        "(1 = sequential engine, >1 = batched best-of-N chains; the "
-        "HotSpot arm solves all chains through one factorization per "
-        "step)",
+        "(best-of-N; the HotSpot arm solves all chains through one "
+        "factorization per step)",
     )
     parser.add_argument(
         "--hotspot-reuse-lu",

@@ -1,14 +1,11 @@
-"""Sequential chiplet-placement MDP (single-episode and lockstep-batched)."""
+"""Sequential chiplet-placement MDP, stepped in lockstep batches."""
 
-from repro.env.batched_env import BatchedFloorplanEnv, BatchedStepResult
-from repro.env.floorplan_env import EnvConfig, FloorplanEnv, StepResult
+from repro.env.batched_env import BatchedFloorplanEnv, BatchedStepResult, EnvConfig
 from repro.env.mask import feasible_cells, feasible_cells_batch
 from repro.env.state import ObservationBuilder
 
 __all__ = [
     "EnvConfig",
-    "FloorplanEnv",
-    "StepResult",
     "BatchedFloorplanEnv",
     "BatchedStepResult",
     "feasible_cells",

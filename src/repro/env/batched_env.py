@@ -1,17 +1,22 @@
-"""Lockstep batched version of the sequential-placement environment.
+"""The sequential-placement environment (paper Fig. 1's left block).
+
+Chiplets are placed one per step, largest first.  The action is the grid
+cell receiving the current chiplet's lower-left corner (optionally x2
+for 90-degree rotation).  Infeasible cells are masked.
 
 :class:`BatchedFloorplanEnv` steps ``n`` independent episodes of the
 same system in lockstep: every live episode is placing the same chiplet
 (the canonical placement order is shared), so one call produces stacked
 observations and masks that feed a single batched actor-critic forward
-pass instead of ``n`` sequential single-row forwards.
+pass.  ``reset(1)`` runs a single episode.
 
-Episode semantics are identical to :class:`~repro.env.FloorplanEnv`:
-
-* terminal reward after the last placement (evaluated for the whole
-  batch in one pass through the shared reward calculator);
-* deadlock (empty mask for the next die) ends that episode with the
-  configured penalty while the rest of the batch keeps running.
+* The reward is terminal: after the last placement the reward
+  calculator performs microbump assignment and thermal analysis, for
+  the whole batch in one pass.
+* A *deadlock* (no feasible cell for the next die) ends that episode
+  with a configurable penalty while the rest of the batch keeps
+  running; the mask makes this rare but tight packings can still paint
+  themselves into a corner.
 
 Batching economies:
 
@@ -32,13 +37,36 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.chiplet import ChipletSystem, Placement
-from repro.env.floorplan_env import EnvConfig
 from repro.env.mask import feasible_cells_batch
 from repro.env.state import ObservationBuilder
 from repro.geometry import PlacementGrid
 from repro.reward import RewardCalculator
 
-__all__ = ["BatchedStepResult", "BatchedFloorplanEnv"]
+__all__ = ["EnvConfig", "BatchedStepResult", "BatchedFloorplanEnv"]
+
+
+@dataclass(frozen=True)
+class EnvConfig:
+    """Environment parameters.
+
+    Attributes
+    ----------
+    grid_size:
+        Placement grid resolution (``grid_size x grid_size`` actions).
+    allow_rotation:
+        Doubles the action space with 90-degree-rotated placements.
+    deadlock_penalty:
+        Terminal reward when the mask empties mid-episode; should sit
+        well below any achievable legal reward.
+    """
+
+    grid_size: int = 32
+    allow_rotation: bool = False
+    deadlock_penalty: float = -100.0
+
+    def __post_init__(self) -> None:
+        if self.grid_size < 2:
+            raise ValueError("grid_size must be at least 2")
 
 
 @dataclass
@@ -54,8 +82,8 @@ class BatchedStepResult:
         Episode indices (into the ``reset`` batch) still running.
     finished:
         ``(index, reward, info)`` for every episode that terminated this
-        step; ``info`` matches the sequential environment's terminal
-        info dict (``breakdown``/``placement`` or ``deadlock`` entries).
+        step; ``info`` holds ``breakdown``/``placement`` for a completed
+        floorplan, or ``deadlock``/``unplaceable``/``placement``.
     all_done:
         True when no episode is left running.
     """
@@ -81,7 +109,7 @@ class BatchedFloorplanEnv:
         Shared terminal evaluator; finished placements of a step are
         evaluated in one batch pass.
     config:
-        Same options as the sequential environment.
+        Grid resolution and episode options.
     """
 
     def __init__(

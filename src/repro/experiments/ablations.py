@@ -23,7 +23,7 @@ import time
 
 from repro.agent import RLPlannerTrainer, TrainerConfig
 from repro.bumps import BumpAssigner
-from repro.env import EnvConfig, FloorplanEnv
+from repro.env import BatchedFloorplanEnv, EnvConfig
 from repro.experiments.report import MethodResult
 from repro.experiments.runner import (
     ExperimentBudget,
@@ -57,7 +57,7 @@ ABLATION_VARIANTS = (
 
 
 def _train(spec, reward_calculator, budget, label, use_rnd=False, grid=None):
-    env = FloorplanEnv(
+    env = BatchedFloorplanEnv(
         spec.system,
         reward_calculator,
         EnvConfig(grid_size=grid or budget.grid_size),
@@ -67,6 +67,7 @@ def _train(spec, reward_calculator, budget, label, use_rnd=False, grid=None):
         TrainerConfig(
             epochs=budget.rl_epochs,
             episodes_per_epoch=budget.episodes_per_epoch,
+            batch_size=budget.rollout_batch_size,
             seed=budget.seed,
             use_rnd=use_rnd,
             rnd=RNDConfig(bonus_scale=0.5),
@@ -108,9 +109,9 @@ def run_ablation_arm(
     if variant == "rl/solver/base":
         # The whole point of the fast model: the solver-in-the-loop
         # variant gets the same *epoch* budget and pays the wall-clock
-        # price: ablations train on the sequential engine
-        # (batch_size=1), so every episode's terminal reward is one
-        # grid solve with its own factorization.
+        # price.  A lockstep wave's terminal rewards share one grid
+        # factorization (one multi-RHS solve per wave), so the price
+        # is one factorization per wave, not per episode.
         return _train(spec, evaluators["reward_solver"], budget, variant)
     if variant == "rl/fast/wl-estimate":
         estimate_reward = RewardCalculator(

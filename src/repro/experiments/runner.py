@@ -37,7 +37,7 @@ from pathlib import Path
 
 from repro.agent import RLPlannerTrainer, TrainerConfig
 from repro.baselines import TAP25DConfig, TAP25DPlacer
-from repro.env import EnvConfig, FloorplanEnv
+from repro.env import BatchedFloorplanEnv, EnvConfig
 from repro.experiments.report import MethodResult
 from repro.parallel import JobSpec, run_jobs
 from repro.reward import RewardCalculator
@@ -87,19 +87,16 @@ class ExperimentBudget:
     sa_time_matched: bool = True
     position_samples: tuple = (7, 7)
     seed: int = 0
-    # Rollout batch width for RL episode collection (1 = the original
-    # sequential engine; >1 = lockstep batched collection).  Batched
-    # collection is the default since PR 2; the batched engine's
-    # per-episode RNG streams produce different (equally valid)
-    # trajectories than the golden-pinned sequential engine, which
-    # remains available via rollout_batch_size=1.
+    # Rollout batch width for RL episode collection (>= 2): episodes
+    # step in lockstep waves of this width, each on its own RNG stream,
+    # so results are identical at every width.
     rollout_batch_size: int = 16
     # Lockstep annealing chains for both SA baselines: best-of-N chains
     # with one batched reward pass per step.  The fast-thermal arm
     # (TAP-2.5D*) vectorizes its table lookups across the chains; the
     # HotSpot arm (TAP-2.5D) solves all chains' candidates as one
     # multi-RHS block through a single factorization per step
-    # (bitwise identical to sequential chains), so extra chains
+    # (bitwise identical to one-chain runs), so extra chains
     # amortize — rather than multiply — its dominant factorization
     # cost.  Both arms spread their total proposal budget over the
     # chains, keeping evaluation counts comparable across chain counts.
@@ -123,9 +120,8 @@ class ExperimentBudget:
     # (TrainerConfig.collect_jobs).  Orthogonal to the arm-level
     # ``jobs`` sharding: ``jobs`` spreads independent arms over cores,
     # ``collect_jobs`` spreads one arm's episodes.  Bitwise-invariant
-    # by construction (and needs rollout_batch_size >= 2; with the
-    # sequential engine the trainer warns and collects in-process), so
-    # like the checkpoint cadences it never enters a store key.
+    # by construction, so like the checkpoint cadences it never enters
+    # a store key.
     collect_jobs: int = 1
     # Remote (multi-machine) episode collection within one RL arm
     # (TrainerConfig.collect_workers / collect_bind): >= 1 opens a
@@ -141,8 +137,7 @@ class ExperimentBudget:
     # runs update k (TrainerConfig.async_collect).  One epoch of policy
     # staleness changes the training trajectory, so unlike
     # ``collect_jobs`` this IS semantic and stays in store keys —
-    # async and lockstep results must never alias.  Requires
-    # rollout_batch_size >= 2.
+    # async and lockstep results must never alias.
     async_collect: bool = False
 
     @classmethod
@@ -315,7 +310,7 @@ def build_evaluators(spec: BenchmarkSpec, budget: ExperimentBudget, cache_dir=No
 def _run_rl(
     spec, reward_calculator, budget, use_rnd: bool, resume=None, capture=None
 ) -> MethodResult:
-    env = FloorplanEnv(
+    env = BatchedFloorplanEnv(
         spec.system,
         reward_calculator,
         EnvConfig(grid_size=budget.grid_size),
@@ -425,8 +420,8 @@ def _run_sa(
         # The grid solver's multi-RHS path solves every chain's
         # candidate through one factorization per lockstep step, so the
         # HotSpot arm spreads the same total proposal budget over
-        # best-of-N chains (exactly N interleaved sequential runs,
-        # bitwise) at a fraction of the sequential wall clock.
+        # best-of-N chains (exactly N interleaved one-chain runs,
+        # bitwise) at a fraction of their separate wall clock.
         n_chains = max(budget.sa_chains, 1)
         n_iterations = max(budget.sa_iterations_hotspot // n_chains, 1)
     else:

@@ -1,6 +1,6 @@
 """PPO episode collection: one lockstep loop, one collector, one ladder.
 
-The trainer's batched engine makes every episode a pure function of
+The trainer makes every episode a pure function of
 (policy weights, its own ``episode.{index}`` RNG stream): episode ``k``
 of a run draws from ``SeedSequence(seed).rng(f"episode.{k}")`` no
 matter which lockstep wave, process or machine runs it.  Everything in
@@ -30,9 +30,7 @@ Because the per-episode streams are *stateless* — derived on demand
 from ``(seed, index)`` — workers carry no RNG state between epochs.
 The only cross-epoch collection state is the trainer's global episode
 counter, which the checkpoint payload already captures, so kill+resume
-stays bitwise under any executor.  The sequential engine
-(``batch_size=1``) shares one action stream across episodes and cannot
-be sliced; the trainer never builds a collector for it.
+stays bitwise under any executor.
 
 **The degrade ladder.**  One rule covers every rung.  A round that
 leaves slices undelivered (a dead or stalled pool worker, no leased
@@ -498,8 +496,7 @@ class EpisodeCollector:
         ``splu``-holding grid solver is not, and RL arms never train
         against one).
     batch_size:
-        Lockstep wave width (>= 2: the sequential engine's shared
-        action stream cannot be sliced).
+        Lockstep wave width (>= 2).
     seed:
         The trainer seed; every replica re-derives the exact
         per-episode streams from it.
@@ -559,9 +556,7 @@ class EpisodeCollector:
     ):
         if batch_size < 2:
             raise ValueError(
-                "EpisodeCollector requires the batched engine "
-                "(batch_size >= 2); the sequential engine's episodes "
-                "share one action stream and cannot be sliced bitwise"
+                f"EpisodeCollector needs batch_size >= 2, got {batch_size}"
             )
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")

@@ -441,7 +441,9 @@ class WorkerCoordinator:
 
     def _assignable_locked(self):
         epoch = self._epoch
-        if epoch is None or not epoch["queue"]:
+        # An epoch with a deterministic slice failure is already lost:
+        # drive_epoch raises on it, so dispatch nothing more from it.
+        if epoch is None or epoch["errors"] or not epoch["queue"]:
             return None
         for lease in self._leases.values():
             if lease.ready and not lease.fenced and lease.task is None:

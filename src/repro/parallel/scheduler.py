@@ -314,7 +314,7 @@ def run_jobs(
             pending.append(spec)
     try:
         if jobs == 1:
-            _run_sequential(
+            _run_in_process(
                 pending, done, store, policy, budget, keep_going, report
             )
         else:
@@ -366,7 +366,7 @@ def _record_skip(spec: JobSpec, blocked_by: str, report: SweepReport) -> None:
     )
 
 
-def _run_sequential(
+def _run_in_process(
     specs: list,
     done: dict,
     store,

@@ -100,7 +100,7 @@ class ServeEngine:
         )
         self._policies: dict = {}  # name -> {"state": dict, "channels": tuple}
         self._networks: dict = {}  # (policy, bundle_key, grid) -> ActorCritic
-        self._envs: dict = {}  # (bundle_key, grid) -> (env, batched_env)
+        self._envs: dict = {}  # (bundle_key, grid) -> batched_env
         self._specs: dict = {}  # benchmark name -> BenchmarkSpec
         self._inflight: dict = {}  # place key -> Future
         self._lock = threading.Lock()
@@ -291,7 +291,7 @@ class ServeEngine:
         """(network, batched_env, bundle) for one rollout group —
         networks and envs are built once per (policy, bundle, grid)."""
         from repro.agent.networks import ActorCritic
-        from repro.env import BatchedFloorplanEnv, EnvConfig, FloorplanEnv
+        from repro.env import BatchedFloorplanEnv, EnvConfig
 
         with self._lock:
             info = self._policies.get(policy)
@@ -304,18 +304,16 @@ class ServeEngine:
         env_key = (bundle.key, spec.name, grid)
         net_key = (policy, bundle.key, spec.name, grid)
         with bundle.lock:
-            envs = self._envs.get(env_key)
-            if envs is None:
-                env_args = (
+            env = self._envs.get(env_key)
+            if env is None:
+                env = BatchedFloorplanEnv(
                     spec.system,
                     bundle.evaluators["reward_fast"],
                     EnvConfig(grid_size=grid),
                 )
-                envs = (FloorplanEnv(*env_args), BatchedFloorplanEnv(*env_args))
-                self._envs[env_key] = envs
+                self._envs[env_key] = env
             network = self._networks.get(net_key)
             if network is None:
-                env = envs[0]
                 network = ActorCritic.from_state_dict(
                     info["state"],
                     env.observation_shape,
@@ -323,7 +321,7 @@ class ServeEngine:
                     info["channels"],
                 )
                 self._networks[net_key] = network
-        return network, envs[1], bundle
+        return network, env, bundle
 
     def rollout(
         self, policy: str, system: str, seed: int, greedy: bool, budget

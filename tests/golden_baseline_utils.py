@@ -4,9 +4,9 @@ The golden regression (``tests/data/golden_baselines.json``) pins the
 single-chain search baselines — the generic SA engine, TAP-2.5D (on the
 fast thermal model *and* on the ground-truth grid solver), the B*-tree
 annealer and random search — to the exact results the pre-refactor
-(sequential, one-evaluation-per-proposal) engines produced.  The
-multi-chain/batched engines added in PR 2 must leave the ``n_chains=1``
-path bit-for-bit intact; this golden is what enforces that.  The
+(one-evaluation-per-proposal) engines produced.  One chain of the
+lockstep engine reproduces them bit for bit; this golden is what
+enforces that.  The
 ``tap25d_hotspot`` record pins the grid solver's factorization through
 a whole annealing run; it was regenerated once, when the solver moved
 to its symmetric unpivoted ``splu`` (a 1e-10 relative reward shift).

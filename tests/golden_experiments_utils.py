@@ -7,7 +7,7 @@ results the pre-scheduler (PR 3) runner produced.  The process-pool
 experiment scheduler added in PR 4 must leave the ``jobs=1`` in-process
 path bit-for-bit intact; this golden is what enforces that, the same
 way ``golden_baselines.json`` pins the ``n_chains=1`` annealers and
-``golden_sequential_trainer.json`` pins the ``batch_size=1`` trainer.
+``golden_trainer.json`` pins the width-4 trainer.
 
 The scenario disables wall-clock time matching (``sa_time_matched=
 False``) because a time-limited arm's iteration count depends on

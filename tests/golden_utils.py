@@ -1,12 +1,11 @@
 """Fixed scenario shared by the golden-trainer tests and their generators.
 
-The golden regression (``tests/data/golden_sequential_trainer.json``)
-pins the sequential (``batch_size=1``) training path to the exact
-trajectory the pre-refactor trainer produced.  Its twin
-(``tests/data/golden_trainer_weights.json``) pins the learner: the
-trained parameters after the same run, at batch widths 1 and 4.  The
-rewards alone cannot catch a broken update, because a near-uniform
-policy samples the same actions whether or not its weights moved.
+The golden regression (``tests/data/golden_trainer.json``) pins the
+training trajectory at rollout width :data:`GOLDEN_BATCH_SIZE`.  Its
+twin (``tests/data/golden_trainer_weights.json``) pins the learner: the
+trained parameters after the same run.  The rewards alone cannot catch
+a broken update, because a near-uniform policy samples the same
+actions whether or not its weights moved.
 Both checked-in generators (``scripts/gen_golden_trainer.py`` and
 ``scripts/gen_golden_trainer_weights.py``) and the regression tests
 import this module so the scenario can never drift between them.
@@ -18,15 +17,16 @@ import numpy as np
 
 from repro.agent import RLPlannerTrainer, TrainerConfig
 from repro.chiplet import Chiplet, ChipletSystem, Interposer, Net
-from repro.env import EnvConfig, FloorplanEnv
+from repro.env import BatchedFloorplanEnv, EnvConfig
 from repro.reward import RewardCalculator, RewardConfig
 from repro.rl import PPOConfig
 from repro.thermal import FastThermalModel, ThermalConfig, characterize_tables
 
 GOLDEN_SEED = 123
-GOLDEN_PATH = "tests/data/golden_sequential_trainer.json"
+GOLDEN_BATCH_SIZE = 4
+GOLDEN_PATH = "tests/data/golden_trainer.json"
 GOLDEN_WEIGHTS_PATH = "tests/data/golden_trainer_weights.json"
-GOLDEN_WEIGHTS_BATCH_SIZES = (1, 4)
+GOLDEN_WEIGHTS_BATCH_SIZES = (GOLDEN_BATCH_SIZE,)
 
 
 def build_golden_system() -> ChipletSystem:
@@ -46,7 +46,9 @@ def build_golden_system() -> ChipletSystem:
     )
 
 
-def build_golden_env(system: ChipletSystem | None = None) -> FloorplanEnv:
+def build_golden_env(
+    system: ChipletSystem | None = None,
+) -> BatchedFloorplanEnv:
     system = system or build_golden_system()
     config = ThermalConfig(rows=32, cols=32, package_margin=8.0)
     sizes = []
@@ -61,12 +63,15 @@ def build_golden_env(system: ChipletSystem | None = None) -> FloorplanEnv:
         FastThermalModel(tables, config),
         RewardConfig(lambda_wl=1e-4, use_bump_assignment=False),
     )
-    return FloorplanEnv(system, calc, EnvConfig(grid_size=12))
+    return BatchedFloorplanEnv(system, calc, EnvConfig(grid_size=12))
 
 
-def build_golden_trainer(env: FloorplanEnv, **overrides) -> RLPlannerTrainer:
+def build_golden_trainer(
+    env: BatchedFloorplanEnv, **overrides
+) -> RLPlannerTrainer:
     defaults = dict(
         epochs=4,
+        batch_size=GOLDEN_BATCH_SIZE,
         episodes_per_epoch=6,
         seed=GOLDEN_SEED,
         log_every=0,
@@ -103,7 +108,7 @@ def weight_summary(trainer: RLPlannerTrainer) -> dict:
     }
 
 
-def run_golden_weights(env: FloorplanEnv) -> dict:
+def run_golden_weights(env: BatchedFloorplanEnv) -> dict:
     """Batch width (as a string key) -> :func:`weight_summary` after
     :func:`run_golden` at that width."""
     record = {}

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.agent import ActorCritic, RLPlannerTrainer, TrainerConfig
-from repro.env import EnvConfig, FloorplanEnv
+from repro.env import BatchedFloorplanEnv, EnvConfig
 from repro.reward import RewardCalculator, RewardConfig
 from repro.rl import PPOConfig
 
@@ -14,7 +14,7 @@ def env(small_system, small_fast_model):
     calc = RewardCalculator(
         small_fast_model, RewardConfig(lambda_wl=1e-4, use_bump_assignment=False)
     )
-    return FloorplanEnv(small_system, calc, EnvConfig(grid_size=12))
+    return BatchedFloorplanEnv(small_system, calc, EnvConfig(grid_size=12))
 
 
 def small_trainer(env, **overrides):
@@ -43,22 +43,25 @@ class TestActorCritic:
     def test_act_respects_mask(self):
         rng = np.random.default_rng(0)
         net = ActorCritic((2, 8, 8), 64, channels=(4, 4, 4), rng=rng)
-        mask = np.zeros(64, bool)
-        mask[[3, 17]] = True
+        mask = np.zeros((1, 64), bool)
+        mask[0, [3, 17]] = True
         for _ in range(10):
-            action, log_prob, value = net.act(
-                rng.normal(size=(2, 8, 8)), mask, rng
+            actions, log_probs, values = net.act_batch(
+                rng.normal(size=(1, 2, 8, 8)), mask, [rng]
             )
-            assert action in (3, 17)
-            assert log_prob <= 0.0
-            assert np.isfinite(value)
+            assert actions[0] in (3, 17)
+            assert log_probs[0] <= 0.0
+            assert np.isfinite(values[0])
 
     def test_greedy_act_deterministic(self):
         rng = np.random.default_rng(1)
         net = ActorCritic((2, 8, 8), 64, channels=(4, 4, 4), rng=rng)
-        obs = rng.normal(size=(2, 8, 8))
-        mask = np.ones(64, bool)
-        actions = {net.act(obs, mask, rng, greedy=True)[0] for _ in range(5)}
+        obs = rng.normal(size=(1, 2, 8, 8))
+        mask = np.ones((1, 64), bool)
+        actions = {
+            int(net.act_batch(obs, mask, [rng], greedy=True)[0][0])
+            for _ in range(5)
+        }
         assert len(actions) == 1
 
     def test_initial_policy_near_uniform(self):
@@ -83,7 +86,7 @@ class TestActorCritic:
 class TestTrainer:
     def test_collect_episode_complete(self, env):
         trainer = small_trainer(env)
-        episode, info = trainer.collect_episode()
+        [(episode, info)] = trainer.collect_episodes(1)
         assert episode.length == env.episode_length
         assert "breakdown" in info or info.get("deadlock")
 
@@ -127,12 +130,12 @@ class TestTrainer:
         trainer.save_checkpoint(path)
         fresh = small_trainer(env, seed=99)
         fresh.load_checkpoint(path)
-        obs, mask = env.reset()
+        obs, mask = env.reset(1)
         rng = np.random.default_rng(0)
-        a1, _, v1 = trainer.network.act(obs, mask, rng, greedy=True)
-        a2, _, v2 = fresh.network.act(obs, mask, rng, greedy=True)
-        assert a1 == a2
-        assert v1 == pytest.approx(v2)
+        a1, _, v1 = trainer.network.act_batch(obs, mask, [rng], greedy=True)
+        a2, _, v2 = fresh.network.act_batch(obs, mask, [rng], greedy=True)
+        assert a1[0] == a2[0]
+        assert v1[0] == pytest.approx(v2[0])
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

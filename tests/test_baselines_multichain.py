@@ -3,9 +3,9 @@
 Three equivalence guarantees from PR 2 are locked in here:
 
 1. the single-chain (``n_chains=1``) baselines reproduce the pre-PR
-   sequential engines bitwise (``tests/data/golden_baselines.json``);
+   engines bitwise (``tests/data/golden_baselines.json``);
 2. the lockstep multi-chain engine with an exact ``evaluate_many`` is
-   bitwise equal to running its chains sequentially (chain ``c`` with
+   bitwise equal to running its chains one at a time (chain ``c`` with
    seed ``seed + c``);
 3. the batched reward path (``RewardCalculator.evaluate_many``) agrees
    with scalar evaluation bitwise.
@@ -64,7 +64,7 @@ class TestGoldenSingleChain:
 
 class TestMultiChainEngine:
     def test_m1_reproduces_sequential_bitwise(self):
-        """run_chains with one chain == the sequential engine, bitwise."""
+        """run_chains with one chain == ``run`` at n_chains=1, bitwise."""
         config = SAConfig(n_iterations=400, seed=11)
         sequential = SimulatedAnnealing(
             _toy_propose, _toy_evaluate, config
@@ -82,7 +82,7 @@ class TestMultiChainEngine:
 
     @pytest.mark.parametrize("chains", [2, 5])
     def test_chain_c_equals_sequential_seed_plus_c(self, chains):
-        """Every lockstep chain is bitwise one sequential run."""
+        """Every lockstep chain is bitwise one single-chain run."""
         config = SAConfig(n_iterations=250, seed=42, n_chains=chains)
         multi = SimulatedAnnealing(_toy_propose, _toy_evaluate, config).run(
             -4.0

@@ -27,7 +27,7 @@ from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-from repro.env import EnvConfig, FloorplanEnv
+from repro.env import BatchedFloorplanEnv, EnvConfig
 from repro.experiments.report import MethodResult
 from repro.experiments.runner import _inject_rl_runtime
 from repro.parallel import JobSpec, RetryPolicy, SweepReport, run_jobs
@@ -371,7 +371,7 @@ def trainer_env(small_system, small_fast_model):
     calc = RewardCalculator(
         small_fast_model, RewardConfig(lambda_wl=1e-4, use_bump_assignment=False)
     )
-    return FloorplanEnv(small_system, calc, EnvConfig(grid_size=10))
+    return BatchedFloorplanEnv(small_system, calc, EnvConfig(grid_size=10))
 
 
 class TestCollectorChaos:

@@ -95,8 +95,8 @@ class TestBudgetConstruction:
         assert captured["store"] is not None
         assert captured["store"].root == tmp_path / "rs"
 
-    def test_sequential_engines_still_selectable(
-        self, monkeypatch, fake_results
+    def test_one_chain_accepted_width_one_rejected(
+        self, monkeypatch, fake_results, capsys
     ):
         captured = {}
 
@@ -105,9 +105,16 @@ class TestBudgetConstruction:
             return fake_results
 
         monkeypatch.setattr(cli, "run_table1", fake_run_table1)
-        cli.main(["table1", "--batch-size", "1", "--sa-chains", "1"])
-        assert captured["budget"].rollout_batch_size == 1
+        # One annealing chain is one chain of the lockstep engine.
+        cli.main(["table1", "--sa-chains", "1"])
         assert captured["budget"].sa_chains == 1
+        # Rollout waves need two episodes: rejected at parse time.
+        captured.clear()
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["table1", "--batch-size", "1"])
+        assert excinfo.value.code != 0
+        assert "--batch-size must be >= 2" in capsys.readouterr().err
+        assert not captured
 
     def test_sa_incremental_and_reuse_lu_flags(
         self, monkeypatch, fake_results

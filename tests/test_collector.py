@@ -11,8 +11,6 @@ Covers the PR-6 tentpole guarantees:
   uninterrupted in-process run, bitwise — even when the resumed run
   uses a *different* ``collect_jobs`` (per-episode streams re-derive
   from (seed, index), so worker count is not semantic state);
-* the sequential engine (``batch_size=1``) cannot shard: requesting
-  ``collect_jobs>1`` warns and falls back to in-process collection;
 * (reward, episode-index)-keyed best-placement selection: ties can
   never flip the reported best, whatever order episodes arrive in;
 * slice partitioning and the policy-weights payload round-trip;
@@ -21,14 +19,12 @@ Covers the PR-6 tentpole guarantees:
   bitwise like it;
 * worker pools are released when training finishes or dies.
 
-The in-process/golden anchoring chain: ``collect_jobs=1`` at
-``batch_size=1`` is pinned to ``tests/data/golden_sequential_trainer
-.json`` (test_trainer_batched), batched widths are pinned to each other
-and to the golden experiments table, and this file pins every
-``collect_jobs`` to ``collect_jobs=1``.
+The in-process/golden anchoring chain: ``collect_jobs=1`` at width 4
+is pinned to ``tests/data/golden_trainer.json`` (test_trainer_batched),
+batched widths are pinned to each other and to the golden experiments
+table, and this file pins every ``collect_jobs`` to ``collect_jobs=1``.
 """
 
-import logging
 import pickle
 
 import numpy as np
@@ -37,7 +33,7 @@ import pytest
 from repro.agent import RLPlannerTrainer, TrainerConfig
 from repro.agent.networks import ActorCritic
 from repro.agent.trainer import _improves_best
-from repro.env import EnvConfig, FloorplanEnv
+from repro.env import BatchedFloorplanEnv, EnvConfig
 from repro.nn import CheckpointSchemaError, dumps_payload, loads_payload
 from repro.nn import layers as layers_module
 from repro.parallel import collector as collector_module
@@ -113,7 +109,7 @@ def trainer_env(small_system, small_fast_model):
     calc = RewardCalculator(
         small_fast_model, RewardConfig(lambda_wl=1e-4, use_bump_assignment=False)
     )
-    return FloorplanEnv(small_system, calc, EnvConfig(grid_size=10))
+    return BatchedFloorplanEnv(small_system, calc, EnvConfig(grid_size=10))
 
 
 def _make_trainer(env, **overrides):
@@ -317,7 +313,7 @@ class TestReplicaFromPayload:
     def test_slice_result_payload_stays_small(self, small_system, small_fast_model):
         """Pickled episodes keep deflate: 16 grid-32 episodes pickle to
         several MB of mostly-empty observation planes."""
-        env = FloorplanEnv(
+        env = BatchedFloorplanEnv(
             small_system,
             RewardCalculator(
                 small_fast_model,
@@ -382,26 +378,7 @@ class TestShardedBitwise:
             sharded.close_collector()
 
 
-class TestSequentialFallback:
-    def test_batch_size_1_warns_and_collects_in_process(
-        self, trainer_env, caplog
-    ):
-        logger = logging.getLogger("repro")
-        logger.addHandler(caplog.handler)
-        try:
-            trainer = _make_trainer(
-                trainer_env, batch_size=1, collect_jobs=4
-            )
-        finally:
-            logger.removeHandler(caplog.handler)
-        assert any(
-            "cannot be sharded" in rec.getMessage() for rec in caplog.records
-        )
-        assert trainer.collect_jobs == 1
-        assert trainer._collector is None
-        reference = _distill(_make_trainer(trainer_env, batch_size=1).train())
-        assert _distill(trainer.train()) == reference
-
+class TestCollectJobsValidation:
     def test_collect_jobs_zero_rejected(self):
         with pytest.raises(ValueError, match="collect_jobs"):
             TrainerConfig(collect_jobs=0)

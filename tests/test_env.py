@@ -5,7 +5,12 @@ import pytest
 
 from repro.chiplet import Chiplet, ChipletSystem, Interposer, Net, Placement
 from repro.chiplet.validate import validate_placement
-from repro.env import EnvConfig, FloorplanEnv, ObservationBuilder, feasible_cells
+from repro.env import (
+    BatchedFloorplanEnv,
+    EnvConfig,
+    ObservationBuilder,
+    feasible_cells,
+)
 from repro.geometry import PlacementGrid, Rect
 from repro.reward import RewardCalculator, RewardConfig
 
@@ -15,7 +20,7 @@ def env(small_system, small_fast_model):
     calc = RewardCalculator(
         small_fast_model, RewardConfig(lambda_wl=1e-4, use_bump_assignment=False)
     )
-    return FloorplanEnv(small_system, calc, EnvConfig(grid_size=15))
+    return BatchedFloorplanEnv(small_system, calc, EnvConfig(grid_size=15))
 
 
 class TestFeasibleCells:
@@ -109,55 +114,61 @@ class TestObservationBuilder:
 
 
 class TestFloorplanEnv:
+    """Single-episode behavior: a lockstep batch of one."""
+
     def test_reset_shapes(self, env):
-        obs, mask = env.reset()
-        assert obs.shape == env.observation_shape
-        assert mask.shape == (env.n_actions,)
+        obs, mask = env.reset(1)
+        assert obs.shape == (1,) + env.observation_shape
+        assert mask.shape == (1, env.n_actions)
         assert mask.any()
 
     def test_placement_order_largest_first(self, env):
-        env.reset()
+        env.reset(1)
         assert env.current_chiplet_name == "hot"  # 8x8 is the largest
 
     def test_full_episode_legal_and_rewarded(self, env):
-        obs, mask = env.reset()
+        obs, mask = env.reset(1)
         rng = np.random.default_rng(0)
         done = False
         steps = 0
         while not done:
-            action = int(rng.choice(np.flatnonzero(mask)))
-            result = env.step(action)
-            done = result.done
+            action = int(rng.choice(np.flatnonzero(mask[0])))
+            result = env.step([action])
+            done = result.all_done
             if not done:
-                obs, mask = result.observation, result.mask
+                obs, mask = result.observations, result.masks
             steps += 1
         assert steps == env.episode_length
-        assert result.reward < 0.0
-        assert "breakdown" in result.info
-        validate_placement(result.info["placement"])
+        [(index, reward, info)] = result.finished
+        assert index == 0
+        assert reward < 0.0
+        assert "breakdown" in info
+        validate_placement(info["placement"])
 
     def test_masked_action_rejected(self, env):
-        _, mask = env.reset()
-        infeasible = int(np.flatnonzero(~mask)[0]) if (~mask).any() else None
+        _, mask = env.reset(1)
+        infeasible = (
+            int(np.flatnonzero(~mask[0])[0]) if (~mask[0]).any() else None
+        )
         if infeasible is not None:
             with pytest.raises(ValueError, match="masked"):
-                env.step(infeasible)
+                env.step([infeasible])
 
     def test_out_of_range_action_rejected(self, env):
-        env.reset()
+        env.reset(1)
         with pytest.raises(ValueError, match="range"):
-            env.step(env.n_actions)
+            env.step([env.n_actions])
 
     def test_step_before_reset_rejected(self, small_system, small_fast_model):
         calc = RewardCalculator(small_fast_model)
-        env2 = FloorplanEnv(small_system, calc, EnvConfig(grid_size=10))
+        env2 = BatchedFloorplanEnv(small_system, calc, EnvConfig(grid_size=10))
         with pytest.raises(RuntimeError):
-            env2.step(0)
+            env2.step([0])
 
     def test_rotation_doubles_actions(self, small_system, small_fast_model):
         calc = RewardCalculator(small_fast_model)
-        base = FloorplanEnv(small_system, calc, EnvConfig(grid_size=10))
-        rotated = FloorplanEnv(
+        base = BatchedFloorplanEnv(small_system, calc, EnvConfig(grid_size=10))
+        rotated = BatchedFloorplanEnv(
             small_system, calc, EnvConfig(grid_size=10, allow_rotation=True)
         )
         assert rotated.n_actions == 2 * base.n_actions
@@ -166,20 +177,18 @@ class TestFloorplanEnv:
         calc = RewardCalculator(
             small_fast_model, RewardConfig(use_bump_assignment=False)
         )
-        env2 = FloorplanEnv(
+        env2 = BatchedFloorplanEnv(
             small_system, calc, EnvConfig(grid_size=10, allow_rotation=True)
         )
-        env2.reset()
+        _, mask = env2.reset(1)
         # Skip to the non-square "cold" die (4x6): place hot and warm first.
         while env2.current_chiplet_name != "cold":
-            _, mask = env2._observe()
-            action = int(np.flatnonzero(mask[: env2.grid.n_cells])[0])
-            env2.step(action)
-        _, mask = env2._observe()
-        rotated_actions = np.flatnonzero(mask[env2.grid.n_cells :])
+            action = int(np.flatnonzero(mask[0, : env2.grid.n_cells])[0])
+            mask = env2.step([action]).masks
+        rotated_actions = np.flatnonzero(mask[0, env2.grid.n_cells :])
         assert len(rotated_actions) > 0
-        result = env2.step(int(rotated_actions[0]) + env2.grid.n_cells)
-        placement = result.info["placement"]
+        result = env2.step([int(rotated_actions[0]) + env2.grid.n_cells])
+        placement = result.finished[0][2]["placement"]
         rect = placement.footprint("cold")
         assert (rect.w, rect.h) == (6.0, 4.0)
 
@@ -194,22 +203,22 @@ class TestFloorplanEnv:
             ),
         )
         calc = _StubCalculator()
-        env2 = FloorplanEnv(system, calc, EnvConfig(grid_size=10))
-        env2.reset()
+        env2 = BatchedFloorplanEnv(system, calc, EnvConfig(grid_size=10))
+        _, mask = env2.reset(1)
         # Place "big" mid-height: leaves < 14 mm above and below.
         grid = env2.grid
         row = 3  # origin y = 9 -> occupies 9..23 on a 30 tall region
         action = grid.flat_index(row, 0)
-        _, mask = env2._observe()
-        assert mask[action]
-        result = env2.step(action)
-        assert result.done
-        assert result.info.get("deadlock")
-        assert result.reward == env2.config.deadlock_penalty
+        assert mask[0, action]
+        result = env2.step([action])
+        assert result.all_done
+        [(_, reward, info)] = result.finished
+        assert info.get("deadlock")
+        assert reward == env2.config.deadlock_penalty
 
 
 class _StubCalculator:
     """RewardCalculator stand-in that never touches thermal models."""
 
-    def evaluate(self, placement):
+    def evaluate_batch(self, placements):
         raise AssertionError("terminal evaluation should not run on deadlock")

@@ -1,10 +1,11 @@
 """Tests for the lockstep batched environment and its vectorized layers.
 
 The load-bearing property throughout: everything the batched path
-produces (masks, observations, placements) is *identical* to running the
-episodes one at a time through the sequential environment — batching is
-an execution strategy, not a behavior change.  Terminal rewards go
-through the vectorized thermal evaluator and are compared with a tight
+produces (masks, observations, placements) is *identical* to the
+stateless per-episode references (``ObservationBuilder.build``,
+``feasible_cells``) — batching is an execution strategy, not a behavior
+change.  Terminal rewards go through the vectorized thermal evaluator
+and are compared with ``RewardCalculator.evaluate`` to a tight
 numerical tolerance instead of bitwise.
 """
 
@@ -12,11 +13,10 @@ import numpy as np
 import pytest
 
 from repro.agent import ActorCritic
-from repro.chiplet import Chiplet, ChipletSystem, Interposer
+from repro.chiplet import Chiplet, ChipletSystem, Interposer, Placement
 from repro.env import (
     BatchedFloorplanEnv,
     EnvConfig,
-    FloorplanEnv,
     ObservationBuilder,
     feasible_cells,
     feasible_cells_batch,
@@ -118,51 +118,80 @@ class TestFeasibleCellsBatch:
 
 
 class TestBatchedEnvEquivalence:
+    @staticmethod
+    def _reference_mask(env, placement, name):
+        """Flat mask for ``name`` from per-episode ``feasible_cells``."""
+        chiplet = env.system.chiplet(name)
+        placed = [placement.footprint(n) for n in placement.placed_names]
+        spacing = env.system.interposer.min_spacing
+        upright = feasible_cells(
+            env.grid, chiplet.width, chiplet.height, placed, spacing
+        ).ravel()
+        if not env.config.allow_rotation:
+            return upright
+        if chiplet.rotatable:
+            rotated = feasible_cells(
+                env.grid, chiplet.height, chiplet.width, placed, spacing
+            ).ravel()
+        else:
+            rotated = np.zeros_like(upright)
+        return np.concatenate([upright, rotated])
+
     def _rollout_pair(self, system, calc, config, n_episodes, seed):
-        """Step a batched env and n sequential envs with the same actions."""
+        """Step a batched env and check every live row against the
+        stateless references: ``ObservationBuilder.build``, per-episode
+        ``feasible_cells`` masks and ``RewardCalculator.evaluate``."""
         rng = np.random.default_rng(seed)
         batched = BatchedFloorplanEnv(system, calc, config)
-        sequential = [
-            FloorplanEnv(system, calc, config) for _ in range(n_episodes)
-        ]
-        obs_b, masks_b = batched.reset(n_episodes)
-        seq_state = [env.reset() for env in sequential]
-        seq_done = [False] * n_episodes
-        seq_rewards = [None] * n_episodes
+        builder = ObservationBuilder(system, batched.grid)
+        n_cells = batched.grid.n_cells
+        reference = [Placement(system) for _ in range(n_episodes)]
+        expected = [None] * n_episodes
         batch_rewards = [None] * n_episodes
+        obs_b, masks_b = batched.reset(n_episodes)
 
         while True:
             live = batched.live_indices
             if len(live) == 0:
                 break
+            name = batched.current_chiplet_name
             actions = []
             for row, index in enumerate(live):
-                # Same observation and mask as the sequential twin.
-                obs_s, mask_s = seq_state[index]
-                assert np.array_equal(obs_b[row], obs_s)
-                assert np.array_equal(masks_b[row], mask_s)
+                assert np.array_equal(
+                    obs_b[row], builder.build(reference[index], name)
+                )
+                assert np.array_equal(
+                    masks_b[row],
+                    self._reference_mask(batched, reference[index], name),
+                )
                 actions.append(int(rng.choice(np.flatnonzero(masks_b[row]))))
             result = batched.step(np.array(actions))
+            step_index = system.placement_order().index(name) + 1
             for row, index in enumerate(live):
-                step = sequential[index].step(actions[row])
-                if step.done:
-                    seq_done[index] = True
-                    seq_rewards[index] = (step.reward, step.info)
-                else:
-                    seq_state[index] = (step.observation, step.mask)
+                cell, rotated = actions[row] % n_cells, actions[row] >= n_cells
+                x, y = batched.grid.cell_origin(*batched.grid.unflatten(cell))
+                reference[index].place(name, x, y, rotated=bool(rotated))
+                if step_index == system.n_chiplets:
+                    breakdown = calc.evaluate(reference[index])
+                    expected[index] = (breakdown.reward, None)
+                    continue
+                next_name = system.placement_order()[step_index]
+                if not self._reference_mask(
+                    batched, reference[index], next_name
+                ).any():
+                    expected[index] = (config.deadlock_penalty, True)
             for index, reward, info in result.finished:
                 batch_rewards[index] = (reward, info)
             obs_b, masks_b = result.observations, result.masks
 
-        assert all(seq_done)
         for index in range(n_episodes):
             b_reward, b_info = batch_rewards[index]
-            s_reward, s_info = seq_rewards[index]
+            e_reward, e_deadlock = expected[index]
             # Terminal rewards: vectorized vs scalar thermal evaluation.
-            assert b_reward == pytest.approx(s_reward, rel=1e-9, abs=1e-9)
-            assert b_info.get("deadlock") == s_info.get("deadlock")
+            assert b_reward == pytest.approx(e_reward, rel=1e-9, abs=1e-9)
+            assert b_info.get("deadlock") == e_deadlock
             assert (
-                b_info["placement"].positions == s_info["placement"].positions
+                b_info["placement"].positions == reference[index].positions
             )
 
     def test_lockstep_matches_sequential(self, small_system, calc):

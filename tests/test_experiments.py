@@ -18,8 +18,11 @@ from repro.experiments import (
     run_table2,
     save_results,
 )
+from repro.experiments import ablations
+from repro.experiments.ablations import ABLATION_VARIANTS
 from repro.experiments.report import format_comparison
 from repro.experiments.table3 import improvement_summary
+from repro.reward import RewardCalculator
 from repro.thermal import ThermalConfig
 
 
@@ -97,6 +100,37 @@ class TestBudget:
 
     def test_default_is_scaled_down(self):
         assert ExperimentBudget().rl_epochs < 100
+
+
+class TestAblationWidth:
+    @pytest.mark.parametrize("variant", ABLATION_VARIANTS)
+    def test_arm_trains_at_budget_rollout_width(self, monkeypatch, variant):
+        """Every ablation arm hands the budget's rollout width to its
+        trainer (``repro.cli ablations --batch-size N``)."""
+        captured = {}
+
+        class Captured(Exception):
+            pass
+
+        def fake_trainer(env, config):
+            captured["config"] = config
+            raise Captured()
+
+        stub = object()
+        monkeypatch.setattr(
+            ablations,
+            "build_evaluators",
+            lambda spec, budget, cache_dir: {
+                "fast_model": stub,
+                "reward_fast": RewardCalculator(stub),
+                "reward_solver": RewardCalculator(stub),
+            },
+        )
+        monkeypatch.setattr(ablations, "RLPlannerTrainer", fake_trainer)
+        budget = ExperimentBudget(rl_epochs=1, rollout_batch_size=5)
+        with pytest.raises(Captured):
+            ablations.run_ablation_arm(variant, budget)
+        assert captured["config"].batch_size == 5
 
 
 class TestGoldenExperiments:

@@ -11,7 +11,7 @@ import pytest
 from repro.agent import RLPlannerTrainer, TrainerConfig
 from repro.baselines import TAP25DConfig, TAP25DPlacer, random_search
 from repro.chiplet.validate import validate_placement
-from repro.env import EnvConfig, FloorplanEnv
+from repro.env import BatchedFloorplanEnv, EnvConfig
 from repro.reward import RewardCalculator, RewardConfig
 from repro.rl import PPOConfig
 from repro.thermal.config import KELVIN_OFFSET
@@ -35,7 +35,7 @@ class TestMethodMatrix:
     """All four method/evaluator combinations produce legal floorplans."""
 
     def test_rl_with_fast_model(self, small_system, reward_fast):
-        env = FloorplanEnv(small_system, reward_fast, EnvConfig(grid_size=12))
+        env = BatchedFloorplanEnv(small_system, reward_fast, EnvConfig(grid_size=12))
         trainer = RLPlannerTrainer(
             env,
             TrainerConfig(
@@ -51,7 +51,7 @@ class TestMethodMatrix:
         validate_placement(result.best_placement)
 
     def test_rl_with_solver(self, small_system, reward_solver):
-        env = FloorplanEnv(small_system, reward_solver, EnvConfig(grid_size=12))
+        env = BatchedFloorplanEnv(small_system, reward_solver, EnvConfig(grid_size=12))
         trainer = RLPlannerTrainer(
             env,
             TrainerConfig(
@@ -108,7 +108,7 @@ class TestEvaluatorConsistency:
 class TestEndToEndReproducibility:
     def test_same_seed_same_history(self, small_system, reward_fast):
         def run():
-            env = FloorplanEnv(
+            env = BatchedFloorplanEnv(
                 small_system, reward_fast, EnvConfig(grid_size=12)
             )
             trainer = RLPlannerTrainer(

@@ -26,7 +26,6 @@ Covers the PR-9 tentpole guarantees:
 """
 
 import json
-import logging
 import socket
 import threading
 import time
@@ -36,7 +35,7 @@ import pytest
 
 from repro.agent import RLPlannerTrainer, TrainerConfig
 from repro.agent.networks import ActorCritic
-from repro.env import EnvConfig, FloorplanEnv
+from repro.env import BatchedFloorplanEnv, EnvConfig
 from repro.nn import dumps_payload
 from repro.parallel import remote as remote_module
 from repro.parallel.chaos import CHAOS_ENV, ChaosInjector, ChaosSpec, set_chaos
@@ -79,7 +78,7 @@ def parts(small_system, small_fast_model):
 @pytest.fixture
 def weights(parts):
     system, calc, env_config = parts
-    env = FloorplanEnv(system, calc, env_config)
+    env = BatchedFloorplanEnv(system, calc, env_config)
     network = ActorCritic(
         env.observation_shape,
         env.n_actions,
@@ -650,7 +649,7 @@ class TestWorkerLifecycle:
             EpisodeCollector(
                 system, calc, env_config, workers=-1, batch_size=2, seed=0
             )
-        with pytest.raises(ValueError, match="batched engine"):
+        with pytest.raises(ValueError, match="batch_size >= 2"):
             EpisodeCollector(
                 system, calc, env_config, workers=2, batch_size=1, seed=0
             )
@@ -687,7 +686,7 @@ def _distill_result(result) -> dict:
 @pytest.fixture
 def trainer_env(parts):
     system, calc, env_config = parts
-    return FloorplanEnv(system, calc, env_config)
+    return BatchedFloorplanEnv(system, calc, env_config)
 
 
 def _make_trainer(env, **overrides):
@@ -778,24 +777,6 @@ class TestTrainerIntegration:
         finally:
             trainer.close_collector()
         assert state["collect_workers"] == 2
-
-    def test_batch_size_one_disables_remote_with_warning(
-        self, trainer_env, caplog
-    ):
-        logger = logging.getLogger("repro")
-        logger.addHandler(caplog.handler)
-        try:
-            trainer = _make_trainer(
-                trainer_env, batch_size=1, collect_workers=2, rnd=None
-            )
-        finally:
-            logger.removeHandler(caplog.handler)
-        assert trainer._collector is None
-        assert trainer.collect_workers == 0
-        assert any(
-            "sequential engine" in rec.getMessage()
-            for rec in caplog.records
-        )
 
     def test_config_validation(self, trainer_env):
         with pytest.raises(ValueError, match="collect_workers"):

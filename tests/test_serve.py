@@ -30,7 +30,7 @@ import pytest
 
 from repro.agent.networks import ActorCritic
 from repro.chiplet import Placement
-from repro.env import EnvConfig, FloorplanEnv
+from repro.env import BatchedFloorplanEnv, EnvConfig
 from repro.experiments.runner import ExperimentBudget
 from repro.nn.serialization import dumps_payload
 from repro.parallel.collector import POLICY_PAYLOAD_KIND
@@ -519,7 +519,7 @@ class TestPolicyServing:
         server, client = serve_stack
         spec = get_benchmark("synthetic1")
         bundle = server.engine.registry.bundle(spec, serve_budget)
-        env = FloorplanEnv(
+        env = BatchedFloorplanEnv(
             spec.system,
             bundle.evaluators["reward_fast"],
             EnvConfig(grid_size=serve_budget.grid_size),
@@ -636,7 +636,7 @@ class TestPolicyServing:
         server, client = serve_stack
         spec = get_benchmark("synthetic1")
         bundle = server.engine.registry.bundle(spec, serve_budget)
-        env = FloorplanEnv(
+        env = BatchedFloorplanEnv(
             spec.system,
             bundle.evaluators["reward_fast"],
             EnvConfig(grid_size=serve_budget.grid_size),

