@@ -1,97 +1,50 @@
-"""Search-baseline throughput: one chain vs lockstep multi-chain SA.
+"""Fast-model SA throughput: one chain vs lockstep multi-chain SA.
 
-Measures cost-evaluations/sec of complete :class:`TAP25DPlacer` runs on
-the default synthetic system for ``n_chains`` in {1, 4, 16}: every
+Measures cost-evaluations/sec of complete :class:`TAP25DPlacer` runs —
+the ``TAP-2.5D*(FastThermal)`` arm's annealer — on a bundled benchmark
+(``--system``, default ``multi_gpu``) for ``n_chains`` in {1, 4, 16}.
+The evaluator is the one that arm uses: the spec's own
+``reward_config`` (bump-assigned wirelength) over the fast thermal
+model, built by ``repro.experiments.runner.build_evaluators``.  Every
 count advances that many chains in lockstep with one batched
 ``RewardCalculator.evaluate_batch`` pass per step, so the one-chain leg
-is the baseline the wider counts amortize against.
-Arms alternate inside each measurement round so single-core frequency
-noise cannot bias one of them; the reported figure is the median across
-rounds.
+is the baseline the wider counts amortize against.  The HotSpot arm's
+chains are measured by the perfbench workload ``sa_hotspot``.
 
-``--thermal`` selects the evaluator inside the annealer:
-
-* ``fast`` (default) — the paper's LTI surrogate; batching vectorizes
-  its table lookups across the chain population.
-* ``hotspot`` — the ground-truth :class:`GridThermalSolver` with
-  HotSpot-like per-evaluation cost (fresh factorization, no caching
-  across steps); batching solves every chain's candidate as one
-  multi-RHS block through a *single* factorization per step, which is
-  where the speedup comes from.
-
-The reward path uses the bundle wirelength estimator so the measurement
-isolates the annealing engine (proposals, legality checks, batched
-thermal/wirelength evaluation).
-
-A machine-readable summary is written to ``BENCH_baselines.json`` after
-every run (including smoke runs), keyed by thermal mode, so the
-performance trajectory of both arms is tracked from PR 2 onward.
+Arms alternate inside each measurement round so slow machine phases
+cannot bias one of them; the reported figure is the median across
+rounds.  A machine-readable summary is written to
+``BENCH_baselines.json`` after every run (smoke runs included).
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/bench_baselines.py            # full, fast model
-    PYTHONPATH=src python benchmarks/bench_baselines.py --thermal hotspot
-    PYTHONPATH=src python benchmarks/bench_baselines.py --smoke    # CI, ~30 s
+    PYTHONPATH=src python benchmarks/bench_baselines.py            # full
+    PYTHONPATH=src python benchmarks/bench_baselines.py --smoke    # CI
     PYTHONPATH=src python benchmarks/bench_baselines.py --strict   # exit 1 below target
 
 Target (tracked in the README): n_chains=16 achieves >= 3x the
-one-chain evaluations/sec, in both thermal modes.
+one-chain evaluations/sec.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import sys
 import time
 from pathlib import Path
 
 from repro.baselines import TAP25DConfig, TAP25DPlacer
-from repro.reward import RewardCalculator, RewardConfig
-from repro.systems import synthetic_system
-from repro.thermal import FastThermalModel, GridThermalSolver, ThermalConfig
-from repro.thermal.characterize import load_or_characterize
-
-DEFAULT_CACHE_DIR = ".cache/thermal_tables"
-
-# Grid resolution of the --thermal hotspot scenario.  Coarser than the
-# production default (64x64) so the one-chain arm finishes benchmark
-# windows in reasonable time; the factorization/solve cost *ratio* the
-# speedup depends on only grows with resolution, so the measured
-# multiple is conservative.
-HOTSPOT_ROWS = 32
-HOTSPOT_COLS = 32
+from repro.experiments.runner import ExperimentBudget, build_evaluators
+from repro.systems import benchmark_names, get_benchmark
 
 
-def build_calculator(system_seed: int, thermal: str = "fast") -> tuple:
-    """The benchmark scenario: one synthetic system + chosen evaluator."""
-    system = synthetic_system(seed=system_seed)
-    if thermal == "hotspot":
-        config = ThermalConfig(rows=HOTSPOT_ROWS, cols=HOTSPOT_COLS)
-        calc = RewardCalculator(
-            GridThermalSolver(system.interposer, config),
-            RewardConfig(use_bump_assignment=False),
-        )
-        return system, calc
-    config = ThermalConfig()
-    sizes = []
-    for chiplet in system.chiplets:
-        sizes.append((chiplet.width, chiplet.height))
-        if chiplet.rotatable:
-            sizes.append((chiplet.height, chiplet.width))
-    tables = load_or_characterize(
-        system.interposer,
-        sizes,
-        config,
-        position_samples=(5, 5),
-        cache_dir=DEFAULT_CACHE_DIR,
-    )
-    calc = RewardCalculator(
-        FastThermalModel(tables, config),
-        RewardConfig(use_bump_assignment=False),
-    )
-    return system, calc
+def scenario(system: str, budget=ExperimentBudget(), cache_dir=None):
+    """The bundled spec and the fast-model reward its Table I arms use."""
+    spec = get_benchmark(system)
+    return spec, build_evaluators(spec, budget, cache_dir)["reward_fast"]
 
 
 def measure_window(system, calc, chains: int, iterations: int, seconds: float):
@@ -114,30 +67,15 @@ def measure_window(system, calc, chains: int, iterations: int, seconds: float):
             return evaluations / elapsed
 
 
-def _merge_payload(out_path: Path, thermal: str, payload: dict) -> dict:
-    """Merge one thermal mode's results into the summary file.
-
-    The file keeps one entry per thermal mode under ``modes`` so a
-    hotspot run doesn't clobber the fast-model numbers (and vice
-    versa); unreadable or legacy single-mode files are replaced.
-    """
-    merged = {"benchmark": "bench_baselines", "modes": {}}
-    if out_path.exists():
-        try:
-            existing = json.loads(out_path.read_text())
-            if isinstance(existing, dict) and isinstance(
-                existing.get("modes"), dict
-            ):
-                merged["modes"] = existing["modes"]
-        except (json.JSONDecodeError, OSError):
-            pass
-    merged["modes"][thermal] = payload
-    return merged
-
-
 def run(args) -> int:
-    system, calc = build_calculator(args.system_seed, args.thermal)
+    spec, calc = scenario(args.system)
+    system = spec.system
     widths = [int(w) for w in args.chains.split(",")]
+    cpu_count = os.cpu_count() or 1
+    print(
+        f"scenario: {args.system} iterations/run={args.iterations} "
+        f"on {cpu_count} cpu core(s)"
+    )
     for width in widths:  # warm caches and code paths
         measure_window(system, calc, width, args.iterations, 0.05)
 
@@ -157,12 +95,9 @@ def run(args) -> int:
     print()
     for width in widths:
         print(f"n_chains={width:<3d} median {medians[width]:8.1f} evals/s")
-    baseline = medians[widths[0]]
-    speedups = {}
+    speedups = {w: medians[w] / medians[widths[0]] for w in widths[1:]}
     status = 0
-    for width in widths[1:]:
-        speedup = medians[width] / baseline
-        speedups[width] = speedup
+    for width, speedup in speedups.items():
         verdict = ""
         # The >=3x target is pinned to the widest arm (intermediate
         # chain counts amortize less and are reported informationally).
@@ -177,22 +112,23 @@ def run(args) -> int:
         )
 
     payload = {
+        "benchmark": "bench_baselines",
+        "mode": "smoke" if args.smoke else "full",
+        "cpu_count": cpu_count,
         "scenario": {
-            "system": system.name,
+            "system": args.system,
             "n_chiplets": system.n_chiplets,
             "iterations_per_run": args.iterations,
-            "thermal": args.thermal,
         },
-        "mode": "smoke" if args.smoke else "full",
         "rounds": args.rounds,
         "window_seconds": args.window_seconds,
         "evals_per_sec": {str(w): medians[w] for w in widths},
-        "speedup_vs_one_chain": {str(w): speedups[w] for w in speedups},
+        "speedup_vs_one_chain": {str(w): s for w, s in speedups.items()},
         "target": args.target,
+        "target_met": bool(speedups and speedups[widths[-1]] >= args.target),
     }
     out_path = Path(args.out)
-    merged = _merge_payload(out_path, args.thermal, payload)
-    out_path.write_text(json.dumps(merged, indent=2) + "\n")
+    out_path.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {out_path}")
     return status
 
@@ -200,24 +136,22 @@ def run(args) -> int:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
+        "--system",
+        choices=benchmark_names(),
+        default="multi_gpu",
+        help="bundled benchmark whose spec and reward config are measured",
+    )
+    parser.add_argument(
         "--chains",
         type=str,
         default="1,4,16",
         help="comma-separated chain counts; the first is the baseline",
     )
     parser.add_argument(
-        "--thermal",
-        choices=("fast", "hotspot"),
-        default="fast",
-        help="thermal evaluator inside the annealer (hotspot = the "
-        "ground-truth grid solver with multi-RHS batched solves)",
-    )
-    parser.add_argument(
         "--iterations",
         type=int,
-        default=None,
-        help="SA iterations per chain per run "
-        "(default: 150 fast, 100 hotspot)",
+        default=150,
+        help="SA iterations per chain per run",
     )
     parser.add_argument("--rounds", type=int, default=5, help="alternating measurement rounds")
     parser.add_argument(
@@ -226,7 +160,6 @@ def main(argv=None) -> int:
         default=2.0,
         help="minimum seconds per measurement window",
     )
-    parser.add_argument("--system-seed", type=int, default=1, help="synthetic system seed")
     parser.add_argument(
         "--target", type=float, default=3.0, help="required speedup multiple"
     )
@@ -239,7 +172,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--strict",
         action="store_true",
-        help="exit nonzero when a chain count misses the target",
+        help="exit nonzero when the widest chain count misses the target",
     )
     parser.add_argument(
         "--smoke",
@@ -247,14 +180,9 @@ def main(argv=None) -> int:
         help="single fast round, no target check (CI)",
     )
     args = parser.parse_args(argv)
-    if args.iterations is None:
-        args.iterations = 100 if args.thermal == "hotspot" else 150
     if args.smoke:
         args.rounds = 1
-        # The hotspot arm's one-chain leg pays a sparse factorization
-        # per evaluation; cap its smoke budget harder so CI stays fast.
-        cap = 30 if args.thermal == "hotspot" else 60
-        args.iterations = min(args.iterations, cap)
+        args.iterations = min(args.iterations, 5)
         args.window_seconds = min(args.window_seconds, 0.5)
     return run(args)
 

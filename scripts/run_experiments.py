@@ -32,18 +32,13 @@ import time
 from dataclasses import asdict
 from pathlib import Path
 
-from repro.cli import rollout_width
+from repro.cli import _add_fault_args, _fault_kwargs, rollout_width
 from repro.experiments import run_table2
 from repro.experiments.report import save_results
 from repro.experiments.runner import ExperimentBudget
 from repro.experiments.table1 import TABLE1_SYSTEMS, run_table1
 from repro.experiments.table3 import improvement_summary, run_table3
-from repro.parallel import (
-    RetryPolicy,
-    SweepReport,
-    resolve_collect_jobs,
-    resolve_jobs,
-)
+from repro.parallel import SweepReport, resolve_collect_jobs, resolve_jobs
 from repro.store import DEFAULT_STORE_DIR, RunStore
 
 
@@ -168,30 +163,7 @@ def parse_args(argv=None):
     parser.add_argument(
         "--skip", nargs="*", default=[], choices=["table1", "table2", "table3"]
     )
-    parser.add_argument(
-        "--retries",
-        type=int,
-        default=2,
-        metavar="K",
-        help="retry transiently failed jobs (dead worker, OS error, "
-        "timeout) up to K times on fresh workers with seeded-jitter "
-        "backoff (default: 2, 0 disables)",
-    )
-    parser.add_argument(
-        "--job-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="per-job wall-clock budget; stragglers past it are killed "
-        "and retried as transient failures (needs --jobs >= 2)",
-    )
-    parser.add_argument(
-        "--keep-going",
-        action="store_true",
-        help="quarantine permanently failing arms instead of aborting: "
-        "independent arms complete (and publish under --resume), "
-        "<out>/report.json records the triage, exit code is nonzero",
-    )
+    _add_fault_args(parser)
     return parser.parse_args(argv)
 
 
@@ -218,17 +190,12 @@ def build_budget(args) -> ExperimentBudget:
 
 def main(argv=None) -> int:
     args = parse_args(argv)
+    report = SweepReport()
+    fault_kwargs = dict(_fault_kwargs(args), report=report)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     budget = build_budget(args)
     store = RunStore(args.store_dir) if args.resume else None
-    report = SweepReport()
-    fault_kwargs = dict(
-        policy=RetryPolicy(max_attempts=args.retries + 1),
-        job_timeout=args.job_timeout,
-        keep_going=args.keep_going,
-        report=report,
-    )
     print(f"budget: {budget}")
     print(f"jobs: {args.jobs}")
     if store is not None:

@@ -310,7 +310,7 @@ class BStarFloorplanner:
 
         engine = SimulatedAnnealing(
             propose=self._propose,
-            evaluate=scorer.evaluate,
+            evaluate_many=scorer.evaluate_many,
             config=SAConfig(
                 n_iterations=cfg.n_iterations,
                 initial_temperature=cfg.initial_temperature,
@@ -321,7 +321,6 @@ class BStarFloorplanner:
                 history_stride=cfg.history_stride,
                 checkpoint_every=cfg.checkpoint_every,
             ),
-            evaluate_many=scorer.evaluate_many,
         )
         # A resume only reads the chain count from the initial states
         # (the snapshot carries the incumbents); skip the per-chain

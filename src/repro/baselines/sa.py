@@ -16,9 +16,9 @@ the cost of M separate runs.  ``n_chains=1`` is one chain of the same
 engine (golden-pinned by ``tests/data/golden_baselines.json``).
 
 Chain ``c`` consumes randomness exactly as a one-chain run with
-``seed + c`` does, so when ``evaluate_many`` agrees bitwise with
-``evaluate`` the multi-chain run reproduces M single-chain runs exactly
-(regression-tested).
+``seed + c`` does, so when ``evaluate_many`` scores each state
+independently of its batch the multi-chain run reproduces M
+single-chain runs exactly (regression-tested).
 """
 
 from __future__ import annotations
@@ -202,27 +202,17 @@ class SimulatedAnnealing:
         means the move was infeasible and is skipped (not evaluated).
         Must not mutate its input state (every caller in this repo
         copies before perturbing).
-    evaluate:
-        ``evaluate(state) -> cost`` (lower is better).
+    evaluate_many:
+        ``evaluate_many(states) -> costs``, one cost per state (lower is
+        better), called once per lockstep step.
     config:
         Schedule and budget.
-    evaluate_many:
-        Optional vectorized ``evaluate_many(states) -> costs``; defaults
-        to mapping ``evaluate`` over the batch (bitwise-identical costs,
-        no speedup).
     """
 
-    def __init__(
-        self,
-        propose,
-        evaluate,
-        config: SAConfig | None = None,
-        evaluate_many=None,
-    ):
+    def __init__(self, propose, evaluate_many, config: SAConfig | None = None):
         self.propose = propose
-        self.evaluate = evaluate
-        self.config = config or SAConfig()
         self.evaluate_many = evaluate_many
+        self.config = config or SAConfig()
 
     def run(
         self, initial_state, resume_state=None, checkpoint_fn=None
@@ -250,9 +240,7 @@ class SimulatedAnnealing:
         )
 
     def _evaluate_states(self, states) -> np.ndarray:
-        if self.evaluate_many is not None:
-            return np.asarray(self.evaluate_many(states), dtype=np.float64)
-        return np.array([self.evaluate(s) for s in states], dtype=np.float64)
+        return np.asarray(self.evaluate_many(states), dtype=np.float64)
 
     def run_chains(
         self, initial_states, resume_state=None, checkpoint_fn=None

@@ -93,12 +93,12 @@ class PlacerResult:
 class WinnerScorer:
     """SA cost closures that carry the winner's breakdown out of the anneal.
 
-    :meth:`evaluate` / :meth:`evaluate_many` cost states (lower is
-    better: the negated reward) through ``RewardCalculator.evaluate`` /
-    ``evaluate_batch`` and keep the breakdown of the lowest-cost state
-    scored.  The engine's winner is normally that very object (its best
-    is the first strict minimum over the states it accepted), so
-    :meth:`winner_breakdown` returns it without another evaluation.
+    :meth:`evaluate_many` costs states (lower is better: the negated
+    reward) through ``RewardCalculator.evaluate_batch`` and keeps the
+    breakdown of the lowest-cost state scored.  The engine's winner is
+    normally that very object (its best is the first strict minimum
+    over the states it accepted), so :meth:`winner_breakdown` returns it
+    without another evaluation.
     Only when it is not (the winner came from a resumed snapshot, was a
     tie, or was beaten by a calibration probe) is the winner scored
     afresh.
@@ -118,7 +118,10 @@ class WinnerScorer:
         # The lowest-cost state scored so far, its cost and breakdown.
         self._state, self._cost, self._breakdown = None, np.inf, None
 
-    def _keep_lowest(self, states, breakdowns) -> np.ndarray:
+    def evaluate_many(self, states) -> np.ndarray:
+        breakdowns = self.reward_calculator.evaluate_batch(
+            [self.to_placement(state) for state in states]
+        )
         costs = np.array([-b.reward for b in breakdowns], dtype=np.float64)
         k = int(np.argmin(costs))
         if costs[k] < self._cost:
@@ -126,18 +129,6 @@ class WinnerScorer:
                 states[k], costs[k], breakdowns[k]
             )
         return costs
-
-    def evaluate(self, state) -> float:
-        breakdown = self.reward_calculator.evaluate(self.to_placement(state))
-        return float(self._keep_lowest([state], [breakdown])[0])
-
-    def evaluate_many(self, states) -> np.ndarray:
-        return self._keep_lowest(
-            states,
-            self.reward_calculator.evaluate_batch(
-                [self.to_placement(state) for state in states]
-            ),
-        )
 
     def winner_breakdown(self, state):
         """The :class:`RewardBreakdown` of the engine's best state."""
@@ -297,7 +288,7 @@ class TAP25DPlacer:
         scorer = WinnerScorer(self.reward_calculator)
         engine = SimulatedAnnealing(
             propose=self.propose,
-            evaluate=scorer.evaluate,
+            evaluate_many=scorer.evaluate_many,
             config=SAConfig(
                 n_iterations=cfg.n_iterations,
                 initial_temperature=cfg.initial_temperature,
@@ -308,7 +299,6 @@ class TAP25DPlacer:
                 history_stride=cfg.history_stride,
                 checkpoint_every=cfg.checkpoint_every,
             ),
-            evaluate_many=scorer.evaluate_many,
         )
         rng = np.random.default_rng(cfg.seed)
         # A resume ignores the initial state (the snapshot carries the

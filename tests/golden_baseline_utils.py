@@ -19,6 +19,8 @@ this module so the scenario can never drift between them.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.baselines import (
     BStarConfig,
     BStarFloorplanner,
@@ -85,8 +87,8 @@ def _toy_propose(state, rng, progress):
     return state + rng.normal(0.0, 1.0 * (1.0 - 0.9 * progress))
 
 
-def _toy_evaluate(state):
-    return (state - 3.0) ** 2
+def _toy_evaluate(states):
+    return np.array([(state - 3.0) ** 2 for state in states])
 
 
 def run_golden_baselines(calculator: RewardCalculator | None = None) -> dict:

@@ -31,8 +31,8 @@ class TestSAEngine:
         return state + rng.normal(0, 1.0 * (1 - 0.9 * progress))
 
     @staticmethod
-    def _evaluate(state):
-        return (state - 3.0) ** 2
+    def _evaluate(states):
+        return np.array([(state - 3.0) ** 2 for state in states])
 
     def test_finds_minimum(self):
         sa = SimulatedAnnealing(
@@ -77,11 +77,11 @@ class TestSAEngine:
         assert result.n_evaluations >= 1
 
     def test_time_limit(self):
-        def slow_eval(state):
+        def slow_eval(states):
             import time
 
-            time.sleep(0.01)
-            return (state - 3.0) ** 2
+            time.sleep(0.01 * len(states))
+            return np.array([(state - 3.0) ** 2 for state in states])
 
         sa = SimulatedAnnealing(
             self._propose,

@@ -41,6 +41,10 @@ def _toy_evaluate(state):
     return (state - 3.0) ** 2
 
 
+def _toy_evaluate_many(states):
+    return np.array([_toy_evaluate(state) for state in states])
+
+
 @pytest.fixture
 def calculator(small_fast_model):
     return RewardCalculator(
@@ -67,10 +71,10 @@ class TestMultiChainEngine:
         """run_chains with one chain == ``run`` at n_chains=1, bitwise."""
         config = SAConfig(n_iterations=400, seed=11)
         sequential = SimulatedAnnealing(
-            _toy_propose, _toy_evaluate, config
+            _toy_propose, _toy_evaluate_many, config
         ).run(-6.0)
         multi = SimulatedAnnealing(
-            _toy_propose, _toy_evaluate, config
+            _toy_propose, _toy_evaluate_many, config
         ).run_chains([-6.0])
         assert multi.best_state == sequential.best_state
         assert multi.best_cost == sequential.best_cost
@@ -84,15 +88,15 @@ class TestMultiChainEngine:
     def test_chain_c_equals_sequential_seed_plus_c(self, chains):
         """Every lockstep chain is bitwise one single-chain run."""
         config = SAConfig(n_iterations=250, seed=42, n_chains=chains)
-        multi = SimulatedAnnealing(_toy_propose, _toy_evaluate, config).run(
-            -4.0
-        )
+        multi = SimulatedAnnealing(
+            _toy_propose, _toy_evaluate_many, config
+        ).run(-4.0)
         assert multi.n_chains == chains
         best_costs = []
         for c in range(chains):
             solo = SimulatedAnnealing(
                 _toy_propose,
-                _toy_evaluate,
+                _toy_evaluate_many,
                 SAConfig(n_iterations=250, seed=42 + c),
             ).run(-4.0)
             assert multi.chain_best_costs[c] == solo.best_cost
@@ -102,7 +106,7 @@ class TestMultiChainEngine:
     def test_run_dispatches_on_n_chains(self):
         multi = SimulatedAnnealing(
             _toy_propose,
-            _toy_evaluate,
+            _toy_evaluate_many,
             SAConfig(n_iterations=100, seed=0, n_chains=3),
         ).run(0.0)
         assert multi.n_chains == 3
@@ -111,7 +115,7 @@ class TestMultiChainEngine:
     def test_explicit_initial_temperature_vectorizes(self):
         multi = SimulatedAnnealing(
             _toy_propose,
-            _toy_evaluate,
+            _toy_evaluate_many,
             SAConfig(
                 n_iterations=100, seed=0, n_chains=4, initial_temperature=5.0
             ),
@@ -121,7 +125,7 @@ class TestMultiChainEngine:
     def test_all_none_proposals(self):
         sa = SimulatedAnnealing(
             lambda state, rng, progress: None,
-            _toy_evaluate,
+            _toy_evaluate_many,
             SAConfig(n_iterations=50, seed=0, n_chains=3),
         )
         result = sa.run(1.0)
@@ -139,7 +143,9 @@ class TestMultiChainEngine:
 class TestSAHistoryColumns:
     def test_columns_and_dict_views(self):
         sa = SimulatedAnnealing(
-            _toy_propose, _toy_evaluate, SAConfig(n_iterations=120, seed=1)
+            _toy_propose,
+            _toy_evaluate_many,
+            SAConfig(n_iterations=120, seed=1),
         )
         result = sa.run(0.0)
         history = result.history
@@ -154,11 +160,13 @@ class TestSAHistoryColumns:
 
     def test_stride_thins_history(self):
         dense = SimulatedAnnealing(
-            _toy_propose, _toy_evaluate, SAConfig(n_iterations=200, seed=2)
+            _toy_propose,
+            _toy_evaluate_many,
+            SAConfig(n_iterations=200, seed=2),
         ).run(0.0)
         thinned = SimulatedAnnealing(
             _toy_propose,
-            _toy_evaluate,
+            _toy_evaluate_many,
             SAConfig(n_iterations=200, seed=2, history_stride=10),
         ).run(0.0)
         assert 0 < len(thinned.history) <= len(dense.history) // 5
@@ -170,7 +178,7 @@ class TestSAHistoryColumns:
         from repro.experiments.curves import history_to_csv
 
         result = SimulatedAnnealing(
-            _toy_propose, _toy_evaluate, SAConfig(n_iterations=60, seed=3)
+            _toy_propose, _toy_evaluate_many, SAConfig(n_iterations=60, seed=3)
         ).run(0.0)
         path = tmp_path / "history.csv"
         history_to_csv(result.history, path)
@@ -180,7 +188,7 @@ class TestSAHistoryColumns:
 
     def test_slice_access(self):
         result = SimulatedAnnealing(
-            _toy_propose, _toy_evaluate, SAConfig(n_iterations=60, seed=4)
+            _toy_propose, _toy_evaluate_many, SAConfig(n_iterations=60, seed=4)
         ).run(0.0)
         head = result.history[:3]
         assert len(head) == 3

@@ -1,6 +1,10 @@
 """CLI tests (heavy experiment paths are monkeypatched)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -229,3 +233,26 @@ class TestCommands:
         monkeypatch.setattr(cli, "run_ablations", fake_run_ablations)
         assert cli.main(["ablations", "--jobs", "2"]) == 0
         assert captured["jobs"] == 2
+
+
+class TestRunExperimentsScript:
+    def test_negative_retries_rejected_cleanly(self, tmp_path):
+        """The sweep script shares the CLI's fault flags and validation."""
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        proc = subprocess.run(
+            [
+                sys.executable,
+                str(root / "scripts" / "run_experiments.py"),
+                "--retries", "-1",
+                "--skip", "table1", "table2", "table3",
+                "--out", str(tmp_path / "out"),
+            ],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode != 0
+        assert "--retries must be >= 0" in proc.stderr
+        assert "Traceback" not in proc.stderr

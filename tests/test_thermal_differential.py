@@ -341,20 +341,16 @@ class TestHotSpotArmMultiChain:
     def _assert_chains_equal_sequential_runs(self, calc, placer):
         initial = placer.initial_placement()
 
-        def evaluate(placement):
-            return -calc.evaluate(placement).reward
-
         def evaluate_many(placements):
             return -calc.evaluate_many(placements)
 
         def make_engine(seed, chains):
             return SimulatedAnnealing(
                 propose=placer.propose,
-                evaluate=evaluate,
+                evaluate_many=evaluate_many,
                 config=SAConfig(
                     n_iterations=10, seed=seed, n_chains=chains
                 ),
-                evaluate_many=evaluate_many,
             )
 
         multi = make_engine(11, self.N_CHAINS).run(initial)
