@@ -19,6 +19,7 @@ from repro.nn import (
     Linear,
     MaskedCategorical,
     Module,
+    PARAM_DTYPE,
     ReLU,
     Sequential,
     Tensor,
@@ -105,7 +106,7 @@ class ActorCritic(Module):
 
         Returns (MaskedCategorical, values tensor of shape (N,)).
         """
-        obs = Tensor(np.asarray(observations, dtype=np.float64))
+        obs = Tensor(np.asarray(observations, dtype=PARAM_DTYPE))
         features = self.encoder(obs)
         logits = self.policy_head(features)
         values = self.value_head(features).reshape(-1)
@@ -137,32 +138,32 @@ class ActorCritic(Module):
         consistently across calls — that is what keeps batched
         trajectories identical at every batch width.
 
-        The conv layers enforce per-row shape-stable GEMMs for this; the
-        dense heads run one (n, features) GEMM and rely on the BLAS
-        computing each output row independently of the row count, which
-        holds for the supported OpenBLAS builds and is locked in by the
-        batch-width-invariance regression tests — a BLAS whose kernels
-        mix rows would surface there, not silently.
+        The conv layers run per-row shape-stable GEMMs for this and the
+        value head one dot product per row (a batched GEMV rounds by row
+        count); the policy head runs one (n, features) GEMM and relies
+        on the BLAS computing each output row independently of the row
+        count, which holds for the supported OpenBLAS builds and is
+        locked in by the batch-width-invariance regression tests — a
+        BLAS whose kernels mix rows would surface there, not silently.
 
         Returns (actions, log_probs, values) as 1D numpy arrays.
         """
         with no_grad():
-            obs = np.asarray(observations, dtype=np.float64)
+            obs = np.asarray(observations, dtype=PARAM_DTYPE)
             masks = np.asarray(masks, dtype=bool)
             n = obs.shape[0]
-            if shared_rows and n > 1:
-                features = self._encode_rollout(obs[:1], static_channels)
-                logits = self.policy_head(features)
-                values_data = np.broadcast_to(
-                    self.value_head(features).reshape(-1).data, (n,)
-                )
+            rows = obs[:1] if shared_rows and n > 1 else obs
+            features = self._encode_rollout(rows, static_channels)
+            logits = self.policy_head(features)
+            weight = self.value_head.weight.data[:, 0]
+            values_data = np.array(
+                [row @ weight for row in features.data], dtype=PARAM_DTYPE
+            ) + self.value_head.bias.data
+            if len(rows) < n:
+                values_data = np.broadcast_to(values_data, (n,))
                 logits = Tensor(
                     np.broadcast_to(logits.data, (n,) + logits.shape[1:])
                 )
-            else:
-                features = self._encode_rollout(obs, static_channels)
-                logits = self.policy_head(features)
-                values_data = self.value_head(features).reshape(-1).data
             dist = MaskedCategorical(logits, masks)
             if greedy:
                 actions = dist.mode()

@@ -220,6 +220,8 @@ def _add_fault_args(parser) -> None:
 def _fault_kwargs(args) -> dict:
     if args.retries < 0:
         raise SystemExit("--retries must be >= 0")
+    if args.job_timeout is not None and not args.job_timeout > 0:
+        raise SystemExit("--job-timeout must be > 0")
     return dict(
         policy=RetryPolicy(max_attempts=args.retries + 1),
         job_timeout=args.job_timeout,

@@ -10,6 +10,9 @@ Channels (all on the placement grid, values in [0, 1]):
 4. height     — constant: current die height / interposer height
 5. density    — constant: current die power density / system max
 6. progress   — constant: fraction of dies already placed
+
+Observations are in the network's float32, each value rounded once from
+float64 (exact for running maxima: rounding is monotonic).
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import numpy as np
 
 from repro.chiplet import ChipletSystem, Placement
 from repro.geometry import PlacementGrid
+from repro.nn import PARAM_DTYPE
 
 __all__ = ["ObservationBuilder"]
 
@@ -55,7 +59,7 @@ class ObservationBuilder:
     def build(self, placement: Placement, current_name: str) -> np.ndarray:
         """Observation for choosing where to put ``current_name``."""
         grid = self.grid
-        obs = np.zeros(self.shape, dtype=np.float64)
+        obs = np.zeros(self.shape, dtype=PARAM_DTYPE)
         current = self.system.chiplet(current_name)
         wires_to_current = self._wires_to(current_name)
 
@@ -89,7 +93,7 @@ class ObservationBuilder:
         equivalence tests pin that path against.
         """
         n = len(placements)
-        obs = np.zeros((n,) + self.shape, dtype=np.float64)
+        obs = np.zeros((n,) + self.shape, dtype=PARAM_DTYPE)
         current = self.system.chiplet(current_name)
         wires_to_current = self._wires_to(current_name)
         coverage = self.grid.coverage
@@ -148,7 +152,7 @@ class ObservationBuilder:
         channels, vectorized across the batch.
         """
         n = len(occupancy)
-        obs = np.empty((n,) + self.shape, dtype=np.float64)
+        obs = np.empty((n,) + self.shape, dtype=PARAM_DTYPE)
         obs[:, 0] = occupancy
         obs[:, 1] = power
         obs[:, 2] = connect

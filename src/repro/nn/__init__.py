@@ -9,6 +9,7 @@ definitions; only wall-clock differs.
 
 from repro.nn.tensor import Tensor, no_grad
 from repro.nn.layers import (
+    PARAM_DTYPE,
     Conv2d,
     Flatten,
     Linear,
@@ -36,6 +37,7 @@ from repro.nn.serialization import (
 __all__ = [
     "Tensor",
     "no_grad",
+    "PARAM_DTYPE",
     "Module",
     "Linear",
     "Conv2d",

@@ -37,8 +37,8 @@ class MaskedCategorical:
         if not mask.any(axis=-1).all():
             raise ValueError("some rows have no feasible action")
         self.mask = mask
-        penalty = np.where(mask, 0.0, _MASK_VALUE)
-        self.masked_logits = logits + Tensor(penalty)
+        # A raw operand takes the logits' dtype (``Tensor._coerce``).
+        self.masked_logits = logits + np.where(mask, 0.0, _MASK_VALUE)
         self.log_probs = self.masked_logits.log_softmax(axis=-1)
 
     @property

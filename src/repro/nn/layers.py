@@ -1,4 +1,8 @@
-"""Neural-network modules built on the autograd tensor."""
+"""Neural-network modules built on the autograd tensor.
+
+Parameters are :data:`PARAM_DTYPE`, cast once (layout kept) from the
+float64 initializers; :meth:`Module.load_state_dict` casts what it loads.
+"""
 
 from __future__ import annotations
 
@@ -8,6 +12,8 @@ from repro.nn.init import kaiming_uniform, orthogonal, orthogonal_layout
 from repro.nn.tensor import Tensor
 
 __all__ = ["Module", "Linear", "Conv2d", "ReLU", "Tanh", "Flatten", "Sequential"]
+
+PARAM_DTYPE = np.float32
 
 
 class Module:
@@ -106,8 +112,8 @@ class Linear(Module):
             w = orthogonal_layout((in_features, out_features))
         else:
             raise ValueError(f"unknown init {init!r}")
-        self.weight = Tensor(w, requires_grad=True)
-        self.bias = Tensor(np.zeros(out_features), requires_grad=True)
+        self.weight = Tensor(w.astype(PARAM_DTYPE), requires_grad=True)
+        self.bias = Tensor(np.zeros(out_features, PARAM_DTYPE), requires_grad=True)
         self.in_features = in_features
         self.out_features = out_features
 
@@ -140,8 +146,8 @@ class Conv2d(Module):
             w = orthogonal_layout(shape)
         else:
             raise ValueError(f"unknown init {init!r}")
-        self.weight = Tensor(w, requires_grad=True)
-        self.bias = Tensor(np.zeros(out_channels), requires_grad=True)
+        self.weight = Tensor(w.astype(PARAM_DTYPE), requires_grad=True)
+        self.bias = Tensor(np.zeros(out_channels, PARAM_DTYPE), requires_grad=True)
         self.stride = stride
         self.padding = padding
         self.in_channels = in_channels

@@ -63,7 +63,8 @@ class Adam:
         v *= b2;  v += (1-b2)*g**2
         p -= (lr*(m/bias1)) / (sqrt(v/bias2) + eps)
 
-    so the update is bitwise that of the out-of-place form.
+    so the update is bitwise that of the out-of-place form, in each
+    parameter's own dtype (moments and scratch blocks follow it).
     """
 
     # Elements per block: the two scratch blocks plus the parameter,
@@ -95,7 +96,8 @@ class Adam:
             ),
             default=0,
         )
-        self._scratch = (np.empty(scratch), np.empty(scratch))
+        dtypes = {p.data.dtype for p in self.parameters}
+        self._scratch = {d: (np.empty(scratch, d), np.empty(scratch, d)) for d in dtypes}
 
     @classmethod
     def _row_blocks(cls, shape: tuple) -> list:
@@ -115,10 +117,10 @@ class Adam:
         bias2 = 1.0 - self.beta2**self._t
         one_minus_b1 = 1.0 - self.beta1
         one_minus_b2 = 1.0 - self.beta2
-        buf_a, buf_b = self._scratch
         for p, m, v, blocks in zip(self.parameters, self._m, self._v, self._blocks):
             if p.grad is None:
                 continue
+            buf_a, buf_b = self._scratch[p.data.dtype]
             for rows in blocks:
                 g, mb, vb, pb = p.grad[rows], m[rows], v[rows], p.data[rows]
                 a = buf_a[: g.size].reshape(g.shape)

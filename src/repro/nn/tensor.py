@@ -64,7 +64,9 @@ class Tensor:
     Parameters
     ----------
     data:
-        Array-like; stored as float64.
+        Array-like.  A floating array keeps its dtype (the networks run
+        in float32, the gradient checks in float64), anything else
+        becomes float64; raw operands of an op take the tensor's dtype.
     requires_grad:
         Leaf tensors with True accumulate ``.grad`` during backward.
     """
@@ -72,7 +74,8 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        self.data = data if data.dtype.kind == "f" else data.astype(np.float64)
         self.grad = None
         self.requires_grad = bool(requires_grad)
         self._backward = None
@@ -134,7 +137,7 @@ class Tensor:
                 raise RuntimeError("backward without grad requires a scalar")
             grad = np.ones_like(self.data)
         else:
-            grad = np.asarray(grad, dtype=np.float64)
+            grad = np.asarray(grad, dtype=self.data.dtype)
 
         # Reverse topological order over the recorded graph.
         order = []
@@ -159,7 +162,8 @@ class Tensor:
             if node_grad is None:
                 continue
             if node._backward is None:
-                # Leaf: accumulate.
+                # Leaf: accumulate in the leaf's own dtype.
+                node_grad = node_grad.astype(node.data.dtype, copy=False)
                 node.grad = node_grad if node.grad is None else node.grad + node_grad
                 continue
             for parent, parent_grad in node._backward(node_grad):
@@ -174,9 +178,10 @@ class Tensor:
     # elementwise arithmetic
     # ------------------------------------------------------------------
 
-    @staticmethod
-    def _coerce(value) -> "Tensor":
-        return value if isinstance(value, Tensor) else Tensor(value)
+    def _coerce(self, value) -> "Tensor":
+        if isinstance(value, Tensor):
+            return value
+        return Tensor(np.asarray(value, dtype=self.data.dtype))
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -462,7 +467,7 @@ class Tensor:
         # flattened GEMM is faster but lets BLAS pick kernels by total
         # width, which breaks the batched rollout engine's exact
         # batch-width invariance).
-        out = np.empty((n, f, out_h * out_w))
+        out = np.empty((n, f, out_h * out_w), dtype=np.result_type(x, w))
         for row in range(n):
             np.matmul(w_mat, cols[:, row], out=out[row])
         out = out.reshape(n, f, out_h, out_w)

@@ -97,9 +97,14 @@ class PPOUpdater:
     def _update_minibatch(self, mini: RolloutBatch) -> dict:
         cfg = self.config
         dist, values = self.network.evaluate(mini.observations, mini.masks)
+        # The float64 batch enters the graph in the network's dtype.
+        dtype = values.data.dtype
+        old_log_probs = Tensor(mini.old_log_probs.astype(dtype))
+        advantages = Tensor(mini.advantages.astype(dtype))
+        returns = Tensor(mini.returns.astype(dtype))
+        old_values = Tensor(mini.old_values.astype(dtype))
         log_probs = dist.log_prob(mini.actions)
-        ratio = (log_probs - Tensor(mini.old_log_probs)).exp()
-        advantages = Tensor(mini.advantages)
+        ratio = (log_probs - old_log_probs).exp()
 
         # Clipped surrogate.
         unclipped = ratio * advantages
@@ -107,11 +112,10 @@ class PPOUpdater:
         policy_loss = -(unclipped.minimum(clipped)).mean()
 
         # Clipped value loss (PPO2 style).
-        returns = Tensor(mini.returns)
         value_error = (values - returns) ** 2
-        clipped_values = Tensor(mini.old_values) + (
-            values - Tensor(mini.old_values)
-        ).clip(-cfg.value_clip, cfg.value_clip)
+        clipped_values = old_values + (values - old_values).clip(
+            -cfg.value_clip, cfg.value_clip
+        )
         clipped_error = (clipped_values - returns) ** 2
         # Maximum of the two errors = -minimum of their negatives.
         value_loss = (-((-value_error).minimum(-clipped_error))).mean()

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.nn import Adam, Linear, Module, ReLU, Sequential, Tensor, no_grad
+from repro.nn import PARAM_DTYPE, Adam, Linear, Module, ReLU, Sequential
+from repro.nn import Tensor, no_grad
 from repro.rl.running_stats import RunningMeanStd
 
 __all__ = ["RNDConfig", "RandomNetworkDistillation"]
@@ -94,7 +95,8 @@ class RandomNetworkDistillation:
         if update_stats:
             self.obs_stats.update(flat)
         normalized = self.obs_stats.normalize(flat)
-        return np.clip(normalized, -self.config.obs_clip, self.config.obs_clip)
+        clip = self.config.obs_clip  # statistics stay float64
+        return np.clip(normalized, -clip, clip).astype(PARAM_DTYPE)
 
     def raw_bonus(self, observations: np.ndarray, update_stats: bool = True) -> np.ndarray:
         """Unnormalized prediction error per observation."""

@@ -53,7 +53,9 @@ __all__ = ["DEFAULT_STORE_DIR", "RunStore", "STORE_SCHEMA_VERSION", "store_key"]
 #: existing artifacts.  v2: the grid solver's symmetric factorization
 #: and blocked characterization moved every thermal figure at the 1e-10
 #: level, so results and checkpoints from v1 are not resumed into it.
-STORE_SCHEMA_VERSION = 2
+#: v3: the policy network trains in float32, so float64-era results and
+#: checkpoints are orphaned rather than resumed.
+STORE_SCHEMA_VERSION = 3
 
 DEFAULT_STORE_DIR = Path(".cache/runstore")
 

@@ -235,6 +235,18 @@ class TestCommands:
         assert captured["jobs"] == 2
 
 
+@pytest.mark.parametrize("timeout", ["0", "-1", "nan"])
+def test_nonpositive_job_timeout_rejected(timeout, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("the sweep must not start")
+
+    monkeypatch.setattr(cli, "run_table2", never)
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["table2", "--job-timeout", timeout])
+    # A string SystemExit prints to stderr and exits 1, as --retries -1.
+    assert excinfo.value.code == "--job-timeout must be > 0"
+
+
 class TestRunExperimentsScript:
     def test_negative_retries_rejected_cleanly(self, tmp_path):
         """The sweep script shares the CLI's fault flags and validation."""

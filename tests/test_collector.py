@@ -312,7 +312,8 @@ class TestReplicaFromPayload:
 
     def test_slice_result_payload_stays_small(self, small_system, small_fast_model):
         """Pickled episodes keep deflate: 16 grid-32 episodes pickle to
-        several MB of mostly-empty observation planes."""
+        about 1.4 MB of mostly-empty float32 observation planes, and
+        deflate to about 31 KB."""
         env = BatchedFloorplanEnv(
             small_system,
             RewardCalculator(
@@ -327,8 +328,8 @@ class TestReplicaFromPayload:
         )[0]
         assert len(pairs) == 16
         payload = dumps_payload({"pairs": pairs}, kind=SLICE_RESULT_KIND)
-        assert len(pickle.dumps(pairs)) > 2_000_000
-        assert len(payload) < 1_000_000
+        assert len(pickle.dumps(pairs)) > 1_000_000
+        assert len(payload) < 100_000
         restored = loads_payload(payload, kind=SLICE_RESULT_KIND)["pairs"]
         assert _episode_bits(restored) == _episode_bits(pairs)
 

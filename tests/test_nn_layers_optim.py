@@ -215,7 +215,8 @@ class TestOptimizers:
         ref_v = [np.zeros_like(a) for a in arrays]
         for t in range(1, 6):
             for p in params:
-                p.grad = rng.normal(size=p.shape)
+                # Gradients come in the parameter's dtype (float32).
+                p.grad = rng.normal(size=p.shape).astype(p.data.dtype)
             optimizer.step()
             bias1 = 1.0 - b1**t
             bias2 = 1.0 - b2**t

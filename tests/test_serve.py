@@ -671,6 +671,44 @@ class TestPolicyServing:
             assert mine.data.tobytes() == theirs.data.tobytes()
             assert mine.data.strides == theirs.data.strides
 
+    def test_float64_policy_payload_casts_into_float32(
+        self, serve_stack, serve_budget
+    ):
+        """A float64-era payload still registers: the served network
+        holds its weights cast once into float32 parameters."""
+        server, client = serve_stack
+        spec = get_benchmark("synthetic1")
+        bundle = server.engine.registry.bundle(spec, serve_budget)
+        env = BatchedFloorplanEnv(
+            spec.system,
+            bundle.evaluators["reward_fast"],
+            EnvConfig(grid_size=serve_budget.grid_size),
+        )
+        channels = (4, 8, 8)
+        source = ActorCritic(env.observation_shape, env.n_actions, channels)
+        rng = np.random.default_rng(11)
+        wide = {
+            name: rng.normal(scale=0.1, size=value.shape)
+            for name, value in source.state_dict().items()
+        }
+        payload = dumps_payload(wide, kind=POLICY_PAYLOAD_KIND)
+        client.register_policy("float64-policy", payload, channels)
+        response = client.rollout(
+            "float64-policy",
+            "synthetic1",
+            seed=4,
+            budget=budget_to_dict(serve_budget),
+        )
+        assert response["steps"] >= 1
+        (served,) = [
+            network
+            for key, network in server.engine._networks.items()
+            if key[0] == "float64-policy"
+        ]
+        for name, value in served.state_dict().items():
+            assert value.dtype == np.float32
+            assert np.array_equal(value, wide[name].astype(np.float32))
+
 
 # ----------------------------------------------------------------------
 # Schema

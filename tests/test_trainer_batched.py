@@ -94,6 +94,20 @@ class TestBatchWidthInvariance:
                 records[width]["best_placement"] == reference["best_placement"]
             )
 
+    def test_widths_train_identical_weights(self, golden_env):
+        """``batch_size`` trades only speed, so the learner sees the
+        same data at every width: every trained parameter is bitwise
+        equal (the rollout value head runs per row for this)."""
+        states = {}
+        for width in (2, 3, 4, 6):
+            trainer = build_golden_trainer(golden_env, batch_size=width)
+            trainer.train()
+            states[width] = trainer.network.state_dict()
+        for width in (3, 4, 6):
+            assert states[width].keys() == states[2].keys()
+            for name, value in states[2].items():
+                assert np.array_equal(states[width][name], value), (width, name)
+
     def test_batched_reproducible_with_seed(self, golden_env):
         first = run_golden(build_golden_trainer(golden_env, batch_size=4))
         second = run_golden(build_golden_trainer(golden_env, batch_size=4))
