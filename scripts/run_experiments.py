@@ -32,101 +32,39 @@ import time
 from dataclasses import asdict
 from pathlib import Path
 
-from repro.cli import _add_fault_args, _fault_kwargs, rollout_width
+from repro.cli import (
+    _add_budget_args,
+    _add_fault_args,
+    _add_jobs_arg,
+    _add_resume_args,
+    _fault_kwargs,
+    budget_from_args,
+)
 from repro.experiments import run_table2
 from repro.experiments.report import save_results
-from repro.experiments.runner import ExperimentBudget
 from repro.experiments.table1 import TABLE1_SYSTEMS, run_table1
 from repro.experiments.table3 import improvement_summary, run_table3
-from repro.parallel import SweepReport, resolve_collect_jobs, resolve_jobs
-from repro.store import DEFAULT_STORE_DIR, RunStore
+from repro.parallel import SweepReport
+from repro.store import RunStore
 
 
 def parse_args(argv=None):
+    """``repro.cli``'s budget, jobs, resume and fault flags plus this
+    script's own; only the budget defaults differ."""
     parser = argparse.ArgumentParser()
-    parser.add_argument("--paper-scale", action="store_true")
+    _add_budget_args(parser)
+    _add_jobs_arg(parser)
+    _add_resume_args(parser)
+    _add_fault_args(parser)
+    parser.set_defaults(epochs=80, episodes=16, sa_iters=150)
     parser.add_argument("--out", type=str, default="bench_results")
     parser.add_argument("--t2-systems", type=int, default=500)
-    parser.add_argument("--epochs", type=int, default=80)
-    parser.add_argument("--episodes", type=int, default=16)
-    parser.add_argument("--grid", type=int, default=24)
-    parser.add_argument("--sa-iters", type=int, default=150)
-    parser.add_argument(
-        "--batch-size",
-        type=rollout_width,
-        default=16,
-        help="rollout batch width for RL collection (lockstep waves, "
-        ">= 2)",
-    )
-    parser.add_argument(
-        "--collect-jobs",
-        type=resolve_collect_jobs,
-        default=1,
-        help="worker processes for episode collection within each RL "
-        "arm ('auto' = available CPUs, in-process with a warning on "
-        "single-CPU hosts); bitwise identical at any count",
-    )
-    parser.add_argument(
-        "--collect-workers",
-        type=int,
-        default=0,
-        help="remote (multi-machine) episode collection per RL arm: "
-        "open a lease-based TCP coordinator serving wave-aligned "
-        "slices to scripts/collect_worker.py processes (0 = off); "
-        "bitwise identical at any count, degrades to --collect-jobs "
-        "then in-process",
-    )
-    parser.add_argument(
-        "--collect-bind",
-        default="127.0.0.1:0",
-        help="host:port the collection coordinator binds (port 0 = "
-        "ephemeral); use 0.0.0.0:<port> for workers on other machines",
-    )
-    parser.add_argument(
-        "--async-collect",
-        action="store_true",
-        help="pipeline collection with PPO updates (one-epoch policy "
-        "staleness; reproducible at a fixed seed, not bitwise-equal "
-        "to the lockstep schedule)",
-    )
-    parser.add_argument(
-        "--sa-chains",
-        type=int,
-        default=16,
-        help="lockstep chains for both SA baselines (best-of-N; the "
-        "HotSpot arm batches all chains through one factorization per "
-        "step)",
-    )
     parser.add_argument(
         "--positions",
         type=int,
         default=7,
         help="characterization position samples per axis (NxN solves "
         "per die size; smoke runs shrink this)",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=resolve_jobs,
-        default=1,
-        metavar="N|auto",
-        help="worker processes for the experiment scheduler; 1 is the "
-        "bit-exact sequential path, N>1 fans independent arms / "
-        "dataset shards over a pool (identical results, less wall "
-        "clock on multi-core hosts); 'auto' uses the CPUs available "
-        "to this process",
-    )
-    parser.add_argument(
-        "--resume",
-        action="store_true",
-        help="publish every arm/shard to the run store and skip work "
-        "already published there; interrupted arms restart from their "
-        "latest checkpoint (results bitwise identical either way)",
-    )
-    parser.add_argument(
-        "--store-dir",
-        type=str,
-        default=str(DEFAULT_STORE_DIR),
-        help=f"run-store root used by --resume (default {DEFAULT_STORE_DIR})",
     )
     parser.add_argument(
         "--no-time-match",
@@ -163,29 +101,7 @@ def parse_args(argv=None):
     parser.add_argument(
         "--skip", nargs="*", default=[], choices=["table1", "table2", "table3"]
     )
-    _add_fault_args(parser)
     return parser.parse_args(argv)
-
-
-def build_budget(args) -> ExperimentBudget:
-    if args.paper_scale:
-        return ExperimentBudget.paper_scale()
-    return ExperimentBudget(
-        rl_epochs=args.epochs,
-        episodes_per_epoch=args.episodes,
-        grid_size=args.grid,
-        sa_iterations_hotspot=args.sa_iters,
-        rollout_batch_size=args.batch_size,
-        collect_jobs=args.collect_jobs,
-        collect_workers=args.collect_workers,
-        collect_bind=args.collect_bind,
-        async_collect=args.async_collect,
-        sa_chains=args.sa_chains,
-        position_samples=(args.positions, args.positions),
-        sa_time_matched=not args.no_time_match,
-        rl_checkpoint_every=args.rl_checkpoint_every,
-        sa_checkpoint_every=args.sa_checkpoint_every,
-    )
 
 
 def main(argv=None) -> int:
@@ -194,7 +110,13 @@ def main(argv=None) -> int:
     fault_kwargs = dict(_fault_kwargs(args), report=report)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    budget = build_budget(args)
+    budget = budget_from_args(
+        args,
+        position_samples=(args.positions, args.positions),
+        sa_time_matched=not args.no_time_match,
+        rl_checkpoint_every=args.rl_checkpoint_every,
+        sa_checkpoint_every=args.sa_checkpoint_every,
+    )
     store = RunStore(args.store_dir) if args.resume else None
     print(f"budget: {budget}")
     print(f"jobs: {args.jobs}")

@@ -47,26 +47,33 @@ from repro.parallel import (
 from repro.store import DEFAULT_STORE_DIR, RunStore
 from repro.systems import benchmark_names, get_benchmark
 
-__all__ = ["main"]
+__all__ = ["budget_from_args", "main"]
 
 
-def _budget_from_args(args) -> ExperimentBudget:
-    if args.paper_scale:
-        return ExperimentBudget.paper_scale()
-    return ExperimentBudget(
+def budget_from_args(args, **extra_fields) -> ExperimentBudget:
+    """The budget a parsed :func:`_add_budget_args` command line asks for.
+
+    ``extra_fields`` fill budget fields an entry point has its own flags
+    for.  ``--paper-scale`` sets only the paper's budgets
+    (:meth:`ExperimentBudget.paper_scale`); every other flag still
+    applies.
+    """
+    fields = dict(
         rl_epochs=args.epochs,
         episodes_per_epoch=args.episodes,
         grid_size=args.grid,
-        sa_iterations_hotspot=args.sa_iterations,
-        seed=args.seed,
+        sa_iterations_hotspot=args.sa_iters,
         rollout_batch_size=args.batch_size,
         collect_jobs=args.collect_jobs,
         collect_workers=args.collect_workers,
         collect_bind=args.collect_bind,
         async_collect=args.async_collect,
         sa_chains=args.sa_chains,
-        hotspot_reuse_factorization=args.hotspot_reuse_lu,
+        **extra_fields,
     )
+    if args.paper_scale:
+        return ExperimentBudget.paper_scale(**fields)
+    return ExperimentBudget(**fields)
 
 
 def rollout_width(text) -> int:
@@ -80,11 +87,15 @@ def rollout_width(text) -> int:
 
 
 def _add_budget_args(parser) -> None:
+    """The budget flags of ``rlplanner`` and ``scripts/run_experiments.py``.
+
+    :func:`budget_from_args` reads them back; an entry point changes a
+    default with ``parser.set_defaults``.
+    """
     parser.add_argument("--epochs", type=int, default=30)
     parser.add_argument("--episodes", type=int, default=8)
     parser.add_argument("--grid", type=int, default=24)
-    parser.add_argument("--sa-iterations", type=int, default=250)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--sa-iters", type=int, default=250)
     parser.add_argument(
         "--batch-size",
         type=rollout_width,
@@ -137,19 +148,11 @@ def _add_budget_args(parser) -> None:
         "factorization per step)",
     )
     parser.add_argument(
-        "--hotspot-reuse-lu",
-        dest="hotspot_reuse_lu",
-        action="store_true",
-        help="experiment mode: keep the HotSpot arm's splu factorization "
-        "alive across SA steps (drops the per-step 'run the HotSpot "
-        "binary' cost parity)",
-    )
-    parser.add_argument(
         "--paper-scale",
         action="store_true",
-        help="use the paper's full budgets (hours of CPU time)",
+        help="use the paper's epoch, episode, grid and SA-iteration "
+        "budgets (hours of CPU time); the other flags still apply",
     )
-    parser.add_argument("--output", type=str, default=None, help="JSON output path")
 
 
 def _add_jobs_arg(parser) -> None:
@@ -250,12 +253,13 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    budget_parsers = []
     for table in ("table1", "table3", "ablations"):
         p = sub.add_parser(table, help=f"regenerate {table}")
-        _add_budget_args(p)
         _add_jobs_arg(p)
         _add_resume_args(p)
         _add_fault_args(p)
+        budget_parsers.append(p)
 
     p2 = sub.add_parser("table2", help="fast thermal model accuracy/speed")
     p2.add_argument("--systems", type=int, default=300)
@@ -268,7 +272,6 @@ def main(argv=None) -> int:
     pt = sub.add_parser("train", help="train RLPlanner on one benchmark")
     pt.add_argument("benchmark", choices=benchmark_names())
     pt.add_argument("--rnd", action="store_true", help="enable the RND bonus")
-    _add_budget_args(pt)
 
     ps = sub.add_parser("sa", help="run the TAP-2.5D baseline")
     ps.add_argument("benchmark", choices=benchmark_names())
@@ -278,7 +281,6 @@ def main(argv=None) -> int:
         default="hotspot",
         help="thermal evaluator inside the annealer",
     )
-    _add_budget_args(ps)
 
     pv = sub.add_parser(
         "serve", help="run the persistent floorplanning service"
@@ -338,30 +340,40 @@ def main(argv=None) -> int:
         ),
         default="TAP-2.5D*(FastThermal)",
     )
-    _add_budget_args(pb)
+
+    for p in (*budget_parsers, pt, ps, pb):
+        _add_budget_args(p)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument(
+            "--hotspot-reuse-lu",
+            dest="hotspot_reuse_lu",
+            action="store_true",
+            help="experiment mode: keep the HotSpot arm's splu "
+            "factorization alive across SA steps (drops the per-step "
+            "'run the HotSpot binary' cost parity)",
+        )
+        p.add_argument(
+            "--output", type=str, default=None, help="JSON output path"
+        )
 
     args = parser.parse_args(argv)
     report = SweepReport()
+    budget = None
+    if args.command not in ("table2", "serve"):
+        budget = budget_from_args(
+            args,
+            seed=args.seed,
+            hotspot_reuse_factorization=args.hotspot_reuse_lu,
+        )
 
-    if args.command == "table1":
-        results = run_table1(
-            _budget_from_args(args),
-            jobs=args.jobs,
-            store=_store_from_args(args),
-            report=report,
-            **_fault_kwargs(args),
-        )
-    elif args.command == "table3":
-        results = run_table3(
-            _budget_from_args(args),
-            jobs=args.jobs,
-            store=_store_from_args(args),
-            report=report,
-            **_fault_kwargs(args),
-        )
-    elif args.command == "ablations":
-        results = run_ablations(
-            _budget_from_args(args),
+    if args.command in ("table1", "table3", "ablations"):
+        run = {
+            "table1": run_table1,
+            "table3": run_table3,
+            "ablations": run_ablations,
+        }[args.command]
+        results = run(
+            budget,
             jobs=args.jobs,
             store=_store_from_args(args),
             report=report,
@@ -394,14 +406,12 @@ def main(argv=None) -> int:
         return _finish_report(report)
     elif args.command == "train":
         spec = get_benchmark(args.benchmark)
-        budget = _budget_from_args(args)
         method = "RLPlanner(RND)" if args.rnd else "RLPlanner"
         results = run_all_methods(spec, budget, methods=(method,))
         print(format_table(results))
         return 0
     elif args.command == "sa":
         spec = get_benchmark(args.benchmark)
-        budget = _budget_from_args(args)
         method = (
             "TAP-2.5D(HotSpot)"
             if args.thermal == "hotspot"
@@ -430,7 +440,7 @@ def main(argv=None) -> int:
         response = client.place(
             args.benchmark,
             args.method,
-            budget_to_dict(_budget_from_args(args)),
+            budget_to_dict(budget),
         )
         result = response["result"]
         print(

@@ -19,14 +19,13 @@ variants whose results are already published.
 
 from __future__ import annotations
 
-import time
+from dataclasses import replace
 
-from repro.agent import RLPlannerTrainer, TrainerConfig
 from repro.bumps import BumpAssigner
-from repro.env import BatchedFloorplanEnv, EnvConfig
-from repro.experiments.report import MethodResult
+from repro.experiments.report import MethodResult, format_table
 from repro.experiments.runner import (
     ExperimentBudget,
+    _run_rl,
     as_store,
     budget_store_payload,
     build_evaluators,
@@ -34,8 +33,7 @@ from repro.experiments.runner import (
     spec_fingerprint,
 )
 from repro.parallel import JobSpec, run_jobs
-from repro.reward import RewardCalculator, RewardConfig
-from repro.rl import RNDConfig
+from repro.reward import RewardCalculator
 from repro.store import store_key
 from repro.systems import get_benchmark
 from repro.utils import get_logger
@@ -56,37 +54,6 @@ ABLATION_VARIANTS = (
 )
 
 
-def _train(spec, reward_calculator, budget, label, use_rnd=False, grid=None):
-    env = BatchedFloorplanEnv(
-        spec.system,
-        reward_calculator,
-        EnvConfig(grid_size=grid or budget.grid_size),
-    )
-    trainer = RLPlannerTrainer(
-        env,
-        TrainerConfig(
-            epochs=budget.rl_epochs,
-            episodes_per_epoch=budget.episodes_per_epoch,
-            batch_size=budget.rollout_batch_size,
-            seed=budget.seed,
-            use_rnd=use_rnd,
-            rnd=RNDConfig(bonus_scale=0.5),
-            log_every=0,
-        ),
-    )
-    result = trainer.train()
-    breakdown = result.best_breakdown
-    return MethodResult(
-        system=spec.name,
-        method=label,
-        reward=breakdown.reward,
-        wirelength=breakdown.wirelength,
-        temperature_c=breakdown.max_temperature_c,
-        runtime_s=result.elapsed,
-        extra={"epochs": result.epochs_run},
-    )
-
-
 def run_ablation_arm(
     variant: str, budget: ExperimentBudget, cache_dir=None
 ) -> MethodResult:
@@ -95,48 +62,45 @@ def run_ablation_arm(
     Self-contained like :func:`~repro.experiments.runner.run_method_arm`:
     it rebuilds its evaluators from the (bit-exact) thermal-table disk
     cache, so running variants in any worker in any order reproduces
-    the historical sequential loop exactly.
+    the historical sequential loop exactly.  Every variant trains
+    through the Table I/III RL arm (``runner._run_rl``), so it honours
+    the same budget, collection knobs included.
     """
     spec = get_benchmark("synthetic1")
     evaluators = build_evaluators(spec, budget, cache_dir)
     _logger.info("ablation %s", variant)
-    if variant == "rl/fast/base":
-        return _train(spec, evaluators["reward_fast"], budget, variant)
-    if variant == "rl/fast/rnd":
-        return _train(
-            spec, evaluators["reward_fast"], budget, variant, use_rnd=True
-        )
+    reward = evaluators["reward_fast"]
+    grid = None
     if variant == "rl/solver/base":
         # The whole point of the fast model: the solver-in-the-loop
         # variant gets the same *epoch* budget and pays the wall-clock
         # price.  A lockstep wave's terminal rewards share one grid
         # factorization (one multi-RHS solve per wave), so the price
         # is one factorization per wave, not per episode.
-        return _train(spec, evaluators["reward_solver"], budget, variant)
-    if variant == "rl/fast/wl-estimate":
-        estimate_reward = RewardCalculator(
+        reward = evaluators["reward_solver"]
+    elif variant == "rl/fast/wl-estimate":
+        reward = RewardCalculator(
             evaluators["fast_model"],
-            RewardConfig(
-                lambda_wl=spec.reward_config.lambda_wl,
-                t_limit=spec.reward_config.t_limit,
-                alpha=spec.reward_config.alpha,
-                use_bump_assignment=False,
-            ),
+            replace(spec.reward_config, use_bump_assignment=False),
         )
-        return _train(spec, estimate_reward, budget, variant)
-    if variant == "rl/fast/wl-hungarian":
-        hungarian_reward = RewardCalculator(
+    elif variant == "rl/fast/wl-hungarian":
+        reward = RewardCalculator(
             evaluators["fast_model"],
             spec.reward_config,
             assigner=BumpAssigner(wire_group_size=8, method="hungarian"),
         )
-        return _train(spec, hungarian_reward, budget, variant)
-    if variant.startswith("rl/fast/grid"):
+    elif variant.startswith("rl/fast/grid"):
         grid = int(variant.removeprefix("rl/fast/grid"))
-        return _train(
-            spec, evaluators["reward_fast"], budget, variant, grid=grid
-        )
-    raise ValueError(f"unknown ablation variant {variant!r}")
+    elif variant not in ("rl/fast/base", "rl/fast/rnd"):
+        raise ValueError(f"unknown ablation variant {variant!r}")
+    return _run_rl(
+        spec,
+        reward,
+        budget,
+        variant,
+        use_rnd=variant == "rl/fast/rnd",
+        grid=grid,
+    )
 
 
 def _ablation_store_key(spec, variant: str, budget: ExperimentBudget) -> str:
@@ -156,10 +120,7 @@ def run_ablations(
     verbose: bool = True,
     jobs: int = 1,
     store=None,
-    policy=None,
-    job_timeout: float | None = None,
-    keep_going: bool = False,
-    report=None,
+    **faults,
 ) -> list:
     """Run all ablation variants on synthetic case 1.
 
@@ -167,9 +128,10 @@ def run_ablations(
     ``jobs=N`` fans the independent variants over a process pool after
     a shared characterization prewarm.  ``store`` skips variants whose
     results are already published (resumable ablation sweeps).
-    ``policy``/``job_timeout``/``keep_going``/``report`` are the
-    :func:`repro.parallel.run_jobs` fault-tolerance knobs; quarantined
-    variants drop out of the returned rows under ``keep_going``.
+    ``faults`` (``policy``/``job_timeout``/``keep_going``/``report``)
+    are the :func:`repro.parallel.run_jobs` fault-tolerance knobs;
+    quarantined variants drop out of the returned rows under
+    ``keep_going``.
     """
     budget = budget or ExperimentBudget(rl_epochs=15)
     store = as_store(store)
@@ -195,15 +157,7 @@ def run_ablations(
         )
         for variant in ABLATION_VARIANTS
     )
-    outcome = run_jobs(
-        job_specs,
-        jobs=jobs,
-        store=store,
-        policy=policy,
-        job_timeout=job_timeout,
-        keep_going=keep_going,
-        report=report,
-    )
+    outcome = run_jobs(job_specs, jobs=jobs, store=store, **faults)
     results = [
         outcome[f"ablations/{variant}"]
         for variant in ABLATION_VARIANTS
@@ -211,7 +165,5 @@ def run_ablations(
     ]
 
     if verbose:
-        from repro.experiments.report import format_table
-
         print(format_table(results, title="Ablations (synthetic case 1)"))
     return results

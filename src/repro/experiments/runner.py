@@ -59,6 +59,7 @@ __all__ = [
     "run_all_methods",
     "run_method_arm",
     "spec_fingerprint",
+    "sweep_method_arms",
 ]
 
 _logger = get_logger("experiments.runner")
@@ -141,13 +142,20 @@ class ExperimentBudget:
     async_collect: bool = False
 
     @classmethod
-    def paper_scale(cls) -> "ExperimentBudget":
-        """The paper's regime (hours of CPU time)."""
+    def paper_scale(cls, **fields) -> "ExperimentBudget":
+        """The paper's regime (hours of CPU time).
+
+        It fixes the epoch, episode, grid and SA-iteration budgets;
+        ``fields`` set every other knob.
+        """
         return cls(
-            rl_epochs=600,
-            episodes_per_epoch=16,
-            grid_size=32,
-            sa_iterations_hotspot=2000,
+            **{
+                **fields,
+                "rl_epochs": 600,
+                "episodes_per_epoch": 16,
+                "grid_size": 32,
+                "sa_iterations_hotspot": 2000,
+            }
         )
 
 
@@ -308,12 +316,25 @@ def build_evaluators(spec: BenchmarkSpec, budget: ExperimentBudget, cache_dir=No
 
 
 def _run_rl(
-    spec, reward_calculator, budget, use_rnd: bool, resume=None, capture=None
+    spec,
+    reward_calculator,
+    budget,
+    label: str,
+    *,
+    use_rnd: bool = False,
+    grid: int | None = None,
+    resume=None,
+    capture=None,
 ) -> MethodResult:
+    """Train RLPlanner once; the one RL arm of tables and ablations alike.
+
+    ``label`` names the result row (a method or an ablation variant) and
+    ``grid`` overrides the budget's placement grid.
+    """
     env = BatchedFloorplanEnv(
         spec.system,
         reward_calculator,
-        EnvConfig(grid_size=budget.grid_size),
+        EnvConfig(grid_size=grid or budget.grid_size),
     )
     trainer = RLPlannerTrainer(
         env,
@@ -351,34 +372,27 @@ def _run_rl(
     if capture is not None:
         capture["placement"] = result.best_placement
     breakdown = result.best_breakdown
-    method = "RLPlanner(RND)" if use_rnd else "RLPlanner"
+    extra = {"epochs": result.epochs_run, "deadlocks": result.deadlock_count}
     if breakdown is None:
         # Every episode deadlocked (possible on tight packings at very
         # small budgets); report the deadlock penalty honestly.
         return MethodResult(
             system=spec.name,
-            method=method,
+            method=label,
             reward=result.best_reward,
             wirelength=float("nan"),
             temperature_c=float("nan"),
             runtime_s=result.elapsed,
-            extra={
-                "epochs": result.epochs_run,
-                "deadlocks": result.deadlock_count,
-                "all_deadlocked": True,
-            },
+            extra={**extra, "all_deadlocked": True},
         )
     return MethodResult(
         system=spec.name,
-        method=method,
+        method=label,
         reward=breakdown.reward,
         wirelength=breakdown.wirelength,
         temperature_c=breakdown.max_temperature_c,
         runtime_s=result.elapsed,
-        extra={
-            "epochs": result.epochs_run,
-            "deadlocks": result.deadlock_count,
-        },
+        extra=extra,
     )
 
 
@@ -524,8 +538,14 @@ def run_method_arm(
             return cached
         resume = _ResumeSlot(store, key)
     _logger.info("%s: %s", spec.name, method)
-    result = _dispatch_method_arm(
-        spec, method, budget, cache_dir, time_limit, time_matched, resume
+    result = dispatch_method_arm(
+        spec,
+        method,
+        budget,
+        evaluators=build_evaluators(spec, budget, cache_dir),
+        time_limit=time_limit,
+        time_matched=time_matched,
+        resume=resume,
     )
     if store is not None:
         # Publish from the worker too (the scheduler re-publishes the
@@ -537,20 +557,6 @@ def run_method_arm(
         store.put(key, result)
         store.clear_checkpoint(key)
     return result
-
-
-def _dispatch_method_arm(
-    spec, method, budget, cache_dir, time_limit, time_matched, resume
-) -> MethodResult:
-    return dispatch_method_arm(
-        spec,
-        method,
-        budget,
-        evaluators=build_evaluators(spec, budget, cache_dir),
-        time_limit=time_limit,
-        time_matched=time_matched,
-        resume=resume,
-    )
 
 
 def dispatch_method_arm(
@@ -575,15 +581,15 @@ def dispatch_method_arm(
     dict that receives the winning ``"placement"`` object — MethodResult
     itself only carries the scalar summary.
     """
-    if method == "RLPlanner":
+    if method in ("RLPlanner", "RLPlanner(RND)"):
         return _run_rl(
-            spec, evaluators["reward_fast"], budget, use_rnd=False,
-            resume=resume, capture=capture,
-        )
-    if method == "RLPlanner(RND)":
-        return _run_rl(
-            spec, evaluators["reward_fast"], budget, use_rnd=True,
-            resume=resume, capture=capture,
+            spec,
+            evaluators["reward_fast"],
+            budget,
+            method,
+            use_rnd=method == "RLPlanner(RND)",
+            resume=resume,
+            capture=capture,
         )
     if method == "TAP-2.5D(HotSpot)":
         return _run_sa(
@@ -732,60 +738,61 @@ def method_arm_jobs(
     ] + jobs
 
 
-def collect_arm_results(outcome: dict, spec_name: str, methods: tuple) -> list:
-    """Pick one benchmark's MethodResults out of a scheduler outcome.
-
-    Arms absent from ``outcome`` (quarantined or skipped under
-    ``keep_going``) are left out rather than raising — the surviving
-    arms still report.
-    """
-    return [
-        outcome[arm_job_id(spec_name, method)]
-        for method in METHOD_ORDER
-        if method in methods and arm_job_id(spec_name, method) in outcome
-    ]
-
-
-def run_all_methods(
-    spec: BenchmarkSpec,
+def sweep_method_arms(
+    specs,
     budget: ExperimentBudget | None = None,
     cache_dir=None,
     methods: tuple = METHOD_ORDER,
     jobs: int = 1,
     store=None,
-    policy=None,
-    job_timeout: float | None = None,
-    keep_going: bool = False,
-    report=None,
+    **faults,
 ) -> list:
-    """Run the requested methods on one benchmark; returns MethodResults.
+    """Run ``methods`` on every benchmark of ``specs`` as one job graph.
 
-    ``jobs=1`` (default) preserves the sequential harness bit for bit;
-    ``jobs=N`` fans the independent arms over a process pool (the
-    time-matched arm still waits for the RL arm it is matched to).
-    ``store`` (a :class:`~repro.store.RunStore` or its root path) makes
-    the run resumable: published arms are skipped, in-flight arms
-    restart from their latest checkpoint.
+    Returns one list of MethodResults per spec, in ``specs`` order and
+    :data:`METHOD_ORDER` within a spec.  ``jobs=1`` (default) runs the
+    arms in process, bit for bit the sequential harness; ``jobs=N`` fans
+    independent arms (and the per-benchmark characterization prewarms)
+    over a process pool, and the time-matched arm still waits for the
+    RL arm it is matched to.  ``store`` (a
+    :class:`~repro.store.RunStore` or its root path) makes the sweep
+    resumable: published arms are skipped, in-flight arms restart from
+    their latest checkpoint.
 
-    ``policy``/``job_timeout``/``keep_going``/``report`` are the
-    :func:`repro.parallel.run_jobs` fault-tolerance knobs: transient
-    worker failures retry with backoff, stragglers past ``job_timeout``
-    are killed and retried, and under ``keep_going`` a permanently
-    failing arm is quarantined (recorded in ``report``, absent from the
-    returned results) while the other arms complete.
+    ``faults`` (``policy``/``job_timeout``/``keep_going``/``report``)
+    are the :func:`repro.parallel.run_jobs` fault-tolerance knobs:
+    transient worker failures retry with backoff, stragglers past
+    ``job_timeout`` are killed and retried, and under ``keep_going`` a
+    permanently failing arm is quarantined (recorded in ``report``,
+    absent from the returned rows) while the other arms complete.
     """
     budget = budget or ExperimentBudget()
     store = as_store(store)
-    job_specs = method_arm_jobs(
-        spec, budget, cache_dir=cache_dir, methods=methods, store=store
-    )
-    outcome = run_jobs(
-        job_specs,
-        jobs=jobs,
-        store=store,
-        policy=policy,
-        job_timeout=job_timeout,
-        keep_going=keep_going,
-        report=report,
-    )
-    return collect_arm_results(outcome, spec.name, methods)
+    job_specs = [
+        job
+        for spec in specs
+        for job in method_arm_jobs(
+            spec, budget, cache_dir=cache_dir, methods=methods, store=store
+        )
+    ]
+    outcome = run_jobs(job_specs, jobs=jobs, store=store, **faults)
+    return [
+        [
+            outcome[arm_job_id(spec.name, method)]
+            for method in METHOD_ORDER
+            if method in methods and arm_job_id(spec.name, method) in outcome
+        ]
+        for spec in specs
+    ]
+
+
+def run_all_methods(
+    spec: BenchmarkSpec, budget: ExperimentBudget | None = None, **sweep
+) -> list:
+    """Run the requested methods on one benchmark; returns MethodResults.
+
+    ``sweep`` takes the keywords of :func:`sweep_method_arms`
+    (``cache_dir``, ``methods``, ``jobs``, ``store`` and the fault
+    knobs).
+    """
+    return sweep_method_arms([spec], budget, **sweep)[0]

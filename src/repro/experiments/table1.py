@@ -3,20 +3,10 @@
 from __future__ import annotations
 
 from repro.experiments.report import format_comparison, format_table
-from repro.experiments.runner import (
-    METHOD_ORDER,
-    ExperimentBudget,
-    as_store,
-    collect_arm_results,
-    method_arm_jobs,
-)
-from repro.parallel import run_jobs
+from repro.experiments.runner import ExperimentBudget, sweep_method_arms
 from repro.systems import get_benchmark
-from repro.utils import get_logger
 
 __all__ = ["run_table1"]
-
-_logger = get_logger("experiments.table1")
 
 TABLE1_SYSTEMS = ("multi_gpu", "cpu_dram", "ascend910")
 
@@ -26,53 +16,22 @@ def run_table1(
     systems: tuple = TABLE1_SYSTEMS,
     cache_dir=None,
     verbose: bool = True,
-    jobs: int = 1,
-    store=None,
-    policy=None,
-    job_timeout: float | None = None,
-    keep_going: bool = False,
-    report=None,
+    **sweep,
 ) -> list:
     """Regenerate Table I; returns a flat list of MethodResults.
 
-    All (system x method) arms are scheduled through one job graph:
-    ``jobs=1`` runs them in the sequential order the harness always
-    used, ``jobs=N`` spreads independent arms (and the per-system
-    characterization prewarms) over N worker processes.  Results are
-    identical at any ``jobs`` — arms are self-seeded and the
+    All (system x method) arms run as one job graph through
+    :func:`~repro.experiments.runner.sweep_method_arms`, whose keywords
+    ``sweep`` takes (``jobs``, ``store`` and the fault-tolerance knobs).
+    Results are identical at any ``jobs``: arms are self-seeded and the
     time-matched arm keeps its dependency on the measured RL runtime.
-    ``store`` makes the sweep resumable: published arms are skipped,
-    interrupted arms restart from their latest checkpoint.
-
-    ``policy``/``job_timeout``/``keep_going``/``report`` are the
-    :func:`repro.parallel.run_jobs` fault-tolerance knobs; under
-    ``keep_going`` quarantined arms simply drop out of the returned
-    rows while every independent arm still reports.
     """
-    budget = budget or ExperimentBudget()
-    store = as_store(store)
     specs = [get_benchmark(name) for name in systems]
-    job_specs = []
-    for spec in specs:
-        job_specs.extend(
-            method_arm_jobs(spec, budget, cache_dir=cache_dir, store=store)
-        )
-    outcome = run_jobs(
-        job_specs,
-        jobs=jobs,
-        store=store,
-        policy=policy,
-        job_timeout=job_timeout,
-        keep_going=keep_going,
-        report=report,
-    )
-    all_results = []
-    for spec in specs:
-        results = collect_arm_results(outcome, spec.name, METHOD_ORDER)
-        all_results.extend(results)
-        if verbose:
-            print(format_comparison(results, spec.paper_reference, spec.name))
+    per_system = sweep_method_arms(specs, budget, cache_dir=cache_dir, **sweep)
+    all_results = [res for results in per_system for res in results]
     if verbose:
+        for spec, results in zip(specs, per_system):
+            print(format_comparison(results, spec.paper_reference, spec.name))
         print()
         print(format_table(all_results, title="Table I (scaled budgets)"))
     return all_results

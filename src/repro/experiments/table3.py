@@ -10,20 +10,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.experiments.report import format_comparison, format_table
-from repro.experiments.runner import (
-    METHOD_ORDER,
-    ExperimentBudget,
-    as_store,
-    collect_arm_results,
-    method_arm_jobs,
-)
-from repro.parallel import run_jobs
+from repro.experiments.runner import ExperimentBudget, sweep_method_arms
 from repro.systems import get_benchmark
-from repro.utils import get_logger
 
 __all__ = ["run_table3", "improvement_summary"]
-
-_logger = get_logger("experiments.table3")
 
 
 def improvement_summary(results: list) -> dict:
@@ -62,46 +52,21 @@ def run_table3(
     cases: tuple = (1, 2, 3, 4, 5),
     cache_dir=None,
     verbose: bool = True,
-    jobs: int = 1,
-    store=None,
-    policy=None,
-    job_timeout: float | None = None,
-    keep_going: bool = False,
-    report=None,
+    **sweep,
 ) -> list:
     """Regenerate Table III; returns a flat list of MethodResults.
 
-    Like :func:`~repro.experiments.table1.run_table1`, all (case x
-    method) arms go through one scheduler graph: ``jobs=1`` is the
-    bit-exact sequential order, ``jobs=N`` fans independent arms over a
-    worker pool, ``store`` makes the sweep resumable, and the
-    ``policy``/``job_timeout``/``keep_going``/``report`` knobs are the
-    :func:`repro.parallel.run_jobs` fault-tolerance controls.
+    Like :func:`~repro.experiments.table1.run_table1`: all (case x
+    method) arms run as one graph through
+    :func:`~repro.experiments.runner.sweep_method_arms`, whose keywords
+    ``sweep`` takes.
     """
-    budget = budget or ExperimentBudget()
-    store = as_store(store)
     specs = [get_benchmark(f"synthetic{case}") for case in cases]
-    job_specs = []
-    for spec in specs:
-        job_specs.extend(
-            method_arm_jobs(spec, budget, cache_dir=cache_dir, store=store)
-        )
-    outcome = run_jobs(
-        job_specs,
-        jobs=jobs,
-        store=store,
-        policy=policy,
-        job_timeout=job_timeout,
-        keep_going=keep_going,
-        report=report,
-    )
-    all_results = []
-    for spec in specs:
-        results = collect_arm_results(outcome, spec.name, METHOD_ORDER)
-        all_results.extend(results)
-        if verbose:
-            print(format_comparison(results, spec.paper_reference, spec.name))
+    per_case = sweep_method_arms(specs, budget, cache_dir=cache_dir, **sweep)
+    all_results = [res for results in per_case for res in results]
     if verbose:
+        for spec, results in zip(specs, per_case):
+            print(format_comparison(results, spec.paper_reference, spec.name))
         print()
         print(format_table(all_results, title="Table III (scaled budgets)"))
         summary = improvement_summary(all_results)

@@ -366,6 +366,71 @@ def _record_skip(spec: JobSpec, blocked_by: str, report: SweepReport) -> None:
     )
 
 
+def _retry_delay_or_quarantine(
+    spec: JobSpec,
+    attempt: int,
+    error: BaseException,
+    policy: RetryPolicy,
+    budget: RetryBudget,
+    keep_going: bool,
+    report: SweepReport,
+) -> float | None:
+    """The fault rules of both executors for one failed attempt.
+
+    Returns the backoff before the next attempt when ``error`` is
+    transient and both the policy and the sweep's retry budget grant
+    one.  Otherwise the failure is permanent and ``None`` comes back:
+    under ``keep_going`` the job is quarantined into ``report``, and
+    without it the caller raises (the raw error in process,
+    :class:`JobFailedError` from a worker).
+    """
+    if policy.is_transient(error) and attempt < policy.max_attempts:
+        if budget.allow(spec.job_id):
+            delay = policy.backoff(spec.job_id, attempt)
+            _logger.warning(
+                "%s failed transiently (%r), attempt %d/%d; retrying in "
+                "%.2fs",
+                spec.job_id,
+                error,
+                attempt,
+                policy.max_attempts,
+                delay,
+            )
+            return delay
+        _logger.error(
+            "%s failed transiently (%r) but the sweep retry budget is "
+            "exhausted (%s); treating as permanent",
+            spec.job_id,
+            error,
+            budget.describe(),
+        )
+    if keep_going:
+        _logger.error(
+            "quarantining %s after %d attempt(s): %r",
+            spec.job_id,
+            attempt,
+            error,
+        )
+        report.record(
+            JobOutcome.failure(spec.job_id, "quarantined", attempt, error)
+        )
+    return None
+
+
+def _record_success(
+    spec: JobSpec, attempt: int, result, done: dict, store, report
+) -> None:
+    done[spec.job_id] = result
+    _publish(store, spec, result)
+    report.record(
+        JobOutcome(
+            spec.job_id,
+            "succeeded" if attempt == 1 else "retried",
+            attempts=attempt,
+        )
+    )
+
+
 def _run_in_process(
     specs: list,
     done: dict,
@@ -395,52 +460,17 @@ def _run_in_process(
                 chaos.maybe_fail("scheduler.job", spec.job_id)
                 result = spec.fn(**spec.resolved_kwargs(done))
             except Exception as error:
-                if policy.is_transient(error) and attempt < policy.max_attempts:
-                    if budget.allow(spec.job_id):
-                        delay = policy.backoff(spec.job_id, attempt)
-                        _logger.warning(
-                            "%s failed transiently (%r), attempt %d/%d; "
-                            "retrying in %.2fs",
-                            spec.job_id,
-                            error,
-                            attempt,
-                            policy.max_attempts,
-                            delay,
-                        )
-                        time.sleep(delay)
-                        attempt += 1
-                        continue
-                    _logger.error(
-                        "%s failed transiently (%r) but the sweep retry "
-                        "budget is exhausted (%s); treating as permanent",
-                        spec.job_id,
-                        error,
-                        budget.describe(),
-                    )
-                if keep_going:
-                    _logger.error(
-                        "quarantining %s after %d attempt(s): %r",
-                        spec.job_id,
-                        attempt,
-                        error,
-                    )
-                    report.record(
-                        JobOutcome.failure(
-                            spec.job_id, "quarantined", attempt, error
-                        )
-                    )
-                    break
-                raise
-            else:
-                done[spec.job_id] = result
-                _publish(store, spec, result)
-                report.record(
-                    JobOutcome(
-                        spec.job_id,
-                        "succeeded" if attempt == 1 else "retried",
-                        attempts=attempt,
-                    )
+                delay = _retry_delay_or_quarantine(
+                    spec, attempt, error, policy, budget, keep_going, report
                 )
+                if delay is None:
+                    if keep_going:
+                        break
+                    raise
+                time.sleep(delay)
+                attempt += 1
+            else:
+                _record_success(spec, attempt, result, done, store, report)
                 break
 
 
@@ -602,60 +632,17 @@ def _run_supervised(
     retries: list = []  # heap of (ready_time, tiebreak, spec, next_attempt)
     tiebreak = itertools.count()
 
-    def fail(rec_spec: JobSpec, attempt: int, error: BaseException) -> None:
-        transient = policy.is_transient(error)
-        if transient and attempt < policy.max_attempts:
-            if budget.allow(rec_spec.job_id):
-                delay = policy.backoff(rec_spec.job_id, attempt)
-                _logger.warning(
-                    "%s failed transiently (%r), attempt %d/%d; retrying "
-                    "on a fresh worker in %.2fs",
-                    rec_spec.job_id,
-                    error,
-                    attempt,
-                    policy.max_attempts,
-                    delay,
-                )
-                heapq.heappush(
-                    retries,
-                    (
-                        time.monotonic() + delay,
-                        next(tiebreak),
-                        rec_spec,
-                        attempt + 1,
-                    ),
-                )
-                return
-            _logger.error(
-                "%s failed transiently (%r) but the sweep retry budget "
-                "is exhausted (%s); treating as permanent",
-                rec_spec.job_id,
-                error,
-                budget.describe(),
-            )
-        if keep_going:
-            _logger.error(
-                "quarantining %s after %d attempt(s): %r",
-                rec_spec.job_id,
-                attempt,
-                error,
-            )
-            report.record(
-                JobOutcome.failure(rec_spec.job_id, "quarantined", attempt, error)
-            )
-            return
-        raise JobFailedError(rec_spec.job_id, error)
-
-    def succeed(rec: _Running, result) -> None:
-        done[rec.spec.job_id] = result
-        _publish(store, rec.spec, result)
-        report.record(
-            JobOutcome(
-                rec.spec.job_id,
-                "succeeded" if rec.attempt == 1 else "retried",
-                attempts=rec.attempt,
-            )
+    def fail(spec: JobSpec, attempt: int, error: BaseException) -> None:
+        delay = _retry_delay_or_quarantine(
+            spec, attempt, error, policy, budget, keep_going, report
         )
+        if delay is not None:
+            heapq.heappush(
+                retries,
+                (time.monotonic() + delay, next(tiebreak), spec, attempt + 1),
+            )
+        elif not keep_going:
+            raise JobFailedError(spec.job_id, error)
 
     def dispatch_ready() -> None:
         now = time.monotonic()
@@ -725,7 +712,9 @@ def _run_supervised(
                     running.remove(rec)
                     kind, payload = _receive(rec)
                     if kind == "ok":
-                        succeed(rec, payload)
+                        _record_success(
+                            rec.spec, rec.attempt, payload, done, store, report
+                        )
                     else:
                         fail(rec.spec, rec.attempt, payload)
                 elif (

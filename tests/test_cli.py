@@ -157,6 +157,36 @@ class TestBudgetConstruction:
         cli.main(["table3", "--paper-scale"])
         assert captured["b"] == ExperimentBudget.paper_scale()
 
+    def test_paper_scale_keeps_other_flags(self, monkeypatch, fake_results):
+        """``--paper-scale`` sets the paper's four budgets and nothing
+        else: seed, collection and SA-chain flags still apply."""
+        captured = {}
+
+        def fake_run_table1(budget, **kwargs):
+            captured["budget"] = budget
+            return fake_results
+
+        monkeypatch.setattr(cli, "run_table1", fake_run_table1)
+        cli.main(
+            [
+                "table1", "--paper-scale", "--seed", "3",
+                "--collect-jobs", "2", "--async-collect",
+                "--sa-chains", "4", "--batch-size", "8", "--epochs", "5",
+            ]
+        )
+        paper = ExperimentBudget.paper_scale()
+        assert captured["budget"] == ExperimentBudget(
+            rl_epochs=paper.rl_epochs,
+            episodes_per_epoch=paper.episodes_per_epoch,
+            grid_size=paper.grid_size,
+            sa_iterations_hotspot=paper.sa_iterations_hotspot,
+            seed=3,
+            collect_jobs=2,
+            async_collect=True,
+            sa_chains=4,
+            rollout_batch_size=8,
+        )
+
 
 class TestCommands:
     def test_table1_with_output(self, monkeypatch, fake_results, tmp_path):
@@ -233,6 +263,30 @@ class TestCommands:
         monkeypatch.setattr(cli, "run_ablations", fake_run_ablations)
         assert cli.main(["ablations", "--jobs", "2"]) == 0
         assert captured["jobs"] == 2
+
+    def test_submit_sa_iters(self, monkeypatch, capsys):
+        """``submit`` spells the SA budget ``--sa-iters``, like
+        ``scripts/run_experiments.py`` and the README."""
+        import repro.serve
+
+        captured = {}
+
+        class FakeClient:
+            def __init__(self, url):
+                captured["url"] = url
+
+            def place(self, benchmark, method, budget):
+                captured["budget"] = budget
+                result = dict(
+                    system=benchmark, method=method, reward=-1.0,
+                    wirelength=2.0, temperature_c=3.0,
+                )
+                return {"result": result, "cache": "miss", "evaluator_calls": 1}
+
+        monkeypatch.setattr(repro.serve, "ServeClient", FakeClient)
+        assert cli.main(["submit", "synthetic1", "--sa-iters", "250"]) == 0
+        assert captured["budget"]["sa_iterations_hotspot"] == 250
+        assert "cache=miss" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("timeout", ["0", "-1", "nan"])

@@ -2,6 +2,7 @@
 
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,11 +19,12 @@ from repro.experiments import (
     run_table2,
     save_results,
 )
-from repro.experiments import ablations
+from repro.experiments import ablations, runner
 from repro.experiments.ablations import ABLATION_VARIANTS
 from repro.experiments.report import format_comparison
 from repro.experiments.table3 import improvement_summary
 from repro.reward import RewardCalculator
+from repro.systems import get_benchmark
 from repro.thermal import ThermalConfig
 
 
@@ -102,11 +104,26 @@ class TestBudget:
         assert ExperimentBudget().rl_epochs < 100
 
 
+def _stub_evaluators(monkeypatch):
+    """Stand-in evaluators for arms whose trainer a test replaces."""
+    stub = object()
+    evaluators = {
+        "fast_model": stub,
+        "reward_fast": RewardCalculator(stub),
+        "reward_solver": RewardCalculator(stub),
+    }
+    monkeypatch.setattr(
+        ablations, "build_evaluators", lambda spec, budget, cache_dir: evaluators
+    )
+    return evaluators
+
+
 class TestAblationWidth:
     @pytest.mark.parametrize("variant", ABLATION_VARIANTS)
     def test_arm_trains_at_budget_rollout_width(self, monkeypatch, variant):
-        """Every ablation arm hands the budget's rollout width to its
-        trainer (``repro.cli ablations --batch-size N``)."""
+        """Every ablation arm hands the budget's rollout width and
+        collection knobs to its trainer (``repro.cli ablations
+        --batch-size N --collect-jobs J --async-collect``)."""
         captured = {}
 
         class Captured(Exception):
@@ -116,21 +133,61 @@ class TestAblationWidth:
             captured["config"] = config
             raise Captured()
 
-        stub = object()
-        monkeypatch.setattr(
-            ablations,
-            "build_evaluators",
-            lambda spec, budget, cache_dir: {
-                "fast_model": stub,
-                "reward_fast": RewardCalculator(stub),
-                "reward_solver": RewardCalculator(stub),
-            },
+        _stub_evaluators(monkeypatch)
+        monkeypatch.setattr(runner, "RLPlannerTrainer", fake_trainer)
+        budget = ExperimentBudget(
+            rl_epochs=1,
+            rollout_batch_size=5,
+            collect_jobs=3,
+            collect_workers=2,
+            collect_bind="127.0.0.1:7811",
+            async_collect=True,
         )
-        monkeypatch.setattr(ablations, "RLPlannerTrainer", fake_trainer)
-        budget = ExperimentBudget(rl_epochs=1, rollout_batch_size=5)
         with pytest.raises(Captured):
             ablations.run_ablation_arm(variant, budget)
-        assert captured["config"].batch_size == 5
+        config = captured["config"]
+        assert config.batch_size == 5
+        assert config.collect_jobs == 3
+        assert config.collect_workers == 2
+        assert config.collect_bind == "127.0.0.1:7811"
+        assert config.async_collect is True
+
+
+class TestAllDeadlocked:
+    def test_method_arm_and_ablation_report_all_deadlocked(self, monkeypatch):
+        """An arm whose every episode deadlocks has no best breakdown; it
+        reports the deadlock penalty instead of crashing."""
+
+        class DeadlockedTrainer:
+            def __init__(self, env, config):
+                pass
+
+            def train(self, checkpoint_fn=None):
+                return SimpleNamespace(
+                    best_breakdown=None,
+                    best_reward=-50.0,
+                    best_placement=None,
+                    elapsed=0.5,
+                    epochs_run=1,
+                    deadlock_count=4,
+                )
+
+        evaluators = _stub_evaluators(monkeypatch)
+        monkeypatch.setattr(runner, "RLPlannerTrainer", DeadlockedTrainer)
+        budget = ExperimentBudget(rl_epochs=1)
+        rows = [
+            runner.dispatch_method_arm(
+                get_benchmark("multi_gpu"), "RLPlanner", budget, evaluators
+            ),
+            ablations.run_ablation_arm("rl/fast/rnd", budget),
+        ]
+        assert [row.method for row in rows] == ["RLPlanner", "rl/fast/rnd"]
+        for row in rows:
+            assert row.extra["all_deadlocked"] is True
+            assert row.extra["deadlocks"] == 4
+            assert row.reward == -50.0
+            assert np.isnan(row.wirelength)
+            assert np.isnan(row.temperature_c)
 
 
 class TestGoldenExperiments:
