@@ -102,7 +102,7 @@ def run(args) -> int:
         rl_epochs=1,
         episodes_per_epoch=2,
         grid_size=args.grid,
-        sa_iterations_hotspot=args.sa_iterations,
+        sa_iterations_hotspot=args.sa_iters,
         sa_chains=args.sa_chains,
         rollout_batch_size=2,
         position_samples=(args.positions, args.positions),
@@ -111,7 +111,7 @@ def run(args) -> int:
     budget_dict = budget_to_dict(budget)
     print(
         f"scenario: system={args.system} method={METHOD} "
-        f"grid={args.grid} sa_iterations={args.sa_iterations} "
+        f"grid={args.grid} sa_iterations={args.sa_iters} "
         f"on {cpu_count} cpu core(s)"
     )
     with tempfile.TemporaryDirectory() as tmp:
@@ -187,7 +187,7 @@ def run(args) -> int:
             "system": args.system,
             "method": METHOD,
             "grid_size": args.grid,
-            "sa_iterations": args.sa_iterations,
+            "sa_iterations": args.sa_iters,
             "sa_chains": args.sa_chains,
             "position_samples": args.positions,
             "requests": args.requests,
@@ -211,11 +211,11 @@ def run(args) -> int:
     return status
 
 
-def main(argv=None) -> int:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--system", type=str, default="synthetic1")
     parser.add_argument("--grid", type=int, default=16)
-    parser.add_argument("--sa-iterations", type=int, default=60)
+    parser.add_argument("--sa-iters", type=int, default=60)
     parser.add_argument("--sa-chains", type=int, default=4)
     parser.add_argument(
         "--positions",
@@ -255,10 +255,14 @@ def main(argv=None) -> int:
         action="store_true",
         help="shrink the workload for CI (the 10x target still applies)",
     )
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
     if args.smoke:
         args.grid = min(args.grid, 12)
-        args.sa_iterations = min(args.sa_iterations, 24)
+        args.sa_iters = min(args.sa_iters, 24)
         args.positions = min(args.positions, 2)
         args.requests = min(args.requests, 60)
         args.threads = min(args.threads, 4)

@@ -10,7 +10,7 @@ binds it at ``collect_bind``; the trainer logs — and
 
 The worker registers under a time-bounded lease, heartbeats, builds its
 environment+network replica from the coordinator's init payload, and
-serves wave-aligned episode slices.  Every transport failure —
+serves balanced episode slices.  Every transport failure —
 connection refused, reset, checksum mismatch, a fenced lease after a
 network partition — triggers a reconnect with seeded exponential
 backoff; the slices it was serving are re-dispatched by the coordinator

@@ -21,7 +21,7 @@ and publishes, the per-job triage lands in ``<out>/report.json``, and
 the script exits nonzero on a partial sweep.
 
 Usage:
-    python scripts/run_experiments.py [--paper-scale] [--jobs 4] \
+    python scripts/run_experiments.py [--paper-scale] [--jobs 4] [--seed 0] \
         [--resume] [--keep-going] [--out bench_results]
 """
 

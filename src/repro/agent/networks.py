@@ -121,6 +121,7 @@ class ActorCritic(Module):
         greedy: bool = False,
         static_channels=None,
         shared_rows: bool = False,
+        head_rows: int = 2,
     ) -> tuple:
         """Rollout action selection for a whole lockstep batch.
 
@@ -140,11 +141,13 @@ class ActorCritic(Module):
 
         The conv layers run per-row shape-stable GEMMs for this and the
         value head one dot product per row (a batched GEMV rounds by row
-        count); the policy head runs one (n, features) GEMM and relies
-        on the BLAS computing each output row independently of the row
-        count, which holds for the supported OpenBLAS builds and is
-        locked in by the batch-width-invariance regression tests — a
-        BLAS whose kernels mix rows would surface there, not silently.
+        count).  The policy head runs products of exactly ``head_rows``
+        rows (zero-padded): the BLAS picks its kernel, and so its
+        rounding, by row count (GEMV for one row, small and large GEMM
+        kernels above).  A row's logits are thus the same at any wave
+        width or live count if a run keeps ``head_rows`` fixed
+        (collection passes the batch width); the shared first-step row
+        is a 1-row product at every width, as tests pin.
 
         Returns (actions, log_probs, values) as 1D numpy arrays.
         """
@@ -152,18 +155,18 @@ class ActorCritic(Module):
             obs = np.asarray(observations, dtype=PARAM_DTYPE)
             masks = np.asarray(masks, dtype=bool)
             n = obs.shape[0]
-            rows = obs[:1] if shared_rows and n > 1 else obs
+            rows = obs[:1] if shared_rows else obs
             features = self._encode_rollout(rows, static_channels)
-            logits = self.policy_head(features)
             weight = self.value_head.weight.data[:, 0]
             values_data = np.array(
                 [row @ weight for row in features.data], dtype=PARAM_DTYPE
             ) + self.value_head.bias.data
-            if len(rows) < n:
+            if shared_rows:
+                logits = self.policy_head(features).data
                 values_data = np.broadcast_to(values_data, (n,))
-                logits = Tensor(
-                    np.broadcast_to(logits.data, (n,) + logits.shape[1:])
-                )
+                logits = Tensor(np.broadcast_to(logits, (n, logits.shape[1])))
+            else:
+                logits = self._policy_logits(features.data, head_rows)
             dist = MaskedCategorical(logits, masks)
             if greedy:
                 actions = dist.mode()
@@ -175,6 +178,18 @@ class ActorCritic(Module):
             np.array(log_probs, dtype=np.float64),
             np.array(values_data, dtype=np.float64),
         )
+
+    def _policy_logits(self, features: np.ndarray, head_rows: int) -> Tensor:
+        """Policy-head logits from products of exactly ``head_rows`` rows."""
+        n, width = features.shape
+        blocks = -(-n // head_rows)
+        padded = np.zeros((blocks * head_rows, width), features.dtype)
+        padded[:n] = features
+        logits = [
+            self.policy_head(Tensor(block)).data
+            for block in np.split(padded, blocks)
+        ]
+        return Tensor(np.concatenate(logits)[:n])
 
     def _encode_rollout(self, obs: np.ndarray, static_channels) -> Tensor:
         """Encoder forward with the optional static-channel split."""

@@ -69,6 +69,7 @@ def budget_from_args(args, **extra_fields) -> ExperimentBudget:
         collect_bind=args.collect_bind,
         async_collect=args.async_collect,
         sa_chains=args.sa_chains,
+        seed=args.seed,
         **extra_fields,
     )
     if args.paper_scale:
@@ -96,6 +97,7 @@ def _add_budget_args(parser) -> None:
     parser.add_argument("--episodes", type=int, default=8)
     parser.add_argument("--grid", type=int, default=24)
     parser.add_argument("--sa-iters", type=int, default=250)
+    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
         "--batch-size",
         type=rollout_width,
@@ -118,7 +120,7 @@ def _add_budget_args(parser) -> None:
         default=0,
         help="remote (multi-machine) episode collection: open a "
         "lease-based TCP coordinator and cut each epoch into this many "
-        "(or --collect-jobs, if larger) wave-aligned slices served by scripts/collect_worker.py "
+        "(or --collect-jobs, if larger) balanced slices served by scripts/collect_worker.py "
         "processes (0 = off); bitwise identical to in-process at any "
         "count, degrades to --collect-jobs then in-process when no "
         "workers are reachable",
@@ -343,7 +345,6 @@ def main(argv=None) -> int:
 
     for p in (*budget_parsers, pt, ps, pb):
         _add_budget_args(p)
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument(
             "--hotspot-reuse-lu",
             dest="hotspot_reuse_lu",
@@ -361,9 +362,7 @@ def main(argv=None) -> int:
     budget = None
     if args.command not in ("table2", "serve"):
         budget = budget_from_args(
-            args,
-            seed=args.seed,
-            hotspot_reuse_factorization=args.hotspot_reuse_lu,
+            args, hotspot_reuse_factorization=args.hotspot_reuse_lu
         )
 
     if args.command in ("table1", "table3", "ablations"):

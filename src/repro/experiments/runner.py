@@ -126,7 +126,7 @@ class ExperimentBudget:
     collect_jobs: int = 1
     # Remote (multi-machine) episode collection within one RL arm
     # (TrainerConfig.collect_workers / collect_bind): >= 1 opens a
-    # lease-based TCP coordinator and serves wave-aligned slices to
+    # lease-based TCP coordinator and serves balanced slices to
     # whatever scripts/collect_worker.py processes lease in, degrading
     # to the local pool / in-process when none do.  Bitwise-invariant
     # like collect_jobs (slices are pure in weight bytes + seed

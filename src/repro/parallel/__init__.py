@@ -13,7 +13,7 @@ them across process pools:
   path.
 * :mod:`repro.parallel.collector` — PPO episode collection *inside*
   one RL arm.  One :class:`EpisodeCollector` cuts each epoch into
-  wave-aligned slices of per-episode RNG streams and drives them down
+  balanced slices of per-episode RNG streams and drives them down
   one degrade ladder of slice executors — leased remote workers, a
   local process pool, in-process collection — merging in index order.
   A failed round sends its missing slices one rung down in the same

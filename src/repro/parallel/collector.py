@@ -16,12 +16,13 @@ this module rests on that property:
   would hold).  It is the in-process rung and the engine inside every
   pool and remote worker.
 * :class:`EpisodeCollector` — the trainer-facing collector.  It cuts an
-  epoch into contiguous, *wave-aligned* slices
+  epoch into contiguous slices of balanced size
   (:func:`partition_episodes`), hands them to a ladder of slice
   executors — leased TCP workers (:mod:`repro.parallel.remote`), a
   local process pool, and in-process collection — and merges the
-  slices back in index order.  Every episode keeps its exact stream
-  *and* its exact wave width, so the merged epoch is **bitwise
+  slices back in index order.  Slices ignore wave boundaries: an
+  episode's trajectory depends on its stream alone, not on the width
+  or live count of the wave it rides, so the merged epoch is **bitwise
   identical** to in-process collection at any worker count, under any
   fault (regression-pinned for the plain, RND, batched and async
   trainers, including kill+resume).
@@ -91,50 +92,35 @@ def episode_rng(seeds: SeedSequence, index: int) -> np.random.Generator:
     return seeds.rng(f"episode.{index}")
 
 
-def partition_episodes(
-    start_index: int, count: int, width: int, jobs: int
-) -> list:
-    """Contiguous, wave-aligned ``(start, size)`` slices of an epoch.
+def partition_episodes(start_index: int, count: int, jobs: int) -> list:
+    """Contiguous, balanced ``(start, size)`` slices of an epoch.
 
-    In-process collection sweeps the epoch in lockstep waves of
-    ``width`` episodes (a final partial wave takes the remainder).
-    Slices are cut ONLY on those wave boundaries, so a sharded epoch
-    reproduces the exact in-process wave structure: every episode rides
-    a wave of the same width it would ride under ``collect_jobs=1``.
-    That alignment is load-bearing for bitwise equality — per-row
-    results are width-invariant across widths >= 2 (shape-stable
-    per-row GEMMs), but a width-1 wave goes through a different BLAS
-    kernel (GEMV vs GEMM) whose accumulation can differ in the last
-    ulp, so the remainder wave must stay a remainder wave.
-
-    Deterministic in its arguments: the first ``n_waves % jobs`` slices
-    get one extra wave.  Empty slices are never emitted (``jobs``
-    beyond the wave count simply go idle), so every returned slice maps
-    to one worker task.
+    ``min(jobs, count)`` slices whose sizes differ by at most one (the
+    first ``count % jobs`` get the extra episode), cut with no regard
+    for lockstep waves: every episode's trajectory is independent of
+    the width and live count of the wave it rides (see
+    :meth:`ActorCritic.act_batch`), so a slice may start mid-wave and
+    end in a remainder wave of any width, down to one.  Empty slices
+    are never emitted, so every returned slice maps to one worker task.
     """
     if count < 1:
         return []
-    width = min(width, count)
-    n_waves = -(-count // width)  # ceil division
-    workers = min(jobs, n_waves)
-    base, extra = divmod(n_waves, workers)
-    slices = []
-    first_wave = 0
-    for worker in range(workers):
-        waves = base + (1 if worker < extra else 0)
-        begin = first_wave * width
-        end = min((first_wave + waves) * width, count)
-        slices.append((start_index + begin, end - begin))
-        first_wave += waves
-    return slices
+    workers = min(jobs, count)
+    base, extra = divmod(count, workers)
+    ends = [start_index + k * base + min(k, extra) for k in range(workers + 1)]
+    return [(begin, end - begin) for begin, end in zip(ends, ends[1:])]
 
 
-def collect_wave(network, batched_env, rngs, greedy: bool = False) -> list:
+def collect_wave(
+    network, batched_env, rngs, head_rows: int, greedy: bool = False
+) -> list:
     """One lockstep wave of ``len(rngs)`` episodes through ``batched_env``.
 
     Row ``i`` samples exclusively from ``rngs[i]``; the conv stack runs
-    per-row shape-stable GEMMs, so each episode's trajectory is
-    independent of its wave companions — the invariance every
+    per-row shape-stable GEMMs and the policy head products of exactly
+    ``head_rows`` rows (see :meth:`ActorCritic.act_batch`), so each
+    episode's trajectory is independent of its wave companions and of
+    how many are still live — the invariance every
     ``collect_jobs``/``batch_size`` guarantee in this repo rests on.
     """
     wave_n = len(rngs)
@@ -154,6 +140,7 @@ def collect_wave(network, batched_env, rngs, greedy: bool = False) -> list:
             # Right after a lockstep reset every row is identical, so
             # the forward runs once and broadcasts.
             shared_rows=first_step,
+            head_rows=head_rows,
         )
         first_step = False
         for row, index in enumerate(live):
@@ -191,14 +178,15 @@ def collect_slice(
     contiguous sub-slice each).
     """
     collected = []
-    width = min(width, count)
     for offset in range(0, count, width):
         wave_n = min(width, count - offset)
         rngs = [
             episode_rng(seeds, start_index + offset + k)
             for k in range(wave_n)
         ]
-        collected.extend(collect_wave(network, batched_env, rngs, greedy))
+        # Policy-head products keep the configured width, however
+        # narrow this slice's waves are.
+        collected += collect_wave(network, batched_env, rngs, width, greedy)
     return collected
 
 
@@ -505,7 +493,7 @@ class EpisodeCollector:
     workers:
         ``>= 1`` adds the leased-TCP rung (see
         :class:`~repro.parallel.remote.RemoteRung`).  An epoch is cut
-        into ``max(jobs, workers)`` wave-aligned slices; ``workers``
+        into ``max(jobs, workers)`` balanced slices; ``workers``
         never sets how many workers must connect: leased workers serve
         the queue work-stealing style.
     encoder_channels:
@@ -628,13 +616,8 @@ class EpisodeCollector:
     # -- the ladder -----------------------------------------------------
 
     def _slices(self, start_index: int, count: int) -> list:
-        return list(
-            enumerate(
-                partition_episodes(
-                    start_index, count, self.batch_size, self._granularity
-                )
-            )
-        )
+        slices = partition_episodes(start_index, count, self._granularity)
+        return list(enumerate(slices))
 
     def _begin_round(self) -> list:
         """Re-probe what is due; returns the rungs live this round.

@@ -3,7 +3,7 @@
 The top rung of :class:`~repro.parallel.collector.EpisodeCollector`'s
 degrade ladder.  The *protocol* is the collector's — one serialized
 policy payload (:func:`repro.nn.dumps_payload`) per round and
-wave-aligned episode slices merged in index order — carried over
+balanced episode slices merged in index order — carried over
 length-prefixed, checksummed TCP frames (:mod:`repro.parallel.
 transport`) instead of a ``ProcessPoolExecutor``.
 

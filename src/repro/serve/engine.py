@@ -330,11 +330,9 @@ class ServeEngine:
 
         Each request's episode samples exclusively from its own
         ``SeedSequence(seed).rng("serve.rollout")`` stream; per-row
-        results are wave-width-invariant for widths >= 2 (shape-stable
-        GEMMs), so the batch a request happens to ride never changes
-        its trajectory.  A lone request is padded with a throwaway
-        companion row rather than run at width 1 — the width-1 GEMV
-        kernel can differ in the last ulp.
+        results are invariant to the wave's width and live count (see
+        :meth:`ActorCritic.act_batch`), so the batch a request happens
+        to ride, a batch of one included, never changes its trajectory.
         """
         self._count("rollout")
         spec = self._spec(system)
@@ -351,15 +349,9 @@ class ServeEngine:
         rngs = [
             SeedSequence(seed).rng("serve.rollout") for seed in seeds
         ]
-        padded = len(rngs) == 1
-        if padded:
-            # Fresh generator on the same stream: the pad row's draws
-            # never touch row 0's generator, and its result is dropped.
-            rngs.append(SeedSequence(seeds[0]).rng("serve.rollout"))
         with bundle.lock:
-            pairs = collect_wave(network, batched_env, rngs, greedy=greedy)
-        if padded:
-            pairs = pairs[:1]
+            head_rows = self._rollout_batcher.max_batch
+            pairs = collect_wave(network, batched_env, rngs, head_rows, greedy)
         responses = []
         for (episode, info), seed in zip(pairs, seeds):
             deadlock = bool(info.get("deadlock"))

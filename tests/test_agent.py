@@ -53,6 +53,34 @@ class TestActorCritic:
             assert log_probs[0] <= 0.0
             assert np.isfinite(values[0])
 
+    def test_lone_row_equals_its_row_in_a_wider_call(self):
+        """A wave's last live episode acts as it would beside others:
+        actions, log-probs and values of one non-shared row are bitwise
+        those of the same row inside a 3-row call."""
+        rng = np.random.default_rng(4)
+        net = ActorCritic((3, 16, 16), 256, channels=(4, 8, 8), rng=rng)
+        # A trained head's spread: at the 0.01 init gain, float32
+        # log-probs round away a last-ulp difference in the logits.
+        net.policy_head.weight.data *= 100.0
+        for _ in range(10):
+            obs = rng.normal(size=(3, 3, 16, 16)).astype(np.float32)
+            # Two feasible actions per row: each log-prob then depends
+            # on two logits at full float32 resolution.
+            masks = np.zeros((3, 256), bool)
+            for row in range(3):
+                masks[row, rng.choice(256, 2, replace=False)] = True
+            wide = net.act_batch(
+                obs, masks, [np.random.default_rng(k) for k in range(3)]
+            )
+            for row in range(3):
+                lone = net.act_batch(
+                    obs[row : row + 1],
+                    masks[row : row + 1],
+                    [np.random.default_rng(row)],
+                )
+                for got, want in zip(lone, wide):
+                    assert got.tobytes() == want[row : row + 1].tobytes()
+
     def test_greedy_act_deterministic(self):
         rng = np.random.default_rng(1)
         net = ActorCritic((2, 8, 8), 64, channels=(4, 4, 4), rng=rng)

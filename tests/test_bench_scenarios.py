@@ -35,3 +35,8 @@ def test_scenario_uses_bundled_reward_config(bench, tmp_path):
     assert spec.name == "multi_gpu"
     assert reward.config == get_benchmark("multi_gpu").reward_config
     assert reward.config.use_bump_assignment is True
+
+
+def test_bench_serve_spells_sa_iters_like_the_cli():
+    parser = _load_bench("bench_serve").build_parser()
+    assert parser.parse_args(["--sa-iters", "12"]).sa_iters == 12

@@ -302,6 +302,28 @@ def test_nonpositive_job_timeout_rejected(timeout, monkeypatch):
 
 
 class TestRunExperimentsScript:
+    def test_seed_reaches_the_budget(self, monkeypatch, tmp_path):
+        """``--seed`` is one of the shared budget flags, so a scripted
+        sweep can run at any seed."""
+        import importlib.util
+
+        root = Path(__file__).resolve().parent.parent
+        spec = importlib.util.spec_from_file_location(
+            "run_experiments", root / "scripts" / "run_experiments.py"
+        )
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        captured = {}
+
+        def fake_run_table1(budget, **kwargs):
+            captured["budget"] = budget
+            return []
+
+        monkeypatch.setattr(script, "run_table1", fake_run_table1)
+        argv = ["--seed", "5", "--skip", "table2", "table3"]
+        assert script.main(argv + ["--out", str(tmp_path / "out")]) == 0
+        assert captured["budget"].seed == 5
+
     def test_negative_retries_rejected_cleanly(self, tmp_path):
         """The sweep script shares the CLI's fault flags and validation."""
         root = Path(__file__).resolve().parent.parent

@@ -135,48 +135,52 @@ def _make_trainer(env, **overrides):
 
 
 class TestPartitionEpisodes:
-    def test_slices_are_wave_aligned(self):
-        # 10 episodes in waves of 3 -> waves [3, 3, 3, 1]; 4 workers
-        # get one wave each.  The width-1 remainder wave stays intact.
-        slices = partition_episodes(10, 10, 3, 4)
-        assert slices == [(10, 3), (13, 3), (16, 3), (19, 1)]
+    """Balanced slices: trajectories do not depend on wave width or
+    live count, so slices are cut without regard for waves."""
 
-    def test_waves_grouped_when_workers_are_scarce(self):
-        # waves [2, 2, 1] over 2 workers -> [2 waves, 1 wave].
-        assert partition_episodes(0, 5, 2, 2) == [(0, 4), (4, 1)]
+    def test_slices_are_balanced(self):
+        # 10 episodes over 4 workers -> sizes 3, 3, 2, 2, whatever the
+        # rollout width.
+        slices = partition_episodes(10, 10, 4)
+        assert slices == [(10, 3), (13, 3), (16, 2), (18, 2)]
+
+    def test_wave_boundaries_are_ignored(self):
+        # One 16-wide wave on 2 workers splits 8 + 8 (a wave-aligned
+        # cut left one worker idle); 5 episodes split 3 + 2.
+        assert partition_episodes(0, 16, 2) == [(0, 8), (8, 8)]
+        assert partition_episodes(0, 5, 2) == [(0, 3), (3, 2)]
 
     def test_fewer_waves_than_workers_drops_empty_slices(self):
-        assert partition_episodes(0, 3, 1, 8) == [(0, 1), (1, 1), (2, 1)]
-        assert partition_episodes(0, 8, 4, 8) == [(0, 4), (4, 4)]
+        assert partition_episodes(0, 3, 8) == [(0, 1), (1, 1), (2, 1)]
+        assert partition_episodes(4, 2, 8) == [(4, 1), (5, 1)]
 
-    def test_width_beyond_count_is_one_slice(self):
-        assert partition_episodes(7, 5, 64, 4) == [(7, 5)]
+    def test_one_episode_is_one_slice(self):
+        assert partition_episodes(7, 1, 4) == [(7, 1)]
 
     def test_single_worker_single_slice(self):
-        assert partition_episodes(7, 5, 2, 1) == [(7, 5)]
+        assert partition_episodes(7, 5, 1) == [(7, 5)]
 
     def test_zero_episodes(self):
-        assert partition_episodes(0, 0, 2, 4) == []
+        assert partition_episodes(0, 0, 4) == []
 
     @pytest.mark.parametrize(
-        "count,width,jobs",
-        [(5, 2, 2), (5, 2, 4), (16, 3, 3), (1, 2, 4), (7, 3, 2)],
+        "count,jobs",
+        [(5, 2), (5, 4), (16, 3), (1, 4), (7, 2)],
     )
-    def test_always_a_wave_aligned_partition(self, count, width, jobs):
-        slices = partition_episodes(100, count, width, jobs)
+    def test_always_a_balanced_partition(self, count, jobs):
+        slices = partition_episodes(100, count, jobs)
         covered = [
             index
             for start, size in slices
             for index in range(start, start + size)
         ]
         assert covered == list(range(100, 100 + count))
-        assert all(size >= 1 for _, size in slices)
-        for start, size in slices:
-            # Every slice begins on an in-process wave boundary and,
-            # except for the epoch's final slice, holds whole waves.
-            assert (start - 100) % width == 0
-        for start, size in slices[:-1]:
-            assert size % width == 0
+        assert len(slices) == min(jobs, count)
+        sizes = [size for _, size in slices]
+        assert min(sizes) >= 1
+        assert max(sizes) - min(sizes) <= 1
+        # Larger slices first, so the cut is deterministic.
+        assert sizes == sorted(sizes, reverse=True)
 
 
 class TestBestSelection:
@@ -377,6 +381,43 @@ class TestShardedBitwise:
             assert sharded._episode_index == reference._episode_index == 5
         finally:
             sharded.close_collector()
+
+    @pytest.mark.parametrize(
+        "count,width,expected",
+        [
+            # One 16-wide wave: both workers collect 8.
+            (16, 16, [(0, 8), (8, 8)]),
+            # Waves 4, 4, 2 in process; each worker runs 4 then a
+            # width-1 remainder wave.
+            (10, 4, [(0, 5), (5, 5)]),
+        ],
+        ids=["one-wave", "width1-remainders"],
+    )
+    def test_balanced_slices_merge_bitwise(
+        self, trainer_env, monkeypatch, count, width, expected
+    ):
+        dispatched = []
+        real_dispatch = collector_module._PoolRung.dispatch
+
+        def spy(rung, weights, slices, greedy, chaos_point):
+            dispatched.append([item for _, item in slices])
+            return real_dispatch(rung, weights, slices, greedy, chaos_point)
+
+        monkeypatch.setattr(collector_module._PoolRung, "dispatch", spy)
+        reference = _make_trainer(trainer_env, batch_size=width)
+        sharded = _make_trainer(trainer_env, batch_size=width, collect_jobs=2)
+        for trainer in (reference, sharded):
+            # A trained head's spread, so a last-ulp logit difference
+            # between product row counts would reach the log-probs.
+            trainer.network.policy_head.weight.data *= 100.0
+        try:
+            got = sharded.collect_episodes(count)
+        finally:
+            sharded.close_collector()
+        assert dispatched == [expected]
+        assert _episode_bits(got) == _episode_bits(
+            reference.collect_episodes(count)
+        )
 
 
 class TestCollectJobsValidation:

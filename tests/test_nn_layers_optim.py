@@ -21,6 +21,21 @@ from repro.nn import (
     orthogonal,
     save_state_dict,
 )
+from repro.nn.init import orthogonal_layout
+
+
+def _householder_orthogonal(shape, gain, rng):
+    """Sign-corrected Householder QR of the same draw ``orthogonal``
+    takes: the reference its Cholesky-QR pass must reproduce."""
+    rows, cols = shape[0], int(np.prod(shape[1:]))
+    flat = rng.normal(size=(rows, cols))
+    if rows < cols:
+        flat = flat.T
+    q, r = np.linalg.qr(flat)
+    q *= np.sign(np.diag(r))
+    if rows < cols:
+        q = q.T
+    return (gain * q).reshape(shape)
 
 
 class TestInit:
@@ -37,6 +52,45 @@ class TestInit:
     def test_orthogonal_conv_shape(self):
         w = orthogonal((8, 3, 3, 3), rng=np.random.default_rng(1))
         assert w.shape == (8, 3, 3, 3)
+
+    @pytest.mark.parametrize("grid", [12, 24, 32])
+    def test_orthogonal_matches_householder_on_every_layer(
+        self, grid, monkeypatch
+    ):
+        """Cholesky-QR gives the sign-corrected Householder ``Q`` of the
+        same draw on every layer shape the actor-critic and RND build,
+        RND's square 256 x 256 hidden layer included."""
+        from repro.agent import ActorCritic
+        from repro.env import ObservationBuilder
+        from repro.nn import layers as layers_module
+        from repro.rl.rnd import RandomNetworkDistillation
+
+        calls = []
+
+        def recording(shape, gain=1.0, rng=None):
+            calls.append((tuple(shape), gain))
+            return orthogonal(shape, gain=gain, rng=rng)
+
+        monkeypatch.setattr(layers_module, "orthogonal", recording)
+        obs_shape = (ObservationBuilder.N_CHANNELS, grid, grid)
+        ActorCritic(obs_shape, grid * grid, rng=np.random.default_rng(0))
+        RandomNetworkDistillation(
+            int(np.prod(obs_shape)), rng=np.random.default_rng(0)
+        )
+        assert ((256, 256), np.sqrt(2.0)) in calls
+        for seed, (shape, gain) in enumerate(dict.fromkeys(calls)):
+            got = orthogonal(shape, gain, rng=np.random.default_rng(seed))
+            want = _householder_orthogonal(
+                shape, gain, np.random.default_rng(seed)
+            )
+            assert got.shape == shape
+            assert got.strides == orthogonal_layout(shape).strides
+            assert np.abs(got - want).max() / gain < 1e-9, shape
+            q = got.reshape(shape[0], -1) / gain
+            if q.shape[0] < q.shape[1]:
+                q = q.T
+            gram = q.T @ q
+            assert np.abs(gram - np.eye(len(gram))).max() < 1e-9, shape
 
     def test_orthogonal_needs_2d(self):
         with pytest.raises(ValueError):

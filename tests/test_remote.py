@@ -107,7 +107,7 @@ def _reference(parts, weights, start, count, workers=4, greedy=False):
     replica = ReplicaCollector(
         system, calc, env_config, CHANNELS, BATCH, SEED
     )
-    slices = list(enumerate(partition_episodes(start, count, BATCH, workers)))
+    slices = list(enumerate(partition_episodes(start, count, workers)))
     results = replica.collect(weights, slices, greedy)
     return [pair for index, _ in slices for pair in results[index]]
 

@@ -15,7 +15,7 @@ Covers each layer in isolation and then the stack end to end:
   micro-batched evaluate vs the scalar calculator, bitwise.
 * The HTTP surface — health/benchmarks/error codes, served responses
   over real sockets, policy registration, and rollout determinism
-  (batch-width invariance via the padded wave path).
+  (batch-width invariance, a batch of one included).
 
 Serve-stack tests share one module-scoped server: the expensive parts
 (thermal characterization, the cold place arm) run once and every later
@@ -566,7 +566,7 @@ class TestPolicyServing:
         self, serve_stack, serve_budget, registered_policy
     ):
         """A request's trajectory depends only on its own seed stream:
-        the same seed served alone (padded wave) and served inside a
+        the same seed served alone (a wave of one) and served inside a
         concurrent batch must answer identically, bit for bit."""
         from concurrent.futures import ThreadPoolExecutor
 
@@ -594,7 +594,7 @@ class TestPolicyServing:
         by_seed = {response["seed"]: response for response in batched}
         repeat = dict(by_seed[5])
         reference = dict(solo)
-        # Batch size is a transport detail (1-padded solo vs whatever
+        # Batch size is a transport detail (a solo wave vs whatever
         # the burst coalesced into); everything semantic must agree.
         repeat.pop("batch_size")
         reference.pop("batch_size")
