@@ -108,8 +108,6 @@ def main(argv=None) -> int:
     args = parse_args(argv)
     report = SweepReport()
     fault_kwargs = dict(_fault_kwargs(args), report=report)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     budget = budget_from_args(
         args,
         position_samples=(args.positions, args.positions),
@@ -117,6 +115,8 @@ def main(argv=None) -> int:
         rl_checkpoint_every=args.rl_checkpoint_every,
         sa_checkpoint_every=args.sa_checkpoint_every,
     )
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     store = RunStore(args.store_dir) if args.resume else None
     print(f"budget: {budget}")
     print(f"jobs: {args.jobs}")

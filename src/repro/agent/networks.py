@@ -37,7 +37,7 @@ class ActorCritic(Module):
     obs_shape:
         (channels, rows, cols) of the observation image.
     n_actions:
-        Size of the flat action space (grid cells, x2 with rotation).
+        Size of the flat action space (one action per grid cell).
     channels:
         Conv widths of the three encoder layers.
     rng:

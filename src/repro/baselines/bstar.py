@@ -47,7 +47,6 @@ class BStarConfig:
     time_limit: float | None = None
     seed: int = 0
     n_chains: int = 1
-    history_stride: int = 1
     checkpoint_every: int = 0
 
     def __post_init__(self) -> None:
@@ -318,7 +317,6 @@ class BStarFloorplanner:
                 time_limit=cfg.time_limit,
                 seed=cfg.seed,
                 n_chains=cfg.n_chains,
-                history_stride=cfg.history_stride,
                 checkpoint_every=cfg.checkpoint_every,
             ),
         )

@@ -53,9 +53,6 @@ class SAConfig:
         ``seed + c``.
     n_chains:
         Number of independent lockstep chains.
-    history_stride:
-        Record every ``stride``-th iteration into the history columns.
-        1 (the default) preserves the original per-iteration trace.
     checkpoint_every:
         Snapshot cadence in iterations (0 = never).  The engine hands a
         full resumable snapshot (incumbents, costs, temperatures, RNG
@@ -73,7 +70,6 @@ class SAConfig:
     seed: int = 0
     calibration_samples: int = 20
     n_chains: int = 1
-    history_stride: int = 1
     checkpoint_every: int = 0
 
     def __post_init__(self) -> None:
@@ -85,8 +81,6 @@ class SAConfig:
             raise ValueError("final_temperature must be positive")
         if self.n_chains < 1:
             raise ValueError("n_chains must be >= 1")
-        if self.history_stride < 1:
-            raise ValueError("history_stride must be >= 1")
 
 
 class SAHistory:
@@ -102,14 +96,12 @@ class SAHistory:
 
     FIELDS = ("iteration", "temperature", "current_cost", "best_cost")
 
-    __slots__ = ("stride", "_rows", "_n")
+    __slots__ = ("_rows", "_n")
 
-    def __init__(self, capacity: int, stride: int = 1):
-        if stride < 1:
-            raise ValueError("stride must be >= 1")
-        self.stride = stride
-        rows = -(-max(capacity, 0) // stride)  # ceil division
-        self._rows = np.empty((rows, len(self.FIELDS)), dtype=np.float64)
+    def __init__(self, capacity: int):
+        self._rows = np.empty(
+            (max(capacity, 0), len(self.FIELDS)), dtype=np.float64
+        )
         self._n = 0
 
     def record(
@@ -119,9 +111,7 @@ class SAHistory:
         current_cost: float,
         best_cost: float,
     ) -> None:
-        """Append one iteration's row (skipped when off-stride)."""
-        if iteration % self.stride:
-            return
+        """Append one iteration's row."""
         if self._n == len(self._rows):  # time-limited reruns, safety
             grown = np.empty(
                 (max(2 * len(self._rows), 16), len(self.FIELDS))
@@ -138,13 +128,12 @@ class SAHistory:
         return view
 
     def state_dict(self) -> dict:
-        """Recorded rows + stride, for checkpoint snapshots."""
-        return {"stride": self.stride, "rows": self._rows[: self._n].copy()}
+        """Recorded rows, for checkpoint snapshots."""
+        return {"rows": self._rows[: self._n].copy()}
 
     def load_state_dict(self, state: dict) -> None:
         """Restore rows recorded before a checkpoint (bitwise)."""
         rows = np.asarray(state["rows"], dtype=np.float64)
-        self.stride = int(state["stride"])
         if len(rows) > len(self._rows):
             self._rows = np.empty(
                 (len(rows), len(self.FIELDS)), dtype=np.float64
@@ -262,7 +251,7 @@ class SimulatedAnnealing:
         if chains < 1:
             raise ValueError("run_chains needs at least one initial state")
         rngs = [np.random.default_rng(cfg.seed + c) for c in range(chains)]
-        history = SAHistory(cfg.n_iterations, cfg.history_stride)
+        history = SAHistory(cfg.n_iterations)
 
         if resume_state is None:
             start = time.perf_counter()

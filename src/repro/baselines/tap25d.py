@@ -47,8 +47,6 @@ class TAP25DConfig:
         full ``n_iterations`` budget and the best layout over all chains
         wins.  Each step's candidates go through the batched reward
         path (one vectorized thermal pass per step).
-    history_stride:
-        Thin the recorded history to every ``stride``-th iteration.
     checkpoint_every:
         Snapshot cadence in SA iterations (0 = never); see
         :attr:`repro.baselines.sa.SAConfig.checkpoint_every`.
@@ -64,7 +62,6 @@ class TAP25DConfig:
     time_limit: float | None = None
     seed: int = 0
     n_chains: int = 1
-    history_stride: int = 1
     checkpoint_every: int = 0
 
     def __post_init__(self) -> None:
@@ -296,7 +293,6 @@ class TAP25DPlacer:
                 time_limit=cfg.time_limit,
                 seed=cfg.seed,
                 n_chains=cfg.n_chains,
-                history_stride=cfg.history_stride,
                 checkpoint_every=cfg.checkpoint_every,
             ),
         )

@@ -56,7 +56,8 @@ def budget_from_args(args, **extra_fields) -> ExperimentBudget:
     ``extra_fields`` fill budget fields an entry point has its own flags
     for.  ``--paper-scale`` sets only the paper's budgets
     (:meth:`ExperimentBudget.paper_scale`); every other flag still
-    applies.
+    applies.  A budget the dataclass rejects exits with its message, as
+    ``--retries -1`` does.
     """
     fields = dict(
         rl_epochs=args.epochs,
@@ -72,9 +73,13 @@ def budget_from_args(args, **extra_fields) -> ExperimentBudget:
         seed=args.seed,
         **extra_fields,
     )
-    if args.paper_scale:
-        return ExperimentBudget.paper_scale(**fields)
-    return ExperimentBudget(**fields)
+    build = (
+        ExperimentBudget.paper_scale if args.paper_scale else ExperimentBudget
+    )
+    try:
+        return build(**fields)
+    except ValueError as error:
+        raise SystemExit(f"invalid budget: {error}") from None
 
 
 def rollout_width(text) -> int:

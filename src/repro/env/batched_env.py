@@ -1,8 +1,8 @@
 """The sequential-placement environment (paper Fig. 1's left block).
 
 Chiplets are placed one per step, largest first.  The action is the grid
-cell receiving the current chiplet's lower-left corner (optionally x2
-for 90-degree rotation).  Infeasible cells are masked.
+cell receiving the current chiplet's lower-left corner; dies are placed
+upright.  Infeasible cells are masked.
 
 :class:`BatchedFloorplanEnv` steps ``n`` independent episodes of the
 same system in lockstep: every live episode is placing the same chiplet
@@ -52,16 +52,14 @@ class EnvConfig:
     Attributes
     ----------
     grid_size:
-        Placement grid resolution (``grid_size x grid_size`` actions).
-    allow_rotation:
-        Doubles the action space with 90-degree-rotated placements.
+        Placement grid resolution (``grid_size x grid_size`` actions,
+        one per grid cell; dies are placed upright).
     deadlock_penalty:
         Terminal reward when the mask empties mid-episode; should sit
         well below any achievable legal reward.
     """
 
     grid_size: int = 32
-    allow_rotation: bool = False
     deadlock_penalty: float = -100.0
 
     def __post_init__(self) -> None:
@@ -161,8 +159,7 @@ class BatchedFloorplanEnv:
 
     @property
     def n_actions(self) -> int:
-        base = self.grid.n_cells
-        return base * 2 if self.config.allow_rotation else base
+        return self.grid.n_cells
 
     @property
     def observation_shape(self) -> tuple:
@@ -223,11 +220,10 @@ class BatchedFloorplanEnv:
         name = self.current_chiplet_name
         density = self._density[name]
         for row, index in enumerate(self._live):
-            cell_index, rotated = self._decode(int(actions[row]))
-            grid_row, grid_col = self.grid.unflatten(cell_index)
+            grid_row, grid_col = self.grid.unflatten(int(actions[row]))
             x, y = self.grid.cell_origin(grid_row, grid_col)
             placement = self._placements[index]
-            placement.place(name, x, y, rotated=rotated)
+            placement.place(name, x, y)
             rect = placement.footprint(name)
             self._placed_rects[index].append(rect)
             cover = self._coverage(rect)
@@ -288,12 +284,6 @@ class BatchedFloorplanEnv:
 
     # ------------------------------------------------------------------
 
-    def _decode(self, action: int) -> tuple:
-        """Action id -> (cell index, rotated)."""
-        if self.config.allow_rotation and action >= self.grid.n_cells:
-            return action - self.grid.n_cells, True
-        return action, False
-
     def _coverage(self, rect) -> np.ndarray:
         key = (rect.x, rect.y, rect.w, rect.h)
         cover = self._coverage_cache.get(key)
@@ -333,19 +323,10 @@ class BatchedFloorplanEnv:
         """Flat (n_live, n_actions) feasibility masks for the next die."""
         chiplet = self.system.chiplet(self.current_chiplet_name)
         placed_lists = [self._placed_rects[i] for i in self._live]
-        spacing = self.system.interposer.min_spacing
-        n_live = len(placed_lists)
-        upright = feasible_cells_batch(
-            self.grid, chiplet.width, chiplet.height, placed_lists, spacing
-        ).reshape(n_live, -1)
-        if not self.config.allow_rotation:
-            return upright
-        if chiplet.rotatable and chiplet.width != chiplet.height:
-            rotated = feasible_cells_batch(
-                self.grid, chiplet.height, chiplet.width, placed_lists, spacing
-            ).reshape(n_live, -1)
-        elif chiplet.rotatable:
-            rotated = upright.copy()
-        else:
-            rotated = np.zeros_like(upright)
-        return np.concatenate([upright, rotated], axis=1)
+        return feasible_cells_batch(
+            self.grid,
+            chiplet.width,
+            chiplet.height,
+            placed_lists,
+            self.system.interposer.min_spacing,
+        ).reshape(len(placed_lists), -1)

@@ -74,6 +74,27 @@ METHOD_ORDER = (
 )
 
 
+#: Smallest value of each integer budget field.
+_BUDGET_INT_LOWER_BOUNDS = {
+    "rl_epochs": 1,
+    "episodes_per_epoch": 1,
+    "grid_size": 2,
+    "sa_iterations_hotspot": 1,
+    "seed": 0,
+    "rollout_batch_size": 2,
+    "sa_chains": 1,
+    "rl_checkpoint_every": 0,
+    "sa_checkpoint_every": 0,
+    "collect_jobs": 1,
+    "collect_workers": 0,
+}
+
+
+def _check_int(name: str, value, low: int) -> None:
+    if not isinstance(value, int) or isinstance(value, bool) or value < low:
+        raise ValueError(f"{name} must be an int >= {low}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ExperimentBudget:
     """Knobs that trade fidelity for runtime.
@@ -140,6 +161,29 @@ class ExperimentBudget:
     # ``collect_jobs`` this IS semantic and stays in store keys —
     # async and lockstep results must never alias.
     async_collect: bool = False
+
+    def __post_init__(self) -> None:
+        # Every entry point (CLI, scripts, serve requests) builds a
+        # budget, so outside input is checked here, once.
+        for name, low in _BUDGET_INT_LOWER_BOUNDS.items():
+            _check_int(name, getattr(self, name), low)
+        samples = self.position_samples
+        if not (isinstance(samples, tuple) and len(samples) == 2):
+            raise ValueError(
+                f"position_samples must be a pair of ints >= 2, "
+                f"got {samples!r}"
+            )
+        for value in samples:
+            _check_int("position_samples", value, 2)
+        for name in (
+            "sa_time_matched",
+            "hotspot_reuse_factorization",
+            "async_collect",
+        ):
+            if not isinstance(getattr(self, name), bool):
+                raise ValueError(
+                    f"{name} must be a bool, got {getattr(self, name)!r}"
+                )
 
     @classmethod
     def paper_scale(cls, **fields) -> "ExperimentBudget":
@@ -430,19 +474,18 @@ def _run_sa(
     resume=None,
     capture=None,
 ) -> MethodResult:
+    n_chains = budget.sa_chains
     if variant == "TAP-2.5D(HotSpot)":
         # The grid solver's multi-RHS path solves every chain's
         # candidate through one factorization per lockstep step, so the
         # HotSpot arm spreads the same total proposal budget over
         # best-of-N chains (exactly N interleaved one-chain runs,
         # bitwise) at a fraction of their separate wall clock.
-        n_chains = max(budget.sa_chains, 1)
         n_iterations = max(budget.sa_iterations_hotspot // n_chains, 1)
     else:
         # Fast model: spread the (cheap-evaluation) candidate budget
         # over best-of-N lockstep chains — same total proposal count,
         # one vectorized reward pass per step.
-        n_chains = max(budget.sa_chains, 1)
         n_iterations = max(100 * budget.sa_iterations_hotspot // n_chains, 1)
     if time_limit is not None and resume is not None:
         # A wall-clock-limited anneal stops at a scheduling-noise-

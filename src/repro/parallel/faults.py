@@ -27,14 +27,12 @@ cached / quarantined / skipped-downstream.
 from __future__ import annotations
 
 import hashlib
-import time
 from concurrent.futures import BrokenExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = [
     "JobOutcome",
     "JobTimeoutError",
-    "RetryBudget",
     "RetryPolicy",
     "SweepReport",
     "WorkerCrashError",
@@ -95,19 +93,6 @@ class RetryPolicy:
     The jitter draw is a pure function of ``(seed, job_id, attempt)``
     (SHA-256, no global RNG), so two runs of the same flaky sweep back
     off identically — fault handling is as reproducible as the jobs.
-
-    Beyond the per-job ``max_attempts``, two optional *sweep-wide*
-    ceilings bound how much a pathologically flaky environment can cost
-    (a host whose every job fails transiently would otherwise burn
-    ``(max_attempts - 1) * backoff`` per job, serially):
-    ``sweep_retry_budget`` caps the total number of retries granted
-    across the whole sweep, and ``sweep_retry_window_s`` stops granting
-    retries once that much wall clock has elapsed since the sweep
-    started.  Both are enforced by the mutable per-sweep
-    :class:`RetryBudget` the scheduler consults before every retry; a
-    denied retry fails the job exactly as an exhausted ``max_attempts``
-    would (quarantine under ``keep_going``, raise otherwise), and the
-    denial is surfaced in :meth:`SweepReport.summary`.
     """
 
     max_attempts: int = 3
@@ -116,8 +101,6 @@ class RetryPolicy:
     backoff_max: float = 30.0
     jitter: float = 0.5
     seed: int = 0
-    sweep_retry_budget: int | None = None
-    sweep_retry_window_s: float | None = None
 
     def __post_init__(self):
         if self.max_attempts < 1:
@@ -126,15 +109,6 @@ class RetryPolicy:
             raise ValueError("backoff bounds must be >= 0")
         if self.jitter < 0:
             raise ValueError("jitter must be >= 0")
-        if self.sweep_retry_budget is not None and self.sweep_retry_budget < 0:
-            raise ValueError("sweep_retry_budget must be >= 0 (None = unbounded)")
-        if (
-            self.sweep_retry_window_s is not None
-            and self.sweep_retry_window_s <= 0
-        ):
-            raise ValueError(
-                "sweep_retry_window_s must be > 0 (None = unbounded)"
-            )
 
     @classmethod
     def no_retry(cls) -> "RetryPolicy":
@@ -169,52 +143,6 @@ class RetryPolicy:
         digest = hashlib.sha256(token).digest()
         uniform = int.from_bytes(digest[:8], "big") / 2.0**64
         return base * (1.0 + self.jitter * uniform)
-
-
-class RetryBudget:
-    """Mutable per-sweep accounting against a policy's sweep-wide caps.
-
-    One instance lives for one sweep (``run_jobs`` creates it); the
-    scheduler calls :meth:`allow` before granting any retry.  With no
-    caps configured every call grants, so the default behavior is
-    byte-identical to the pre-budget scheduler.  ``clock`` is
-    injectable for tests.
-    """
-
-    def __init__(self, policy: RetryPolicy, *, clock=time.monotonic):
-        self.policy = policy
-        self._clock = clock
-        self._started = clock()
-        self.granted = 0
-        self.denied = 0
-
-    def allow(self, job_id: str) -> bool:
-        """Whether one more retry fits the sweep budget (and charge it)."""
-        cap = self.policy.sweep_retry_budget
-        window = self.policy.sweep_retry_window_s
-        if cap is not None and self.granted >= cap:
-            self.denied += 1
-            return False
-        if window is not None and self._clock() - self._started > window:
-            self.denied += 1
-            return False
-        self.granted += 1
-        return True
-
-    @property
-    def exhausted(self) -> bool:
-        """Whether at least one retry was denied by the sweep caps."""
-        return self.denied > 0
-
-    def describe(self) -> dict:
-        """JSON-able snapshot for reports and logs."""
-        return {
-            "granted": self.granted,
-            "denied": self.denied,
-            "cap": self.policy.sweep_retry_budget,
-            "window_s": self.policy.sweep_retry_window_s,
-            "elapsed_s": self._clock() - self._started,
-        }
 
 
 # ----------------------------------------------------------------------
@@ -261,16 +189,9 @@ class SweepReport:
 
     def __init__(self):
         self.outcomes: dict = {}
-        # Sweep-wide retry-budget snapshot (RetryBudget.describe()), set
-        # by the scheduler when the sweep ran under a budgeted policy.
-        self.retry_budget: dict | None = None
 
     def record(self, outcome: JobOutcome) -> None:
         self.outcomes[outcome.job_id] = outcome
-
-    def attach_retry_budget(self, budget: "RetryBudget") -> None:
-        """Record the sweep's final retry-budget accounting."""
-        self.retry_budget = budget.describe()
 
     def _with_status(self, *statuses) -> list:
         return [
@@ -302,13 +223,10 @@ class SweepReport:
     def merge(self, other: "SweepReport") -> None:
         """Fold another sweep's outcomes into this report."""
         self.outcomes.update(other.outcomes)
-        if other.retry_budget is not None:
-            self.retry_budget = other.retry_budget
 
     def to_dict(self) -> dict:
         return {
             "ok": self.ok,
-            "retry_budget": self.retry_budget,
             "jobs": {
                 job_id: {
                     "status": outcome.status,
@@ -329,22 +247,6 @@ class SweepReport:
             f"{len(self.quarantined)} quarantined, "
             f"{len(self.skipped)} skipped downstream"
         ]
-        if self.retry_budget is not None:
-            budget = self.retry_budget
-            cap = budget["cap"]
-            window = budget["window_s"]
-            line = (
-                f"  retry budget: {budget['granted']} granted"
-                f"{'' if cap is None else f' of {cap}'}"
-            )
-            if window is not None:
-                line += f" within {window:.0f}s"
-            if budget["denied"]:
-                line += (
-                    f"; {budget['denied']} retry(ies) DENIED — sweep "
-                    "budget exhausted"
-                )
-            lines.append(line)
         for job_id in self.quarantined:
             outcome = self.outcomes[job_id]
             lines.append(

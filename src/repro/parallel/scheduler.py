@@ -66,7 +66,6 @@ from repro.parallel import chaos
 from repro.parallel.faults import (
     JobOutcome,
     JobTimeoutError,
-    RetryBudget,
     RetryPolicy,
     SweepReport,
     WorkerCrashError,
@@ -294,9 +293,6 @@ def run_jobs(
     _validate(specs)
     policy = policy if policy is not None else RetryPolicy()
     report = report if report is not None else SweepReport()
-    # One mutable budget per sweep: with no sweep-wide caps configured
-    # on the policy, every allow() grants and behavior is unchanged.
-    budget = RetryBudget(policy)
     if not specs:
         return {}
     done: dict = {}
@@ -312,30 +308,12 @@ def run_jobs(
                     report.record(JobOutcome(spec.job_id, "cached"))
                     continue
             pending.append(spec)
-    try:
-        if jobs == 1:
-            _run_in_process(
-                pending, done, store, policy, budget, keep_going, report
-            )
-        else:
-            _run_supervised(
-                pending,
-                jobs,
-                done,
-                store,
-                policy,
-                budget,
-                job_timeout,
-                keep_going,
-                report,
-            )
-    finally:
-        if (
-            policy.sweep_retry_budget is not None
-            or policy.sweep_retry_window_s is not None
-            or budget.granted
-        ):
-            report.attach_retry_budget(budget)
+    if jobs == 1:
+        _run_in_process(pending, done, store, policy, keep_going, report)
+    else:
+        _run_supervised(
+            pending, jobs, done, store, policy, job_timeout, keep_going, report
+        )
     return {
         spec.job_id: done[spec.job_id]
         for spec in specs
@@ -371,39 +349,28 @@ def _retry_delay_or_quarantine(
     attempt: int,
     error: BaseException,
     policy: RetryPolicy,
-    budget: RetryBudget,
     keep_going: bool,
     report: SweepReport,
 ) -> float | None:
     """The fault rules of both executors for one failed attempt.
 
     Returns the backoff before the next attempt when ``error`` is
-    transient and both the policy and the sweep's retry budget grant
-    one.  Otherwise the failure is permanent and ``None`` comes back:
-    under ``keep_going`` the job is quarantined into ``report``, and
-    without it the caller raises (the raw error in process,
-    :class:`JobFailedError` from a worker).
+    transient and the policy grants one.  Otherwise the failure is
+    permanent and ``None`` comes back: under ``keep_going`` the job is
+    quarantined into ``report``, and without it the caller raises (the
+    raw error in process, :class:`JobFailedError` from a worker).
     """
     if policy.is_transient(error) and attempt < policy.max_attempts:
-        if budget.allow(spec.job_id):
-            delay = policy.backoff(spec.job_id, attempt)
-            _logger.warning(
-                "%s failed transiently (%r), attempt %d/%d; retrying in "
-                "%.2fs",
-                spec.job_id,
-                error,
-                attempt,
-                policy.max_attempts,
-                delay,
-            )
-            return delay
-        _logger.error(
-            "%s failed transiently (%r) but the sweep retry budget is "
-            "exhausted (%s); treating as permanent",
+        delay = policy.backoff(spec.job_id, attempt)
+        _logger.warning(
+            "%s failed transiently (%r), attempt %d/%d; retrying in %.2fs",
             spec.job_id,
             error,
-            budget.describe(),
+            attempt,
+            policy.max_attempts,
+            delay,
         )
+        return delay
     if keep_going:
         _logger.error(
             "quarantining %s after %d attempt(s): %r",
@@ -436,7 +403,6 @@ def _run_in_process(
     done: dict,
     store,
     policy: RetryPolicy,
-    budget: RetryBudget,
     keep_going: bool,
     report: SweepReport,
 ) -> None:
@@ -461,7 +427,7 @@ def _run_in_process(
                 result = spec.fn(**spec.resolved_kwargs(done))
             except Exception as error:
                 delay = _retry_delay_or_quarantine(
-                    spec, attempt, error, policy, budget, keep_going, report
+                    spec, attempt, error, policy, keep_going, report
                 )
                 if delay is None:
                     if keep_going:
@@ -615,7 +581,6 @@ def _run_supervised(
     done: dict,
     store,
     policy: RetryPolicy,
-    budget: RetryBudget,
     job_timeout: float | None,
     keep_going: bool,
     report: SweepReport,
@@ -634,7 +599,7 @@ def _run_supervised(
 
     def fail(spec: JobSpec, attempt: int, error: BaseException) -> None:
         delay = _retry_delay_or_quarantine(
-            spec, attempt, error, policy, budget, keep_going, report
+            spec, attempt, error, policy, keep_going, report
         )
         if delay is not None:
             heapq.heappush(

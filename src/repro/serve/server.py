@@ -66,9 +66,18 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     def _read_body(self) -> bytes:
-        length = int(self.headers.get("Content-Length") or 0)
+        header = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(header)
+        except ValueError:
+            length = -1
         if length < 0 or length > MAX_BODY_BYTES:
-            raise BadRequest(f"request body too large ({length} bytes)")
+            # The body is left unread, so the connection cannot carry
+            # another request.
+            self.close_connection = True
+            raise BadRequest(
+                f"bad Content-Length {header!r} (want 0..{MAX_BODY_BYTES})"
+            )
         return self.rfile.read(length)
 
     def _read_json(self) -> dict:

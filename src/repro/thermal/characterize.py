@@ -55,7 +55,7 @@ def tables_fingerprint(
     """Stable hash identifying a characterization run's inputs."""
     stack_desc = ";".join(
         f"{layer.name}:{layer.material.name}:{layer.thickness}:"
-        f"{layer.is_chiplet_layer}:{layer.fill_material.name}"
+        f"{layer.is_chiplet_layer}"
         for layer in config.stack.layers
     )
     keys = sorted(size_key(w, h) for w, h in sizes)
@@ -65,7 +65,6 @@ def tables_fingerprint(
         f"|margin={config.package_margin}"
         f"|grid={config.rows}x{config.cols}"
         f"|amb={config.ambient}|rc={config.r_convection}|rb={config.r_board}"
-        f"|het={config.heterogeneous_chiplet_layer}"
         f"|stack={stack_desc}|pos={position_samples}|sizes={keys}"
     )
     return hashlib.sha256(desc.encode("utf-8")).hexdigest()[:16]

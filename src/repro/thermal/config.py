@@ -34,14 +34,11 @@ class ThermalConfig:
         Total secondary-path resistance interposer-bottom -> ambient in
         K/W; ``None`` makes the bottom adiabatic.
     stack:
-        Layer stack (see :mod:`repro.thermal.stack`).
-    heterogeneous_chiplet_layer:
-        When True, cells of the chiplet layer blend silicon (under dies)
-        with underfill (between dies), making the conductance matrix
-        placement-dependent.  HotSpot models the die layer as homogeneous
-        silicon with only the power map varying, so the default is False;
-        the surrogate's LTI assumption is then exact up to table
-        interpolation, matching the paper's sub-Kelvin errors.
+        Layer stack (see :mod:`repro.thermal.stack`).  As in HotSpot,
+        the chiplet layer is homogeneous die material and only its power
+        map follows the placement, so the conductance matrix is
+        placement-independent and the surrogate's LTI assumption is exact
+        up to table interpolation, matching the paper's sub-Kelvin errors.
     """
 
     rows: int = 64
@@ -51,7 +48,6 @@ class ThermalConfig:
     r_convection: float = 0.25
     r_board: float | None = 20.0
     stack: LayerStack = field(default_factory=default_chiplet_stack)
-    heterogeneous_chiplet_layer: bool = False
 
     def __post_init__(self) -> None:
         if self.rows < 2 or self.cols < 2:

@@ -40,16 +40,16 @@ class GridThermalSolver:
         Grid resolution, stack, boundary resistances, ambient.
 
     reuse_factorization:
-        With the default homogeneous chiplet layer the conductance matrix
-        is placement-independent, so its LU factorization can be computed
+        The chiplet layer is homogeneous silicon (as in HotSpot: only the
+        power map follows the placement), so the conductance matrix is
+        placement-independent and its LU factorization can be computed
         once and reused for every evaluation; reused solves are
         bitwise-identical to fresh ones (regression-tested).  Defaults to
         False to keep per-call costs comparable to running the HotSpot
         binary (build model, factorize, solve each time) — which is what
-        the paper's speed comparison measures.  Characterization turns it
-        on.  With ``heterogeneous_chiplet_layer`` the matrix depends on
-        die coverage, so the flag is ignored and every call re-assembles
-        and re-factorizes.
+        the paper's speed comparison measures: every batched call then
+        assembles and factorizes the matrix once.  Characterization turns
+        it on.
 
     Notes
     -----
@@ -66,11 +66,11 @@ class GridThermalSolver:
     Batched evaluation: :meth:`evaluate`, :meth:`evaluate_batch` and
     :meth:`max_temperatures` all go through
     :meth:`solve_footprints_many`, which solves M configurations
-    through **one** factorization — the homogeneous matrix is
-    placement-independent, so only the right-hand side varies between
-    candidates.  Each column is back-substituted with the single-vector
-    kernel, so a placement's temperatures do not depend on the batch it
-    is solved in (regression-tested); ``evaluate(p)`` is
+    through **one** factorization — the matrix is placement-independent,
+    so only the right-hand side varies between candidates.  Each column
+    is back-substituted with the single-vector kernel, so a placement's
+    temperatures do not depend on the batch it is solved in
+    (regression-tested); ``evaluate(p)`` is
     ``evaluate_batch([p])[0]``.  ``reuse_factorization=False`` still
     amortizes the factorization *within* one batched call, which is
     what lets the ``TAP-2.5D(HotSpot)`` arm join the multi-chain
@@ -207,26 +207,17 @@ class GridThermalSolver:
             [result.max_temperature for result in self.evaluate_batch(placements)]
         )
 
-    def solve_footprints(self, footprints: dict, powers: dict) -> np.ndarray:
-        """Temperature field (K) for arbitrary die rectangles and powers."""
-        rhs = self._assemble_rhs(footprints, powers)
-        solution = self._factor_for(footprints).solve(rhs)
-        self.solve_count += 1
-        rows, cols = self.grid.shape
-        return solution.reshape(self._n_layers, rows, cols)
-
     def solve_footprints_many(
         self, footprints_list, powers_list
     ) -> np.ndarray:
         """Temperature fields for M configurations, shape ``(M, L, R, C)``.
 
-        Homogeneous chiplet layer (default): the conductance matrix is
-        placement-independent, so all M right-hand sides are
-        back-substituted through a **single** factorization.  With
-        ``reuse_factorization`` the cached factorization is shared
-        across calls as well; without it one fresh factorization per
-        call preserves the HotSpot-like "build the model each time"
-        cost at the granularity of the batch.
+        The conductance matrix is placement-independent, so all M
+        right-hand sides are back-substituted through a **single**
+        factorization.  With ``reuse_factorization`` the cached
+        factorization is shared across calls as well; without it one
+        fresh factorization per call preserves the HotSpot-like "build
+        the model each time" cost at the granularity of the batch.
 
         Each column is back-substituted on its own, NOT as one
         ``factor.solve(block)``: SuperLU's multi-column kernels
@@ -235,10 +226,6 @@ class GridThermalSolver:
         a placement's temperatures depend on its batch — and the
         multi-chain SA == sequential contract rests on them not doing
         so.  :meth:`solve_footprints_block` is the blocked variant.
-
-        Heterogeneous mode: the matrix depends on die coverage, so each
-        configuration is assembled, factorized and solved on its own
-        (no amortization is possible).
         """
         return self._solve_configurations(
             footprints_list,
@@ -256,8 +243,7 @@ class GridThermalSolver:
         are about 2x faster per column than M single-vector solves and
         agree with them to about 1e-13 relative.  Characterization
         sweeps use it; evaluation paths that promise batch-independent
-        results do not.  Heterogeneous mode solves each configuration on
-        its own, exactly as :meth:`solve_footprints_many` does.
+        results do not.
         """
         return self._solve_configurations(
             footprints_list,
@@ -280,20 +266,13 @@ class GridThermalSolver:
         rows, cols = self.grid.shape
         if not footprints_list:
             return np.empty((0, self._n_layers, rows, cols))
-        if self.config.heterogeneous_chiplet_layer:
-            return np.stack(
-                [
-                    self.solve_footprints(footprints, powers)
-                    for footprints, powers in zip(footprints_list, powers_list)
-                ]
-            )
         rhs = np.stack(
             [
                 self._assemble_rhs(footprints, powers)
                 for footprints, powers in zip(footprints_list, powers_list)
             ]
         )
-        solution = back_substitute(self._factor_for({}), rhs)
+        solution = back_substitute(self._factor_for(), rhs)
         self.solve_count += len(footprints_list)
         return solution.reshape(
             len(footprints_list), self._n_layers, rows, cols
@@ -303,18 +282,16 @@ class GridThermalSolver:
     # factorization
     # ------------------------------------------------------------------
 
-    def _factorize(self, footprints: dict):
-        """LU-factorize the conductance matrix for the given placement.
+    def _factorize(self):
+        """Assemble and LU-factorize the conductance matrix.
 
-        Every solve path — fresh per-call, cached homogeneous, batched
-        and blocked — funnels through this one ``splu`` call.  The
-        matrix is an SPD M-matrix (see the class notes), so the
-        symmetric order and the unpivoted diagonal are safe: every pivot
-        is positive and elimination is stable without row exchanges.
+        Every solve path — fresh per-call, cached, batched and blocked —
+        funnels through this one ``splu`` call.  The matrix is an SPD
+        M-matrix (see the class notes), so the symmetric order and the
+        unpivoted diagonal are safe: every pivot is positive and
+        elimination is stable without row exchanges.
         """
-        matrix = self._assemble_matrix(
-            self._chiplet_layer_conductivity(footprints)
-        )
+        matrix = self._assemble_matrix()
         self.factorization_count += 1
         return spla.splu(
             matrix.tocsc(),
@@ -323,50 +300,32 @@ class GridThermalSolver:
             options=dict(SymmetricMode=True),
         )
 
-    def _factor_for(self, footprints: dict):
+    def _factor_for(self):
         """The factorization to solve with, honoring the caching policy."""
-        if self.config.heterogeneous_chiplet_layer:
-            return self._factorize(footprints)
         if not self.reuse_factorization:
-            return self._factorize({})
+            return self._factorize()
         if self._factor is None:
-            self._factor = self._factorize({})
+            self._factor = self._factorize()
         return self._factor
 
     # ------------------------------------------------------------------
     # matrix assembly
     # ------------------------------------------------------------------
 
-    def _conductivity_maps(self, k_chip: np.ndarray) -> np.ndarray:
-        """Per-cell conductivity in W/(mm K), shape (L, R, C)."""
+    def _conductivity_maps(self) -> np.ndarray:
+        """Per-cell conductivity in W/(mm K), shape (L, R, C).
+
+        Every layer, the chiplet layer included, is its bulk material
+        inside the interposer core and its periphery material outside.
+        """
         rows, cols = self.grid.shape
         k = np.empty((self._n_layers, rows, cols), dtype=np.float64)
         for i, layer in enumerate(self.config.stack.layers):
-            if layer.is_chiplet_layer:
-                k[i] = k_chip
-            else:
-                k[i] = layer.material.conductivity_mm
+            k[i] = layer.material.conductivity_mm
             if layer.periphery_material is not None:
                 k_peri = layer.periphery_material.conductivity_mm
                 k[i] = self._core_cover * k[i] + (1.0 - self._core_cover) * k_peri
         return k
-
-    def _chiplet_layer_conductivity(self, footprints: dict) -> np.ndarray:
-        """Per-cell conductivity of the chiplet layer.
-
-        Homogeneous mode (default, HotSpot-faithful): uniform die
-        material everywhere.  Heterogeneous mode: blend silicon and
-        underfill by die coverage per cell.
-        """
-        layer = self.config.stack.layers[self._chip_idx]
-        k_die = layer.material.conductivity_mm
-        if not self.config.heterogeneous_chiplet_layer:
-            return np.full(self.grid.shape, k_die)
-        cover = np.zeros(self.grid.shape, dtype=np.float64)
-        for rect in footprints.values():
-            cover = np.maximum(cover, self.chip_coverage(rect))
-        k_fill = layer.fill_material.conductivity_mm
-        return cover * k_die + (1.0 - cover) * k_fill
 
     def _assemble_static(self) -> dict:
         """Precompute everything that does not depend on the placement."""
@@ -403,14 +362,14 @@ class GridThermalSolver:
             "g_ambient_bot": g_ambient_bot,
         }
 
-    def _assemble_matrix(self, k_chip: np.ndarray) -> sp.coo_matrix:
-        """Build the symmetric conductance matrix for the given chip-layer k."""
+    def _assemble_matrix(self) -> sp.coo_matrix:
+        """Build the symmetric conductance matrix of the package."""
         rows, cols = self.grid.shape
         n_per_layer = self._static["n_per_layer"]
         n_total = self._n_layers * n_per_layer
         dx, dy = self.grid.dx, self.grid.dy
         thickness = self._static["thickness"]
-        k = self._conductivity_maps(k_chip)
+        k = self._conductivity_maps()
 
         node = np.arange(n_total).reshape(self._n_layers, rows, cols)
         entries_i, entries_j, entries_g = [], [], []

@@ -6,14 +6,14 @@ assembly, bottom to top::
     [board boundary]            (optional convective path, weak)
     interposer   Si    0.10 mm
     bonding      solder 0.07 mm  (C4/microbump + underfill, effective k)
-    chiplets     Si/underfill 0.70 mm   <- power injected here
+    chiplets     Si    0.70 mm   <- power injected here
     tim          grease 0.05 mm
     spreader     Cu    1.00 mm
     sink         Al    6.90 mm
     [ambient boundary]          (convective path, strong)
 
-The chiplet layer is *heterogeneous*: cells under a die are silicon,
-cells between dies are underfill.  Every other layer is homogeneous.
+Inside the interposer core every layer is homogeneous, the chiplet
+layer included: as in HotSpot, only its power map follows the placement.
 """
 
 from __future__ import annotations
@@ -34,14 +34,11 @@ class Layer:
     name:
         Identifier, unique within a stack.
     material:
-        Bulk material (chiplet layers blend this with ``fill_material``).
+        Bulk material (inside the interposer core).
     thickness:
         Slab thickness in mm.
     is_chiplet_layer:
-        True for the layer whose in-plane conductivity pattern follows the
-        placement and into which chiplet power is injected.
-    fill_material:
-        Material between dies for the chiplet layer (ignored otherwise).
+        True for the layer into which chiplet power is injected.
     periphery_material:
         Material of this layer *outside* the interposer core region (the
         package margin where the spreader/sink overhang); ``None`` means
@@ -52,7 +49,6 @@ class Layer:
     material: Material
     thickness: float
     is_chiplet_layer: bool = False
-    fill_material: Material = MATERIALS["underfill"]
     periphery_material: Material | None = None
 
     def __post_init__(self) -> None:
@@ -124,7 +120,6 @@ def default_chiplet_stack() -> LayerStack:
                 MATERIALS["silicon"],
                 0.70,
                 is_chiplet_layer=True,
-                fill_material=MATERIALS["underfill"],
                 periphery_material=MATERIALS["underfill"],
             ),
             Layer("tim", MATERIALS["tim"], 0.05),

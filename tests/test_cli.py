@@ -301,6 +301,25 @@ def test_nonpositive_job_timeout_rejected(timeout, monkeypatch):
     assert excinfo.value.code == "--job-timeout must be > 0"
 
 
+@pytest.mark.parametrize(
+    "flags,field",
+    [
+        (["--epochs", "0"], "rl_epochs"),
+        (["--grid", "-3"], "grid_size"),
+        (["--sa-chains", "0"], "sa_chains"),
+        (["--sa-iters", "0"], "sa_iterations_hotspot"),
+    ],
+)
+def test_invalid_budget_is_a_usage_error(flags, field, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("the sweep must not start")
+
+    monkeypatch.setattr(cli, "run_table1", never)
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["table1", *flags])
+    assert str(excinfo.value.code).startswith("invalid budget: " + field)
+
+
 class TestRunExperimentsScript:
     def test_seed_reaches_the_budget(self, monkeypatch, tmp_path):
         """``--seed`` is one of the shared budget flags, so a scripted
@@ -343,4 +362,24 @@ class TestRunExperimentsScript:
         )
         assert proc.returncode != 0
         assert "--retries must be >= 0" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_invalid_budget_rejected_cleanly(self, tmp_path):
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        proc = subprocess.run(
+            [
+                sys.executable,
+                str(root / "scripts" / "run_experiments.py"),
+                "--positions", "1",
+                "--skip", "table1", "table2", "table3",
+                "--out", str(tmp_path / "out"),
+            ],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode != 0
+        assert "invalid budget: position_samples" in proc.stderr
         assert "Traceback" not in proc.stderr

@@ -165,33 +165,6 @@ class TestFloorplanEnv:
         with pytest.raises(RuntimeError):
             env2.step([0])
 
-    def test_rotation_doubles_actions(self, small_system, small_fast_model):
-        calc = RewardCalculator(small_fast_model)
-        base = BatchedFloorplanEnv(small_system, calc, EnvConfig(grid_size=10))
-        rotated = BatchedFloorplanEnv(
-            small_system, calc, EnvConfig(grid_size=10, allow_rotation=True)
-        )
-        assert rotated.n_actions == 2 * base.n_actions
-
-    def test_rotated_action_places_rotated(self, small_system, small_fast_model):
-        calc = RewardCalculator(
-            small_fast_model, RewardConfig(use_bump_assignment=False)
-        )
-        env2 = BatchedFloorplanEnv(
-            small_system, calc, EnvConfig(grid_size=10, allow_rotation=True)
-        )
-        _, mask = env2.reset(1)
-        # Skip to the non-square "cold" die (4x6): place hot and warm first.
-        while env2.current_chiplet_name != "cold":
-            action = int(np.flatnonzero(mask[0, : env2.grid.n_cells])[0])
-            mask = env2.step([action]).masks
-        rotated_actions = np.flatnonzero(mask[0, env2.grid.n_cells :])
-        assert len(rotated_actions) > 0
-        result = env2.step([int(rotated_actions[0]) + env2.grid.n_cells])
-        placement = result.finished[0][2]["placement"]
-        rect = placement.footprint("cold")
-        assert (rect.w, rect.h) == (6.0, 4.0)
-
     def test_deadlock_detection(self, small_fast_model, small_interposer):
         # Dies sized so a bad first move can starve the second.
         system = ChipletSystem(

@@ -124,18 +124,9 @@ class TestBatchedEnvEquivalence:
         chiplet = env.system.chiplet(name)
         placed = [placement.footprint(n) for n in placement.placed_names]
         spacing = env.system.interposer.min_spacing
-        upright = feasible_cells(
+        return feasible_cells(
             env.grid, chiplet.width, chiplet.height, placed, spacing
         ).ravel()
-        if not env.config.allow_rotation:
-            return upright
-        if chiplet.rotatable:
-            rotated = feasible_cells(
-                env.grid, chiplet.height, chiplet.width, placed, spacing
-            ).ravel()
-        else:
-            rotated = np.zeros_like(upright)
-        return np.concatenate([upright, rotated])
 
     def _rollout_pair(self, system, calc, config, n_episodes, seed):
         """Step a batched env and check every live row against the
@@ -144,7 +135,6 @@ class TestBatchedEnvEquivalence:
         rng = np.random.default_rng(seed)
         batched = BatchedFloorplanEnv(system, calc, config)
         builder = ObservationBuilder(system, batched.grid)
-        n_cells = batched.grid.n_cells
         reference = [Placement(system) for _ in range(n_episodes)]
         expected = [None] * n_episodes
         batch_rewards = [None] * n_episodes
@@ -168,9 +158,10 @@ class TestBatchedEnvEquivalence:
             result = batched.step(np.array(actions))
             step_index = system.placement_order().index(name) + 1
             for row, index in enumerate(live):
-                cell, rotated = actions[row] % n_cells, actions[row] >= n_cells
-                x, y = batched.grid.cell_origin(*batched.grid.unflatten(cell))
-                reference[index].place(name, x, y, rotated=bool(rotated))
+                x, y = batched.grid.cell_origin(
+                    *batched.grid.unflatten(actions[row])
+                )
+                reference[index].place(name, x, y)
                 if step_index == system.n_chiplets:
                     breakdown = calc.evaluate(reference[index])
                     expected[index] = (breakdown.reward, None)
@@ -197,17 +188,6 @@ class TestBatchedEnvEquivalence:
     def test_lockstep_matches_sequential(self, small_system, calc):
         self._rollout_pair(
             small_system, calc, EnvConfig(grid_size=15), n_episodes=5, seed=3
-        )
-
-    def test_lockstep_matches_sequential_with_rotation(
-        self, small_system, calc
-    ):
-        self._rollout_pair(
-            small_system,
-            calc,
-            EnvConfig(grid_size=12, allow_rotation=True),
-            n_episodes=4,
-            seed=11,
         )
 
     def test_observations_match_stateless_builder(self, small_system, calc):

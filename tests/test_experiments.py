@@ -103,6 +103,53 @@ class TestBudget:
     def test_default_is_scaled_down(self):
         assert ExperimentBudget().rl_epochs < 100
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("rl_epochs", 0),
+            ("rl_epochs", "abc"),
+            ("rl_epochs", 2.0),
+            ("episodes_per_epoch", 0),
+            ("sa_iterations_hotspot", 0),
+            ("sa_chains", 0),
+            ("sa_chains", True),
+            ("grid_size", 1),
+            ("grid_size", -3),
+            ("rollout_batch_size", 1),
+            ("seed", -1),
+            ("rl_checkpoint_every", -1),
+            ("sa_checkpoint_every", -1),
+            ("collect_jobs", 0),
+            ("collect_workers", -1),
+            ("position_samples", (0, 0)),
+            ("position_samples", (2, 1)),
+            ("position_samples", (7,)),
+            ("position_samples", [7, 7]),
+            ("position_samples", (7.0, 7)),
+            ("async_collect", "no"),
+        ],
+    )
+    def test_rejects_out_of_range_or_mistyped_fields(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ExperimentBudget(**{field: value})
+
+    def test_smallest_valid_budget(self):
+        budget = ExperimentBudget(
+            rl_epochs=1,
+            episodes_per_epoch=1,
+            grid_size=2,
+            sa_iterations_hotspot=1,
+            seed=0,
+            rollout_batch_size=2,
+            sa_chains=1,
+            rl_checkpoint_every=0,
+            sa_checkpoint_every=0,
+            collect_jobs=1,
+            collect_workers=0,
+            position_samples=(2, 2),
+        )
+        assert budget.sa_chains == 1
+
 
 def _stub_evaluators(monkeypatch):
     """Stand-in evaluators for arms whose trainer a test replaces."""

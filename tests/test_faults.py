@@ -34,10 +34,6 @@ from repro.parallel import (
     run_jobs,
 )
 
-# Sweep-internal accounting: deliberately not re-exported from the
-# package — tests reach into the module that owns it.
-from repro.parallel.faults import RetryBudget
-
 # ----------------------------------------------------------------------
 # top-level job functions (picklable for worker processes)
 # ----------------------------------------------------------------------
@@ -370,170 +366,3 @@ class TestKeepGoing:
                 jobs=2,
                 policy=RetryPolicy.no_retry(),
             )
-
-
-# ----------------------------------------------------------------------
-# sweep-wide retry budget
-# ----------------------------------------------------------------------
-
-
-class TestRetryBudget:
-    def test_count_cap_charges_then_denies(self):
-        budget = RetryBudget(_fast_policy(sweep_retry_budget=2))
-        assert budget.allow("a")
-        assert budget.allow("b")
-        assert not budget.allow("c")
-        assert budget.granted == 2
-        assert budget.denied == 1
-        assert budget.exhausted
-
-    def test_window_denies_after_elapsed(self):
-        clock = iter([0.0, 1.0, 5.0]).__next__  # start, 1st allow, 2nd
-        budget = RetryBudget(
-            _fast_policy(sweep_retry_window_s=2.0), clock=clock
-        )
-        assert budget.allow("a")  # 1.0s in: within the window
-        assert not budget.allow("b")  # 5.0s in: window closed
-        assert budget.granted == 1
-        assert budget.denied == 1
-
-    def test_no_caps_always_allows(self):
-        budget = RetryBudget(_fast_policy())
-        assert all(budget.allow(f"job-{n}") for n in range(50))
-        assert not budget.exhausted
-        snapshot = budget.describe()
-        assert snapshot["cap"] is None
-        assert snapshot["window_s"] is None
-        assert snapshot["granted"] == 50
-
-    @pytest.mark.parametrize("cap", [-1, -5])
-    def test_negative_cap_rejected(self, cap):
-        with pytest.raises(ValueError, match="sweep_retry_budget"):
-            RetryPolicy(sweep_retry_budget=cap)
-
-    @pytest.mark.parametrize("window", [0.0, -1.0])
-    def test_nonpositive_window_rejected(self, window):
-        with pytest.raises(ValueError, match="sweep_retry_window_s"):
-            RetryPolicy(sweep_retry_window_s=window)
-
-    def test_exhausted_budget_makes_transient_failure_permanent(
-        self, tmp_path
-    ):
-        # fail_times=99 would retry forever under per-job rules alone;
-        # a sweep budget of 1 caps the whole run at 1 initial + 1 retry.
-        report = SweepReport()
-        with pytest.raises(OSError, match="hiccup"):
-            run_jobs(
-                [
-                    JobSpec(
-                        "flaky",
-                        _flaky,
-                        dict(path=tmp_path / "n", fail_times=99, x=3),
-                    )
-                ],
-                jobs=1,
-                policy=_fast_policy(max_attempts=9, sweep_retry_budget=1),
-                report=report,
-            )
-        assert int((tmp_path / "n").read_text()) == 2
-        assert report.retry_budget["granted"] == 1
-        assert report.retry_budget["denied"] >= 1
-        assert "DENIED" in report.summary()
-        assert report.to_dict()["retry_budget"]["cap"] == 1
-
-    def test_zero_budget_disables_retries_entirely(self, tmp_path):
-        report = SweepReport()
-        with pytest.raises(OSError, match="hiccup #1"):
-            run_jobs(
-                [
-                    JobSpec(
-                        "flaky",
-                        _flaky,
-                        dict(path=tmp_path / "n", fail_times=1, x=3),
-                    )
-                ],
-                jobs=1,
-                policy=_fast_policy(sweep_retry_budget=0),
-                report=report,
-            )
-        assert int((tmp_path / "n").read_text()) == 1
-        assert report.retry_budget["denied"] == 1
-
-    def test_budget_is_shared_across_jobs(self, tmp_path):
-        # Sequential (jobs=1) so ordering is deterministic: "a" spends
-        # the sweep's one retry and recovers; "b" is denied and
-        # quarantined despite its failure also being transient.
-        report = SweepReport()
-        outcome = run_jobs(
-            [
-                JobSpec(
-                    "a", _flaky, dict(path=tmp_path / "a", fail_times=1, x=3)
-                ),
-                JobSpec(
-                    "b", _flaky, dict(path=tmp_path / "b", fail_times=1, x=4)
-                ),
-            ],
-            jobs=1,
-            policy=_fast_policy(sweep_retry_budget=1),
-            keep_going=True,
-            report=report,
-        )
-        assert outcome == {"a": 9}
-        assert report.retried == ["a"]
-        assert report.quarantined == ["b"]
-        assert report.retry_budget == {
-            "granted": 1,
-            "denied": 1,
-            "cap": 1,
-            "window_s": None,
-            "elapsed_s": report.retry_budget["elapsed_s"],
-        }
-        assert "1 granted of 1" in report.summary()
-
-    def test_pooled_run_reports_budget(self, tmp_path):
-        report = SweepReport()
-        with pytest.raises(JobFailedError):
-            run_jobs(
-                [
-                    JobSpec(
-                        "flaky",
-                        _flaky,
-                        dict(path=tmp_path / "n", fail_times=99, x=3),
-                    )
-                ],
-                jobs=2,
-                policy=_fast_policy(max_attempts=9, sweep_retry_budget=1),
-                report=report,
-            )
-        assert report.retry_budget["granted"] == 1
-        assert report.retry_budget["denied"] >= 1
-
-    def test_uncapped_sweep_with_retries_still_reports(self, tmp_path):
-        # No caps configured, but a retry was granted: the report still
-        # carries the accounting so "how many retries happened" is
-        # answerable for any sweep.
-        report = SweepReport()
-        outcome = run_jobs(
-            [
-                JobSpec(
-                    "flaky",
-                    _flaky,
-                    dict(path=tmp_path / "n", fail_times=1, x=3),
-                )
-            ],
-            jobs=1,
-            policy=_fast_policy(),
-            report=report,
-        )
-        assert outcome == {"flaky": 9}
-        assert report.retry_budget["granted"] == 1
-        assert report.retry_budget["denied"] == 0
-
-    def test_merge_carries_budget_snapshot(self):
-        first, second = SweepReport(), SweepReport()
-        budget = RetryBudget(_fast_policy(sweep_retry_budget=3))
-        budget.allow("a")
-        second.attach_retry_budget(budget)
-        first.merge(second)
-        assert first.retry_budget["granted"] == 1
-        assert first.retry_budget["cap"] == 3

@@ -22,6 +22,9 @@ Serve-stack tests share one module-scoped server: the expensive parts
 test exercises the warm paths — which is exactly the deployment shape.
 """
 
+import http.client
+import json
+import logging
 import struct
 import threading
 import time
@@ -453,6 +456,30 @@ class TestHTTPSurface:
             client.place("synthetic1", "NoSuchMethod")
         assert excinfo.value.status == 400
 
+    @pytest.mark.parametrize("length", ["abc", "-1"])
+    def test_bad_content_length_is_400_without_traceback(
+        self, serve_stack, length
+    ):
+        server, _ = serve_stack
+        logged = []
+        recorder = logging.Handler()
+        recorder.emit = logged.append
+        logger = logging.getLogger("repro.serve.server")
+        logger.addHandler(recorder)
+        connection = http.client.HTTPConnection(*server.address, timeout=60)
+        try:
+            connection.putrequest("POST", "/v1/place")
+            connection.putheader("Content-Length", length)
+            connection.endheaders()
+            response = connection.getresponse()
+            body = json.loads(response.read())
+        finally:
+            connection.close()
+            logger.removeHandler(recorder)
+        assert response.status == 400
+        assert "Content-Length" in body["error"]
+        assert [r for r in logged if r.exc_info] == []
+
     def test_unknown_budget_field_is_400(self, serve_stack):
         _, client = serve_stack
         # A typo, and a field budgets no longer have.
@@ -747,3 +774,16 @@ class TestSchema:
     def test_non_object_budget_is_rejected(self):
         with pytest.raises(BadRequest):
             budget_from_dict([1, 2, 3])
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("rl_epochs", "abc"),
+            ("grid_size", -3),
+            ("position_samples", [0, 0]),
+            ("sa_chains", 0),
+        ],
+    )
+    def test_invalid_budget_value_is_rejected(self, field, value):
+        with pytest.raises(BadRequest, match=field):
+            budget_from_dict({field: value})

@@ -207,35 +207,6 @@ class TestSolveAccounting:
         assert solver.solve_count == 3
         assert solver.factorization_count == 3
 
-    def test_heterogeneous_mode_falls_back_per_column(self):
-        system = ChipletSystem(
-            "het",
-            get_benchmark("synthetic1").system.interposer,
-            (Chiplet("a", 8.0, 8.0, 40.0),),
-        )
-        config = ThermalConfig(
-            rows=16,
-            cols=16,
-            package_margin=8.0,
-            heterogeneous_chiplet_layer=True,
-        )
-        solver = GridThermalSolver(system.interposer, config)
-        placements = []
-        for x in (2.0, 20.0):
-            p = Placement(system)
-            p.place("a", x, 10.0)
-            placements.append(p)
-        batched = solver.evaluate_batch(placements)
-        # Coverage-dependent matrix: one factorization per configuration.
-        assert solver.solve_count == 2
-        assert solver.factorization_count == 2
-        reference = GridThermalSolver(system.interposer, config)
-        for result, p in zip(batched, placements):
-            assert np.array_equal(
-                result.grid_temperatures,
-                reference.evaluate(p).grid_temperatures,
-            )
-
     def test_empty_batch(self):
         solver, _ = self._solver_and_placements(reuse=False)
         assert solver.evaluate_batch([]) == []

@@ -140,10 +140,10 @@ class TestSolverConfigurations:
     ):
         """The docstring's promise, verified to the last bit.
 
-        With the homogeneous chiplet layer the conductance matrix is
-        placement-independent, so the cached LU must give *bitwise*
-        identical temperature fields to a fresh factorization for any
-        placement — including ones the factorization never saw.
+        The conductance matrix is placement-independent, so the cached
+        LU must give *bitwise* identical temperature fields to a fresh
+        factorization for any placement — including ones the
+        factorization never saw.
         """
         fresh = GridThermalSolver(small_interposer, small_config)
         cached = GridThermalSolver(
@@ -155,51 +155,11 @@ class TestSolverConfigurations:
             p.place("die", x, y)
             footprints = p.footprints()
             powers = {"die": system.chiplet("die").power}
-            t_fresh = fresh.solve_footprints(footprints, powers)
-            t_cached = cached.solve_footprints(footprints, powers)
+            t_fresh = fresh.solve_footprints_many([footprints], [powers])
+            t_cached = cached.solve_footprints_many([footprints], [powers])
             assert np.array_equal(t_fresh, t_cached)
         assert cached._factor is not None
         assert fresh._factor is None
-
-    def test_heterogeneous_layer_ignores_reuse(self, small_interposer):
-        """Heterogeneous mode must re-assemble per placement.
-
-        The matrix depends on die coverage there, so the solver ignores
-        ``reuse_factorization`` (documented on the class) rather than
-        serving stale temperatures from an unrelated placement.
-        """
-        config = ThermalConfig(
-            rows=16, cols=16, package_margin=6.0,
-            heterogeneous_chiplet_layer=True,
-        )
-        solver = GridThermalSolver(
-            small_interposer, config, reuse_factorization=True
-        )
-        reference = GridThermalSolver(small_interposer, config)
-        system = one_die_system(small_interposer)
-        for x, y in ((5.0, 12.0), (15.0, 2.0)):
-            p = Placement(system)
-            p.place("die", x, y)
-            footprints = p.footprints()
-            powers = {"die": system.chiplet("die").power}
-            assert np.array_equal(
-                solver.solve_footprints(footprints, powers),
-                reference.solve_footprints(footprints, powers),
-            )
-        assert solver._factor is None  # no stale factorization was cached
-
-    def test_heterogeneous_layer_changes_result(self, small_interposer):
-        config_hom = ThermalConfig(rows=24, cols=24, package_margin=6.0)
-        config_het = ThermalConfig(
-            rows=24, cols=24, package_margin=6.0, heterogeneous_chiplet_layer=True
-        )
-        system = one_die_system(small_interposer)
-        p = Placement(system)
-        p.place("die", 11, 11)
-        t_hom = GridThermalSolver(small_interposer, config_hom).evaluate(p)
-        t_het = GridThermalSolver(small_interposer, config_het).evaluate(p)
-        # Underfill between dies conducts worse laterally -> hotter die.
-        assert t_het.max_temperature > t_hom.max_temperature
 
     def test_adiabatic_bottom(self, small_interposer):
         config = ThermalConfig(rows=24, cols=24, package_margin=6.0, r_board=None)
@@ -248,9 +208,7 @@ class TestSymmetricFactorization:
     def production(self):
         spec = get_benchmark("multi_gpu")
         solver = GridThermalSolver(spec.system.interposer, spec.thermal_config)
-        matrix = solver._assemble_matrix(
-            solver._chiplet_layer_conductivity({})
-        ).tocsc()
+        matrix = solver._assemble_matrix().tocsc()
         return spec, solver, matrix
 
     def _placements(self, system):
@@ -288,7 +246,7 @@ class TestSymmetricFactorization:
 
     def test_fill_at_most_0_6_of_default_order(self, production):
         _, solver, matrix = production
-        symmetric = solver._factorize({})
+        symmetric = solver._factorize()
         default = spla.splu(matrix)
         assert symmetric.L.nnz + symmetric.U.nnz <= 0.6 * (
             default.L.nnz + default.U.nnz
