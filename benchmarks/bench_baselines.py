@@ -11,6 +11,12 @@ count advances that many chains in lockstep with one batched
 is the baseline the wider counts amortize against.  The HotSpot arm's
 chains are measured by the perfbench workload ``sa_hotspot``.
 
+Every placer run gets a cold bump-pairing memo (a fresh
+``BumpAssigner`` with the reward's settings, see :func:`cold_copy`), so
+a run measures one arm as the harness runs it.  On one shared memo the
+later rounds would replay earlier rounds' identically seeded runs from
+memo hits.
+
 Arms alternate inside each measurement round so slow machine phases
 cannot bias one of them; the reported figure is the median across
 rounds.  A machine-readable summary is written to
@@ -37,7 +43,9 @@ import time
 from pathlib import Path
 
 from repro.baselines import TAP25DConfig, TAP25DPlacer
+from repro.bumps import BumpAssigner
 from repro.experiments.runner import ExperimentBudget, build_evaluators
+from repro.reward import RewardCalculator
 from repro.systems import benchmark_names, get_benchmark
 
 
@@ -45,6 +53,21 @@ def scenario(system: str, budget=ExperimentBudget(), cache_dir=None):
     """The bundled spec and the fast-model reward its Table I arms use."""
     spec = get_benchmark(system)
     return spec, build_evaluators(spec, budget, cache_dir)["reward_fast"]
+
+
+def cold_copy(calc: RewardCalculator) -> RewardCalculator:
+    """``calc`` with the same thermal model and an empty pairing memo."""
+    assigner = calc.assigner
+    return RewardCalculator(
+        calc.thermal,
+        calc.config,
+        BumpAssigner(
+            pitch=assigner.pitch,
+            rings=assigner.rings,
+            wire_group_size=assigner.wire_group_size,
+            method=assigner.method,
+        ),
+    )
 
 
 def measure_window(system, calc, chains: int, iterations: int, seconds: float):
@@ -55,7 +78,7 @@ def measure_window(system, calc, chains: int, iterations: int, seconds: float):
     while True:
         placer = TAP25DPlacer(
             system,
-            calc,
+            cold_copy(calc),
             TAP25DConfig(
                 n_iterations=iterations, seed=run_index, n_chains=chains
             ),

@@ -16,7 +16,10 @@ threads — and checks every guarantee the serve layer makes:
    wirelength, temperature, extra counters; runtimes are wall clock
    and excluded), and every response to the identical-request burst
    must be identical.
-4. **Memoized repeat** — a server *restart* later, the same request
+4. **Warm repeat** — a repeated warm evaluate must return a
+   bitwise-identical response, and ``/v1/stats`` must then report
+   bump-pairing memo hits on that benchmark's warm bundle.
+5. **Memoized repeat** — a server *restart* later, the same request
    must come back ``cache=hit`` with ``evaluator_calls == 0`` and zero
    registry builds (the store outlives the process; nothing recomputes,
    nothing even re-characterizes).
@@ -44,7 +47,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.experiments.runner import ExperimentBudget, run_all_methods  # noqa: E402
-from repro.serve import ServeClient, ServeError  # noqa: E402
+from repro.serve import ServeClient, ServeError, bundle_key  # noqa: E402
 from repro.serve.schema import budget_to_dict  # noqa: E402
 from repro.systems import get_benchmark  # noqa: E402
 
@@ -174,7 +177,7 @@ def main(argv=None) -> int:
 
     # -- 1. reference: the direct CLI code path (shared thermal cache,
     # which round-trips bit-exactly, so sharing it changes nothing) ----
-    print("[1/4] computing direct-run references")
+    print("[1/5] computing direct-run references")
     references = {
         system: run_all_methods(
             get_benchmark(system),
@@ -189,7 +192,7 @@ def main(argv=None) -> int:
     try:
         client = ServeClient(server.url, timeout=600.0)
         wait_healthy(client)
-        print(f"[2/4] server up at {server.url}; firing mixed traffic")
+        print(f"[2/5] server up at {server.url}; firing mixed traffic")
 
         with ThreadPoolExecutor(max_workers=2 + args.burst + 4) as pool:
             # Cold places for two different benchmarks, concurrently.
@@ -225,7 +228,7 @@ def main(argv=None) -> int:
                 )
             )
 
-        print("[3/4] checking bitwise parity and single-flight coalescing")
+        print("[3/5] checking bitwise parity and single-flight coalescing")
         for system in SYSTEMS:
             assert_bitwise_equal(cold[system], references[system], system)
         compute_count = sum(
@@ -258,11 +261,30 @@ def main(argv=None) -> int:
                 f"expected {len(SYSTEMS)} evaluator builds, registry says "
                 f"{stats['registry']['builds']}"
             )
+
+        print("[4/5] repeating a warm evaluate; it must hit the pairing memo")
+        warm = [
+            client.evaluate(
+                SYSTEMS[0], cold[SYSTEMS[0]]["placement"], "fast", budget_dict
+            )
+            for _ in range(2)
+        ]
+        # repr() round-trips every float, so equal JSON is equal bits.
+        if json.dumps(warm[0], sort_keys=True) != json.dumps(
+            warm[1], sort_keys=True
+        ):
+            raise AssertionError(
+                f"repeated warm evaluate differs: {warm[0]!r} vs {warm[1]!r}"
+            )
+        key = bundle_key(get_benchmark(SYSTEMS[0]), budget)
+        memo = client.stats()["pairing_memo"][key]["reward_fast"]
+        if memo["hits"] < 1:
+            raise AssertionError(f"no bump-pairing memo hits: {memo!r}")
     finally:
         server.close()
 
     # -- 4. a fresh server over the same store: memoized repeat --------
-    print("[4/4] restarting server; memoized repeat must not recompute")
+    print("[5/5] restarting server; memoized repeat must not recompute")
     server = Server(workdir, store_dir, cache_dir)
     try:
         client = ServeClient(server.url, timeout=600.0)
@@ -299,6 +321,7 @@ def main(argv=None) -> int:
                 "burst_caches": [r["cache"] for r in burst],
                 "repeat_cache": repeat["cache"],
                 "repeat_evaluator_calls": repeat["evaluator_calls"],
+                "pairing_memo": memo,
             }
         )
     )

@@ -15,10 +15,15 @@ pick, as in TAP-2.5D); within a net, site pairs are chosen either
   :meth:`BumpAssigner._pair_greedy`), or
 * ``"hungarian"`` — optimal pairing between the k best candidate sites on
   each side via :func:`scipy.optimize.linear_sum_assignment`.
+
+Greedy pairings are memoized per assigner (see :class:`BumpAssigner`):
+search loops keep re-pairing the same dies, and a repeated pairing
+input returns the stored result instead of pairing again.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict, namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,7 +32,28 @@ from scipy.optimize import linear_sum_assignment
 from repro.chiplet import Placement
 from repro.bumps.sites import site_coordinates
 
-__all__ = ["NetAssignment", "BumpAssignment", "BumpAssigner"]
+__all__ = [
+    "NetAssignment",
+    "BumpAssignment",
+    "BumpAssigner",
+    "MemoInfo",
+    "PAIRING_MEMO_BYTES",
+]
+
+#: Byte bound of each assigner's greedy-pairing memo (keys, stored
+#: positions and :data:`_ENTRY_OVERHEAD` per entry); past it the least
+#: recently used entries are evicted.  A 200-epoch RLPlanner arm on
+#: multi_gpu fills 9.7 MB, and a long fast-model anneal keeps 99.95 %
+#: of its hits under this bound (its hits revisit recent states).
+PAIRING_MEMO_BYTES = 16 * 2**20
+#: Bytes charged per memo entry on top of its key and position
+#: buffers: the dict slot, the key ``bytes`` header and the array
+#: header (about 300 B measured with :mod:`tracemalloc`).
+_ENTRY_OVERHEAD = 320
+
+#: :meth:`BumpAssigner.memo_info`'s result, in the style of
+#: :func:`functools.lru_cache`'s ``cache_info()``.
+MemoInfo = namedtuple("MemoInfo", ["hits", "misses", "entries", "bytes"])
 
 
 #: Entries of the sorted-distance order resolved together by the greedy
@@ -126,6 +152,11 @@ def _swept_order(
     return accepted[np.argsort(passes, kind="stable")]
 
 
+def _entry_bytes(key: bytes, chosen: np.ndarray) -> int:
+    """Bytes a pairing-memo entry is charged against the bound."""
+    return len(key) + chosen.nbytes + _ENTRY_OVERHEAD
+
+
 @dataclass(frozen=True)
 class NetAssignment:
     """Assigned bump pairs for one net.
@@ -184,6 +215,29 @@ class BumpAssigner:
         larger values trade accuracy for speed on huge bundles.
     method:
         ``"greedy"`` (default) or ``"hungarian"``.
+
+    Greedy pairings are memoized.  :meth:`_pair_greedy` is a pure
+    function of the free sites of both dies and ``n_pairs``, and a
+    die's sites are a function of its footprint (``pitch`` and
+    ``rings`` are fixed per instance), so the memo key is exact: both
+    footprints, the packed free-site masks and ``n_pairs``.  A hit
+    returns the stored positions, and :meth:`_assign_net` marks the
+    chosen sites occupied as on a miss, so every assignment is bitwise
+    the one an unmemoized assigner computes.  The memo is bounded by
+    :data:`PAIRING_MEMO_BYTES` with least-recently-used eviction; its
+    stored arrays are read-only.  Hungarian pairings are not memoized.
+    :meth:`memo_info` reports hits, misses, entries and bytes.
+
+    Each instance has its own memo, and pickling drops it: a copy sent
+    to a pool or remote worker starts empty, and a warm assigner
+    pickles to the same bytes as a cold one.  The memo takes no lock,
+    so one assigner must not run :meth:`assign` on two threads at once.
+    The shipped callers never do: serve runs a bundle's evaluators
+    under ``bundle.lock``, and the reward call's thermal thread never
+    touches the assigner.  :meth:`memo_info` may be read from any
+    thread (serve's ``/v1/stats`` does, without the lock); a read that
+    races an assignment may mix counters from either side of one
+    pairing.
     """
 
     def __init__(
@@ -201,16 +255,40 @@ class BumpAssigner:
         self.rings = rings
         self.wire_group_size = wire_group_size
         self.method = method
+        self._clear_memo()
+
+    def _clear_memo(self) -> None:
+        self._memo = OrderedDict()  # key -> (2, n_pairs) positions
+        self._memo_bytes = 0
+        self._hits = 0
+        self._misses = 0
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        for name in ("_memo", "_memo_bytes", "_hits", "_misses"):
+            del state[name]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._clear_memo()
+
+    def memo_info(self) -> MemoInfo:
+        """Hits, misses, entries and bytes of the greedy-pairing memo."""
+        return MemoInfo(
+            self._hits, self._misses, len(self._memo), self._memo_bytes
+        )
 
     def assign(self, placement: Placement) -> BumpAssignment:
         """Run the assignment over all nets with placed endpoints."""
         system = placement.system
+        site_rect = {}
         site_xy = {}
         site_free = {}
         for name in placement.placed_names:
-            coords = site_coordinates(
-                placement.footprint(name), pitch=self.pitch, rings=self.rings
-            )
+            rect = placement.footprint(name)
+            coords = site_coordinates(rect, pitch=self.pitch, rings=self.rings)
+            site_rect[name] = (rect.x, rect.y, rect.w, rect.h)
             site_xy[name] = coords
             site_free[name] = np.ones(len(coords), dtype=bool)
 
@@ -242,6 +320,7 @@ class BumpAssigner:
                 site_free[net.dst],
                 len(groups),
                 net,
+                site_rect[net.src] + site_rect[net.dst],
             )
             result.nets.append(
                 NetAssignment(
@@ -272,8 +351,13 @@ class BumpAssigner:
         free_b: np.ndarray,
         n_pairs: int,
         net,
+        rects: tuple,
     ) -> np.ndarray:
-        """Pick ``n_pairs`` site pairs, marking sites occupied in place."""
+        """Pick ``n_pairs`` site pairs, marking sites occupied in place.
+
+        ``rects`` holds the ``(x, y, w, h)`` footprints of the source
+        and destination dies, whose sites are ``xy_a`` and ``xy_b``.
+        """
         idx_a = np.where(free_a)[0]
         idx_b = np.where(free_b)[0]
         if len(idx_a) < n_pairs or len(idx_b) < n_pairs:
@@ -287,14 +371,49 @@ class BumpAssigner:
                 xy_a[idx_a], xy_b[idx_b], n_pairs
             )
         else:
-            chosen_a, chosen_b = self._pair_greedy(
-                xy_a[idx_a], xy_b[idx_b], n_pairs
+            chosen_a, chosen_b = self._pair_memoized(
+                xy_a[idx_a], xy_b[idx_b], n_pairs, rects, free_a, free_b
             )
         sel_a = idx_a[chosen_a]
         sel_b = idx_b[chosen_b]
         free_a[sel_a] = False
         free_b[sel_b] = False
         return np.stack([xy_a[sel_a], xy_b[sel_b]], axis=1)
+
+    def _pair_memoized(self, xy_a, xy_b, n_pairs, rects, free_a, free_b):
+        """:meth:`_pair_greedy` through the memo.
+
+        The key packs the two footprints, ``n_pairs`` and both free-site
+        masks into one ``bytes``; each mask's length follows from its
+        footprint, so the key determines ``xy_a``, ``xy_b`` and
+        ``n_pairs`` exactly.
+        """
+        key = b"".join(
+            (
+                np.array([*rects, n_pairs], dtype=float).tobytes(),
+                np.packbits(free_a).tobytes(),
+                np.packbits(free_b).tobytes(),
+            )
+        )
+        chosen = self._memo.get(key)
+        if chosen is not None:
+            self._memo.move_to_end(key)
+            self._hits += 1
+            return chosen
+        self._misses += 1
+        # Positions index the free sites, so the smallest unsigned
+        # type that counts them holds them (uint16 on every bundled
+        # die, a quarter of intp's bytes).
+        chosen = np.stack(self._pair_greedy(xy_a, xy_b, n_pairs)).astype(
+            np.min_scalar_type(max(len(xy_a), len(xy_b)))
+        )
+        chosen.setflags(write=False)
+        self._memo[key] = chosen
+        self._memo_bytes += _entry_bytes(key, chosen)
+        while self._memo_bytes > PAIRING_MEMO_BYTES:
+            old_key, old = self._memo.popitem(last=False)
+            self._memo_bytes -= _entry_bytes(old_key, old)
+        return chosen
 
     @staticmethod
     def _pair_greedy(xy_a: np.ndarray, xy_b: np.ndarray, n_pairs: int):

@@ -139,22 +139,30 @@ class RewardCalculator:
         Bump assignment is sequential per placement and the thermal
         evaluator amortizes its work across the batch (one vectorized
         pass on the fast model, one shared factorization on the grid
-        solver); each row is then combined by the scalar reward rule, so
-        a row never depends on the rest of the batch.  Multi-chain
-        annealing relies on that: it reproduces sequential seeded runs
-        only if every batched cost equals the scalar cost bit for bit,
-        since Metropolis comparisons amplify any last-ulp difference.
+        solver).  Search loops keep re-pairing the same dies (an SA move
+        changes one or two, a converging policy repeats placements),
+        and the assigner's exact pairing memo answers those nets
+        without pairing again (see :class:`~repro.bumps.BumpAssigner`).
+        Each row is then combined by the scalar reward rule, so a row
+        never depends on the rest of the batch.  Multi-chain annealing
+        relies on that: it reproduces sequential seeded runs only if
+        every batched cost equals the scalar cost bit for bit, since
+        Metropolis comparisons amplify any last-ulp difference.
 
         The two halves read nothing of each other, so they overlap: the
         batched ``max_temperatures`` call runs on a worker thread
         started here while this thread assigns bumps, and SuperLU's
         factorization and solves release the GIL, so a grid-backed
         call costs about the larger half instead of the sum.  The
-        worker is joined before this method returns or raises; no
-        thread outlives the call (callers fork worker processes between
-        calls).  Errors surface as in a serial evaluation: a wirelength
-        error wins (the worker is joined first), and a thermal error is
-        re-raised as the same exception object.
+        worker touches only the thermal evaluator; the assigner and its
+        memo stay on this thread.  On the fast model the two halves
+        trade the GIL, so every memo hit also shortens the thermal
+        half.  The worker is joined before this method returns or
+        raises; no thread outlives the call (callers fork worker
+        processes between calls).  Errors surface as in a serial
+        evaluation: a wirelength error wins (the worker is joined
+        first), and a thermal error is re-raised as the same exception
+        object.
         """
         n = len(placements)
         # [max temperatures (K), exception] of the thermal half.

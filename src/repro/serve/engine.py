@@ -387,6 +387,10 @@ class ServeEngine:
             "uptime_s": time.monotonic() - self._started,
             "requests": requests,
             "registry": self.registry.stats(),
+            "pairing_memo": {
+                bundle.key: bundle.pairing_memo()
+                for bundle in self.registry.bundles()
+            },
             "batchers": {
                 "evaluate": self._eval_batcher.stats(),
                 "rollout": self._rollout_batcher.stats(),

@@ -80,6 +80,14 @@ class EvaluatorBundle:
             + self.evaluators["reward_solver"].evaluation_count
         )
 
+    def pairing_memo(self) -> dict:
+        """Each reward calculator's bump-pairing memo counters
+        (:meth:`~repro.bumps.BumpAssigner.memo_info`)."""
+        return {
+            name: self.evaluators[name].assigner.memo_info()._asdict()
+            for name in ("reward_fast", "reward_solver")
+        }
+
 
 class _Entry:
     __slots__ = ("event", "bundle", "error")
@@ -154,6 +162,12 @@ class WarmRegistry:
         finally:
             entry.event.set()
         return entry.bundle
+
+    def bundles(self) -> list:
+        """Every built bundle, in build order."""
+        with self._lock:
+            entries = list(self._entries.values())
+        return [entry.bundle for entry in entries if entry.bundle is not None]
 
     def stats(self) -> dict:
         with self._lock:

@@ -8,7 +8,8 @@ where warmth, batching, and memoization live.  Endpoints:
 method    path                   body / result
 ========  =====================  ========================================
 GET       /v1/health             liveness probe
-GET       /v1/stats              engine counters (store, registry, batch)
+GET       /v1/stats              engine counters (store, registry, batch,
+                                 bump-pairing memo per warm bundle)
 GET       /v1/benchmarks         registered benchmark names
 GET       /v1/policies           registered policy names
 POST      /v1/place              {system, method, budget} -> placement

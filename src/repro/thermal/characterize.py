@@ -122,13 +122,13 @@ def characterize_for_system(
     system: ChipletSystem,
     config: ThermalConfig | None = None,
     position_samples: tuple = (5, 5),
-    include_rotations: bool = True,
 ) -> ResistanceTables:
-    """Characterize every die size (and rotation) used by ``system``."""
+    """Characterize every die size used by ``system``, rotatable dies in
+    both orientations."""
     sizes = []
     for chiplet in system.chiplets:
         sizes.append((chiplet.width, chiplet.height))
-        if include_rotations and chiplet.rotatable:
+        if chiplet.rotatable:
             sizes.append((chiplet.height, chiplet.width))
     return characterize_tables(
         system.interposer, sizes, config, position_samples

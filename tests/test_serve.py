@@ -538,6 +538,29 @@ class TestHTTPSurface:
         assert stats["registry"]["builds"] >= 1
         assert set(stats["batchers"]) == {"evaluate", "rollout"}
         assert stats["store"]["hits"] >= 1
+        assert len(stats["pairing_memo"]) == stats["registry"]["bundles"]
+
+    def test_stats_report_pairing_memo_hits_of_a_warm_bundle(
+        self, serve_stack, serve_budget, cold_place
+    ):
+        """A repeated warm evaluate answers bitwise from pairing-memo
+        hits, and ``/v1/stats`` reports them per bundle."""
+        _, client = serve_stack
+        key = bundle_key(get_benchmark("synthetic1"), serve_budget)
+        budget = budget_to_dict(serve_budget)
+        placement = cold_place["placement"]
+        first = client.evaluate("synthetic1", placement, "fast", budget)
+        before = client.stats()["pairing_memo"][key]
+        repeat = client.evaluate("synthetic1", placement, "fast", budget)
+        after = client.stats()["pairing_memo"][key]
+        for field in ("reward", "wirelength", "max_temperature_c"):
+            assert bits(repeat[field]) == bits(first[field]), field
+        assert set(after) == {"reward_fast", "reward_solver"}
+        fast_before, fast = before["reward_fast"], after["reward_fast"]
+        assert set(fast) == {"hits", "misses", "entries", "bytes"}
+        assert fast["hits"] > fast_before["hits"]
+        assert fast["misses"] == fast_before["misses"]
+        assert fast["entries"] >= 1 and fast["bytes"] > 0
 
 
 class TestPolicyServing:
