@@ -11,50 +11,27 @@ exactly the failure mode the paper's introduction motivates thermal-aware
 floorplanning with.  This baseline makes that trade-off measurable: run
 it with the same :class:`~repro.reward.RewardCalculator` and compare its
 temperature against RLPlanner's.
+
+The floorplanner supplies trees (scored by their packing), their moves
+and one random legal tree per chain; :func:`repro.baselines.sa.anneal`
+runs the rest under the one annealing config.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
-
 import numpy as np
 
-from repro.baselines.sa import SAConfig, SimulatedAnnealing
-from repro.baselines.tap25d import PlacerResult, WinnerScorer
+from repro.baselines.sa import PlacerResult, SAConfig, anneal
 from repro.chiplet import ChipletSystem, Placement
 from repro.chiplet.validate import placement_is_legal, placement_violations
 from repro.reward import RewardCalculator
 
-__all__ = ["BStarConfig", "BStarTree", "BStarFloorplanner"]
+__all__ = ["BStarTree", "BStarFloorplanner"]
 
-
-@dataclass(frozen=True)
-class BStarConfig:
-    """Annealing parameters for the B*-tree search.
-
-    ``n_chains`` lockstep chains start from independently randomized
-    initial trees and evaluate each step's packings through the batched
-    reward path.
-    """
-
-    n_iterations: int = 2000
-    initial_temperature: float | None = None
-    final_temperature: float = 1e-3
-    rotate_fraction: float = 0.3
-    swap_fraction: float = 0.4
-    move_fraction: float = 0.3
-    time_limit: float | None = None
-    seed: int = 0
-    n_chains: int = 1
-    checkpoint_every: int = 0
-
-    def __post_init__(self) -> None:
-        mix = self.rotate_fraction + self.swap_fraction + self.move_fraction
-        if abs(mix - 1.0) > 1e-9:
-            raise ValueError("move fractions must sum to 1")
-        if self.n_chains < 1:
-            raise ValueError("n_chains must be >= 1")
+#: Share of proposals that rotate one module.
+ROTATE_FRACTION = 0.3
+#: Share of proposals that swap two modules; moves take the rest (0.3).
+SWAP_FRACTION = 0.4
 
 
 class BStarTree:
@@ -114,15 +91,14 @@ class BStarTree:
             w, h = h, w
         return w + spacing, h + spacing
 
-    def pack(self, spacing: float | None = None) -> Placement:
+    def pack(self) -> Placement:
         """Compact the tree into a placement (lower-left packing).
 
         Each die is padded by the interposer's min_spacing during
         packing so the compacted layout honors the clearance rule.
         The result may exceed the interposer; the caller checks bounds.
         """
-        if spacing is None:
-            spacing = self.system.interposer.min_spacing
+        spacing = self.system.interposer.min_spacing
         placement = Placement(self.system)
         placed = []  # (x1, x2, y2) spans for contour queries
 
@@ -247,19 +223,18 @@ class BStarFloorplanner:
         self,
         system: ChipletSystem,
         reward_calculator: RewardCalculator,
-        config: BStarConfig | None = None,
+        config: SAConfig | None = None,
     ):
         self.system = system
         self.reward_calculator = reward_calculator
-        self.config = config or BStarConfig()
+        self.config = config or SAConfig()
 
     def _propose(self, tree: BStarTree, rng: np.random.Generator, progress):
-        cfg = self.config
         candidate = tree.copy()
         roll = rng.random()
-        if roll < cfg.rotate_fraction:
+        if roll < ROTATE_FRACTION:
             ok = candidate.rotate_random(rng)
-        elif roll < cfg.rotate_fraction + cfg.swap_fraction:
+        elif roll < ROTATE_FRACTION + SWAP_FRACTION:
             ok = candidate.swap_random(rng)
         else:
             ok = candidate.move_random(rng)
@@ -282,65 +257,22 @@ class BStarFloorplanner:
         )
 
     def run(self, resume_state=None, checkpoint_fn=None) -> PlacerResult:
-        """Anneal; returns the best legal compacted floorplan.
+        """Anneal (see :func:`repro.baselines.sa.anneal`); the best
+        legal compacted floorplan.
 
-        Each of the ``config.n_chains`` chains draws its own random
-        initial tree from the shared seed stream, then all chains
-        advance in lockstep with one batched reward
-        evaluation per step (every chain packs the same die set, so the
-        fast thermal model vectorizes across chains).
-
-        ``checkpoint_fn``/``resume_state`` pass through to the SA
-        engine: a resumed run reproduces the uninterrupted run bitwise
-        (the snapshot carries the per-chain incumbents, so the initial
-        legality search is skipped entirely on resume).
-
-        The winner's breakdown is carried out of the anneal, keyed on the
-        tree the engine returns (see
-        :class:`~repro.baselines.tap25d.WinnerScorer`).
+        Each chain draws its own random legal initial tree from the
+        shared seed stream (a resume skips that search).
         """
-        cfg = self.config
-        start = time.perf_counter()
-        rng = np.random.default_rng(cfg.seed)
-
-        scorer = WinnerScorer(
-            self.reward_calculator, to_placement=BStarTree.pack
-        )
-
-        engine = SimulatedAnnealing(
-            propose=self._propose,
-            evaluate_many=scorer.evaluate_many,
-            config=SAConfig(
-                n_iterations=cfg.n_iterations,
-                initial_temperature=cfg.initial_temperature,
-                final_temperature=cfg.final_temperature,
-                time_limit=cfg.time_limit,
-                seed=cfg.seed,
-                n_chains=cfg.n_chains,
-                checkpoint_every=cfg.checkpoint_every,
-            ),
-        )
-        # A resume only reads the chain count from the initial states
-        # (the snapshot carries the incumbents); skip the per-chain
-        # legality search then.
-        initials = (
-            [None] * cfg.n_chains
-            if resume_state is not None
-            else [self._legal_initial_tree(rng) for _ in range(cfg.n_chains)]
-        )
-        result = engine.run_chains(
-            initials, resume_state=resume_state, checkpoint_fn=checkpoint_fn
-        )
-        best_tree = result.best_state
-        placement = best_tree.pack()
-        breakdown = scorer.winner_breakdown(best_tree)
-        # Fold the interrupted leg's wall clock back in so a resumed
-        # run reports its full runtime, not just the final leg.
-        prior = resume_state["elapsed"] if resume_state is not None else 0.0
-        return PlacerResult(
-            placement=placement,
-            breakdown=breakdown,
-            n_evaluations=result.n_evaluations,
-            elapsed=prior + time.perf_counter() - start,
-            history=result.history,
+        rng = np.random.default_rng(self.config.seed)
+        return anneal(
+            self._propose,
+            lambda: [
+                self._legal_initial_tree(rng)
+                for _ in range(self.config.n_chains)
+            ],
+            self.reward_calculator,
+            self.config,
+            to_placement=BStarTree.pack,
+            resume_state=resume_state,
+            checkpoint_fn=checkpoint_fn,
         )

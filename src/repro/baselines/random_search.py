@@ -6,7 +6,7 @@ import time
 
 import numpy as np
 
-from repro.baselines.tap25d import PlacerResult
+from repro.baselines.sa import PlacerResult
 from repro.chiplet import ChipletSystem, Placement
 from repro.geometry import Rect
 from repro.reward import RewardCalculator

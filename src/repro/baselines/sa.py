@@ -1,9 +1,12 @@
-"""Generic simulated-annealing engine: M chains in lockstep.
+"""The one annealing path: M chains in lockstep, one reward call per step.
 
-State representation, move proposal and cost evaluation are supplied by
-the caller; the engine owns the Metropolis acceptance rule, the
-geometric cooling schedule, automatic initial-temperature calibration,
-and budget accounting (iterations and/or wall clock).
+:class:`SimulatedAnnealing` is the generic engine.  State
+representation, move proposal and cost evaluation are supplied by the
+caller; the engine owns the Metropolis acceptance rule, the geometric
+cooling schedule (down to :data:`FINAL_TEMPERATURE`), automatic
+initial-temperature calibration (:data:`CALIBRATION_SAMPLES` probes per
+chain), and budget accounting (iterations and/or wall clock).
+:meth:`SimulatedAnnealing.run_chains` is its only entry point.
 
 ``n_chains=M`` independent chains advance in lockstep.  Chain ``c``
 draws proposals and acceptance tests from its own RNG stream
@@ -19,6 +22,10 @@ Chain ``c`` consumes randomness exactly as a one-chain run with
 ``seed + c`` does, so when ``evaluate_many`` scores each state
 independently of its batch the multi-chain run reproduces M
 single-chain runs exactly (regression-tested).
+
+:func:`anneal` is the one run body of both placers (TAP-2.5D and the
+B*-tree), which supply only their states, moves and starting states;
+every option lives in the one :class:`SAConfig`.
 """
 
 from __future__ import annotations
@@ -29,12 +36,25 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["SAConfig", "SAHistory", "SAResult", "SimulatedAnnealing"]
+__all__ = [
+    "SAConfig",
+    "SAHistory",
+    "SAResult",
+    "SimulatedAnnealing",
+    "PlacerResult",
+    "WinnerScorer",
+    "anneal",
+]
+
+#: End of the geometric cooling schedule.
+FINAL_TEMPERATURE = 1e-3
+#: Proposals per chain that calibrate an automatic initial temperature.
+CALIBRATION_SAMPLES = 20
 
 
 @dataclass(frozen=True)
 class SAConfig:
-    """Annealing schedule and budget.
+    """Annealing schedule and budget: the one config of every annealer.
 
     Attributes
     ----------
@@ -44,20 +64,20 @@ class SAConfig:
         ``None`` auto-calibrates so early uphill moves are accepted with
         ~50 % probability (standard practice; TAP-2.5D does the same).
         Calibration is per chain.
-    final_temperature:
-        End of the geometric schedule.
     time_limit:
         Optional wall-clock cap in seconds (for time-matched comparisons).
     seed:
         RNG seed for proposals and acceptance; chain ``c`` uses
         ``seed + c``.
     n_chains:
-        Number of independent lockstep chains.
+        Number of independent lockstep chains; every chain spends the
+        full ``n_iterations`` budget and the best state over all chains
+        wins.
     checkpoint_every:
         Snapshot cadence in iterations (0 = never).  The engine hands a
         full resumable snapshot (incumbents, costs, temperatures, RNG
         generator states, history, counters) to the ``checkpoint_fn``
-        passed to :meth:`SimulatedAnnealing.run` after every
+        passed to :meth:`SimulatedAnnealing.run_chains` after every
         ``checkpoint_every``-th iteration; a run resumed from such a
         snapshot is bitwise identical to one that was never
         interrupted.
@@ -65,10 +85,8 @@ class SAConfig:
 
     n_iterations: int = 2000
     initial_temperature: float | None = None
-    final_temperature: float = 1e-3
     time_limit: float | None = None
     seed: int = 0
-    calibration_samples: int = 20
     n_chains: int = 1
     checkpoint_every: int = 0
 
@@ -77,8 +95,6 @@ class SAConfig:
             raise ValueError("n_iterations must be >= 1")
         if self.checkpoint_every < 0:
             raise ValueError("checkpoint_every must be >= 0")
-        if self.final_temperature <= 0:
-            raise ValueError("final_temperature must be positive")
         if self.n_chains < 1:
             raise ValueError("n_chains must be >= 1")
 
@@ -176,10 +192,6 @@ class SAResult:
     n_chains: int = 1
     chain_best_costs: np.ndarray | None = None
 
-    @property
-    def acceptance_rate(self) -> float:
-        return self.n_accepted / max(self.n_evaluations, 1)
-
 
 class SimulatedAnnealing:
     """Metropolis annealer over caller-defined states.
@@ -202,21 +214,6 @@ class SimulatedAnnealing:
         self.propose = propose
         self.evaluate_many = evaluate_many
         self.config = config or SAConfig()
-
-    def run(
-        self, initial_state, resume_state=None, checkpoint_fn=None
-    ) -> SAResult:
-        """Anneal from one initial state (replicated across chains).
-
-        ``resume_state`` is a snapshot previously handed to
-        ``checkpoint_fn``; the run continues from that iteration and is
-        bitwise identical to an uninterrupted run.
-        """
-        return self.run_chains(
-            [initial_state] * self.config.n_chains,
-            resume_state=resume_state,
-            checkpoint_fn=checkpoint_fn,
-        )
 
     def _should_checkpoint(self, iteration: int, checkpoint_fn) -> bool:
         every = self.config.checkpoint_every
@@ -241,10 +238,13 @@ class SimulatedAnnealing:
         applies the Metropolis rule per chain with that chain's own RNG
         and temperature.  History rows aggregate across chains:
         ``temperature`` is the chain mean, ``current_cost``/``best_cost``
-        are population minima.  ``resume_state``/``checkpoint_fn``
-        mirror :meth:`run`: a resumed multi-chain run restores every
-        chain's RNG, temperature and incumbent and is bitwise identical
-        to an uninterrupted one.
+        are population minima.
+
+        ``resume_state`` is a snapshot previously handed to
+        ``checkpoint_fn``; the run continues from that iteration,
+        restores every chain's RNG, temperature and incumbent, and is
+        bitwise identical to an uninterrupted one.  A resume reads only
+        the chain count from ``initial_states``.
         """
         cfg = self.config
         chains = len(initial_states)
@@ -269,7 +269,7 @@ class SimulatedAnnealing:
                 n_evaluations += calibration_evals
             else:
                 t0 = np.full(chains, float(cfg.initial_temperature))
-            cooling = (cfg.final_temperature / t0) ** (
+            cooling = (FINAL_TEMPERATURE / t0) ** (
                 1.0 / max(cfg.n_iterations, 1)
             )
             temperature = t0.copy()
@@ -370,7 +370,7 @@ class SimulatedAnnealing:
     def _calibrate_chains(self, states, costs, rngs) -> tuple:
         """Per-chain initial temperatures, with batched evaluations.
 
-        Each chain draws ``calibration_samples`` proposals from its own
+        Each chain draws :data:`CALIBRATION_SAMPLES` proposals from its own
         RNG and sets its temperature so an average uphill move is
         accepted with probability ~0.5.  The cost evaluations are
         fanned into ``evaluate_many`` (evaluation consumes no RNG, so
@@ -380,7 +380,7 @@ class SimulatedAnnealing:
         chains = len(states)
         deltas = [[] for _ in range(chains)]
         evaluations = 0
-        for _ in range(self.config.calibration_samples):
+        for _ in range(CALIBRATION_SAMPLES):
             candidates = [
                 self.propose(states[c], rngs[c], 0.0) for c in range(chains)
             ]
@@ -402,3 +402,104 @@ class SimulatedAnnealing:
             ]
         )
         return t0, evaluations
+
+
+@dataclass
+class PlacerResult:
+    """Best floorplan found by a placer."""
+
+    placement: object
+    breakdown: object
+    n_evaluations: int
+    elapsed: float
+    history: list = field(default_factory=list)
+
+    @property
+    def reward(self) -> float:
+        return self.breakdown.reward
+
+
+class WinnerScorer:
+    """SA cost closures that carry the winner's breakdown out of the anneal.
+
+    :meth:`evaluate_many` costs states (lower is better: the negated
+    reward) through ``RewardCalculator.evaluate_batch`` and keeps the
+    breakdown of the lowest-cost state scored.  The engine's winner is
+    normally that very object (its best is the first strict minimum
+    over the states it accepted), so :meth:`winner_breakdown` returns it
+    without another evaluation.
+    Only when it is not (the winner came from a resumed snapshot, was a
+    tie, or was beaten by a calibration probe) is the winner scored
+    afresh.
+
+    Parameters
+    ----------
+    reward_calculator:
+        The shared objective.
+    to_placement:
+        Maps an annealing state to the placement it scores (identity
+        when the states are placements).
+    """
+
+    def __init__(self, reward_calculator, to_placement=None):
+        self.reward_calculator = reward_calculator
+        self.to_placement = to_placement or (lambda state: state)
+        # The lowest-cost state scored so far, its cost and breakdown.
+        self._state, self._cost, self._breakdown = None, np.inf, None
+
+    def evaluate_many(self, states) -> np.ndarray:
+        breakdowns = self.reward_calculator.evaluate_batch(
+            [self.to_placement(state) for state in states]
+        )
+        costs = np.array([-b.reward for b in breakdowns], dtype=np.float64)
+        k = int(np.argmin(costs))
+        if costs[k] < self._cost:
+            self._state, self._cost, self._breakdown = (
+                states[k], costs[k], breakdowns[k]
+            )
+        return costs
+
+    def winner_breakdown(self, state):
+        """The :class:`RewardBreakdown` of the engine's best state."""
+        if state is self._state:
+            return self._breakdown
+        return self.reward_calculator.evaluate(self.to_placement(state))
+
+
+def anneal(
+    propose,
+    initial_states,
+    reward_calculator,
+    config: SAConfig,
+    to_placement=None,
+    resume_state=None,
+    checkpoint_fn=None,
+) -> PlacerResult:
+    """Anneal placer states against the reward; the best layout found.
+
+    ``initial_states()`` returns one starting state per chain; a resume
+    never calls it (the snapshot carries the incumbents).  Every
+    lockstep step's candidates are scored by one ``evaluate_batch``
+    call on ``to_placement(state)``, the winner's breakdown is carried
+    out of the anneal (:class:`WinnerScorer`), and
+    ``resume_state``/``checkpoint_fn`` pass through to
+    :meth:`SimulatedAnnealing.run_chains` (a resumed run is bitwise the
+    uninterrupted one, and its ``elapsed`` includes the earlier legs).
+    """
+    start = time.perf_counter()
+    scorer = WinnerScorer(reward_calculator, to_placement)
+    engine = SimulatedAnnealing(propose, scorer.evaluate_many, config)
+    resuming = resume_state is not None
+    states = [None] * config.n_chains if resuming else initial_states()
+    result = engine.run_chains(
+        states, resume_state=resume_state, checkpoint_fn=checkpoint_fn
+    )
+    best = result.best_state
+    prior = resume_state["elapsed"] if resuming else 0.0
+    return PlacerResult(
+        placement=scorer.to_placement(best),
+        breakdown=scorer.winner_breakdown(best),
+        n_evaluations=result.n_evaluations,
+        elapsed=prior + time.perf_counter() - start,
+        history=result.history,
+    )

@@ -6,6 +6,10 @@ displace / swap / rotate moves and evaluates each accepted layout with a
 full thermal analysis plus microbump-assigned wirelength — the same
 objective RLPlanner optimizes, so Tables I/III compare like for like.
 
+The placer supplies placements, its moves and the shelf packing as
+every chain's start; :func:`repro.baselines.sa.anneal` runs the rest
+under :data:`TAP25DConfig`, the one annealing config.
+
 Pairing it with :class:`~repro.thermal.GridThermalSolver` reproduces
 "TAP-2.5D (HotSpot)"; pairing it with
 :class:`~repro.thermal.FastThermalModel` reproduces "TAP-2.5D* (fast
@@ -14,124 +18,25 @@ thermal model)".
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from repro.baselines.sa import SAConfig, SimulatedAnnealing
+from repro.baselines.sa import PlacerResult, SAConfig, anneal
 from repro.chiplet import ChipletSystem, Placement
 from repro.chiplet.validate import placement_is_legal, placement_violations
 from repro.reward import RewardCalculator
 
-__all__ = ["TAP25DConfig", "PlacerResult", "TAP25DPlacer"]
+__all__ = ["TAP25DConfig", "TAP25DPlacer"]
 
+#: The placer's config: the one annealing config (schedule and budget).
+TAP25DConfig = SAConfig
 
-@dataclass(frozen=True)
-class TAP25DConfig:
-    """Placer parameters.
-
-    Attributes
-    ----------
-    n_iterations:
-        SA proposal budget.
-    displace_fraction / swap_fraction / rotate_fraction:
-        Move-type mix (must sum to 1).
-    max_displacement_fraction:
-        Initial displacement radius as a fraction of the interposer
-        extent; shrinks linearly to 10 % of itself as annealing cools.
-    time_limit:
-        Wall-clock cap in seconds (time-matched comparisons).
-    n_chains:
-        Independent lockstep annealing chains; every chain spends the
-        full ``n_iterations`` budget and the best layout over all chains
-        wins.  Each step's candidates go through the batched reward
-        path (one vectorized thermal pass per step).
-    checkpoint_every:
-        Snapshot cadence in SA iterations (0 = never); see
-        :attr:`repro.baselines.sa.SAConfig.checkpoint_every`.
-    """
-
-    n_iterations: int = 2000
-    initial_temperature: float | None = None
-    final_temperature: float = 1e-3
-    displace_fraction: float = 0.6
-    swap_fraction: float = 0.3
-    rotate_fraction: float = 0.1
-    max_displacement_fraction: float = 0.5
-    time_limit: float | None = None
-    seed: int = 0
-    n_chains: int = 1
-    checkpoint_every: int = 0
-
-    def __post_init__(self) -> None:
-        mix = self.displace_fraction + self.swap_fraction + self.rotate_fraction
-        if abs(mix - 1.0) > 1e-9:
-            raise ValueError("move fractions must sum to 1")
-        if self.n_chains < 1:
-            raise ValueError("n_chains must be >= 1")
-
-
-@dataclass
-class PlacerResult:
-    """Best floorplan found by the placer."""
-
-    placement: Placement
-    breakdown: object
-    n_evaluations: int
-    elapsed: float
-    history: list = field(default_factory=list)
-
-    @property
-    def reward(self) -> float:
-        return self.breakdown.reward
-
-
-class WinnerScorer:
-    """SA cost closures that carry the winner's breakdown out of the anneal.
-
-    :meth:`evaluate_many` costs states (lower is better: the negated
-    reward) through ``RewardCalculator.evaluate_batch`` and keeps the
-    breakdown of the lowest-cost state scored.  The engine's winner is
-    normally that very object (its best is the first strict minimum
-    over the states it accepted), so :meth:`winner_breakdown` returns it
-    without another evaluation.
-    Only when it is not (the winner came from a resumed snapshot, was a
-    tie, or was beaten by a calibration probe) is the winner scored
-    afresh.
-
-    Parameters
-    ----------
-    reward_calculator:
-        The shared objective.
-    to_placement:
-        Maps an annealing state to the placement it scores (identity
-        when the states are placements).
-    """
-
-    def __init__(self, reward_calculator: RewardCalculator, to_placement=None):
-        self.reward_calculator = reward_calculator
-        self.to_placement = to_placement or (lambda state: state)
-        # The lowest-cost state scored so far, its cost and breakdown.
-        self._state, self._cost, self._breakdown = None, np.inf, None
-
-    def evaluate_many(self, states) -> np.ndarray:
-        breakdowns = self.reward_calculator.evaluate_batch(
-            [self.to_placement(state) for state in states]
-        )
-        costs = np.array([-b.reward for b in breakdowns], dtype=np.float64)
-        k = int(np.argmin(costs))
-        if costs[k] < self._cost:
-            self._state, self._cost, self._breakdown = (
-                states[k], costs[k], breakdowns[k]
-            )
-        return costs
-
-    def winner_breakdown(self, state):
-        """The :class:`RewardBreakdown` of the engine's best state."""
-        if state is self._state:
-            return self._breakdown
-        return self.reward_calculator.evaluate(self.to_placement(state))
+#: Share of proposals that displace one die.
+DISPLACE_FRACTION = 0.6
+#: Share of proposals that swap two dies; rotations take the rest (0.1).
+SWAP_FRACTION = 0.3
+#: Initial displacement radius as a fraction of the interposer extent;
+#: it shrinks linearly to 10 % of itself as annealing cools.
+MAX_DISPLACEMENT_FRACTION = 0.5
 
 
 class TAP25DPlacer:
@@ -152,18 +57,18 @@ class TAP25DPlacer:
         self,
         system: ChipletSystem,
         reward_calculator: RewardCalculator,
-        config: TAP25DConfig | None = None,
+        config: SAConfig | None = None,
     ):
         self.system = system
         self.reward_calculator = reward_calculator
-        self.config = config or TAP25DConfig()
+        self.config = config or SAConfig()
         self._names = list(system.chiplet_names)
 
     # ------------------------------------------------------------------
     # initial state
     # ------------------------------------------------------------------
 
-    def initial_placement(self, rng: np.random.Generator = None) -> Placement:
+    def initial_placement(self) -> Placement:
         """Legal starting layout: shelf packing in descending area."""
         interposer = self.system.interposer
         spacing = interposer.min_spacing
@@ -196,12 +101,11 @@ class TAP25DPlacer:
         self, placement: Placement, rng: np.random.Generator, progress: float
     ):
         """One annealing move; None when the proposal is illegal."""
-        cfg = self.config
         roll = rng.random()
         candidate = placement.copy()
-        if roll < cfg.displace_fraction:
+        if roll < DISPLACE_FRACTION:
             self._displace(candidate, rng, progress)
-        elif roll < cfg.displace_fraction + cfg.swap_fraction:
+        elif roll < DISPLACE_FRACTION + SWAP_FRACTION:
             if not self._swap(candidate, rng):
                 return None
         else:
@@ -214,7 +118,7 @@ class TAP25DPlacer:
     def _displace(self, placement, rng, progress) -> None:
         name = self._names[rng.integers(len(self._names))]
         interposer = self.system.interposer
-        scale = self.config.max_displacement_fraction * (1.0 - 0.9 * progress)
+        scale = MAX_DISPLACEMENT_FRACTION * (1.0 - 0.9 * progress)
         dx = rng.normal(0.0, scale * interposer.width / 2.0)
         dy = rng.normal(0.0, scale * interposer.height / 2.0)
         x, y, rotated = placement.positions[name]
@@ -266,54 +170,13 @@ class TAP25DPlacer:
     # ------------------------------------------------------------------
 
     def run(self, resume_state=None, checkpoint_fn=None) -> PlacerResult:
-        """Anneal from the shelf packing; returns the best layout found.
-
-        The SA engine advances all ``config.n_chains`` chains in
-        lockstep and each step's candidates are costed through
-        ``RewardCalculator.evaluate_batch`` — one batched thermal pass
-        per iteration instead of one evaluation per chain.
-
-        ``checkpoint_fn``/``resume_state`` pass straight through to the
-        SA engine (see :meth:`SimulatedAnnealing.run`): a run resumed
-        from a snapshot reproduces the uninterrupted run bitwise.
-
-        The winner's :class:`RewardBreakdown` is carried out of the
-        anneal rather than re-evaluated (see :class:`WinnerScorer`).
-        """
-        cfg = self.config
-        start = time.perf_counter()
-        scorer = WinnerScorer(self.reward_calculator)
-        engine = SimulatedAnnealing(
-            propose=self.propose,
-            evaluate_many=scorer.evaluate_many,
-            config=SAConfig(
-                n_iterations=cfg.n_iterations,
-                initial_temperature=cfg.initial_temperature,
-                final_temperature=cfg.final_temperature,
-                time_limit=cfg.time_limit,
-                seed=cfg.seed,
-                n_chains=cfg.n_chains,
-                checkpoint_every=cfg.checkpoint_every,
-            ),
-        )
-        rng = np.random.default_rng(cfg.seed)
-        # A resume ignores the initial state (the snapshot carries the
-        # incumbents), so don't pay for shelf packing again.
-        initial = None if resume_state is not None else self.initial_placement(rng)
-        result = engine.run(
-            initial,
+        """Anneal every chain from the shelf packing (see
+        :func:`repro.baselines.sa.anneal`); the best layout found."""
+        return anneal(
+            self.propose,
+            lambda: [self.initial_placement()] * self.config.n_chains,
+            self.reward_calculator,
+            self.config,
             resume_state=resume_state,
             checkpoint_fn=checkpoint_fn,
-        )
-        best_placement = result.best_state
-        breakdown = scorer.winner_breakdown(best_placement)
-        # Fold the interrupted leg's wall clock back in so a resumed
-        # run reports its full runtime, not just the final leg.
-        prior = resume_state["elapsed"] if resume_state is not None else 0.0
-        return PlacerResult(
-            placement=best_placement,
-            breakdown=breakdown,
-            n_evaluations=result.n_evaluations,
-            elapsed=prior + time.perf_counter() - start,
-            history=result.history,
         )

@@ -82,16 +82,6 @@ def budget_from_args(args, **extra_fields) -> ExperimentBudget:
         raise SystemExit(f"invalid budget: {error}") from None
 
 
-def rollout_width(text) -> int:
-    """Parse ``--batch-size``: episodes step in lockstep waves of >= 2."""
-    width = int(text)  # ValueError on garbage, as argparse expects
-    if width < 2:
-        raise argparse.ArgumentTypeError(
-            f"--batch-size must be >= 2, got {width}"
-        )
-    return width
-
-
 def _add_budget_args(parser) -> None:
     """The budget flags of ``rlplanner`` and ``scripts/run_experiments.py``.
 
@@ -105,7 +95,7 @@ def _add_budget_args(parser) -> None:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
         "--batch-size",
-        type=rollout_width,
+        type=int,
         default=16,
         help="rollout batch width for RL collection: episodes step in "
         "lockstep waves of this many (>= 2)",

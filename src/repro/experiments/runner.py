@@ -45,7 +45,7 @@ from repro.rl import PPOConfig, RNDConfig
 from repro.store import RunStore, store_key
 from repro.systems import BenchmarkSpec
 from repro.thermal import FastThermalModel, GridThermalSolver
-from repro.thermal.characterize import load_or_characterize
+from repro.thermal.characterize import load_or_characterize, system_sizes
 from repro.utils import get_logger
 
 __all__ = [
@@ -203,16 +203,6 @@ class ExperimentBudget:
         )
 
 
-def _spec_sizes(spec: BenchmarkSpec) -> list:
-    """Die sizes (including rotations) needing characterization."""
-    sizes = []
-    for chiplet in spec.system.chiplets:
-        sizes.append((chiplet.width, chiplet.height))
-        if chiplet.rotatable:
-            sizes.append((chiplet.height, chiplet.width))
-    return sizes
-
-
 # ----------------------------------------------------------------------
 # run-store keys
 # ----------------------------------------------------------------------
@@ -316,27 +306,23 @@ def prewarm_thermal_tables(
     cache fingerprint.  Prewarm jobs for different benchmarks are
     independent, so a pool parallelizes characterization itself.
     """
-    cache_dir = DEFAULT_CACHE_DIR if cache_dir is None else Path(cache_dir)
-    tables = load_or_characterize(
+    return _spec_tables(spec, budget, cache_dir).fingerprint
+
+
+def _spec_tables(spec: BenchmarkSpec, budget: ExperimentBudget, cache_dir):
+    """One benchmark's thermal tables, disk-cached (default cache dir)."""
+    return load_or_characterize(
         spec.system.interposer,
-        _spec_sizes(spec),
+        system_sizes(spec.system),
         spec.thermal_config,
         position_samples=budget.position_samples,
-        cache_dir=cache_dir,
+        cache_dir=DEFAULT_CACHE_DIR if cache_dir is None else Path(cache_dir),
     )
-    return tables.fingerprint
 
 
 def build_evaluators(spec: BenchmarkSpec, budget: ExperimentBudget, cache_dir=None):
     """Characterize tables and build both thermal evaluators + rewards."""
-    cache_dir = DEFAULT_CACHE_DIR if cache_dir is None else Path(cache_dir)
-    tables = load_or_characterize(
-        spec.system.interposer,
-        _spec_sizes(spec),
-        spec.thermal_config,
-        position_samples=budget.position_samples,
-        cache_dir=cache_dir,
-    )
+    tables = _spec_tables(spec, budget, cache_dir)
     fast_model = FastThermalModel(tables, spec.thermal_config)
     # Fresh factorization per call = HotSpot-like per-evaluation cost.
     # Multi-chain SA still amortizes: solve_footprints_many factorizes

@@ -9,10 +9,10 @@ solved independently — so ``jobs=N`` shards the index range into
 contiguous chunks and fans them over a process pool.  Each chunk job
 replays the dataset generator from index 0 (generation is seeded from
 one RNG stream, so chunk ``[start, stop)`` must consume exactly the
-random draws the sequential run consumed before ``start``; generating
+random draws a one-chunk run consumed before ``start``; generating
 a system + placement costs microseconds against the milliseconds of its
 ground-truth solve), which makes sharded predictions **bitwise
-identical** to the sequential run at any worker count.
+identical** to the one-chunk ``jobs=1`` run at any worker count.
 """
 
 from __future__ import annotations
@@ -178,12 +178,13 @@ def run_table2(
 ) -> Table2Result:
     """Regenerate Table II on ``n_systems`` random systems.
 
-    ``jobs=1`` is the original sequential loop, kept bit for bit;
-    ``jobs=N`` prewarms the shared characterization once, then shards
-    the dataset into N contiguous chunks evaluated in worker processes.
-    Predictions/references (and therefore every accuracy metric) are
-    bitwise identical either way; only the per-eval timings — wall
-    clock, never deterministic — vary.
+    The shared characterization is prewarmed once, then the dataset is
+    sharded into ``jobs`` contiguous chunks through
+    :func:`repro.parallel.run_jobs`, as every other sweep is: ``jobs=1``
+    evaluates one ``[0, n)`` chunk in process, ``jobs=N`` evaluates N
+    chunks in worker processes.  Predictions/references (and therefore
+    every accuracy metric) are bitwise identical at any ``jobs``; only
+    the per-eval timings — wall clock, never deterministic — vary.
 
     ``store`` makes the sweep resumable: every shard publishes its
     chunk under a content-addressed key and a re-run skips published
@@ -207,79 +208,60 @@ def run_table2(
     store = as_store(store)
 
     t0 = time.perf_counter()
-    tables = _dataset_tables(config, position_samples, cache_dir)
+    _dataset_tables(config, position_samples, cache_dir)  # chunks load it
     characterization_time = time.perf_counter() - t0
 
-    if jobs <= 1 and store is None:
-        fast_model = FastThermalModel(tables, config)
-        # Fresh factorization per evaluation mirrors a HotSpot run's cost.
-        solver = GridThermalSolver(DATASET_INTERPOSER, config)
-
-        predictions, references = [], []
-        solver_time = fast_time = 0.0
-        for index, (system, placement) in enumerate(
-            synthetic_thermal_dataset(n_systems, seed=seed)
-        ):
-            ref = solver.evaluate(placement)
-            fast = fast_model.evaluate(placement)
-            solver_time += ref.elapsed
-            fast_time += fast.elapsed
-            references.append(ref.max_temperature)
-            predictions.append(fast.max_temperature)
-            if (index + 1) % 100 == 0:
-                _logger.info("table2: %d/%d systems", index + 1, n_systems)
-    else:
-        specs = [
-            JobSpec(
-                job_id=f"table2/{start}-{stop}",
-                fn=run_table2_chunk,
-                kwargs=dict(
-                    start=start,
-                    stop=stop,
-                    seed=seed,
-                    thermal_config=config,
-                    position_samples=position_samples,
-                    cache_dir=cache_dir,
-                ),
-                store_key=(
-                    _chunk_store_key(
-                        start, stop, seed, config, position_samples
-                    )
-                    if store is not None
-                    else None
-                ),
-            )
-            for start, stop in _chunk_ranges(
-                n_systems,
-                -(-n_systems // _STORE_CHUNK_SIZE)  # ceil division
-                if store is not None
-                else max(jobs, 1),
-            )
-        ]
-        outcome = run_jobs(
-            specs,
-            jobs=max(jobs, 1),
-            store=store,
-            policy=policy,
-            job_timeout=job_timeout,
-            keep_going=keep_going,
-            report=report,
-        )
-        predictions, references = [], []
-        solver_time = fast_time = 0.0
-        for spec in specs:  # submission order == index order
-            if spec.job_id not in outcome:
-                _logger.warning(
-                    "table2: shard %s was quarantined; metrics cover "
-                    "the surviving shards only",
-                    spec.job_id,
+    specs = [
+        JobSpec(
+            job_id=f"table2/{start}-{stop}",
+            fn=run_table2_chunk,
+            kwargs=dict(
+                start=start,
+                stop=stop,
+                seed=seed,
+                thermal_config=config,
+                position_samples=position_samples,
+                cache_dir=cache_dir,
+            ),
+            store_key=(
+                _chunk_store_key(
+                    start, stop, seed, config, position_samples
                 )
-                continue
-            chunk = outcome[spec.job_id]
-            predictions.extend(chunk["predictions"])
-            references.extend(chunk["references"])
-            solver_time += chunk["solver_time"]
-            fast_time += chunk["fast_time"]
+                if store is not None
+                else None
+            ),
+        )
+        for start, stop in _chunk_ranges(
+            n_systems,
+            -(-n_systems // _STORE_CHUNK_SIZE)  # ceil division
+            if store is not None
+            else max(jobs, 1),
+        )
+    ]
+    outcome = run_jobs(
+        specs,
+        jobs=max(jobs, 1),
+        store=store,
+        policy=policy,
+        job_timeout=job_timeout,
+        keep_going=keep_going,
+        report=report,
+    )
+    predictions, references = [], []
+    solver_time = fast_time = 0.0
+    for spec in specs:  # submission order == index order
+        if spec.job_id not in outcome:
+            _logger.warning(
+                "table2: shard %s was quarantined; metrics cover "
+                "the surviving shards only",
+                spec.job_id,
+            )
+            continue
+        chunk = outcome[spec.job_id]
+        predictions.extend(chunk["predictions"])
+        references.extend(chunk["references"])
+        solver_time += chunk["solver_time"]
+        fast_time += chunk["fast_time"]
 
     evaluated = len(predictions)
     metrics = error_metrics(predictions, references)

@@ -38,6 +38,7 @@ from repro.utils import get_logger
 __all__ = [
     "characterize_tables",
     "characterize_for_system",
+    "system_sizes",
     "load_or_characterize",
     "tables_fingerprint",
 ]
@@ -118,20 +119,26 @@ def characterize_tables(
     return tables
 
 
-def characterize_for_system(
-    system: ChipletSystem,
-    config: ThermalConfig | None = None,
-    position_samples: tuple = (5, 5),
-) -> ResistanceTables:
-    """Characterize every die size used by ``system``, rotatable dies in
-    both orientations."""
+def system_sizes(system: ChipletSystem) -> list:
+    """The die sizes ``system`` needs characterized: each die's
+    ``(width, height)``, plus its rotation for rotatable dies."""
     sizes = []
     for chiplet in system.chiplets:
         sizes.append((chiplet.width, chiplet.height))
         if chiplet.rotatable:
             sizes.append((chiplet.height, chiplet.width))
+    return sizes
+
+
+def characterize_for_system(
+    system: ChipletSystem,
+    config: ThermalConfig | None = None,
+    position_samples: tuple = (5, 5),
+) -> ResistanceTables:
+    """Characterize every die size used by ``system``
+    (:func:`system_sizes`)."""
     return characterize_tables(
-        system.interposer, sizes, config, position_samples
+        system.interposer, system_sizes(system), config, position_samples
     )
 
 

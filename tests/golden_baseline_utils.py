@@ -6,7 +6,11 @@ fast thermal model *and* on the ground-truth grid solver), the B*-tree
 annealer and random search — to the exact results the pre-refactor
 (one-evaluation-per-proposal) engines produced.  One chain of the
 lockstep engine reproduces them bit for bit; this golden is what
-enforces that.  The
+enforces that.  Both placers run through the one annealing path
+(``repro.baselines.sa.anneal`` over ``SimulatedAnnealing.run_chains``,
+configured by the one ``SAConfig``), so the ``tap25d``,
+``tap25d_hotspot`` and ``bstar`` records pin that path, and ``sa_toy``
+pins the bare engine.  The
 ``tap25d_hotspot`` record pins the grid solver's factorization through
 a whole annealing run; it was regenerated once, when the solver moved
 to its symmetric unpivoted ``splu`` (a 1e-10 relative reward shift).
@@ -22,7 +26,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.baselines import (
-    BStarConfig,
     BStarFloorplanner,
     SAConfig,
     SimulatedAnnealing,
@@ -99,7 +102,7 @@ def run_golden_baselines(calculator: RewardCalculator | None = None) -> dict:
     sa = SimulatedAnnealing(
         _toy_propose, _toy_evaluate, SAConfig(n_iterations=400, seed=7)
     )
-    sa_result = sa.run(initial_state=-8.0)
+    sa_result = sa.run_chains([-8.0])
 
     tap = TAP25DPlacer(
         system, calc, TAP25DConfig(n_iterations=150, seed=3)
@@ -109,7 +112,7 @@ def run_golden_baselines(calculator: RewardCalculator | None = None) -> dict:
         hotspot_calc.system, hotspot_calc, TAP25DConfig(n_iterations=40, seed=3)
     ).run()
     bstar = BStarFloorplanner(
-        system, calc, BStarConfig(n_iterations=100, seed=3)
+        system, calc, SAConfig(n_iterations=100, seed=3)
     ).run()
     rand = random_search(system, calc, n_samples=12, seed=3)
 

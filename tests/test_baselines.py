@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.baselines import (
+    BStarFloorplanner,
     SAConfig,
     SimulatedAnnealing,
     TAP25DConfig,
@@ -40,7 +41,7 @@ class TestSAEngine:
             self._evaluate,
             SAConfig(n_iterations=800, seed=0),
         )
-        result = sa.run(initial_state=-10.0)
+        result = sa.run_chains([-10.0])
         assert result.best_state == pytest.approx(3.0, abs=0.3)
         assert result.best_cost < 0.1
 
@@ -48,7 +49,7 @@ class TestSAEngine:
         sa = SimulatedAnnealing(
             self._propose, self._evaluate, SAConfig(n_iterations=200, seed=1)
         )
-        result = sa.run(0.0)
+        result = sa.run_chains([0.0])
         best_costs = [h["best_cost"] for h in result.history]
         assert all(b2 <= b1 + 1e-12 for b1, b2 in zip(best_costs, best_costs[1:]))
 
@@ -62,7 +63,7 @@ class TestSAEngine:
         sa = SimulatedAnnealing(
             propose, self._evaluate, SAConfig(n_iterations=50, seed=0)
         )
-        result = sa.run(0.0)
+        result = sa.run_chains([0.0])
         assert result.best_state == 0.0
         # Only the initial evaluation (+ calibration attempts) happened.
         assert result.n_evaluations == 1
@@ -73,7 +74,7 @@ class TestSAEngine:
             self._evaluate,
             SAConfig(n_iterations=100, initial_temperature=10.0, seed=0),
         )
-        result = sa.run(0.0)
+        result = sa.run_chains([0.0])
         assert result.n_evaluations >= 1
 
     def test_time_limit(self):
@@ -88,15 +89,13 @@ class TestSAEngine:
             slow_eval,
             SAConfig(n_iterations=10_000, time_limit=0.3, seed=0),
         )
-        result = sa.run(0.0)
+        result = sa.run_chains([0.0])
         assert result.elapsed < 5.0
         assert len(result.history) < 10_000
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SAConfig(n_iterations=0)
-        with pytest.raises(ValueError):
-            SAConfig(final_temperature=0.0)
 
 
 class TestTAP25D:
@@ -130,27 +129,6 @@ class TestTAP25D:
         validate_placement(result.placement)
         assert result.n_evaluations > 10
 
-    @pytest.mark.parametrize("n_chains", [1, 4])
-    def test_winner_breakdown_carried_out_of_anneal(
-        self, small_system, calculator, n_chains
-    ):
-        """The winner's breakdown comes from the anneal's own scoring:
-        no evaluation beyond the anneal's, and it equals a fresh
-        evaluation of the winning placement field for field."""
-        placer = TAP25DPlacer(
-            small_system,
-            calculator,
-            TAP25DConfig(n_iterations=40, seed=3, n_chains=n_chains),
-        )
-        before = calculator.evaluation_count
-        result = placer.run()
-        assert calculator.evaluation_count - before == result.n_evaluations
-        assert result.breakdown == calculator.evaluate(result.placement)
-
-    def test_move_mix_validation(self):
-        with pytest.raises(ValueError):
-            TAP25DConfig(displace_fraction=0.9, swap_fraction=0.3)
-
     def test_time_matched_budget(self, small_system, calculator):
         placer = TAP25DPlacer(
             small_system,
@@ -159,6 +137,36 @@ class TestTAP25D:
         )
         result = placer.run()
         assert result.elapsed < 15.0
+
+
+class TestAnneal:
+    """The one annealing path both placers run through."""
+
+    @pytest.mark.parametrize(
+        "placer_cls,n_chains",
+        [
+            pytest.param(TAP25DPlacer, 1, id="tap25d-1"),
+            pytest.param(TAP25DPlacer, 3, id="tap25d-3"),
+            pytest.param(BStarFloorplanner, 1, id="bstar-1"),
+            pytest.param(BStarFloorplanner, 3, id="bstar-3"),
+        ],
+    )
+    def test_winner_breakdown_carried_out_of_anneal(
+        self, small_system, calculator, placer_cls, n_chains
+    ):
+        """The winner's breakdown comes from the anneal's own scoring:
+        no evaluation beyond the anneal's, and it equals a fresh
+        evaluation of the winning placement (for the B*-tree, of the
+        winning tree's packing) field for field."""
+        placer = placer_cls(
+            small_system,
+            calculator,
+            SAConfig(n_iterations=40, seed=3, n_chains=n_chains),
+        )
+        before = calculator.evaluation_count
+        result = placer.run()
+        assert calculator.evaluation_count - before == result.n_evaluations
+        assert result.breakdown == calculator.evaluate(result.placement)
 
 
 class TestRandomSearch:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.baselines import BStarConfig, BStarFloorplanner, BStarTree
+from repro.baselines import BStarFloorplanner, BStarTree, SAConfig
 from repro.chiplet import Chiplet, ChipletSystem, Interposer
 from repro.chiplet.validate import placement_violations, validate_placement
 from repro.reward import RewardCalculator, RewardConfig
@@ -90,40 +90,19 @@ class TestBStarTree:
 
 
 class TestBStarFloorplanner:
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            BStarConfig(rotate_fraction=0.5, swap_fraction=0.5, move_fraction=0.5)
-
     def test_run_produces_legal_floorplan(self, small_system, calculator):
         planner = BStarFloorplanner(
-            small_system, calculator, BStarConfig(n_iterations=60, seed=0)
+            small_system, calculator, SAConfig(n_iterations=60, seed=0)
         )
         result = planner.run()
         validate_placement(result.placement)
         assert result.reward < 0.0
         assert result.n_evaluations > 5
 
-    @pytest.mark.parametrize("n_chains", [1, 4])
-    def test_winner_breakdown_carried_out_of_anneal(
-        self, small_system, calculator, n_chains
-    ):
-        """The winning tree's breakdown comes from the anneal's own
-        scoring: no evaluation beyond the anneal's, and it equals a
-        fresh evaluation of the winning packing field for field."""
-        planner = BStarFloorplanner(
-            small_system,
-            calculator,
-            BStarConfig(n_iterations=40, seed=3, n_chains=n_chains),
-        )
-        before = calculator.evaluation_count
-        result = planner.run()
-        assert calculator.evaluation_count - before == result.n_evaluations
-        assert result.breakdown == calculator.evaluate(result.placement)
-
     def test_compaction_tradeoff_vs_spread(self, small_system, calculator):
         """The compacted baseline should run hotter than a spread layout."""
         planner = BStarFloorplanner(
-            small_system, calculator, BStarConfig(n_iterations=40, seed=0)
+            small_system, calculator, SAConfig(n_iterations=40, seed=0)
         )
         result = planner.run()
         from repro.baselines import random_search
@@ -148,7 +127,7 @@ class TestBStarFloorplanner:
             ),
         )
         calc = _FakeCalc()
-        planner = BStarFloorplanner(system, calc, BStarConfig(n_iterations=5))
+        planner = BStarFloorplanner(system, calc, SAConfig(n_iterations=5))
         with pytest.raises(RuntimeError, match="no legal compacted"):
             planner.run()
 

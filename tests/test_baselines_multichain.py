@@ -18,7 +18,6 @@ import numpy as np
 import pytest
 
 from repro.baselines import (
-    BStarConfig,
     BStarFloorplanner,
     SAConfig,
     SAHistory,
@@ -72,7 +71,7 @@ class TestMultiChainEngine:
         config = SAConfig(n_iterations=400, seed=11)
         sequential = SimulatedAnnealing(
             _toy_propose, _toy_evaluate_many, config
-        ).run(-6.0)
+        ).run_chains([-6.0])
         multi = SimulatedAnnealing(
             _toy_propose, _toy_evaluate_many, config
         ).run_chains([-6.0])
@@ -90,7 +89,7 @@ class TestMultiChainEngine:
         config = SAConfig(n_iterations=250, seed=42, n_chains=chains)
         multi = SimulatedAnnealing(
             _toy_propose, _toy_evaluate_many, config
-        ).run(-4.0)
+        ).run_chains([-4.0] * chains)
         assert multi.n_chains == chains
         best_costs = []
         for c in range(chains):
@@ -98,7 +97,7 @@ class TestMultiChainEngine:
                 _toy_propose,
                 _toy_evaluate_many,
                 SAConfig(n_iterations=250, seed=42 + c),
-            ).run(-4.0)
+            ).run_chains([-4.0])
             assert multi.chain_best_costs[c] == solo.best_cost
             best_costs.append(solo.best_cost)
         assert multi.best_cost == min(best_costs)
@@ -108,7 +107,7 @@ class TestMultiChainEngine:
             _toy_propose,
             _toy_evaluate_many,
             SAConfig(n_iterations=100, seed=0, n_chains=3),
-        ).run(0.0)
+        ).run_chains([0.0] * 3)
         assert multi.n_chains == 3
         assert len(multi.chain_best_costs) == 3
 
@@ -119,7 +118,7 @@ class TestMultiChainEngine:
             SAConfig(
                 n_iterations=100, seed=0, n_chains=4, initial_temperature=5.0
             ),
-        ).run(0.0)
+        ).run_chains([0.0] * 4)
         assert multi.best_cost <= _toy_evaluate(0.0)
 
     def test_all_none_proposals(self):
@@ -128,7 +127,7 @@ class TestMultiChainEngine:
             _toy_evaluate_many,
             SAConfig(n_iterations=50, seed=0, n_chains=3),
         )
-        result = sa.run(1.0)
+        result = sa.run_chains([1.0] * 3)
         # Only the three initial evaluations happened.
         assert result.n_evaluations == 3
         assert result.best_state == 1.0
@@ -145,7 +144,7 @@ class TestSAHistoryColumns:
             _toy_evaluate_many,
             SAConfig(n_iterations=120, seed=1),
         )
-        result = sa.run(0.0)
+        result = sa.run_chains([0.0])
         history = result.history
         assert isinstance(history, SAHistory)
         assert len(history) > 0
@@ -165,10 +164,10 @@ class TestSAHistoryColumns:
         )
         engine = SimulatedAnnealing(_toy_propose, _toy_evaluate_many, config)
         snapshots = []
-        full = engine.run(0.0, checkpoint_fn=snapshots.append)
+        full = engine.run_chains([0.0] * 3, checkpoint_fn=snapshots.append)
         snapshot = dict(snapshots[1])
         snapshot["history"] = {**snapshot["history"], "stride": 1}
-        resumed = engine.run(0.0, resume_state=snapshot)
+        resumed = engine.run_chains([0.0] * 3, resume_state=snapshot)
         assert resumed.best_cost == full.best_cost
         assert resumed.best_state == full.best_state
         assert np.array_equal(
@@ -181,7 +180,7 @@ class TestSAHistoryColumns:
 
         result = SimulatedAnnealing(
             _toy_propose, _toy_evaluate_many, SAConfig(n_iterations=60, seed=3)
-        ).run(0.0)
+        ).run_chains([0.0])
         path = tmp_path / "history.csv"
         history_to_csv(result.history, path)
         lines = path.read_text().strip().splitlines()
@@ -191,7 +190,7 @@ class TestSAHistoryColumns:
     def test_slice_access(self):
         result = SimulatedAnnealing(
             _toy_propose, _toy_evaluate_many, SAConfig(n_iterations=60, seed=4)
-        ).run(0.0)
+        ).run_chains([0.0])
         head = result.history[:3]
         assert len(head) == 3
         assert head[0] == result.history[0]
@@ -295,7 +294,7 @@ class TestMultiChainPlacers:
         result = BStarFloorplanner(
             small_system,
             calculator,
-            BStarConfig(n_iterations=50, seed=0, n_chains=3),
+            SAConfig(n_iterations=50, seed=0, n_chains=3),
         ).run()
         validate_placement(result.placement)
         assert result.n_evaluations > 50
@@ -324,4 +323,4 @@ class TestMultiChainPlacers:
         with pytest.raises(ValueError):
             TAP25DConfig(n_chains=0)
         with pytest.raises(ValueError):
-            BStarConfig(n_chains=0)
+            SAConfig(n_chains=0)

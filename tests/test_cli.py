@@ -100,8 +100,10 @@ class TestBudgetConstruction:
         assert captured["store"].root == tmp_path / "rs"
 
     def test_one_chain_accepted_width_one_rejected(
-        self, monkeypatch, fake_results, capsys
+        self, monkeypatch, fake_results
     ):
+        """One annealing chain is accepted; width one is rejected by the
+        budget, see ``test_invalid_budget_is_a_usage_error``."""
         captured = {}
 
         def fake_run_table1(budget, **kwargs):
@@ -112,13 +114,6 @@ class TestBudgetConstruction:
         # One annealing chain is one chain of the lockstep engine.
         cli.main(["table1", "--sa-chains", "1"])
         assert captured["budget"].sa_chains == 1
-        # Rollout waves need two episodes: rejected at parse time.
-        captured.clear()
-        with pytest.raises(SystemExit) as excinfo:
-            cli.main(["table1", "--batch-size", "1"])
-        assert excinfo.value.code != 0
-        assert "--batch-size must be >= 2" in capsys.readouterr().err
-        assert not captured
 
     def test_sa_incremental_and_reuse_lu_flags(
         self, monkeypatch, fake_results
@@ -308,6 +303,8 @@ def test_nonpositive_job_timeout_rejected(timeout, monkeypatch):
         (["--grid", "-3"], "grid_size"),
         (["--sa-chains", "0"], "sa_chains"),
         (["--sa-iters", "0"], "sa_iterations_hotspot"),
+        # Rollout waves need two episodes.
+        (["--batch-size", "1"], "rollout_batch_size"),
     ],
 )
 def test_invalid_budget_is_a_usage_error(flags, field, monkeypatch):

@@ -51,7 +51,8 @@ from golden_experiments_utils import (
 )
 from repro.agent import ActorCritic, RLPlannerTrainer, TrainerConfig
 from repro.baselines import TAP25DConfig, TAP25DPlacer
-from repro.baselines.bstar import BStarConfig, BStarFloorplanner
+from repro.baselines import SAConfig
+from repro.baselines.bstar import BStarFloorplanner
 from repro.env import BatchedFloorplanEnv, EnvConfig
 from repro.experiments.ablations import run_ablations
 from repro.experiments.runner import (
@@ -654,13 +655,13 @@ class TestSAResume:
             return BStarFloorplanner(
                 small_system,
                 sa_calculator,
-                BStarConfig(
+                SAConfig(
                     n_iterations=40, seed=2, checkpoint_every=checkpoint_every
                 ),
             )
 
         reference = BStarFloorplanner(
-            small_system, sa_calculator, BStarConfig(n_iterations=40, seed=2)
+            small_system, sa_calculator, SAConfig(n_iterations=40, seed=2)
         ).run()
         _run_killed_then_resumed(make, reference)
 
@@ -669,7 +670,7 @@ class TestSAResume:
             return BStarFloorplanner(
                 small_system,
                 sa_calculator,
-                BStarConfig(
+                SAConfig(
                     n_iterations=40,
                     seed=2,
                     n_chains=3,
@@ -680,7 +681,7 @@ class TestSAResume:
         reference = BStarFloorplanner(
             small_system,
             sa_calculator,
-            BStarConfig(n_iterations=40, seed=2, n_chains=3),
+            SAConfig(n_iterations=40, seed=2, n_chains=3),
         ).run()
         _run_killed_then_resumed(make, reference)
 

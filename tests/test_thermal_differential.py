@@ -324,11 +324,13 @@ class TestHotSpotArmMultiChain:
                 ),
             )
 
-        multi = make_engine(11, self.N_CHAINS).run(initial)
+        multi = make_engine(11, self.N_CHAINS).run_chains(
+            [initial] * self.N_CHAINS
+        )
         assert multi.n_chains == self.N_CHAINS
         sequential_best = []
         for c in range(self.N_CHAINS):
-            solo = make_engine(11 + c, 1).run(initial)
+            solo = make_engine(11 + c, 1).run_chains([initial])
             assert multi.chain_best_costs[c] == solo.best_cost, (
                 f"chain {c} diverged from its sequential twin"
             )
