@@ -130,7 +130,7 @@ def snapshot_results(store: Path) -> dict:
         str(path.relative_to(store)): hashlib.sha256(
             path.read_bytes()
         ).hexdigest()
-        for path in sorted(root.rglob("*.pkl"))
+        for path in sorted(root.rglob("*.npz"))
     }
 
 

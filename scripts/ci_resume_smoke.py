@@ -104,7 +104,7 @@ def snapshot_results(store: Path) -> dict:
     root = store / "results"
     if not root.exists():
         return results
-    for path in sorted(root.rglob("*.pkl")):
+    for path in sorted(root.rglob("*.npz")):
         stat = path.stat()
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         results[str(path.relative_to(store))] = (stat.st_mtime_ns, digest)
@@ -237,6 +237,9 @@ def main(argv=None) -> int:
     print("\n=== completed sweep re-run (--resume) ===")
     run_sweep(store, workdir / "rerun_out", args.jobs, env)
     after_rerun = snapshot_results(store)
+    # Non-empty first: were the result files not found at all, the
+    # equality below would compare two empty snapshots and pass.
+    assert after_rerun, f"no published results found under {store}/results"
     assert after_rerun == after_resume, (
         "re-running a completed sweep touched store artifacts "
         "(method-arm jobs executed)"

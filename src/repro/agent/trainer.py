@@ -173,10 +173,6 @@ class TrainingResult:
     elapsed: float
     deadlock_count: int = 0
 
-    @property
-    def final_mean_reward(self) -> float:
-        return self.history[-1]["mean_reward"] if self.history else float("nan")
-
 
 def _improves_best(
     reward: float, episode: int, best_reward: float, best_episode: int
@@ -664,10 +660,9 @@ class RLPlannerTrainer:
     def load_checkpoint(self, path) -> None:
         """Load a checkpoint written by :meth:`save_checkpoint`.
 
-        Legacy weight-only archives raise
-        :class:`~repro.nn.LegacyCheckpointError` — they have no
-        optimizer, RNG or progress state, so "loading" one would
-        silently resume with reset Adam moments and a fresh RNG.
+        Anything else — a payload of another kind, or bytes that are
+        not a sealed payload — raises instead of resuming with reset
+        Adam moments and a fresh RNG.
         """
         self.load_state_dict(load_payload(path, kind=TRAINER_CHECKPOINT_KIND))
 

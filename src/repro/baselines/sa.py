@@ -240,6 +240,9 @@ class SimulatedAnnealing:
         ``temperature`` is the chain mean, ``current_cost``/``best_cost``
         are population minima.
 
+        ``initial_states`` holds one state per chain:
+        ``len(initial_states)`` must equal ``config.n_chains``.
+
         ``resume_state`` is a snapshot previously handed to
         ``checkpoint_fn``; the run continues from that iteration,
         restores every chain's RNG, temperature and incumbent, and is
@@ -248,8 +251,11 @@ class SimulatedAnnealing:
         """
         cfg = self.config
         chains = len(initial_states)
-        if chains < 1:
-            raise ValueError("run_chains needs at least one initial state")
+        if chains != cfg.n_chains:
+            raise ValueError(
+                f"run_chains got {chains} initial states for "
+                f"n_chains={cfg.n_chains}"
+            )
         rngs = [np.random.default_rng(cfg.seed + c) for c in range(chains)]
         history = SAHistory(cfg.n_iterations)
 

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import networkx as nx
-
 from repro.chiplet.chiplet import Chiplet
 from repro.geometry import Rect
 
@@ -125,20 +123,6 @@ class ChipletSystem:
     @property
     def total_wires(self) -> int:
         return sum(n.wires for n in self.nets)
-
-    def connectivity_graph(self) -> nx.Graph:
-        """Undirected chiplet graph with ``wires`` edge weights.
-
-        Parallel nets between the same pair are merged by summing wires.
-        """
-        graph = nx.Graph()
-        graph.add_nodes_from(self.chiplet_names)
-        for net in self.nets:
-            if graph.has_edge(net.src, net.dst):
-                graph[net.src][net.dst]["wires"] += net.wires
-            else:
-                graph.add_edge(net.src, net.dst, wires=net.wires)
-        return graph
 
     def placement_order(self) -> tuple:
         """Canonical sequential-placement order used by agent and env.

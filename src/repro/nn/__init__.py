@@ -18,20 +18,17 @@ from repro.nn.layers import (
     Sequential,
     Tanh,
 )
-from repro.nn.optim import SGD, Adam, clip_grad_norm
+from repro.nn.optim import Adam, clip_grad_norm
 from repro.nn.distributions import MaskedCategorical
 from repro.nn.init import kaiming_uniform, orthogonal
 from repro.nn.serialization import (
     CHECKPOINT_SCHEMA_VERSION,
     CheckpointSchemaError,
-    LegacyCheckpointError,
     PayloadIntegrityError,
     dumps_payload,
     load_payload,
-    load_state_dict,
     loads_payload,
     save_payload,
-    save_state_dict,
 )
 
 __all__ = [
@@ -46,19 +43,15 @@ __all__ = [
     "Tanh",
     "Flatten",
     "Adam",
-    "SGD",
     "clip_grad_norm",
     "MaskedCategorical",
     "kaiming_uniform",
     "orthogonal",
-    "save_state_dict",
-    "load_state_dict",
     "save_payload",
     "load_payload",
     "dumps_payload",
     "loads_payload",
     "CHECKPOINT_SCHEMA_VERSION",
     "CheckpointSchemaError",
-    "LegacyCheckpointError",
     "PayloadIntegrityError",
 ]

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["SGD", "Adam", "clip_grad_norm"]
+__all__ = ["Adam", "clip_grad_norm"]
 
 
 def clip_grad_norm(parameters, max_norm: float) -> float:
@@ -19,33 +19,6 @@ def clip_grad_norm(parameters, max_norm: float) -> float:
         for p in params:
             p.grad *= scale
     return total
-
-
-class SGD:
-    """Plain (optionally momentum) stochastic gradient descent."""
-
-    def __init__(self, parameters, lr: float = 1e-2, momentum: float = 0.0):
-        if lr <= 0:
-            raise ValueError("lr must be positive")
-        self.parameters = list(parameters)
-        self.lr = lr
-        self.momentum = momentum
-        self._velocity = [np.zeros_like(p.data) for p in self.parameters]
-
-    def zero_grad(self) -> None:
-        for p in self.parameters:
-            p.zero_grad()
-
-    def step(self) -> None:
-        for p, v in zip(self.parameters, self._velocity):
-            if p.grad is None:
-                continue
-            if self.momentum:
-                v *= self.momentum
-                v += p.grad
-                p.data -= self.lr * v
-            else:
-                p.data -= self.lr * p.grad
 
 
 class Adam:

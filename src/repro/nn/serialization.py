@@ -1,29 +1,25 @@
-"""Checkpointing: state dicts and versioned payloads to/from ``.npz``.
+"""The one byte format: versioned, sealed payloads.
 
-Two layers:
+Everything the program persists or ships between processes goes
+through this codec: trainer and annealer checkpoints, the run store's
+results and checkpoints, the thermal-table cache and the policy
+weights the distributed collector broadcasts to its workers.
 
-* :func:`save_state_dict` / :func:`load_state_dict` — the original flat
-  ``{name: array}`` archive.  Still used for weight-only exports; a
-  file written this way carries **no** schema marker.
-* :func:`save_payload` / :func:`load_payload` — the versioned
-  checkpoint schema (``CHECKPOINT_SCHEMA_VERSION``).  A payload is an
-  arbitrarily nested dict whose leaves may be numpy arrays, JSON
-  scalars (int/float/bool/str/None — including the arbitrary-precision
-  integers inside ``bit_generator.state``), or any picklable object
-  (reward breakdowns, placements).  Arrays land natively in the
-  ``.npz``; everything else is described by a JSON ``__meta__`` tree
-  so floats and big ints round-trip **bitwise** (Python's JSON float
-  repr is shortest-exact, and its ints are unbounded).
-* :func:`dumps_payload` / :func:`loads_payload` — the same schema,
-  round-tripped through ``bytes`` instead of a file.  This is how the
-  distributed episode collector ships the trainer's policy weights to
-  its worker processes once per epoch: the bytes a worker decodes are
-  exactly the bytes :func:`save_payload` would have written.
+* :func:`save_payload` / :func:`load_payload` — a payload to/from a
+  file (atomic write).
+* :func:`dumps_payload` / :func:`loads_payload` — the same bytes,
+  round-tripped through ``bytes`` instead of a file.
 
-The split exists so resumable checkpoints can be told apart from legacy
-weight-only files: :func:`load_payload` raises
-:class:`LegacyCheckpointError` on an archive without ``__meta__``
-instead of silently resuming with reset optimizer/RNG state.
+A payload is an arbitrarily nested dict whose leaves may be numpy
+arrays, JSON scalars (int/float/bool/str/None — including the
+arbitrary-precision integers inside ``bit_generator.state``), or any
+picklable object (reward breakdowns, placements).  Arrays land natively
+in an ``.npz`` archive; everything else is described by a JSON
+``__meta__`` tree, so floats and big ints round-trip **bitwise**
+(Python's JSON float repr is shortest-exact, and its ints are
+unbounded).  The tree also records the schema version
+(``CHECKPOINT_SCHEMA_VERSION``) and a ``kind`` tag, and
+:func:`loads_payload` refuses a payload of another version or kind.
 
 **Member layout.**  A payload archive is a plain ``.npz`` (one
 ``.npy`` member per slot) whose compression is chosen per member from
@@ -33,17 +29,12 @@ float32 weights barely deflate (a ``multi_gpu`` grid-32 policy payload:
 8.46 MB stored, 7.83 MB deflated) and deflating takes 0.41 s against
 0.01 s; the members holding pickled objects (episodes, placements,
 breakdowns) and the JSON ``__meta__`` tree are **deflated**
-(``ZIP_DEFLATED``), because pickled episodes shrink about 45x.  A
-trainer checkpoint is written about twenty times faster; it grows
-more, because Adam moments of policy-head columns that never received
-a gradient are zeros that deflate well (measured: 17.9 -> 25.4 MB for
-that trainer after one epoch).
-``np.load`` reads stored and deflated members alike, so archives
-written before this layout (``np.savez_compressed`` throughout) still
-load bitwise; nothing in the schema version depends on it.
+(``ZIP_DEFLATED``), because pickled episodes shrink about 45x.
+``np.load`` reads stored and deflated members alike.
 
 Every payload (bytes or file) is sealed with a SHA-256 **integrity
-footer**: truncated or bit-flipped payloads fail loudly as
+footer**, and bytes without a valid footer never decode: truncated,
+bit-flipped or unsealed payloads fail loudly as
 :class:`PayloadIntegrityError` — an ``OSError`` subclass, so the retry
 policy classifies corruption-in-transit as transient (re-broadcast /
 re-read) while the store's corrupt-quarantine path still catches it as
@@ -66,10 +57,7 @@ from repro.parallel.cache import atomic_replace
 __all__ = [
     "CHECKPOINT_SCHEMA_VERSION",
     "CheckpointSchemaError",
-    "LegacyCheckpointError",
     "PayloadIntegrityError",
-    "save_state_dict",
-    "load_state_dict",
     "save_payload",
     "load_payload",
     "dumps_payload",
@@ -99,12 +87,6 @@ class CheckpointSchemaError(RuntimeError):
     """The checkpoint's schema version or kind does not match."""
 
 
-class LegacyCheckpointError(CheckpointSchemaError):
-    """A weight-only legacy archive was given where a full versioned
-    checkpoint is required (it has no optimizer/RNG payload to resume
-    from)."""
-
-
 class PayloadIntegrityError(CheckpointSchemaError, OSError):
     """The payload bytes fail their SHA-256 integrity footer.
 
@@ -123,37 +105,19 @@ def _seal(data: bytes) -> bytes:
 
 
 def _unseal(data: bytes, source: str) -> bytes:
-    """Verify and strip the integrity footer; raise on any mismatch.
-
-    Bytes without the footer magic fall through unchanged: legacy
-    archives (schema v2 payloads, weight-only state dicts) must keep
-    raising their specific, actionable errors downstream
-    (``CheckpointSchemaError`` version mismatch /
-    ``LegacyCheckpointError``) rather than a generic corruption one.
-    """
+    """Verify and strip the integrity footer; raise on any mismatch."""
+    body, footer = data[:-_FOOTER_BYTES], data[-_FOOTER_BYTES:]
     if (
-        len(data) >= _FOOTER_BYTES
-        and data[-_FOOTER_BYTES : -_DIGEST_BYTES] == _FOOTER_MAGIC
+        len(data) < _FOOTER_BYTES
+        or footer[: len(_FOOTER_MAGIC)] != _FOOTER_MAGIC
+        or hashlib.sha256(body).digest() != footer[len(_FOOTER_MAGIC) :]
     ):
-        body, digest = data[:-_FOOTER_BYTES], data[-_DIGEST_BYTES:]
-        if hashlib.sha256(body).digest() != digest:
-            raise PayloadIntegrityError(
-                f"{source}: payload bytes fail their SHA-256 integrity "
-                "footer — the archive was corrupted in transit or on disk"
-            )
-        return body
-    return data
-
-
-def save_state_dict(state: dict, path) -> None:
-    """Write a ``{name: array}`` state dict to ``path`` (.npz)."""
-    np.savez_compressed(Path(path), **state)
-
-
-def load_state_dict(path) -> dict:
-    """Read a state dict previously written by :func:`save_state_dict`."""
-    with np.load(Path(path)) as data:
-        return {key: data[key].copy() for key in data.files}
+        raise PayloadIntegrityError(
+            f"{source}: payload bytes fail their SHA-256 integrity "
+            "footer — the archive was truncated or corrupted in transit "
+            "or on disk"
+        )
+    return body
 
 
 # ----------------------------------------------------------------------
@@ -267,12 +231,8 @@ def _write_npz(buffer, arrays: dict, deflated: set) -> None:
 def _unpack(arrays: dict, kind: str | None, source: str) -> dict:
     """Decode a ``{slot: array}`` mapping back into the payload."""
     if _META_KEY not in arrays:
-        raise LegacyCheckpointError(
-            f"{source} is a legacy weight-only state dict (no {_META_KEY!r} "
-            "schema marker): it carries no optimizer, RNG or progress "
-            "state and cannot resume a run.  Re-save it with "
-            "save_payload / RLPlannerTrainer.save_checkpoint, or load "
-            "the raw weights explicitly via load_state_dict."
+        raise CheckpointSchemaError(
+            f"{source}: archive has no {_META_KEY!r} schema marker"
         )
     meta = json.loads(arrays.pop(_META_KEY).tobytes().decode("utf-8"))
     if meta.get("format") != _FORMAT:
@@ -311,8 +271,8 @@ def save_payload(payload: dict, path, kind: str) -> None:
     path = Path(path)
     if not path.suffix:
         path = path.with_suffix(".npz")  # historical np.savez convention
-    with atomic_replace(path, suffix=".npz") as tmp:
-        Path(tmp).write_bytes(data)
+    with atomic_replace(path) as tmp:
+        tmp.write_bytes(data)
 
 
 def load_payload(path, kind: str | None = None) -> dict:
@@ -320,11 +280,9 @@ def load_payload(path, kind: str | None = None) -> dict:
 
     Raises
     ------
-    LegacyCheckpointError
-        The file is a plain (weight-only) state-dict archive with no
-        schema marker — it cannot seed a bitwise resume.
     PayloadIntegrityError
-        The file fails its integrity footer (corrupted/truncated).
+        The file fails its integrity footer (corrupted, truncated or
+        never sealed).
     CheckpointSchemaError
         Schema version or ``kind`` mismatch.
     """
@@ -353,17 +311,15 @@ def loads_payload(
 ) -> dict:
     """Decode a payload produced by :func:`dumps_payload`.
 
-    Verifies the integrity footer first; an archive that then fails to
-    parse at all (a truncation that also destroyed the footer) raises
-    :class:`PayloadIntegrityError` rather than a raw zip error.
+    Verifies the integrity footer first; sealed bytes that then fail to
+    parse at all raise :class:`PayloadIntegrityError` rather than a raw
+    zip error.
     """
     body = _unseal(data, source)
     try:
         with np.load(io.BytesIO(body)) as npz:
             # Each access reads a fresh, writable array out of the zip.
             arrays = {key: npz[key] for key in npz.files}
-    except PayloadIntegrityError:
-        raise
     except Exception as error:
         raise PayloadIntegrityError(
             f"{source}: payload bytes are not a readable archive "

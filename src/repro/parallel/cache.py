@@ -100,17 +100,15 @@ class FileLock:
 
 
 @contextlib.contextmanager
-def atomic_replace(path, suffix: str = ""):
+def atomic_replace(path):
     """Yield a temp path; on success rename it onto ``path`` atomically.
 
-    ``suffix`` lets writers that key on the extension (``np.savez``
-    appends ``.npz`` to anything else) produce the format they would
-    produce at the final path.  The temp file lives in the destination
-    directory so the final ``os.replace`` stays on one filesystem.
+    The temp file lives in the destination directory so the final
+    ``os.replace`` stays on one filesystem.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp{suffix}")
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         yield tmp
         os.replace(tmp, path)

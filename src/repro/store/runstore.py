@@ -13,11 +13,15 @@ experiment arm, an ablation variant, a Table II dataset shard) a stable
   bitwise-identical final output, and the slot is cleared on
   completion).
 
-Both slots use the :mod:`repro.parallel.cache` discipline — a sidecar
-:class:`~repro.parallel.cache.FileLock` around writes and
-write-temp-then-``os.replace`` publication — so any number of worker
-processes can share one store directory: readers see a complete
-artifact or none, never a torn one.
+Both slots hold sealed payloads (:func:`repro.nn.dumps_payload`:
+versioned, kind-tagged, SHA-256 footer), one kind for results and one
+for checkpoints, and both use the :mod:`repro.parallel.cache`
+discipline — a sidecar :class:`~repro.parallel.cache.FileLock` around
+writes and write-temp-then-``os.replace`` publication — so any number
+of worker processes can share one store directory: readers see a
+complete artifact or none, never a torn one.  An artifact that fails to
+decode (torn disk, bit rot, a different schema) is quarantined to
+``*.corrupt`` and reads as a miss, never as a different value.
 
 Cache invalidation is by key construction: a changed budget, seed,
 benchmark definition or ``STORE_SCHEMA_VERSION`` produces a different
@@ -26,8 +30,8 @@ garbage-collected by deleting the store directory).
 
 Layout on disk::
 
-    <root>/results/<key[:2]>/<key>.pkl
-    <root>/checkpoints/<key[:2]>/<key>.ckpt.pkl
+    <root>/results/<key[:2]>/<key>.npz
+    <root>/checkpoints/<key[:2]>/<key>.ckpt.npz
 """
 
 from __future__ import annotations
@@ -35,10 +39,10 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import pickle
 import threading
 from pathlib import Path
 
+from repro.nn.serialization import dumps_payload, loads_payload
 from repro.parallel import chaos
 from repro.parallel.cache import FileLock, atomic_replace
 from repro.utils import get_logger
@@ -54,8 +58,14 @@ __all__ = ["DEFAULT_STORE_DIR", "RunStore", "STORE_SCHEMA_VERSION", "store_key"]
 #: and blocked characterization moved every thermal figure at the 1e-10
 #: level, so results and checkpoints from v1 are not resumed into it.
 #: v3: the policy network trains in float32, so float64-era results and
-#: checkpoints are orphaned rather than resumed.
-STORE_SCHEMA_VERSION = 3
+#: checkpoints are orphaned rather than resumed.  v4: artifacts are
+#: sealed payloads instead of raw pickles, so pickle-era files are
+#: orphaned rather than quarantined.
+STORE_SCHEMA_VERSION = 4
+
+#: Payload kinds of the two slots.
+RESULT_KIND = "store-result"
+CHECKPOINT_KIND = "store-checkpoint"
 
 DEFAULT_STORE_DIR = Path(".cache/runstore")
 
@@ -125,10 +135,10 @@ class RunStore:
     # -- paths ----------------------------------------------------------
 
     def result_path(self, key: str) -> Path:
-        return self.root / "results" / key[:2] / f"{key}.pkl"
+        return self.root / "results" / key[:2] / f"{key}.npz"
 
     def checkpoint_path(self, key: str) -> Path:
-        return self.root / "checkpoints" / key[:2] / f"{key}.ckpt.pkl"
+        return self.root / "checkpoints" / key[:2] / f"{key}.ckpt.npz"
 
     # -- results --------------------------------------------------------
 
@@ -137,7 +147,7 @@ class RunStore:
 
     def fetch(self, key: str) -> tuple:
         """``(hit, value)`` — distinguishes a stored ``None`` from a miss."""
-        value = self._read(self.result_path(key))
+        value = self._read(self.result_path(key), RESULT_KIND)
         if value is _MISS:
             with self._counter_lock:
                 self.misses += 1
@@ -157,16 +167,16 @@ class RunStore:
 
     def put(self, key: str, value) -> None:
         """Publish a completed result (atomic; last writer wins)."""
-        self._write(self.result_path(key), value)
+        self._write(self.result_path(key), value, RESULT_KIND)
 
     # -- checkpoints ----------------------------------------------------
 
     def save_checkpoint(self, key: str, payload) -> None:
         """Overwrite the key's in-flight checkpoint (atomic)."""
-        self._write(self.checkpoint_path(key), payload)
+        self._write(self.checkpoint_path(key), payload, CHECKPOINT_KIND)
 
     def load_checkpoint(self, key: str, default=None):
-        value = self._read(self.checkpoint_path(key))
+        value = self._read(self.checkpoint_path(key), CHECKPOINT_KIND)
         return default if value is _MISS else value
 
     def clear_checkpoint(self, key: str) -> None:
@@ -180,13 +190,13 @@ class RunStore:
     # -- plumbing -------------------------------------------------------
 
     @staticmethod
-    def _read(path: Path):
+    def _read(path: Path, kind: str):
         try:
             blob = path.read_bytes()
         except FileNotFoundError:
             return _MISS
         try:
-            return pickle.loads(blob)
+            return loads_payload(blob, kind, source=str(path))["value"]
         except Exception:
             # Truncated/corrupt artifact (torn disk, killed writer on a
             # filesystem without atomic replace...).  Quarantine it —
@@ -213,8 +223,8 @@ class RunStore:
         )
 
     @staticmethod
-    def _write(path: Path, value) -> None:
-        blob = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+    def _write(path: Path, value, kind: str) -> None:
+        blob = dumps_payload({"value": value}, kind)
         chaos.maybe_fail("store.write", path.name)
         with FileLock(path.with_name(path.name + ".lock")):
             with atomic_replace(path) as tmp:

@@ -16,7 +16,8 @@ orientation of rotatable dies):
 
 This is exactly the paper's characterization recipe, with our grid
 solver standing in for HotSpot.  Tables depend only on the package
-geometry and the set of die sizes, so they are cached to ``.npz`` keyed
+geometry and the set of die sizes, so they are cached as one sealed
+payload (:meth:`~repro.thermal.fast_model.ResistanceTables.save`) keyed
 by a fingerprint of those inputs.
 """
 
@@ -29,7 +30,7 @@ import numpy as np
 
 from repro.chiplet import ChipletSystem, Interposer
 from repro.geometry import Rect
-from repro.parallel.cache import FileLock, atomic_replace
+from repro.parallel.cache import FileLock
 from repro.thermal.config import ThermalConfig
 from repro.thermal.fast_model import ResistanceTables, SizeTables, size_key
 from repro.thermal.grid_solver import GridThermalSolver
@@ -61,7 +62,7 @@ def tables_fingerprint(
     )
     keys = sorted(size_key(w, h) for w, h in sizes)
     desc = (
-        "v4"
+        "v5"
         f"|ip={interposer.width}x{interposer.height}"
         f"|margin={config.package_margin}"
         f"|grid={config.rows}x{config.cols}"
@@ -157,10 +158,12 @@ def load_or_characterize(
     Any number of processes may request the same entry concurrently
     (the parallel experiment scheduler fans arms of one benchmark over
     a worker pool): a sidecar file lock elects exactly one writer, the
-    losers load the winner's tables, and the ``.npz`` is published via
-    atomic rename so a reader can never observe a torn file.  The
-    save/load round-trip is bit-exact (binary ``.npy`` array storage),
-    so cached and freshly characterized tables are interchangeable.
+    losers load the winner's tables, and :meth:`ResistanceTables.save`
+    publishes atomically, so a reader can never observe a torn file.
+    The save/load round-trip is bit-exact (binary ``.npy`` array
+    storage, dtypes included), so cached and freshly characterized
+    tables are interchangeable; a corrupted cache file raises
+    :class:`~repro.nn.PayloadIntegrityError` naming the file.
     """
     config = config or ThermalConfig()
     unique_sizes = _deduplicate_sizes(sizes)
@@ -188,8 +191,7 @@ def load_or_characterize(
         tables = characterize_tables(
             interposer, unique_sizes, config, position_samples
         )
-        with atomic_replace(cache_path, suffix=".npz") as tmp_path:
-            tables.save(tmp_path)
+        tables.save(cache_path)
         _logger.info("cached thermal tables to %s", cache_path.name)
     return tables
 

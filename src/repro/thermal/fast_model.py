@@ -28,19 +28,23 @@ cells of (self profile * self peak * P_i + aggregate mutual field), which
 matches how the solver reports per-die temperatures (hottest covered
 cell).  Evaluation is a handful of table lookups — the >100x speedup over
 a full sparse solve.
+
+Characterized tables persist as one sealed payload
+(:meth:`ResistanceTables.save`, through :func:`repro.nn.save_payload`),
+so a cached table file round-trips bitwise and fails loudly when
+corrupted.
 """
 
 from __future__ import annotations
 
-import json
 import time
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.interpolate import RectBivariateSpline
 
 from repro.chiplet import Placement
+from repro.nn.serialization import load_payload, save_payload
 from repro.thermal.config import ThermalConfig
 from repro.thermal.result import ThermalResult
 
@@ -57,6 +61,9 @@ __all__ = [
 ]
 
 _SIZE_QUANTUM = 1e-3  # mm; sizes matching to 1 um share a table
+
+#: Payload kind of a saved :class:`ResistanceTables`.
+TABLES_PAYLOAD_KIND = "thermal-tables"
 
 # The paper's accuracy envelope for the surrogate (Table II reports
 # ~0.25 degC mean error against HotSpot with worst cases below ~2 degC).
@@ -353,58 +360,35 @@ class ResistanceTables:
     # -- persistence ----------------------------------------------------
 
     def save(self, path) -> None:
-        """Write all tables to a single ``.npz`` archive."""
-        payload = {}
-        meta = {
-            "ambient": self.ambient,
-            "interposer_width": self.interposer_width,
-            "interposer_height": self.interposer_height,
-            "fingerprint": self.fingerprint,
-            "sizes": [],
-        }
-        for idx, st in enumerate(self.tables.values()):
-            meta["sizes"].append({"width": st.width, "height": st.height})
-            payload[f"xs_{idx}"] = st.xs
-            payload[f"ys_{idx}"] = st.ys
-            payload[f"r_self_{idx}"] = st.r_self
-            payload[f"mut_d_{idx}"] = st.mut_distances
-            payload[f"r_mut_{idx}"] = st.r_mutual
-            payload[f"profile_{idx}"] = st.profile
-            payload[f"delta_xs_{idx}"] = st.delta_xs
-            payload[f"delta_ys_{idx}"] = st.delta_ys
-            payload[f"mut_delta_{idx}"] = st.mut_delta
-        payload["meta"] = np.frombuffer(
-            json.dumps(meta).encode("utf-8"), dtype=np.uint8
+        """Write all tables to one sealed payload file (atomic).
+
+        The payload holds the package metadata and one field dict per
+        :class:`SizeTables`; arrays keep their dtypes bitwise.
+        """
+        save_payload(
+            {
+                "ambient": self.ambient,
+                "interposer_width": self.interposer_width,
+                "interposer_height": self.interposer_height,
+                "fingerprint": self.fingerprint,
+                "sizes": [
+                    {f.name: getattr(st, f.name) for f in fields(SizeTables)}
+                    for st in self.tables.values()
+                ],
+            },
+            path,
+            kind=TABLES_PAYLOAD_KIND,
         )
-        np.savez_compressed(Path(path), **payload)
 
     @classmethod
     def load(cls, path) -> "ResistanceTables":
-        """Inverse of :meth:`save`."""
-        with np.load(Path(path)) as data:
-            meta = json.loads(bytes(data["meta"].tobytes()).decode("utf-8"))
-            result = cls(
-                ambient=meta["ambient"],
-                interposer_width=meta["interposer_width"],
-                interposer_height=meta["interposer_height"],
-                fingerprint=meta.get("fingerprint", ""),
-            )
-            for idx, size in enumerate(meta["sizes"]):
-                result.add(
-                    SizeTables(
-                        width=size["width"],
-                        height=size["height"],
-                        xs=data[f"xs_{idx}"],
-                        ys=data[f"ys_{idx}"],
-                        r_self=data[f"r_self_{idx}"],
-                        mut_distances=data[f"mut_d_{idx}"],
-                        r_mutual=data[f"r_mut_{idx}"],
-                        profile=data[f"profile_{idx}"],
-                        delta_xs=data[f"delta_xs_{idx}"],
-                        delta_ys=data[f"delta_ys_{idx}"],
-                        mut_delta=data[f"mut_delta_{idx}"],
-                    )
-                )
+        """Inverse of :meth:`save`; a corrupted file raises
+        :class:`~repro.nn.PayloadIntegrityError` naming it."""
+        payload = load_payload(path, kind=TABLES_PAYLOAD_KIND)
+        sizes = payload.pop("sizes")
+        result = cls(**payload)
+        for size in sizes:
+            result.add(SizeTables(**size))
         return result
 
 

@@ -21,7 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from repro.chiplet import ChipletSystem, Interposer, Placement
+from repro.chiplet import Interposer, Placement
 from repro.geometry import PlacementGrid, Rect
 from repro.thermal.config import ThermalConfig
 from repro.thermal.result import ThermalResult
@@ -468,10 +468,3 @@ class GridThermalSolver:
             if covered_area > 0.0 and power > 0.0:
                 power_map += cover * (power / covered_area) * self.grid.cell_area
         return power_map
-
-    @classmethod
-    def for_system(
-        cls, system: ChipletSystem, config: ThermalConfig | None = None
-    ) -> "GridThermalSolver":
-        """Convenience constructor from a system (uses its interposer)."""
-        return cls(system.interposer, config)

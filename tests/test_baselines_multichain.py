@@ -66,23 +66,6 @@ class TestGoldenSingleChain:
 
 
 class TestMultiChainEngine:
-    def test_m1_reproduces_sequential_bitwise(self):
-        """run_chains with one chain == ``run`` at n_chains=1, bitwise."""
-        config = SAConfig(n_iterations=400, seed=11)
-        sequential = SimulatedAnnealing(
-            _toy_propose, _toy_evaluate_many, config
-        ).run_chains([-6.0])
-        multi = SimulatedAnnealing(
-            _toy_propose, _toy_evaluate_many, config
-        ).run_chains([-6.0])
-        assert multi.best_state == sequential.best_state
-        assert multi.best_cost == sequential.best_cost
-        assert multi.n_evaluations == sequential.n_evaluations
-        assert multi.n_accepted == sequential.n_accepted
-        assert [h["best_cost"] for h in multi.history] == [
-            h["best_cost"] for h in sequential.history
-        ]
-
     @pytest.mark.parametrize("chains", [2, 5])
     def test_chain_c_equals_sequential_seed_plus_c(self, chains):
         """Every lockstep chain is bitwise one single-chain run."""
@@ -103,13 +86,24 @@ class TestMultiChainEngine:
         assert multi.best_cost == min(best_costs)
 
     def test_run_dispatches_on_n_chains(self):
-        multi = SimulatedAnnealing(
+        """One initial state per configured chain: a mismatch raises on
+        a fresh run and on a resume, a match runs."""
+        engine = SimulatedAnnealing(
             _toy_propose,
             _toy_evaluate_many,
-            SAConfig(n_iterations=100, seed=0, n_chains=3),
-        ).run_chains([0.0] * 3)
+            SAConfig(n_iterations=100, seed=0, n_chains=3, checkpoint_every=50),
+        )
+        for states in ([0.0] * 2, [0.0] * 4):
+            with pytest.raises(ValueError, match="n_chains=3"):
+                engine.run_chains(states)
+        snapshots = []
+        multi = engine.run_chains([0.0] * 3, checkpoint_fn=snapshots.append)
         assert multi.n_chains == 3
         assert len(multi.chain_best_costs) == 3
+        with pytest.raises(ValueError, match="n_chains=3"):
+            engine.run_chains([None] * 2, resume_state=snapshots[0])
+        resumed = engine.run_chains([None] * 3, resume_state=snapshots[0])
+        assert resumed.best_cost == multi.best_cost
 
     def test_explicit_initial_temperature_vectorizes(self):
         multi = SimulatedAnnealing(

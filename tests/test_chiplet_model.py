@@ -113,11 +113,6 @@ class TestSystem:
         )
         assert sys2.wires_between("a", "b") == 7
 
-    def test_connectivity_graph(self, system):
-        graph = system.connectivity_graph()
-        assert set(graph.nodes) == {"cpu", "gpu", "hbm"}
-        assert graph["gpu"]["hbm"]["wires"] == 1024
-
     def test_placement_order_by_area_then_power(self, system):
         order = system.placement_order()
         assert order[0] == "gpu"  # largest area

@@ -5,15 +5,17 @@ experiment scheduler.
 Covers the PR-5 tentpole guarantees:
 
 * ``store_key`` stability and sensitivity; ``RunStore`` result and
-  checkpoint slots (atomic publish, hit/miss accounting);
+  checkpoint slots (atomic publish, hit/miss accounting), written as
+  sealed payloads: every single-bit flip or truncation of a stored
+  result or trainer checkpoint reads as a quarantined miss, never as a
+  different value;
 * the versioned payload schema — arrays, JSON scalars, RNG generator
-  states and pickled objects round-trip bitwise; legacy weight-only
+  states and pickled objects round-trip bitwise; unsealed weight-only
   archives are rejected loudly instead of resuming with reset state;
-* the SHA-256 integrity footer (schema v3): truncated or bit-flipped
-  payload bytes/files fail loudly as ``PayloadIntegrityError`` — a
-  transient ``OSError`` to the fault layer, a schema error to the
-  store's quarantine path — while footer-less legacy bytes keep their
-  specific diagnostics (PR-9 satellite);
+* the SHA-256 integrity footer (schema v3): truncated, bit-flipped or
+  footer-less payload bytes/files fail loudly as
+  ``PayloadIntegrityError`` — a transient ``OSError`` to the fault
+  layer, a schema error to the store's quarantine path;
 * RNG state round-trip for every ``SeedSequence``-derived stream
   (satellite): a restored ``bit_generator.state`` replays the exact
   draw sequence;
@@ -55,6 +57,7 @@ from repro.baselines import SAConfig
 from repro.baselines.bstar import BStarFloorplanner
 from repro.env import BatchedFloorplanEnv, EnvConfig
 from repro.experiments.ablations import run_ablations
+from repro.experiments.report import MethodResult
 from repro.experiments.runner import (
     ExperimentBudget,
     arm_store_key,
@@ -62,13 +65,11 @@ from repro.experiments.runner import (
     run_method_arm,
 )
 from repro.nn import (
-    LegacyCheckpointError,
     PayloadIntegrityError,
     dumps_payload,
     load_payload,
     loads_payload,
     save_payload,
-    save_state_dict,
     serialization,
 )
 from repro.parallel import JobSpec, RetryPolicy, resolve_jobs, run_jobs
@@ -167,16 +168,16 @@ class TestRunStore:
         store.put(key, np.arange(1000))
         # The only file under results/ is the complete artifact; the
         # atomic_replace temp name never survives.
-        files = list((tmp_path / "results").rglob("*.pkl"))
+        files = list((tmp_path / "results").rglob("*.npz"))
         assert files == [store.result_path(key)]
 
     def test_corrupt_result_is_quarantined_as_a_miss(self, tmp_path):
         store = RunStore(tmp_path)
         key = store_key("t", {"i": 5})
         store.put(key, {"value": 1})
-        # Torn write / bit rot: the payload is valid pickle's first
-        # half.  fetch must not raise — it quarantines and reports a
-        # miss so the unit simply re-runs.
+        # Torn write / bit rot: the payload is a valid artifact's
+        # first half.  fetch must not raise — it quarantines and
+        # reports a miss so the unit simply re-runs.
         path = store.result_path(key)
         blob = path.read_bytes()
         path.write_bytes(blob[: len(blob) // 2])
@@ -194,7 +195,7 @@ class TestRunStore:
         key = store_key("t", {"i": 6})
         path = store.result_path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(b"not a pickle at all")
+        path.write_bytes(b"not a payload at all")
         assert store.get(key, default="fallback") == "fallback"
         assert path.with_name(path.name + ".corrupt").exists()
 
@@ -209,6 +210,79 @@ class TestRunStore:
         # A fresh checkpoint overwrites cleanly.
         store.save_checkpoint(key, {"iteration": 8})
         assert store.load_checkpoint(key)["iteration"] == 8
+
+
+class TestStoreCorruption:
+    """Stored artifacts are sealed payloads: every single-bit flip and
+    every truncation of a stored result or checkpoint reads as a miss
+    that quarantines the file, never as a different value."""
+
+    @staticmethod
+    def _corruptions(blob: bytes, bits, n_cuts: int, seed: int):
+        for bit in bits:
+            damaged = bytearray(blob)
+            damaged[bit // 8] ^= 1 << (bit % 8)
+            yield f"bit {bit}", bytes(damaged)
+        for cut in np.random.default_rng(seed).integers(0, len(blob), n_cuts):
+            yield f"cut at {cut}", blob[:cut]
+
+    @staticmethod
+    def _assert_each_is_a_miss(path, read, miss, corruptions) -> int:
+        quarantined = path.with_name(path.name + ".corrupt")
+        count = 0
+        for label, blob in corruptions:
+            path.write_bytes(blob)
+            assert read() == miss, label
+            assert not path.exists() and quarantined.exists(), label
+            quarantined.unlink()
+            count += 1
+        return count
+
+    def test_every_bit_flip_of_a_result_is_a_miss(self, tmp_path):
+        store = RunStore(tmp_path)
+        key = store_key("t", {"i": 8})
+        result = MethodResult(
+            system="small",
+            method="TAP-2.5D*(FastThermal)",
+            reward=-1.25,
+            wirelength=1234.5,
+            temperature_c=87.25,
+            runtime_s=0.5,
+            extra={"epochs": 3, "time_matched": True},
+        )
+        store.put(key, result)
+        path = store.result_path(key)
+        blob = path.read_bytes()
+        checked = self._assert_each_is_a_miss(
+            path,
+            lambda: store.fetch(key),
+            (False, None),
+            self._corruptions(blob, range(len(blob) * 8), 64, seed=0),
+        )
+        assert checked == len(blob) * 8 + 64
+        path.write_bytes(blob)  # the intact bytes still read back
+        assert store.fetch(key) == (True, result)
+
+    def test_sampled_bit_flips_of_a_checkpoint_are_misses(
+        self, trainer_env, tmp_path
+    ):
+        trainer = _make_trainer(trainer_env, epochs=1, batch_size=2)
+        trainer.train()
+        state = trainer.state_dict()
+        store = RunStore(tmp_path)
+        key = store_key("t", {"i": 9})
+        store.save_checkpoint(key, state)
+        path = store.checkpoint_path(key)
+        blob = path.read_bytes()
+        bits = np.random.default_rng(1).choice(len(blob) * 8, 256, replace=False)
+        self._assert_each_is_a_miss(
+            path,
+            lambda: store.load_checkpoint(key, default="restart"),
+            "restart",
+            self._corruptions(blob, bits, 32, seed=2),
+        )
+        path.write_bytes(blob)
+        assert _bits(store.load_checkpoint(key)) == _bits(state)
 
 
 # ----------------------------------------------------------------------
@@ -241,9 +315,11 @@ class TestPayloadSchema:
         assert isinstance(loaded["obj"]["tuple"], tuple)
 
     def test_legacy_archive_rejected(self, tmp_path):
+        # A weight-only archive written by plain np.savez carries no
+        # integrity footer, so it never decodes as a payload.
         path = tmp_path / "legacy.npz"
-        save_state_dict({"w": np.zeros(3)}, path)
-        with pytest.raises(LegacyCheckpointError, match="legacy weight-only"):
+        np.savez_compressed(path, w=np.zeros(3))
+        with pytest.raises(PayloadIntegrityError, match="legacy.npz"):
             load_payload(path)
 
     def test_kind_mismatch_rejected(self, tmp_path):
@@ -288,22 +364,21 @@ class TestPayloadIntegrity:
 
     @pytest.mark.parametrize("keep", [10, 0.5])
     def test_truncation_fails_even_without_the_footer(self, keep):
-        # A truncation that also destroys the footer magic falls through
-        # _unseal, then fails as an unreadable archive — still the same
-        # loud, transient error class, never a raw zip traceback.
+        # A truncation that also destroys the footer magic fails the
+        # footer check — the same loud, transient error class as a bit
+        # flip, never a raw zip traceback.
         data = dumps_payload(self._payload(), kind="test")
         cut = keep if isinstance(keep, int) else int(len(data) * keep)
         with pytest.raises(PayloadIntegrityError):
             loads_payload(data[:cut], kind="test")
 
-    def test_footer_stripped_bytes_still_load(self):
-        # Pre-v3 payloads had no footer; _unseal tolerates their absence
-        # so the schema-version check downstream stays the error a user
-        # sees for genuinely old checkpoints (not "corrupted").
+    def test_footer_stripped_bytes_are_rejected(self):
+        # Every payload has been sealed since schema v3: an archive
+        # without its footer is not decoded, however intact it looks.
         data = dumps_payload(self._payload(), kind="test")
         stripped = data[:-40]  # 8-byte magic + 32-byte digest
-        loaded = loads_payload(stripped, kind="test")
-        assert loaded["step"] == 7
+        with pytest.raises(PayloadIntegrityError, match="SHA-256"):
+            loads_payload(stripped, kind="test")
 
     def test_integrity_error_is_transient_and_schema_classified(self):
         error = PayloadIntegrityError("corrupt")
@@ -313,13 +388,6 @@ class TestPayloadIntegrity:
         from repro.nn.serialization import CheckpointSchemaError
 
         assert isinstance(error, CheckpointSchemaError)
-
-    def test_legacy_state_dict_error_is_unchanged(self, tmp_path):
-        # The footer must not swallow the actionable legacy diagnosis.
-        path = tmp_path / "legacy.npz"
-        save_state_dict({"w": np.zeros(3)}, path)
-        with pytest.raises(LegacyCheckpointError, match="legacy weight-only"):
-            load_payload(path)
 
 
 class TestRNGStateRoundTrip:
@@ -573,8 +641,8 @@ class TestTrainerResume:
     ):
         trainer = _make_trainer(trainer_env)
         path = tmp_path / "weights.npz"
-        save_state_dict(trainer.network.state_dict(), path)  # legacy format
-        with pytest.raises(LegacyCheckpointError, match="legacy weight-only"):
+        np.savez(path, **trainer.network.state_dict())  # weights only
+        with pytest.raises(PayloadIntegrityError, match="weights.npz"):
             _make_trainer(trainer_env).load_checkpoint(path)
 
 
@@ -956,7 +1024,7 @@ class TestResumableSweep:
         )
         assert np.isfinite(result.reward)
         assert result.extra["time_matched"] is True
-        assert not list(store.root.rglob("*.ckpt.pkl"))
+        assert not list(store.root.rglob("*.ckpt.npz"))
         assert store.contains(
             arm_store_key(
                 spec, "TAP-2.5D*(FastThermal)", budget, time_limited=True

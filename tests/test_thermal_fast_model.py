@@ -1,9 +1,12 @@
 """Tests for the fast thermal model and its characterization."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from repro.chiplet import Chiplet, ChipletSystem, Interposer, Placement
+from repro.nn import PayloadIntegrityError
 from repro.thermal import (
     FastThermalModel,
     GridThermalSolver,
@@ -17,7 +20,7 @@ from repro.thermal.characterize import (
     load_or_characterize,
     tables_fingerprint,
 )
-from repro.thermal.fast_model import size_key
+from repro.thermal.fast_model import SizeTables, size_key
 
 
 class TestTables:
@@ -62,15 +65,26 @@ class TestTables:
         path = tmp_path / "tables.npz"
         small_tables.save(path)
         loaded = ResistanceTables.load(path)
-        assert loaded.n_sizes == small_tables.n_sizes
+        for name in ("ambient", "interposer_width", "interposer_height"):
+            assert getattr(loaded, name) == getattr(small_tables, name)
+        assert loaded.fingerprint == small_tables.fingerprint
+        assert list(loaded.tables) == list(small_tables.tables)
+        for key, original in small_tables.tables.items():
+            for f in fields(SizeTables):
+                want = getattr(original, f.name)
+                got = getattr(loaded.tables[key], f.name)
+                if isinstance(want, np.ndarray):
+                    assert got.dtype == want.dtype, f.name
+                    assert got.shape == want.shape, f.name
+                    assert got.tobytes() == want.tobytes(), f.name
+                else:
+                    assert type(got) is type(want) and got == want, f.name
+        # Interpolators must behave identically after reload.
         st_orig = small_tables.for_size(8, 8)
         st_load = loaded.for_size(8, 8)
-        assert np.allclose(st_orig.r_self, st_load.r_self)
-        assert np.allclose(st_orig.r_mutual, st_load.r_mutual)
-        assert np.allclose(st_orig.mut_delta, st_load.mut_delta)
-        # Interpolators must behave identically after reload.
-        assert st_load.r_self_at_many([12.3], [9.7])[0] == pytest.approx(
-            st_orig.r_self_at_many([12.3], [9.7])[0]
+        assert (
+            st_load.r_self_at_many([12.3], [9.7])[0]
+            == st_orig.r_self_at_many([12.3], [9.7])[0]
         )
 
 
@@ -133,6 +147,26 @@ class TestCharacterization:
         )
         st1, st2 = tables1.for_size(6, 6), tables2.for_size(6, 6)
         assert np.allclose(st1.r_self, st2.r_self)
+
+    def test_flipped_byte_in_cached_tables_raises(
+        self, small_interposer, small_config, tmp_path
+    ):
+        def load():
+            return load_or_characterize(
+                small_interposer,
+                [(6, 6)],
+                small_config,
+                position_samples=(3, 3),
+                cache_dir=tmp_path,
+            )
+
+        load()
+        (path,) = tmp_path.glob("thermal_tables_*.npz")
+        blob = bytearray(path.read_bytes())
+        blob[len(blob) // 2] ^= 0x04
+        path.write_bytes(bytes(blob))
+        with pytest.raises(PayloadIntegrityError, match=path.name):
+            load()
 
 
 class TestFastModelAccuracy:
