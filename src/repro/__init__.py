@@ -5,39 +5,44 @@ with a fast physics-informed thermal surrogate.  See README.md for a
 tour and DESIGN.md for the system inventory.
 """
 
-from repro.chiplet import Chiplet, ChipletSystem, Interposer, Net, Placement
-from repro.thermal import (
-    FastThermalModel,
-    GridThermalSolver,
-    ThermalConfig,
-    characterize_tables,
-)
-from repro.reward import RewardCalculator, RewardConfig
-from repro.env import BatchedFloorplanEnv, EnvConfig
-from repro.agent import ActorCritic, RLPlannerTrainer, TrainerConfig
-from repro.baselines import TAP25DConfig, TAP25DPlacer, random_search
+import importlib
+
+# Exports load on first access (PEP 562), so importing a submodule such
+# as ``repro.cli`` does not load numpy first: the command-line and serve
+# entry points set their BLAS thread policy before it loads
+# (:mod:`repro.blas`).
+_EXPORTS = {
+    "Chiplet": "repro.chiplet",
+    "ChipletSystem": "repro.chiplet",
+    "Interposer": "repro.chiplet",
+    "Net": "repro.chiplet",
+    "Placement": "repro.chiplet",
+    "FastThermalModel": "repro.thermal",
+    "GridThermalSolver": "repro.thermal",
+    "ThermalConfig": "repro.thermal",
+    "characterize_tables": "repro.thermal",
+    "RewardCalculator": "repro.reward",
+    "RewardConfig": "repro.reward",
+    "BatchedFloorplanEnv": "repro.env",
+    "EnvConfig": "repro.env",
+    "ActorCritic": "repro.agent",
+    "RLPlannerTrainer": "repro.agent",
+    "TrainerConfig": "repro.agent",
+    "TAP25DPlacer": "repro.baselines",
+    "TAP25DConfig": "repro.baselines",
+    "random_search": "repro.baselines",
+}
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module 'repro' has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Chiplet",
-    "ChipletSystem",
-    "Interposer",
-    "Net",
-    "Placement",
-    "GridThermalSolver",
-    "FastThermalModel",
-    "ThermalConfig",
-    "characterize_tables",
-    "RewardCalculator",
-    "RewardConfig",
-    "BatchedFloorplanEnv",
-    "EnvConfig",
-    "ActorCritic",
-    "RLPlannerTrainer",
-    "TrainerConfig",
-    "TAP25DPlacer",
-    "TAP25DConfig",
-    "random_search",
-    "__version__",
-]
+__all__ = [*_EXPORTS, "__version__"]

@@ -38,6 +38,7 @@ __all__ = [
     "BumpAssigner",
     "MemoInfo",
     "PAIRING_MEMO_BYTES",
+    "SITE_CACHE_BYTES",
 ]
 
 #: Byte bound of each assigner's greedy-pairing memo (keys, stored
@@ -50,6 +51,16 @@ PAIRING_MEMO_BYTES = 16 * 2**20
 #: buffers: the dict slot, the key ``bytes`` header and the array
 #: header (about 300 B measured with :mod:`tracemalloc`).
 _ENTRY_OVERHEAD = 320
+
+#: Byte bound of each assigner's site-coordinate cache (the coordinate
+#: arrays only); past it the least recently used footprints are
+#: evicted.  A multi_gpu die has 800-1,000 sites (13-16 KB), so the
+#: bound holds about 75 footprints: six placements whose dies all
+#: differ, or more when they share dies, as search neighbours do
+#: (16 random-walk placements from one start share 75).  Search loops
+#: visit more footprints than that, so the bound, not the working
+#: set, sets the cache's memory.
+SITE_CACHE_BYTES = 2**20
 
 #: :meth:`BumpAssigner.memo_info`'s result, in the style of
 #: :func:`functools.lru_cache`'s ``cache_info()``.
@@ -228,16 +239,22 @@ class BumpAssigner:
     stored arrays are read-only.  Hungarian pairings are not memoized.
     :meth:`memo_info` reports hits, misses, entries and bytes.
 
-    Each instance has its own memo, and pickling drops it: a copy sent
-    to a pool or remote worker starts empty, and a warm assigner
-    pickles to the same bytes as a cold one.  The memo takes no lock,
-    so one assigner must not run :meth:`assign` on two threads at once.
-    The shipped callers never do: serve runs a bundle's evaluators
-    under ``bundle.lock``, and the reward call's thermal thread never
-    touches the assigner.  :meth:`memo_info` may be read from any
-    thread (serve's ``/v1/stats`` does, without the lock); a read that
-    races an assignment may mix counters from either side of one
-    pairing.
+    Site coordinates are cached per exact footprint ``(x, y, w, h)``:
+    :func:`~repro.bumps.sites.site_coordinates` is a pure function of
+    it, so a cached array is the one a fresh call builds.  The stored
+    arrays are read-only, and the cache keeps at most
+    :data:`SITE_CACHE_BYTES` of them, evicting the least recently used.
+
+    Each instance has its own memo and site cache, and pickling drops
+    both: a copy sent to a pool or remote worker starts empty, and a
+    warm assigner pickles to the same bytes as a cold one.  Neither
+    takes a lock, so one assigner must not run :meth:`assign` on two
+    threads at once.  The shipped callers never do: serve runs a
+    bundle's evaluators under ``bundle.lock``, and the reward call's
+    thermal thread never touches the assigner.  :meth:`memo_info` may
+    be read from any thread (serve's ``/v1/stats`` does, without the
+    lock); a read that races an assignment may mix counters from
+    either side of one pairing.
     """
 
     def __init__(
@@ -255,23 +272,35 @@ class BumpAssigner:
         self.rings = rings
         self.wire_group_size = wire_group_size
         self.method = method
-        self._clear_memo()
+        self._clear_caches()
 
-    def _clear_memo(self) -> None:
+    #: Attributes :meth:`_clear_caches` sets; pickling drops them.
+    _CACHES = (
+        "_memo",
+        "_memo_bytes",
+        "_hits",
+        "_misses",
+        "_sites",
+        "_sites_bytes",
+    )
+
+    def _clear_caches(self) -> None:
         self._memo = OrderedDict()  # key -> (2, n_pairs) positions
         self._memo_bytes = 0
         self._hits = 0
         self._misses = 0
+        self._sites = OrderedDict()  # (x, y, w, h) -> (n, 2) coordinates
+        self._sites_bytes = 0
 
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
-        for name in ("_memo", "_memo_bytes", "_hits", "_misses"):
+        for name in self._CACHES:
             del state[name]
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
-        self._clear_memo()
+        self._clear_caches()
 
     def memo_info(self) -> MemoInfo:
         """Hits, misses, entries and bytes of the greedy-pairing memo."""
@@ -285,12 +314,15 @@ class BumpAssigner:
         site_rect = {}
         site_xy = {}
         site_free = {}
+        free_count = {}
         for name in placement.placed_names:
             rect = placement.footprint(name)
-            coords = site_coordinates(rect, pitch=self.pitch, rings=self.rings)
-            site_rect[name] = (rect.x, rect.y, rect.w, rect.h)
+            footprint = (rect.x, rect.y, rect.w, rect.h)
+            coords = self._site_coordinates(footprint, rect)
+            site_rect[name] = footprint
             site_xy[name] = coords
             site_free[name] = np.ones(len(coords), dtype=bool)
+            free_count[name] = len(coords)
 
         ordered = sorted(
             (
@@ -308,9 +340,8 @@ class BumpAssigner:
             group = self.wire_group_size
             while True:
                 groups = self._group_sizes(net.wires, group)
-                free_src = int(site_free[net.src].sum())
-                free_dst = int(site_free[net.dst].sum())
-                if len(groups) <= min(free_src, free_dst) or group >= net.wires:
+                free = min(free_count[net.src], free_count[net.dst])
+                if len(groups) <= free or group >= net.wires:
                     break
                 group *= 2
             pairs = self._assign_net(
@@ -322,6 +353,8 @@ class BumpAssigner:
                 net,
                 site_rect[net.src] + site_rect[net.dst],
             )
+            free_count[net.src] -= len(groups)
+            free_count[net.dst] -= len(groups)
             result.nets.append(
                 NetAssignment(
                     net_name=net.name or f"net{index}",
@@ -332,6 +365,21 @@ class BumpAssigner:
                 )
             )
         return result
+
+    def _site_coordinates(self, footprint: tuple, rect) -> np.ndarray:
+        """:func:`site_coordinates` of ``rect`` through the site cache."""
+        coords = self._sites.get(footprint)
+        if coords is not None:
+            self._sites.move_to_end(footprint)
+            return coords
+        coords = site_coordinates(rect, pitch=self.pitch, rings=self.rings)
+        coords.setflags(write=False)
+        self._sites[footprint] = coords
+        self._sites_bytes += coords.nbytes
+        while self._sites_bytes > SITE_CACHE_BYTES:
+            _, old = self._sites.popitem(last=False)
+            self._sites_bytes -= old.nbytes
+        return coords
 
     # ------------------------------------------------------------------
 
@@ -372,7 +420,7 @@ class BumpAssigner:
             )
         else:
             chosen_a, chosen_b = self._pair_memoized(
-                xy_a[idx_a], xy_b[idx_b], n_pairs, rects, free_a, free_b
+                xy_a, xy_b, n_pairs, rects, free_a, free_b
             )
         sel_a = idx_a[chosen_a]
         sel_b = idx_b[chosen_b]
@@ -381,12 +429,14 @@ class BumpAssigner:
         return np.stack([xy_a[sel_a], xy_b[sel_b]], axis=1)
 
     def _pair_memoized(self, xy_a, xy_b, n_pairs, rects, free_a, free_b):
-        """:meth:`_pair_greedy` through the memo.
+        """:meth:`_pair_greedy` of the free sites, through the memo.
 
-        The key packs the two footprints, ``n_pairs`` and both free-site
-        masks into one ``bytes``; each mask's length follows from its
-        footprint, so the key determines ``xy_a``, ``xy_b`` and
-        ``n_pairs`` exactly.
+        ``xy_a`` and ``xy_b`` are all the sites of the two dies and
+        ``free_a`` / ``free_b`` mark the free ones; the result indexes
+        the free sites.  The key packs the two footprints, ``n_pairs``
+        and both free-site masks into one ``bytes``; each mask's length
+        follows from its footprint, so the key determines the pairing
+        input exactly, and a hit gathers no coordinates.
         """
         key = b"".join(
             (
@@ -404,6 +454,7 @@ class BumpAssigner:
         # Positions index the free sites, so the smallest unsigned
         # type that counts them holds them (uint16 on every bundled
         # die, a quarter of intp's bytes).
+        xy_a, xy_b = xy_a[free_a], xy_b[free_b]
         chosen = np.stack(self._pair_greedy(xy_a, xy_b, n_pairs)).astype(
             np.min_scalar_type(max(len(xy_a), len(xy_b)))
         )

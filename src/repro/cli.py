@@ -29,23 +29,27 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.experiments import (
+from repro.blas import apply_thread_policy
+
+apply_thread_policy()  # before numpy loads; see repro.blas
+
+from repro.experiments import (  # noqa: E402
     ExperimentBudget,
     run_ablations,
     run_table1,
     run_table2,
     run_table3,
 )
-from repro.experiments.report import format_table, save_results
-from repro.experiments.runner import run_all_methods
-from repro.parallel import (
+from repro.experiments.report import format_table, save_results  # noqa: E402
+from repro.experiments.runner import run_all_methods  # noqa: E402
+from repro.parallel import (  # noqa: E402
     RetryPolicy,
     SweepReport,
     resolve_collect_jobs,
     resolve_jobs,
 )
-from repro.store import DEFAULT_STORE_DIR, RunStore
-from repro.systems import benchmark_names, get_benchmark
+from repro.store import DEFAULT_STORE_DIR, RunStore  # noqa: E402
+from repro.systems import benchmark_names, get_benchmark  # noqa: E402
 
 __all__ = ["budget_from_args", "main"]
 

@@ -11,12 +11,16 @@ through :class:`~repro.store.RunStore` content addressing
 to the same request run through ``repro.cli``.
 """
 
-from repro.serve.batcher import MicroBatcher
-from repro.serve.client import ServeClient, ServeError
-from repro.serve.engine import SERVE_PLACE_KIND, ServeEngine, place_store_key
-from repro.serve.registry import EvaluatorBundle, WarmRegistry, bundle_key
-from repro.serve.schema import BadRequest, budget_from_dict, budget_to_dict
-from repro.serve.server import FloorplanServer, serve_forever
+from repro.blas import apply_thread_policy
+
+apply_thread_policy()  # before numpy loads; see repro.blas
+
+from repro.serve.batcher import MicroBatcher  # noqa: E402
+from repro.serve.client import ServeClient, ServeError  # noqa: E402
+from repro.serve.engine import SERVE_PLACE_KIND, ServeEngine, place_store_key  # noqa: E402
+from repro.serve.registry import EvaluatorBundle, WarmRegistry, bundle_key  # noqa: E402
+from repro.serve.schema import BadRequest, budget_from_dict, budget_to_dict  # noqa: E402
+from repro.serve.server import FloorplanServer, serve_forever  # noqa: E402
 
 __all__ = [
     "BadRequest",

@@ -30,6 +30,7 @@ import numpy as np
 
 from repro.chiplet import ChipletSystem, Interposer
 from repro.geometry import Rect
+from repro.nn import CheckpointSchemaError
 from repro.parallel.cache import FileLock
 from repro.thermal.config import ThermalConfig
 from repro.thermal.fast_model import ResistanceTables, SizeTables, size_key
@@ -162,8 +163,11 @@ def load_or_characterize(
     publishes atomically, so a reader can never observe a torn file.
     The save/load round-trip is bit-exact (binary ``.npy`` array
     storage, dtypes included), so cached and freshly characterized
-    tables are interchangeable; a corrupted cache file raises
-    :class:`~repro.nn.PayloadIntegrityError` naming the file.
+    tables are interchangeable.  A cache file that fails to decode (its
+    integrity footer, kind or schema version does not match) is
+    renamed to ``*.corrupt``, where it stays for a post-mortem, with a
+    logged warning, and the tables are characterized again under the
+    lock, as the run store treats a corrupted artifact.
     """
     config = config or ThermalConfig()
     unique_sizes = _deduplicate_sizes(sizes)
@@ -177,17 +181,29 @@ def load_or_characterize(
     cache_path = Path(cache_dir) / f"thermal_tables_{fingerprint}.npz"
     if cache_path.exists():
         _logger.info("loading cached thermal tables %s", cache_path.name)
-        return ResistanceTables.load(cache_path)
+        tables = _load_cached(cache_path)
+        if tables is not None:
+            return tables
     with FileLock(cache_path.with_name(cache_path.name + ".lock")):
         # Double-check inside the lock: another process may have
-        # characterized and published while we waited.
+        # characterized and published (or quarantined) while we waited.
         if cache_path.exists():
             _logger.info(
                 "loading cached thermal tables %s (characterized by a "
                 "concurrent process)",
                 cache_path.name,
             )
-            return ResistanceTables.load(cache_path)
+            tables = _load_cached(cache_path)
+            if tables is not None:
+                return tables
+            target = cache_path.with_name(cache_path.name + ".corrupt")
+            cache_path.replace(target)
+            _logger.warning(
+                "quarantined corrupt thermal tables %s -> %s; "
+                "characterizing again",
+                cache_path,
+                target.name,
+            )
         tables = characterize_tables(
             interposer, unique_sizes, config, position_samples
         )
@@ -199,6 +215,15 @@ def load_or_characterize(
 # ----------------------------------------------------------------------
 # internals
 # ----------------------------------------------------------------------
+
+
+def _load_cached(path: Path):
+    """The tables cached at ``path``, or ``None`` if they fail to decode
+    (or a concurrent process quarantined them before the read)."""
+    try:
+        return ResistanceTables.load(path)
+    except (CheckpointSchemaError, FileNotFoundError):
+        return None
 
 
 def _deduplicate_sizes(sizes) -> list:

@@ -29,6 +29,14 @@ matches how the solver reports per-die temperatures (hottest covered
 cell).  Evaluation is a handful of table lookups — the >100x speedup over
 a full sparse solve.
 
+The lookups run per size table, not per die: dies that share a table
+(and, in a batch, a set of placement rows with one orientation) are
+stacked into one spline call, one radial interpolation and one
+anisotropy lookup.  Every lookup is pointwise, and the mutual field
+still sums its sources in die order, so a stacked evaluation is bitwise
+the per-die one (``tests/test_thermal_fast_grouping.py`` keeps the
+per-die loop as its reference).
+
 Characterized tables persist as one sealed payload
 (:meth:`ResistanceTables.save`, through :func:`repro.nn.save_payload`),
 so a cached table file round-trips bitwise and fails loudly when
@@ -61,6 +69,13 @@ __all__ = [
 ]
 
 _SIZE_QUANTUM = 1e-3  # mm; sizes matching to 1 um share a table
+
+#: At most this many (source die, placement) rows go through one stacked
+#: mutual-field call of :meth:`FastThermalModel._batch_temps`: a batch
+#: of one stacks every source of a size table, and from 16 placements
+#: up each source runs alone, so no stacked temporary outgrows what one
+#: source costs at batch 16.
+_STACK_ROWS = 16
 
 #: Payload kind of a saved :class:`ResistanceTables`.
 TABLES_PAYLOAD_KIND = "thermal-tables"
@@ -134,8 +149,10 @@ def _interp_rows(x: np.ndarray, xs: np.ndarray, fp_rows: np.ndarray) -> np.ndarr
     )
     x_lo = xs[idx]
     frac = np.minimum(np.maximum((x - x_lo) / (xs[idx + 1] - x_lo), 0.0), 1.0)
-    lo = np.take_along_axis(fp_rows, idx, axis=-1)
-    hi = np.take_along_axis(fp_rows, idx + 1, axis=-1)
+    # Gather from the flattened rows: row i's entries start at i * n.
+    idx += np.arange(0, fp_rows.size, fp_rows.shape[-1])[:, None]
+    lo = fp_rows.ravel()[idx]
+    hi = fp_rows.ravel()[idx + 1]
     return lo + (hi - lo) * frac
 
 
@@ -536,13 +553,9 @@ class FastThermalModel:
                     ]
                 )
 
-        # Concatenate every die's sample cells into one point axis so the
-        # mutual field is computed *source-major*: one radial
-        # interpolation + one anisotropy lookup per (source die,
-        # orientation group) covering ALL victims at once, instead of one
-        # per (victim die, source die) pair.  Orientation mixes (multi-
-        # chain annealing proposes rotations independently per chain)
-        # would otherwise fragment the batch into per-pair row subsets.
+        # Every die's sample cells share one point axis, so orientation
+        # mixes (multi-chain annealing proposes rotations independently
+        # per chain) do not fragment the batch into per-pair row subsets.
         # A die's slice requires an orientation-invariant sample count
         # (profiles of rotated tables are transposed, so this always
         # holds for the bundled characterizations); bail out otherwise.
@@ -555,65 +568,101 @@ class FastThermalModel:
         offsets = np.concatenate([[0], np.cumsum(counts)])
         p_tot = int(offsets[-1])
 
+        # Dies sharing a size table and a row set form one group: the
+        # table calls below are pointwise, so one call over a group's
+        # stacked positions gives each die the values its own call
+        # would.  Groups are keyed in die order.
+        table_groups: dict = {}
+        for i, groups in enumerate(die_groups):
+            for st, rows in groups:
+                key = (id(st), rows.tobytes())
+                table_groups.setdefault(key, (st, rows, []))[2].append(i)
+
         points = np.empty((n_b, p_tot, 2))
         self_field = np.empty((n_b, p_tot))
-        for i in range(n_d):
-            sl = slice(offsets[i], offsets[i + 1])
-            for st, rows in die_groups[i]:
+        for st, rows, members in table_groups.values():
+            r_self = st.r_self_at_many(
+                center[rows][:, members, 0].T.ravel(),
+                center[rows][:, members, 1].T.ravel(),
+            ).reshape(len(members), len(rows))
+            for m, i in enumerate(members):
+                sl = slice(offsets[i], offsets[i + 1])
                 points[rows, sl] = (
                     origin[rows, i][:, None, :]
                     + st.sample_offsets()[None, :, :]
                 )
-                r_self = st.r_self_at_many(
-                    center[rows, i, 0], center[rows, i, 1]
-                )
                 self_field[rows, sl] = (
-                    r_self[:, None] * powers[i] * st.profile.ravel()[None, :]
+                    r_self[m][:, None] * powers[i] * st.profile.ravel()[None, :]
                 )
 
+        # The mutual field is computed *source-major* over one point
+        # axis holding every die's sample cells: one radial
+        # interpolation covers all victims at once.  Sources of a group
+        # are stacked, at most _STACK_ROWS (source, placement) rows per
+        # chunk, so a chunk makes one mutual_profiles_many call, one
+        # hypot, one _interp_rows and one anisotropy lookup (the
+        # correction does not depend on the source).  Chunks run in
+        # order of their first source, and a source's contribution
+        # joins ``mutual`` once every source before it has: the sum runs
+        # in source order, so it is bitwise the per-source loop's, and
+        # few chunks are held at a time.
+        chunks = []
+        for st, rows, members in table_groups.values():
+            powered = [j for j in members if powers[j] > 0.0]
+            size = max(1, _STACK_ROWS // len(rows))
+            chunks.extend(
+                (st, rows, powered[k : k + size])
+                for k in range(0, len(powered), size)
+            )
+        chunks.sort(key=lambda chunk: chunk[2][0])
+        waiting = [
+            len(groups) if powers[j] > 0.0 else 0
+            for j, groups in enumerate(die_groups)
+        ]
+        pending: dict = {}
+        next_source = 0
         mutual = np.zeros((n_b, p_tot))
         stencils: dict = {}
-        for j in range(n_d):
-            if powers[j] <= 0.0:
-                continue
-            sl_j = slice(offsets[j], offsets[j + 1])
-            for st_j, rows in die_groups[j]:
-                profiles = st_j.mutual_profiles_many(
-                    center[rows, j, 0], center[rows, j, 1]
+        for st, rows, sources in chunks:
+            cx = center[rows][:, sources, 0].T  # (sources, rows)
+            cy = center[rows][:, sources, 1].T
+            profiles = st.mutual_profiles_many(cx.ravel(), cy.ravel())
+            pts = points[rows]
+            dist = np.hypot(
+                pts[None, :, :, 0] - cx[:, :, None],
+                pts[None, :, :, 1] - cy[:, :, None],
+            )
+            contrib = _interp_rows(
+                dist.reshape(-1, p_tot), st.mut_distances, profiles
+            ).reshape(len(sources), len(rows), p_tot)
+            # Anisotropy correction via a shared per-row-set stencil
+            # (all sizes crop the same solver grid in practice; the
+            # matches() guard rebuilds if one ever doesn't).
+            key = rows.tobytes()
+            stencil = stencils.get(key)
+            if stencil is None or not stencil.matches(st.delta_xs, st.delta_ys):
+                stencil = _BilinearStencil(
+                    st.delta_xs, st.delta_ys, pts.reshape(-1, 2)
                 )
-                pts = points[rows]
-                dist = np.hypot(
-                    pts[..., 0] - center[rows, j, 0][:, None],
-                    pts[..., 1] - center[rows, j, 1][:, None],
-                )
-                contrib = _interp_rows(dist, st_j.mut_distances, profiles)
-                # Anisotropy correction via a shared per-row-set stencil
-                # (all sizes crop the same solver grid in practice; the
-                # matches() guard rebuilds if one ever doesn't).
-                key = rows.tobytes()
-                stencil = stencils.get(key)
-                if stencil is None or not stencil.matches(
-                    st_j.delta_xs, st_j.delta_ys
-                ):
-                    stencil = _BilinearStencil(
-                        st_j.delta_xs, st_j.delta_ys, pts.reshape(-1, 2)
-                    )
-                    stencils[key] = stencil
-                contrib += stencil.sample(st_j.mut_delta).reshape(
-                    len(rows), p_tot
-                )
-                # A die never couples to itself; zeroing (rather than
-                # masking) keeps the accumulation elementwise and exact
-                # (adding +0.0 is the identity on these fields).
-                contrib[:, sl_j] = 0.0
-                contrib *= powers[j]
-                mutual[rows] += contrib
+                stencils[key] = stencil
+            contrib += stencil.sample(st.mut_delta).reshape(len(rows), p_tot)
+            # A die never couples to itself; zeroing (rather than
+            # masking) keeps the accumulation elementwise and exact
+            # (adding +0.0 is the identity on these fields).
+            for m, j in enumerate(sources):
+                contrib[m, :, offsets[j] : offsets[j + 1]] = 0.0
+            contrib *= powers[sources][:, None, None]
+            for m, j in enumerate(sources):
+                pending.setdefault(j, []).append((rows, contrib[m]))
+                waiting[j] -= 1
+            while next_source < n_d and not waiting[next_source]:
+                for part_rows, part in pending.pop(next_source, ()):
+                    mutual[part_rows] += part
+                next_source += 1
 
-        temps = np.empty((n_b, n_d))
-        for i in range(n_d):
-            sl = slice(offsets[i], offsets[i + 1])
-            temps[:, i] = ambient + (
-                self_field[:, sl] + mutual[:, sl]
-            ).max(axis=1)
+        # Each die's temperature is the hottest of its sample cells.
+        temps = ambient + np.maximum.reduceat(
+            self_field + mutual, offsets[:-1], axis=1
+        )
 
         return names, temps, temps.max(axis=1)

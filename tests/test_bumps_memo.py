@@ -1,10 +1,14 @@
-"""The greedy bump-pairing memo of :class:`repro.bumps.BumpAssigner`.
+"""The greedy bump-pairing memo and the site cache of
+:class:`repro.bumps.BumpAssigner`.
 
 The memo is exact by construction (a hit returns the positions the
 pairing computed for the same key), so these tests pin what could still
 go wrong: a key that misses part of the pairing input, an unbounded or
 wrongly ordered eviction, writable stored arrays, a memoized Hungarian
-pairing, and a memo that travels when an assigner is pickled.
+pairing, and a memo that travels when an assigner is pickled.  The site
+cache gets the same pins: cached coordinates equal
+:func:`~repro.bumps.sites.site_coordinates`, the byte bound holds, and
+pickling drops it.
 """
 
 import pickle
@@ -211,3 +215,79 @@ def test_pickling_drops_the_memo():
     )
     assert copy.assigner.memo_info().misses > 0
     assert warm.assigner.memo_info().entries > 0
+
+
+def long_walk(spec, moves: int = 120) -> list:
+    """Every state of one seeded ``propose`` walk of ``moves`` moves."""
+    placer = TAP25DPlacer(spec.system, None)
+    rng = np.random.default_rng(7)
+    placement = placer.initial_placement()
+    placements = []
+    for move in range(moves):
+        candidate = placer.propose(placement, rng, move / moves)
+        if candidate is not None:
+            placement = candidate
+        placements.append(placement)
+    return placements
+
+
+def test_cached_sites_equal_site_coordinates():
+    spec = get_benchmark("multi_gpu")
+    assigner = RewardCalculator(None, spec.reward_config).assigner
+    for placement in propose_walks(spec):
+        assigner.assign(placement)
+    assert len(assigner._sites) > len(spec.system.chiplets)
+    for (x, y, w, h), coords in assigner._sites.items():
+        want = site_coordinates(
+            Rect(x, y, w, h), pitch=assigner.pitch, rings=assigner.rings
+        )
+        assert coords.shape == want.shape
+        assert coords.tobytes() == want.tobytes()
+        assert not coords.flags.writeable
+
+
+def test_site_cache_stays_under_its_bound_along_a_long_walk(monkeypatch):
+    spec = get_benchmark("multi_gpu")
+    calculator = RewardCalculator(None, spec.reward_config)
+    assigner = calculator.assigner
+    bound = 100_000
+    monkeypatch.setattr(assign_module, "SITE_CACHE_BYTES", bound)
+    placements = long_walk(spec)
+    footprints = set()
+    for placement in placements:
+        got = assigner.assign(placement)
+        want = fresh_assigner(assigner).assign(placement)
+        assert assignment_bytes(got) == assignment_bytes(want)
+        footprints.update(
+            (r.x, r.y, r.w, r.h)
+            for r in map(placement.footprint, placement.placed_names)
+        )
+        assert assigner._sites_bytes <= bound
+        assert assigner._sites_bytes == sum(
+            coords.nbytes for coords in assigner._sites.values()
+        )
+    # It evicted, and the bound holds fewer footprints than one
+    # placement has, so every kept entry is one of the last placement's.
+    assert len(footprints) > len(assigner._sites) > 0
+    last = placements[-1]
+    assert set(assigner._sites) <= {
+        (r.x, r.y, r.w, r.h) for r in map(last.footprint, last.placed_names)
+    }
+
+
+def test_pickling_drops_the_site_cache():
+    spec = get_benchmark("multi_gpu")
+    cold = RewardCalculator(None, spec.reward_config).assigner
+    warm = RewardCalculator(None, spec.reward_config).assigner
+    placements = propose_walks(spec)[:8]
+    for placement in placements:
+        warm.assign(placement)
+    assert warm._sites and warm._sites_bytes > 0
+    assert pickle.dumps(warm) == pickle.dumps(cold)
+    copy = pickle.loads(pickle.dumps(warm))
+    assert not copy._sites and copy._sites_bytes == 0
+    for placement in placements:
+        assert assignment_bytes(copy.assign(placement)) == assignment_bytes(
+            warm.assign(placement)
+        )
+    assert copy._sites_bytes == warm._sites_bytes

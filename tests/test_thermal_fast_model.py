@@ -148,7 +148,7 @@ class TestCharacterization:
         st1, st2 = tables1.for_size(6, 6), tables2.for_size(6, 6)
         assert np.allclose(st1.r_self, st2.r_self)
 
-    def test_flipped_byte_in_cached_tables_raises(
+    def test_flipped_byte_in_cached_tables_recovers(
         self, small_interposer, small_config, tmp_path
     ):
         def load():
@@ -166,7 +166,23 @@ class TestCharacterization:
         blob[len(blob) // 2] ^= 0x04
         path.write_bytes(bytes(blob))
         with pytest.raises(PayloadIntegrityError, match=path.name):
-            load()
+            ResistanceTables.load(path)
+        recovered = load()
+        # The bad file is kept aside, byte for byte, and a good one
+        # replaces it.
+        quarantined = path.with_name(path.name + ".corrupt")
+        assert quarantined.read_bytes() == bytes(blob)
+        ResistanceTables.load(path)
+        fresh = characterize_tables(
+            small_interposer, [(6, 6)], small_config, position_samples=(3, 3)
+        )
+        assert recovered.tables.keys() == fresh.tables.keys()
+        for key, st in fresh.tables.items():
+            for f in fields(SizeTables):
+                want = np.asarray(getattr(st, f.name))
+                got = np.asarray(getattr(recovered.tables[key], f.name))
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes(), f.name
 
 
 class TestFastModelAccuracy:
