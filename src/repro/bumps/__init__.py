@@ -13,7 +13,7 @@ lengths — the TAP-2.5D recipe the paper adopts.  Two granularities:
 
 from repro.bumps.sites import BumpSite, perimeter_sites, site_coordinates
 from repro.bumps.assign import BumpAssigner, BumpAssignment, NetAssignment
-from repro.bumps.wirelength import estimate_wirelength, netlist_hpwl
+from repro.bumps.wirelength import estimate_wirelength
 from repro.bumps.delay import (
     NetDelay,
     WireTechnology,
@@ -29,7 +29,6 @@ __all__ = [
     "BumpAssignment",
     "NetAssignment",
     "estimate_wirelength",
-    "netlist_hpwl",
     "WireTechnology",
     "NetDelay",
     "estimate_delays",

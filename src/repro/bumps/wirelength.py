@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from repro.chiplet import Placement
 
-__all__ = ["estimate_wirelength", "netlist_hpwl"]
+__all__ = ["estimate_wirelength"]
 
 
 def estimate_wirelength(placement: Placement) -> float:
@@ -38,21 +38,3 @@ def estimate_wirelength(placement: Placement) -> float:
             total += net.wires * (abs(ax - bx) + abs(ay - by))
     return total
 
-
-def netlist_hpwl(placement: Placement) -> float:
-    """Half-perimeter wirelength of each net's bounding box, wire-weighted.
-
-    The classic floorplanning metric, provided for comparability with
-    monolithic floorplanners; for two-pin chiplet bundles it equals the
-    Manhattan center distance.
-    """
-    system = placement.system
-    total = 0.0
-    for net in system.nets:
-        if placement.is_placed(net.src) and placement.is_placed(net.dst):
-            rect_a = placement.footprint(net.src)
-            rect_b = placement.footprint(net.dst)
-            width = abs(rect_a.cx - rect_b.cx)
-            height = abs(rect_a.cy - rect_b.cy)
-            total += net.wires * (width + height)
-    return total

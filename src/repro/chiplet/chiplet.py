@@ -60,15 +60,3 @@ class Chiplet:
         if rotated:
             return Rect(x, y, self.height, self.width)
         return Rect(x, y, self.width, self.height)
-
-    def rotated_copy(self) -> "Chiplet":
-        """A copy with width/height swapped (name and power unchanged)."""
-        return Chiplet(
-            name=self.name,
-            width=self.height,
-            height=self.width,
-            power=self.power,
-            kind=self.kind,
-            rotatable=self.rotatable,
-            metadata=dict(self.metadata),
-        )

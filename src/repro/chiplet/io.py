@@ -13,6 +13,7 @@ from pathlib import Path
 from repro.chiplet.chiplet import Chiplet
 from repro.chiplet.netlist import Net
 from repro.chiplet.system import ChipletSystem, Interposer
+from repro.chiplet.validate import validate_system
 
 __all__ = ["system_to_dict", "system_from_dict", "save_system", "load_system"]
 
@@ -50,7 +51,12 @@ def system_to_dict(system: ChipletSystem) -> dict:
 
 
 def system_from_dict(data: dict) -> ChipletSystem:
-    """Inverse of :func:`system_to_dict` (tolerates missing optionals)."""
+    """Inverse of :func:`system_to_dict` (tolerates missing optionals).
+
+    Raises :class:`~repro.chiplet.ValidationError` for a system that
+    cannot be placed at all (a die larger than the interposer, or more
+    die area than interposer area).
+    """
     version = data.get("format_version", _FORMAT_VERSION)
     if version != _FORMAT_VERSION:
         raise ValueError(f"unsupported system format version {version}")
@@ -80,13 +86,15 @@ def system_from_dict(data: dict) -> ChipletSystem:
         )
         for n in data.get("nets", [])
     )
-    return ChipletSystem(
+    system = ChipletSystem(
         name=data["name"],
         interposer=interposer,
         chiplets=chiplets,
         nets=nets,
         metadata=data.get("metadata", {}),
     )
+    validate_system(system)
+    return system
 
 
 def save_system(system: ChipletSystem, path) -> None:

@@ -97,12 +97,6 @@ class ChipletSystem:
         """All nets incident to the named chiplet."""
         return tuple(n for n in self.nets if n.touches(chiplet_name))
 
-    def wires_between(self, a: str, b: str) -> int:
-        """Total wire count between two chiplets across all nets."""
-        return sum(
-            n.wires for n in self.nets if {a, b} == {n.src, n.dst}
-        )
-
     # -- aggregates --------------------------------------------------------
 
     @property
@@ -154,9 +148,6 @@ class Placement:
         """Record a position for a chiplet (overwrites an existing one)."""
         self.system.chiplet(name)  # raises KeyError for unknown names
         self.positions[name] = (float(x), float(y), bool(rotated))
-
-    def unplace(self, name: str) -> None:
-        self.positions.pop(name, None)
 
     def is_placed(self, name: str) -> bool:
         return name in self.positions

@@ -166,10 +166,6 @@ class BatchedFloorplanEnv:
         return self.observation_builder.shape
 
     @property
-    def episode_length(self) -> int:
-        return self.system.n_chiplets
-
-    @property
     def current_chiplet_name(self) -> str:
         return self.order[self._step_index]
 

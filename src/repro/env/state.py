@@ -41,14 +41,15 @@ class ObservationBuilder:
     def __init__(self, system: ChipletSystem, grid: PlacementGrid):
         self.system = system
         self.grid = grid
-        self._max_density = max(c.power_density for c in system.chiplets)
-        self._max_wires = max((n.wires for n in system.nets), default=1)
+        # System-wide normalizers of the power and connect channels.
+        self.max_density = max(c.power_density for c in system.chiplets)
+        self.max_wires = max((n.wires for n in system.nets), default=1)
 
     @property
     def shape(self) -> tuple:
         return (self.N_CHANNELS, self.grid.rows, self.grid.cols)
 
-    def _wires_to(self, current_name: str) -> dict:
+    def wires_to(self, current_name: str) -> dict:
         """Wire counts between the current die and every other die."""
         wires_to_current: dict = {}
         for net in self.system.nets_of(current_name):
@@ -61,7 +62,7 @@ class ObservationBuilder:
         grid = self.grid
         obs = np.zeros(self.shape, dtype=PARAM_DTYPE)
         current = self.system.chiplet(current_name)
-        wires_to_current = self._wires_to(current_name)
+        wires_to_current = self.wires_to(current_name)
 
         for name in placement.placed_names:
             rect = placement.footprint(name)
@@ -69,71 +70,17 @@ class ObservationBuilder:
             obs[0] = np.maximum(obs[0], cover)
             chiplet = self.system.chiplet(name)
             obs[1] = np.maximum(
-                obs[1], cover * (chiplet.power_density / self._max_density)
+                obs[1], cover * (chiplet.power_density / self.max_density)
             )
             wires = wires_to_current.get(name, 0)
             if wires:
-                obs[2] = np.maximum(obs[2], cover * (wires / self._max_wires))
+                obs[2] = np.maximum(obs[2], cover * (wires / self.max_wires))
 
         obs[3] = current.width / grid.width
         obs[4] = current.height / grid.height
-        obs[5] = current.power_density / self._max_density
+        obs[5] = current.power_density / self.max_density
         obs[6] = len(placement.placed_names) / self.system.n_chiplets
         return obs
-
-    def build_batch(self, placements: list, current_name: str) -> np.ndarray:
-        """Stacked (n, C, rows, cols) observations for lockstep episodes.
-
-        All episodes are choosing where to put the *same* chiplet
-        (lockstep rollouts share the placement order), so the wire
-        lookup and the constant channels are computed once for the whole
-        batch.  Stateless from-scratch construction: the batched
-        environment itself assembles observations incrementally via
-        :meth:`build_stacked`; this method is the reference the
-        equivalence tests pin that path against.
-        """
-        n = len(placements)
-        obs = np.zeros((n,) + self.shape, dtype=PARAM_DTYPE)
-        current = self.system.chiplet(current_name)
-        wires_to_current = self._wires_to(current_name)
-        coverage = self.grid.coverage
-        density = {
-            c.name: c.power_density / self._max_density
-            for c in self.system.chiplets
-        }
-
-        for i, placement in enumerate(placements):
-            for name in placement.placed_names:
-                cover = coverage(placement.footprint(name))
-                np.maximum(obs[i, 0], cover, out=obs[i, 0])
-                np.maximum(obs[i, 1], cover * density[name], out=obs[i, 1])
-                wires = wires_to_current.get(name, 0)
-                if wires:
-                    np.maximum(
-                        obs[i, 2],
-                        cover * (wires / self._max_wires),
-                        out=obs[i, 2],
-                    )
-            obs[i, 6] = len(placement.placed_names) / self.system.n_chiplets
-
-        obs[:, 3] = current.width / self.grid.width
-        obs[:, 4] = current.height / self.grid.height
-        obs[:, 5] = current.power_density / self._max_density
-        return obs
-
-    @property
-    def max_density(self) -> float:
-        """System-wide max power density (the power-channel normalizer)."""
-        return self._max_density
-
-    @property
-    def max_wires(self) -> int:
-        """System-wide max per-net wire count (the connect normalizer)."""
-        return self._max_wires
-
-    def wires_to(self, current_name: str) -> dict:
-        """Public alias of the per-die wire-count lookup."""
-        return self._wires_to(current_name)
 
     def build_stacked(
         self,
@@ -159,6 +106,6 @@ class ObservationBuilder:
         current = self.system.chiplet(current_name)
         obs[:, 3] = current.width / self.grid.width
         obs[:, 4] = current.height / self.grid.height
-        obs[:, 5] = current.power_density / self._max_density
+        obs[:, 5] = current.power_density / self.max_density
         obs[:, 6] = n_placed / self.system.n_chiplets
         return obs

@@ -72,16 +72,6 @@ class PlacementGrid:
         self._check_cell(row, col)
         return (col * self.dx, row * self.dy)
 
-    def cell_center(self, row: int, col: int) -> tuple:
-        """Center mm coordinate of cell ``(row, col)``."""
-        self._check_cell(row, col)
-        return ((col + 0.5) * self.dx, (row + 0.5) * self.dy)
-
-    def cell_rect(self, row: int, col: int) -> Rect:
-        """The cell's footprint rectangle."""
-        ox, oy = self.cell_origin(row, col)
-        return Rect(ox, oy, self.dx, self.dy)
-
     def locate(self, x: float, y: float) -> tuple:
         """``(row, col)`` of the cell containing point ``(x, y)``.
 

@@ -64,11 +64,6 @@ class Rect:
     def area(self) -> float:
         return self.w * self.h
 
-    @property
-    def aspect(self) -> float:
-        """Aspect ratio width/height."""
-        return self.w / self.h
-
     # -- constructors --------------------------------------------------------
 
     @classmethod
@@ -76,18 +71,7 @@ class Rect:
         """Build a rectangle from its center point."""
         return cls(cx - w / 2.0, cy - h / 2.0, w, h)
 
-    @classmethod
-    def from_corners(cls, x1: float, y1: float, x2: float, y2: float) -> "Rect":
-        """Build from two opposite corners (any order)."""
-        lo_x, hi_x = min(x1, x2), max(x1, x2)
-        lo_y, hi_y = min(y1, y2), max(y1, y2)
-        return cls(lo_x, lo_y, hi_x - lo_x, hi_y - lo_y)
-
     # -- transforms ----------------------------------------------------------
-
-    def moved_to(self, x: float, y: float) -> "Rect":
-        """Same size, lower-left corner at (x, y)."""
-        return Rect(x, y, self.w, self.h)
 
     def translated(self, dx: float, dy: float) -> "Rect":
         return Rect(self.x + dx, self.y + dy, self.w, self.h)
@@ -95,12 +79,6 @@ class Rect:
     def rotated(self) -> "Rect":
         """90-degree rotation about the lower-left corner (w/h swapped)."""
         return Rect(self.x, self.y, self.h, self.w)
-
-    def inflated(self, margin: float) -> "Rect":
-        """Grow every side outward by ``margin`` (may not go non-positive)."""
-        return Rect(
-            self.x - margin, self.y - margin, self.w + 2 * margin, self.h + 2 * margin
-        )
 
     # -- predicates ----------------------------------------------------------
 
@@ -126,27 +104,7 @@ class Rect:
             and other.y2 <= self.y2 + tol
         )
 
-    def contains_point(self, px: float, py: float) -> bool:
-        """Half-open containment: lower/left edges in, upper/right out."""
-        return self.x <= px < self.x2 and self.y <= py < self.y2
-
     # -- measures ------------------------------------------------------------
-
-    def intersection_area(self, other: "Rect") -> float:
-        """Area of the overlap region (0.0 when disjoint)."""
-        dx = min(self.x2, other.x2) - max(self.x, other.x)
-        dy = min(self.y2, other.y2) - max(self.y, other.y)
-        if dx <= 0.0 or dy <= 0.0:
-            return 0.0
-        return dx * dy
-
-    def center_distance(self, other: "Rect") -> float:
-        """Euclidean distance between centers (mm)."""
-        return math.hypot(self.cx - other.cx, self.cy - other.cy)
-
-    def center_manhattan(self, other: "Rect") -> float:
-        """Manhattan distance between centers (mm)."""
-        return abs(self.cx - other.cx) + abs(self.cy - other.cy)
 
     def gap(self, other: "Rect") -> float:
         """Smallest axis gap between boundaries; 0.0 when touching/overlapping.
@@ -159,12 +117,3 @@ class Rect:
         if gx == 0.0 and gy == 0.0:
             return 0.0
         return math.hypot(gx, gy)
-
-    def union_bbox(self, other: "Rect") -> "Rect":
-        """Smallest rectangle covering both."""
-        return Rect.from_corners(
-            min(self.x, other.x),
-            min(self.y, other.y),
-            max(self.x2, other.x2),
-            max(self.y2, other.y2),
-        )

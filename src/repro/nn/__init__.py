@@ -16,7 +16,6 @@ from repro.nn.layers import (
     Module,
     ReLU,
     Sequential,
-    Tanh,
 )
 from repro.nn.optim import Adam, clip_grad_norm
 from repro.nn.distributions import MaskedCategorical
@@ -40,7 +39,6 @@ __all__ = [
     "Conv2d",
     "Sequential",
     "ReLU",
-    "Tanh",
     "Flatten",
     "Adam",
     "clip_grad_norm",

@@ -11,7 +11,7 @@ import numpy as np
 from repro.nn.init import kaiming_uniform, orthogonal, orthogonal_layout
 from repro.nn.tensor import Tensor
 
-__all__ = ["Module", "Linear", "Conv2d", "ReLU", "Tanh", "Flatten", "Sequential"]
+__all__ = ["Module", "Linear", "Conv2d", "ReLU", "Flatten", "Sequential"]
 
 PARAM_DTYPE = np.float32
 
@@ -71,9 +71,6 @@ class Module:
                 for i, item in enumerate(value):
                     if isinstance(item, Module):
                         item.load_state_dict(state, prefix=f"{key}.{i}.")
-
-    def n_parameters(self) -> int:
-        return sum(p.size for p in self.parameters())
 
     def __call__(self, *args, **kwargs):
         return self.forward(*args, **kwargs)
@@ -163,11 +160,6 @@ class Conv2d(Module):
 class ReLU(Module):
     def forward(self, x: Tensor) -> Tensor:
         return x.relu()
-
-
-class Tanh(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.tanh()
 
 
 class Flatten(Module):

@@ -43,20 +43,15 @@ class Adam:
     # Elements per block: the two scratch blocks plus the parameter,
     # moment and gradient blocks stay cache-resident.
     BLOCK_ELEMENTS = 16384
+    BETA1 = 0.9
+    BETA2 = 0.999
+    EPS = 1e-8
 
-    def __init__(
-        self,
-        parameters,
-        lr: float = 3e-4,
-        betas: tuple = (0.9, 0.999),
-        eps: float = 1e-8,
-    ):
+    def __init__(self, parameters, lr: float = 3e-4):
         if lr <= 0:
             raise ValueError("lr must be positive")
         self.parameters = list(parameters)
         self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self._m = [np.zeros_like(p.data) for p in self.parameters]
         self._v = [np.zeros_like(p.data) for p in self.parameters]
         self._t = 0
@@ -86,10 +81,10 @@ class Adam:
 
     def step(self) -> None:
         self._t += 1
-        bias1 = 1.0 - self.beta1**self._t
-        bias2 = 1.0 - self.beta2**self._t
-        one_minus_b1 = 1.0 - self.beta1
-        one_minus_b2 = 1.0 - self.beta2
+        bias1 = 1.0 - self.BETA1**self._t
+        bias2 = 1.0 - self.BETA2**self._t
+        one_minus_b1 = 1.0 - self.BETA1
+        one_minus_b2 = 1.0 - self.BETA2
         for p, m, v, blocks in zip(self.parameters, self._m, self._v, self._blocks):
             if p.grad is None:
                 continue
@@ -98,10 +93,10 @@ class Adam:
                 g, mb, vb, pb = p.grad[rows], m[rows], v[rows], p.data[rows]
                 a = buf_a[: g.size].reshape(g.shape)
                 b = buf_b[: g.size].reshape(g.shape)
-                mb *= self.beta1
+                mb *= self.BETA1
                 np.multiply(g, one_minus_b1, out=a)
                 mb += a
-                vb *= self.beta2
+                vb *= self.BETA2
                 np.multiply(g, g, out=a)
                 a *= one_minus_b2
                 vb += a
@@ -109,7 +104,7 @@ class Adam:
                 a *= self.lr
                 np.divide(vb, bias2, out=b)
                 np.sqrt(b, out=b)
-                b += self.eps
+                b += self.EPS
                 a /= b
                 pb -= a
 

@@ -106,10 +106,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def detach(self) -> "Tensor":
-        """A new leaf tensor sharing the same values."""
-        return Tensor(self.data)
-
     def numpy(self) -> np.ndarray:
         """The underlying array (no copy)."""
         return self.data

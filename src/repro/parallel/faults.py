@@ -110,11 +110,6 @@ class RetryPolicy:
         if self.jitter < 0:
             raise ValueError("jitter must be >= 0")
 
-    @classmethod
-    def no_retry(cls) -> "RetryPolicy":
-        """A policy that classifies but never retries (max_attempts=1)."""
-        return cls(max_attempts=1)
-
     @staticmethod
     def is_transient(error: BaseException) -> bool:
         """Whether ``error`` is environmental (retry) vs reproducible.

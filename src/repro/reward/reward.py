@@ -193,11 +193,11 @@ class RewardCalculator:
         return rewards, wirelengths, celsius, penalties
 
     def evaluate_many(self, placements) -> np.ndarray:
-        """Rewards of a batch of placements (the search-loop hot path).
+        """Rewards of a batch of placements, without breakdowns.
 
-        Multi-chain annealers and batched search only need the scalar
-        objective per candidate, so this skips building
-        :class:`RewardBreakdown` objects.
+        Nothing in the package calls this: it stays only as the target
+        of perfbench's ``reward.evaluate_many`` span, until that span
+        is retired.
         """
         return self._score(list(placements))[0]
 

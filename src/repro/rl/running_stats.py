@@ -14,10 +14,13 @@ __all__ = ["RunningMeanStd"]
 class RunningMeanStd:
     """Tracks elementwise mean and variance of a stream of batches."""
 
-    def __init__(self, shape: tuple = (), epsilon: float = 1e-4):
+    # Pseudo-count of the prior (mean 0, var 1); keeps the first merge finite.
+    EPSILON = 1e-4
+
+    def __init__(self, shape: tuple = ()):
         self.mean = np.zeros(shape, dtype=np.float64)
         self.var = np.ones(shape, dtype=np.float64)
-        self.count = float(epsilon)
+        self.count = float(self.EPSILON)
 
     def update(self, batch: np.ndarray) -> None:
         """Fold a batch (leading axis = samples) into the statistics."""

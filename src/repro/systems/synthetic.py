@@ -33,40 +33,32 @@ DATASET_INTERPOSER = Interposer(40.0, 40.0, min_spacing=0.2)
 DATASET_SIZES = (4.0, 6.0, 8.0, 10.0, 12.0)
 
 
-def synthetic_system(
-    seed: int,
-    n_chiplets: int | None = None,
-    interposer: Interposer | None = None,
-    sizes=DATASET_SIZES,
-    power_density_range: tuple = (0.1, 0.8),
-    wires_choices: tuple = (128, 256, 512),
-    extra_edge_prob: float = 0.3,
-) -> ChipletSystem:
-    """Generate one random system.
+def synthetic_system(seed: int) -> ChipletSystem:
+    """Generate one random system on :data:`DATASET_INTERPOSER`.
 
-    Die sizes are drawn from ``sizes`` (quantized so characterization
-    tables are shared), powers from a uniform power-density range, and
-    the netlist is a random spanning tree plus random extra edges —
+    4-8 dies with sides from :data:`DATASET_SIZES` (quantized so
+    characterization tables are shared), powers from a uniform 0.1-0.8
+    W/mm^2 density, and a netlist that is a random spanning tree plus
+    extra edges (probability 0.3 per pair) of 128, 256 or 512 wires —
     connected, like real systems, but irregular.
     """
     rng = new_rng(seed)
-    interposer = interposer or DATASET_INTERPOSER
-    if n_chiplets is None:
-        n_chiplets = int(rng.integers(4, 9))
+    wires_choices = (128, 256, 512)
+    n_chiplets = int(rng.integers(4, 9))
     # Keep utilization moderate so every sample is placeable.
     chiplets = []
     total_area = 0.0
-    budget = 0.55 * interposer.area
+    budget = 0.55 * DATASET_INTERPOSER.area
     for i in range(n_chiplets):
         for _ in range(50):
-            w = float(rng.choice(sizes))
-            h = float(rng.choice(sizes))
+            w = float(rng.choice(DATASET_SIZES))
+            h = float(rng.choice(DATASET_SIZES))
             if total_area + w * h <= budget:
                 break
         else:
             break
         total_area += w * h
-        density = rng.uniform(*power_density_range)
+        density = rng.uniform(0.1, 0.8)
         chiplets.append(
             Chiplet(
                 name=f"c{i}",
@@ -94,7 +86,7 @@ def synthetic_system(
     # Extra cross edges.
     for i in range(len(names)):
         for j in range(i + 1, len(names)):
-            if rng.random() < extra_edge_prob and not any(
+            if rng.random() < 0.3 and not any(
                 {names[i], names[j]} == {n.src, n.dst} for n in nets
             ):
                 nets.append(
@@ -107,7 +99,7 @@ def synthetic_system(
                 )
     return ChipletSystem(
         name=f"synthetic_seed{seed}",
-        interposer=interposer,
+        interposer=DATASET_INTERPOSER,
         chiplets=tuple(chiplets),
         nets=tuple(nets),
         metadata={"seed": seed},

@@ -60,7 +60,3 @@ class ThermalConfig:
             raise ValueError("r_convection must be positive")
         if self.r_board is not None and self.r_board <= 0:
             raise ValueError("r_board must be positive or None")
-
-    @property
-    def ambient_celsius(self) -> float:
-        return self.ambient - KELVIN_OFFSET

@@ -367,9 +367,6 @@ class ResistanceTables:
                 f"re-run characterize_tables including this size"
             ) from None
 
-    def has_size(self, width: float, height: float) -> bool:
-        return size_key(width, height) in self.tables
-
     @property
     def n_sizes(self) -> int:
         return len(self.tables)

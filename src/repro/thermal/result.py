@@ -37,12 +37,3 @@ class ThermalResult:
     @property
     def max_temperature_celsius(self) -> float:
         return self.max_temperature - KELVIN_OFFSET
-
-    @property
-    def hottest_chiplet(self) -> str:
-        """Name of the die reaching :attr:`max_temperature`."""
-        return max(self.chiplet_temperatures, key=self.chiplet_temperatures.get)
-
-    def temperature_of(self, name: str, celsius: bool = False) -> float:
-        t = self.chiplet_temperatures[name]
-        return t - KELVIN_OFFSET if celsius else t

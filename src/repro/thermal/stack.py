@@ -83,16 +83,6 @@ class LayerStack:
                 return i
         raise AssertionError("validated stack lost its chiplet layer")
 
-    @property
-    def total_thickness(self) -> float:
-        return sum(layer.thickness for layer in self.layers)
-
-    def layer_index(self, name: str) -> int:
-        for i, layer in enumerate(self.layers):
-            if layer.name == name:
-                return i
-        raise KeyError(f"no layer {name!r}")
-
 
 def default_chiplet_stack() -> LayerStack:
     """The default 2.5D package stack described in the module docstring.

@@ -52,10 +52,8 @@ def render_floorplan(
     return "\n".join([header, border, body, border] + legend)
 
 
-def render_thermal_map(
-    field: np.ndarray, width: int = 60, height: int = 30, unit: str = "K"
-) -> str:
-    """Render a 2D temperature field as an ASCII shade map."""
+def render_thermal_map(field: np.ndarray, width: int = 60, height: int = 30) -> str:
+    """Render a 2D temperature field (K) as an ASCII shade map."""
     field = np.asarray(field, dtype=np.float64)
     if field.ndim != 2:
         raise ValueError("expected a 2D field")
@@ -69,5 +67,5 @@ def render_thermal_map(
     rows = ["".join(_SHADES[v] for v in row) for row in levels[::-1]]
     border = "+" + "-" * width + "+"
     body = "\n".join("|" + row + "|" for row in rows)
-    footer = f"min {lo:.2f} {unit}   max {hi:.2f} {unit}"
+    footer = f"min {lo:.2f} K   max {hi:.2f} K"
     return "\n".join([border, body, border, footer])

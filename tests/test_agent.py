@@ -115,7 +115,7 @@ class TestTrainer:
     def test_collect_episode_complete(self, env):
         trainer = small_trainer(env)
         [(episode, info)] = trainer.collect_episodes(1)
-        assert episode.length == env.episode_length
+        assert episode.length == env.system.n_chiplets
         assert "breakdown" in info or info.get("deadlock")
 
     def test_training_runs_and_tracks_best(self, env):

@@ -11,7 +11,6 @@ from repro.baselines.random_search import random_legal_placement
 from repro.bumps import (
     BumpAssigner,
     estimate_wirelength,
-    netlist_hpwl,
     perimeter_sites,
 )
 from repro.chiplet import Chiplet, ChipletSystem, Interposer, Net, Placement
@@ -49,7 +48,7 @@ class TestSites:
         sites = perimeter_sites(rect, pitch=0.5, rings=2, edge_margin=0.2)
         assert len(sites) > 0
         for site in sites:
-            assert rect.contains_point(site.x, site.y) or (
+            assert (rect.x <= site.x < rect.x2 and rect.y <= site.y < rect.y2) or (
                 site.x == rect.x2 or site.y == rect.y2
             )
             inset = 0.2 + site.ring * 0.5
@@ -111,7 +110,9 @@ class TestEstimators:
                 if placement.is_placed(net.src) and placement.is_placed(net.dst):
                     rect_a = placement.footprint(net.src)
                     rect_b = placement.footprint(net.dst)
-                    total += net.wires * rect_a.center_manhattan(rect_b)
+                    total += net.wires * (
+                        abs(rect_a.cx - rect_b.cx) + abs(rect_a.cy - rect_b.cy)
+                    )
             return total
 
         system = get_benchmark(name).system
@@ -122,14 +123,10 @@ class TestEstimators:
             rotated += sum(rot for _, _, rot in p.positions.values())
             assert estimate_wirelength(p) == reference(p)
             for chiplet in system.chiplets[::2]:
-                p.unplace(chiplet.name)
+                p.positions.pop(chiplet.name, None)
             assert estimate_wirelength(p) == reference(p)
         if any(chiplet.rotatable for chiplet in system.chiplets):
             assert rotated > 0
-
-    def test_hpwl_equals_center_manhattan_for_two_pin(self, two_die_system):
-        p = placed(two_die_system, {"a": (0, 0), "b": (15, 3)})
-        assert netlist_hpwl(p) == pytest.approx(estimate_wirelength(p))
 
 
 class TestAssignment:
@@ -238,7 +235,10 @@ class TestAssignment:
             (Net("a", "b", wires=wires, name="n"),),
         )
         p = placed(system, {"a": (0, 0), "b": (bx, by)})
-        if p.footprint("a").inflated(0.1).overlaps(p.footprint("b")):
+        a = p.footprint("a")
+        if Rect(a.x - 0.1, a.y - 0.1, a.w + 2 * 0.1, a.h + 2 * 0.1).overlaps(
+            p.footprint("b")
+        ):
             return  # overlapping sample; assignment assumes legal placements
         assignment = BumpAssigner(pitch=0.5, rings=3).assign(p)
         # Perimeter bumps sit within half a die of the centers, so the

@@ -90,37 +90,3 @@ class TestEstimateDelays:
         for s, f in zip(slow, fast):
             assert f.max_delay_ns < s.max_delay_ns
 
-
-class TestCurves:
-    def test_csv_roundtrip(self, tmp_path):
-        from repro.experiments.curves import history_to_csv
-
-        history = [
-            {"epoch": 0, "mean_reward": -10.0, "note": "x"},
-            {"epoch": 1, "mean_reward": -9.0, "note": "y"},
-        ]
-        path = tmp_path / "curve.csv"
-        history_to_csv(history, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "epoch,mean_reward"
-        assert lines[2].startswith("1,")
-
-    def test_csv_empty_rejected(self, tmp_path):
-        from repro.experiments.curves import history_to_csv
-
-        with pytest.raises(ValueError):
-            history_to_csv([], tmp_path / "x.csv")
-
-    def test_ascii_curve_shape(self):
-        from repro.experiments.curves import ascii_curve
-
-        art = ascii_curve([1, 2, 3, 4, 3, 5], width=30, height=6, label="demo")
-        assert "demo" in art
-        assert art.count("|") == 12  # 6 rows x 2 borders
-        assert "*" in art
-
-    def test_ascii_curve_needs_points(self):
-        from repro.experiments.curves import ascii_curve
-
-        with pytest.raises(ValueError):
-            ascii_curve([1.0])

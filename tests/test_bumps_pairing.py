@@ -104,7 +104,7 @@ def _diagonal(rng, low=3.0, high=12.0):
     gap_x, gap_y = rng.uniform(4.0, 30.0, size=2)
     bx = a.x2 + gap_x if sx > 0 else a.x - gap_x - b.w
     by = a.y2 + gap_y if sy > 0 else a.y - gap_y - b.h
-    return _sites(a), _sites(b.moved_to(bx, by))
+    return _sites(a), _sites(Rect(bx, by, b.w, b.h))
 
 
 def _facing(rng, low=3.0, high=12.0):
@@ -112,7 +112,8 @@ def _facing(rng, low=3.0, high=12.0):
     b = _die(rng, 0.0, 0.0, low, high)
     gap = rng.uniform(0.1, 2.0)
     offset = rng.uniform(-b.h / 2.0, a.h / 2.0)
-    return _transpose(rng, _sites(a), _sites(b.moved_to(a.x2 + gap, offset)))
+    b = Rect(a.x2 + gap, offset, b.w, b.h)
+    return _transpose(rng, _sites(a), _sites(b))
 
 
 def _pairs_between(rng, xy_a, xy_b, cap=192):

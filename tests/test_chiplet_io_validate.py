@@ -1,5 +1,7 @@
 """Tests for system JSON I/O and placement validation."""
 
+import json
+
 import pytest
 
 from repro.chiplet import (
@@ -17,6 +19,7 @@ from repro.chiplet import (
     validate_system,
 )
 from repro.chiplet.validate import placement_violations
+from repro.systems import get_benchmark
 
 
 @pytest.fixture
@@ -61,6 +64,26 @@ class TestIO:
         sys_ = system_from_dict(data)
         assert sys_.nets == ()
         assert sys_.interposer.min_spacing == 0.1
+
+    def test_load_rejects_oversized_die(self, tmp_path):
+        data = system_to_dict(get_benchmark("multi_gpu").system)
+        data["chiplets"][0]["width"] = 1000.0
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValidationError, match="cannot fit"):
+            load_system(path)
+
+    def test_load_rejects_overpacked_interposer(self):
+        data = {
+            "name": "full",
+            "interposer": {"width": 10, "height": 10},
+            "chiplets": [
+                {"name": f"c{i}", "width": 6, "height": 6, "power": 1.0}
+                for i in range(4)
+            ],  # 144 mm^2 on 100 mm^2
+        }
+        with pytest.raises(ValidationError, match="over-packs"):
+            system_from_dict(data)
 
 
 class TestValidateSystem:

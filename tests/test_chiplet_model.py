@@ -47,12 +47,6 @@ class TestChiplet:
         assert (up.w, up.h) == (4, 2)
         assert (rot.w, rot.h) == (2, 4)
 
-    def test_rotated_copy_preserves_identity(self):
-        c = Chiplet("a", 4, 2, 7.0, kind="x")
-        r = c.rotated_copy()
-        assert (r.width, r.height) == (2, 4)
-        assert r.power == 7.0 and r.name == "a" and r.kind == "x"
-
 
 class TestNet:
     def test_self_loop_rejected(self):
@@ -104,15 +98,6 @@ class TestSystem:
         assert len(system.nets_of("cpu")) == 2
         assert len(system.nets_of("gpu")) == 2
 
-    def test_wires_between_merges_nets(self):
-        sys2 = ChipletSystem(
-            "m",
-            Interposer(20, 20),
-            (Chiplet("a", 1, 1, 1), Chiplet("b", 1, 1, 1)),
-            (Net("a", "b", wires=3), Net("b", "a", wires=4)),
-        )
-        assert sys2.wires_between("a", "b") == 7
-
     def test_placement_order_by_area_then_power(self, system):
         order = system.placement_order()
         assert order[0] == "gpu"  # largest area
@@ -143,13 +128,6 @@ class TestPlacement:
         for i, name in enumerate(system.chiplet_names):
             p.place(name, i * 13.0, 0.0)
         assert p.is_complete
-
-    def test_unplace(self, system):
-        p = Placement(system)
-        p.place("gpu", 0, 0)
-        p.unplace("gpu")
-        assert not p.is_placed("gpu")
-        p.unplace("gpu")  # idempotent
 
     def test_copy_is_independent(self, system):
         p = Placement(system)

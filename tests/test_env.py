@@ -138,7 +138,7 @@ class TestFloorplanEnv:
             if not done:
                 obs, mask = result.observations, result.masks
             steps += 1
-        assert steps == env.episode_length
+        assert steps == env.system.n_chiplets
         [(index, reward, info)] = result.finished
         assert index == 0
         assert reward < 0.0

@@ -163,9 +163,6 @@ class TestRetryPolicy:
         with pytest.raises(ValueError, match="1-based"):
             RetryPolicy().backoff("j", 0)
 
-    def test_no_retry(self):
-        assert RetryPolicy.no_retry().max_attempts == 1
-
 
 # ----------------------------------------------------------------------
 # sweep report
@@ -364,5 +361,5 @@ class TestKeepGoing:
                     JobSpec("bad", _boom),
                 ],
                 jobs=2,
-                policy=RetryPolicy.no_retry(),
+                policy=RetryPolicy(max_attempts=1),
             )

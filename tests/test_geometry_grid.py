@@ -28,13 +28,12 @@ class TestBasics:
     def test_cell_origin_and_center(self, grid):
         assert grid.cell_origin(0, 0) == (0.0, 0.0)
         assert grid.cell_origin(1, 3) == (6.0, 2.0)
-        assert grid.cell_center(0, 0) == (1.0, 1.0)
 
     def test_cell_out_of_range(self, grid):
         with pytest.raises(ValueError):
             grid.cell_origin(10, 0)
         with pytest.raises(ValueError):
-            grid.cell_rect(0, 20)
+            grid.cell_origin(0, 20)
 
     def test_locate(self, grid):
         assert grid.locate(0.0, 0.0) == (0, 0)
@@ -106,6 +105,7 @@ class TestCoverage:
     )
     def test_cell_rect_covers_exactly_its_cell(self, row, col):
         grid = PlacementGrid(40.0, 20.0, 10, 20)
-        cover = grid.coverage(grid.cell_rect(row, col))
+        ox, oy = grid.cell_origin(row, col)
+        cover = grid.coverage(Rect(ox, oy, grid.dx, grid.dy))
         assert cover[row, col] == pytest.approx(1.0)
         assert cover.sum() == pytest.approx(1.0)

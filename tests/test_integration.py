@@ -151,8 +151,6 @@ class TestThermalResultContainer:
         assert result.max_temperature_celsius == pytest.approx(
             result.max_temperature - KELVIN_OFFSET
         )
-        hottest = result.hottest_chiplet
-        assert result.temperature_of(hottest) == result.max_temperature
-        assert result.temperature_of(hottest, celsius=True) < result.temperature_of(
-            hottest
-        )
+        temperatures = result.chiplet_temperatures
+        hottest = max(temperatures, key=temperatures.get)
+        assert temperatures[hottest] == result.max_temperature

@@ -79,7 +79,6 @@ class TestFloat32Learner:
         placement = Placement(env.system)
         placement.place("hot", 0, 0)
         assert builder.build(placement, "warm").dtype == np.float32
-        assert builder.build_batch([placement], "warm").dtype == np.float32
         trainer = _trainer(env)
         for episode, _ in trainer.collect_episodes(2):
             for obs in episode.observations:

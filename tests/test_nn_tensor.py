@@ -319,9 +319,3 @@ class TestNoGrad:
         z = (x * 2).sum()
         assert not y.requires_grad
         assert z.requires_grad
-
-    def test_detach(self):
-        x = Tensor(np.ones(3), requires_grad=True)
-        d = x.detach()
-        assert not d.requires_grad
-        assert d.data is x.data

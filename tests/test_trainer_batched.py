@@ -121,7 +121,7 @@ class TestBatchedCollection:
         collected = trainer.collect_episodes(6)  # 4 + 2: uneven final wave
         assert len(collected) == 6
         for episode, info in collected:
-            assert episode.length == golden_env.episode_length or info.get(
+            assert episode.length == golden_env.system.n_chiplets or info.get(
                 "deadlock"
             )
             assert "breakdown" in info or info.get("deadlock")
