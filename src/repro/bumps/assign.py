@@ -250,11 +250,13 @@ class BumpAssigner:
     warm assigner pickles to the same bytes as a cold one.  Neither
     takes a lock, so one assigner must not run :meth:`assign` on two
     threads at once.  The shipped callers never do: serve runs a
-    bundle's evaluators under ``bundle.lock``, and the reward call's
-    thermal thread never touches the assigner.  :meth:`memo_info` may
-    be read from any thread (serve's ``/v1/stats`` does, without the
-    lock); a read that races an assignment may mix counters from
-    either side of one pairing.
+    bundle's evaluators under ``bundle.lock``, and the reward call
+    assigns bumps on its caller's thread: its only worker thread,
+    started for a grid-solver batch, runs the thermal half and never
+    touches the assigner.  :meth:`memo_info` may be read from any
+    thread (serve's ``/v1/stats`` does, without the lock); a read that
+    races an assignment may mix counters from either side of one
+    pairing.
     """
 
     def __init__(

@@ -264,14 +264,6 @@ class Tensor:
 
         return Tensor._from_op(self.data * mask, (self,), backward)
 
-    def tanh(self):
-        out_data = np.tanh(self.data)
-
-        def backward(grad):
-            return ((self, grad * (1.0 - out_data**2)),)
-
-        return Tensor._from_op(out_data, (self,), backward)
-
     def exp(self):
         out_data = np.exp(self.data)
 

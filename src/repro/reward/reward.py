@@ -149,22 +149,45 @@ class RewardCalculator:
         every batched cost equals the scalar cost bit for bit, since
         Metropolis comparisons amplify any last-ulp difference.
 
-        The two halves read nothing of each other, so they overlap: the
+        The two halves read nothing of each other, so they can overlap,
+        but only an evaluator that releases the GIL gains from it: its
+        class declares ``RELEASES_GIL = True`` (the grid solver, whose
+        SuperLU factorization and solves drop the GIL).  Then the
         batched ``max_temperatures`` call runs on a worker thread
-        started here while this thread assigns bumps, and SuperLU's
-        factorization and solves release the GIL, so a grid-backed
+        started here while this thread assigns bumps, and a grid-backed
         call costs about the larger half instead of the sum.  The
         worker touches only the thermal evaluator; the assigner and its
-        memo stay on this thread.  On the fast model the two halves
-        trade the GIL, so every memo hit also shortens the thermal
-        half.  The worker is joined before this method returns or
-        raises; no thread outlives the call (callers fork worker
-        processes between calls).  Errors surface as in a serial
-        evaluation: a wirelength error wins (the worker is joined
-        first), and a thermal error is re-raised as the same exception
-        object.
+        memo stay on this thread, and the worker is joined before this
+        method returns or raises, so no thread outlives the call
+        (callers fork worker processes between calls).  Every other
+        evaluator (the fast model, and any that does not declare the
+        constant) holds the GIL throughout, where a worker would only
+        add thread starts and GIL handoffs, so both halves run inline
+        on this thread: wirelength first, then temperatures.  Both
+        paths compute the same floats, and errors surface as in a
+        serial evaluation on either: a wirelength error wins (on the
+        threaded path, after the worker is joined), and a thermal error
+        is re-raised as the same exception object.
         """
         n = len(placements)
+        if getattr(self.thermal, "RELEASES_GIL", False):
+            wirelengths, kelvin = self._score_overlapped(placements)
+        else:
+            wirelengths = self.wirelength_many(placements)
+            kelvin = self.thermal.max_temperatures(placements)
+        celsius = np.asarray(kelvin, dtype=float) - KELVIN_OFFSET
+        penalties = np.empty(n)
+        rewards = np.empty(n)
+        for i in range(n):
+            t_celsius = float(celsius[i])
+            penalties[i] = self.config.thermal_penalty(t_celsius)
+            rewards[i] = self.config.combine(float(wirelengths[i]), t_celsius)
+        self.evaluation_count += n
+        return rewards, wirelengths, celsius, penalties
+
+    def _score_overlapped(self, placements: list) -> tuple:
+        """Wirelengths and max temperatures (K), the thermal half on a
+        worker thread while this thread assigns bumps."""
         # [max temperatures (K), exception] of the thermal half.
         thermal = [None, None]
 
@@ -182,15 +205,7 @@ class RewardCalculator:
             worker.join()
         if thermal[1] is not None:
             raise thermal[1]
-        celsius = np.asarray(thermal[0], dtype=float) - KELVIN_OFFSET
-        penalties = np.empty(n)
-        rewards = np.empty(n)
-        for i in range(n):
-            t_celsius = float(celsius[i])
-            penalties[i] = self.config.thermal_penalty(t_celsius)
-            rewards[i] = self.config.combine(float(wirelengths[i]), t_celsius)
-        self.evaluation_count += n
-        return rewards, wirelengths, celsius, penalties
+        return wirelengths, thermal[0]
 
     def evaluate_many(self, placements) -> np.ndarray:
         """Rewards of a batch of placements, without breakdowns.

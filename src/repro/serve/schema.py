@@ -44,6 +44,12 @@ _BUDGET_FIELDS = frozenset(
 _HOST_BUDGET_FIELDS = ("collect_jobs", "collect_workers", "collect_bind")
 _DEFAULT_BUDGET = ExperimentBudget()
 
+#: Ceilings on the budget fields that scale one request's compute: the
+#: paper's 600 epochs, and episode and grid sizes well above every
+#: published setting.  Only HTTP requests are held to them; the CLI's
+#: ``--paper-scale`` and :class:`ExperimentBudget` itself are not.
+_BUDGET_CEILINGS = {"rl_epochs": 600, "episodes_per_epoch": 64, "grid_size": 64}
+
 
 class BadRequest(ValueError):
     """Client error: malformed or semantically invalid request body."""
@@ -60,7 +66,8 @@ def budget_from_dict(data: dict) -> ExperimentBudget:
     Unknown fields are rejected rather than ignored — a typo'd knob
     silently running at its default would poison the memoization key's
     meaning (the caller thinks it asked for something it didn't).  So
-    are non-default host-resource fields (:data:`_HOST_BUDGET_FIELDS`).
+    are non-default host-resource fields (:data:`_HOST_BUDGET_FIELDS`)
+    and values above :data:`_BUDGET_CEILINGS`.
     """
     if not isinstance(data, dict):
         raise BadRequest("budget must be a JSON object")
@@ -81,6 +88,9 @@ def budget_from_dict(data: dict) -> ExperimentBudget:
                 f"budget field {name!r} claims server resources and "
                 f"must stay at its default {getattr(_DEFAULT_BUDGET, name)!r}"
             )
+    for name, ceiling in _BUDGET_CEILINGS.items():
+        if getattr(budget, name) > ceiling:
+            raise BadRequest(f"budget field {name!r} must be at most {ceiling}")
     return budget
 
 

@@ -10,8 +10,7 @@ Two evaluators share one protocol:
   superposition surrogate built from self-/mutual-thermal-resistance
   tables characterized once against the grid solver.
 
-The protocol, which :class:`~repro.reward.RewardCalculator` relies on
-without probing for capabilities:
+The protocol, which :class:`~repro.reward.RewardCalculator` relies on:
 
 * ``evaluate_batch(placements) -> list[ThermalResult]``, one result per
   placement, in order; a result never depends on which other placements
@@ -22,10 +21,13 @@ without probing for capabilities:
   of each placement without per-die results — the one thermal call
   behind every reward.
 
-``max_temperatures`` may run on a thread other than the main one,
-concurrently with bump assignment: the reward call overlaps the two
-halves.  An evaluator must therefore share no mutable state with the
-bump assigner (both only read the placements).
+* ``RELEASES_GIL``, a class constant: True where ``max_temperatures``
+  spends its time outside the GIL (the grid solver's SuperLU calls).
+  The reward call then runs ``max_temperatures`` on a worker thread,
+  concurrently with bump assignment, so such an evaluator must share
+  no mutable state with the bump assigner (both only read the
+  placements).  An evaluator that declares False (the fast model) or
+  nothing is called inline on the caller's thread, after the bumps.
 
 The fast model vectorizes its table lookups across the batch, while the
 grid solver back-substitutes all right-hand sides through one shared

@@ -418,6 +418,11 @@ class FastThermalModel:
         Only ``ambient`` is consulted; defaults to the standard config.
     """
 
+    #: Table lookups and numpy reductions on small arrays hold the GIL
+    #: for the whole call, so a reward call runs it inline with bump
+    #: assignment (see :class:`~repro.reward.RewardCalculator`).
+    RELEASES_GIL = False
+
     def __init__(
         self, tables: ResistanceTables, config: ThermalConfig | None = None
     ):

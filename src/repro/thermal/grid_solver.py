@@ -83,6 +83,11 @@ class GridThermalSolver:
     happens.
     """
 
+    #: SuperLU's factorization and solves release the GIL, so a reward
+    #: call overlaps them with bump assignment on a worker thread (see
+    #: :class:`~repro.reward.RewardCalculator`).
+    RELEASES_GIL = True
+
     def __init__(
         self,
         interposer: Interposer,

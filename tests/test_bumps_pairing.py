@@ -242,8 +242,10 @@ class _PassOnlyAssigner(BumpAssigner):
     _pair_greedy = staticmethod(reference_pair_greedy)
 
 
-@pytest.mark.parametrize("system", ["multi_gpu", "ascend910", "cpu_dram"])
-def test_assign_matches_pass_only_loop(system):
+SYSTEMS = ["multi_gpu", "ascend910", "cpu_dram"]
+
+
+def assert_assign_matches_pass_only_loop(system):
     spec = get_benchmark(system)
     fast = RewardCalculator(None, spec.reward_config).assigner
     old = _PassOnlyAssigner(
@@ -258,3 +260,52 @@ def test_assign_matches_pass_only_loop(system):
             assert g.pairs.tobytes() == w.pairs.tobytes(), (system, g.net_name)
             assert g.wires_per_pair.tolist() == w.wires_per_pair.tolist()
         assert got.total_wirelength == want.total_wirelength
+
+
+@pytest.mark.parametrize("system", SYSTEMS)
+def test_assign_matches_pass_only_loop(system):
+    assert_assign_matches_pass_only_loop(system)
+
+
+def sequential_pair_greedy(xy_a, xy_b, n_pairs):
+    """The true sequential closest-free-pair sweep: the pass-only
+    loop's prefilter and sorted order, but each entry in turn is taken
+    when its row and column are both free.  Not the pinned rule."""
+    keep = min(max(2 * n_pairs, n_pairs + 16), len(xy_a), len(xy_b))
+    near_a = np.argsort(
+        np.abs(xy_a - xy_b.mean(axis=0)).sum(axis=1), kind="stable"
+    )[:keep]
+    near_b = np.argsort(
+        np.abs(xy_b - xy_a.mean(axis=0)).sum(axis=1), kind="stable"
+    )[:keep]
+    sub_a, sub_b = xy_a[near_a], xy_b[near_b]
+    dist = np.abs(sub_a[:, None, 0] - sub_b[None, :, 0]) + np.abs(
+        sub_a[:, None, 1] - sub_b[None, :, 1]
+    )
+    order = np.argsort(dist, axis=None, kind="stable")
+    free_rows, free_cols = set(range(keep)), set(range(keep))
+    chosen_a, chosen_b = [], []
+    for row, col in zip(*np.divmod(order, keep)):
+        if len(chosen_a) == n_pairs:
+            break
+        if row in free_rows and col in free_cols:
+            free_rows.remove(row)
+            free_cols.remove(col)
+            chosen_a.append(row)
+            chosen_b.append(col)
+    return near_a[np.array(chosen_a)], near_b[np.array(chosen_b)]
+
+
+def test_a_sequential_sweep_fails_the_pin(monkeypatch):
+    """The sequential rule differs from the pinned one once the
+    ``n_pairs`` cutoff bites, so the assign pin catches it."""
+    monkeypatch.setattr(
+        BumpAssigner, "_pair_greedy", staticmethod(sequential_pair_greedy)
+    )
+    caught = []
+    for system in SYSTEMS:
+        try:
+            assert_assign_matches_pass_only_loop(system)
+        except AssertionError:
+            caught.append(system)
+    assert caught

@@ -152,7 +152,6 @@ OPS = {
     "rdiv": lambda a, b: 3.0 / a,
     "pow": lambda a, b: a**2.5,
     "relu": lambda a, b: (a - 1.0).relu(),
-    "tanh": lambda a, b: a.tanh(),
     "exp": lambda a, b: a.exp(),
     "log": lambda a, b: a.log(),
     "clip": lambda a, b: a.clip(0.8, 1.2),

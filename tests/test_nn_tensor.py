@@ -84,9 +84,6 @@ class TestNonlinearities:
     def test_relu(self):
         check_gradient(lambda t: t.relu().sum(), np.array([1.0, -2.0, 0.5]))
 
-    def test_tanh(self):
-        check_gradient(lambda t: t.tanh().sum(), np.array([0.3, -1.2]))
-
     def test_exp_log(self):
         check_gradient(lambda t: (t.exp() + (t + 5.0).log()).sum(), np.array([0.1, 1.0]))
 

@@ -4,6 +4,9 @@ A name whose definition is its only whole-word occurrence across the
 shipped trees is reachable from tests at most, so it is dead weight in
 the package.  The check is textual on purpose: a name mentioned in a
 docstring, an ``__all__`` list or a ``getattr`` string counts as used.
+An occurrence qualified by an outside module (``np.tanh``,
+``math.exp``) names that module's function, not a method of the same
+name, so it does not count.
 """
 
 import ast
@@ -16,6 +19,15 @@ SHIPPED = ("src", "scripts", "benchmarks", "examples", "perfbench")
 
 # Hooks ``http.server`` calls by name on the request handler.
 ALLOWED = {"do_GET", "do_POST", "log_message"}
+
+# Outside modules (and their usual aliases) whose dotted names say
+# nothing about the package's own definitions.
+OUTSIDE_MODULES = (
+    "np", "numpy", "math", "cmath", "scipy", "sp", "spla", "os", "sys",
+    "time", "json", "random", "threading", "hashlib", "struct", "shutil",
+    "itertools", "functools", "operator", "statistics",
+)
+_QUALIFIED = re.compile(r"(?<![\w.])(?:%s)(?:\.\w+)+" % "|".join(OUTSIDE_MODULES))
 
 
 def _sources():
@@ -38,7 +50,7 @@ def callerless(sources):
     sources = list(sources)
     words = Counter()
     for _, text in sources:
-        words.update(re.findall(r"\w+", text))
+        words.update(re.findall(r"\w+", _QUALIFIED.sub(" ", text)))
     src = ROOT / "src"
     return [
         (path.relative_to(ROOT).as_posix(), line, name)
@@ -61,4 +73,19 @@ def test_a_callerless_method_is_caught():
     assert callerless(patched) == [
         ("src/repro/geometry/rect.py", len(path.read_text().splitlines()) + 2,
          "union_bbox")
+    ]
+
+
+def test_a_method_named_like_a_numpy_function_is_caught():
+    """``np.arctan2`` in the body names numpy's function, not a caller."""
+    sources = list(_sources())
+    path = ROOT / "src" / "repro" / "geometry" / "rect.py"
+    extra = (
+        "\n    def arctan2(self):\n"
+        "        return np.arctan2(self.h, self.w)\n"
+    )
+    patched = [(p, text + extra if p == path else text) for p, text in sources]
+    assert callerless(patched) == [
+        ("src/repro/geometry/rect.py", len(path.read_text().splitlines()) + 2,
+         "arctan2")
     ]

@@ -14,6 +14,7 @@ from repro.chiplet import Placement
 from repro.experiments.runner import ExperimentBudget, build_evaluators
 from repro.reward import RewardCalculator, RewardConfig
 from repro.systems import get_benchmark
+from repro.thermal import FastThermalModel, GridThermalSolver
 
 
 class TestRewardConfig:
@@ -130,36 +131,36 @@ class TestRewardCalculator:
         assert t_clustered > t_spread
 
 
+@pytest.fixture(scope="module")
+def production(tmp_path_factory):
+    """multi_gpu's production evaluators (default budget, bump-assigned
+    wirelength) and 16 placements, each 40 seeded moves from the shelf
+    packing."""
+    spec = get_benchmark("multi_gpu")
+    evaluators = build_evaluators(
+        spec, ExperimentBudget(), tmp_path_factory.mktemp("tables")
+    )
+    placer = TAP25DPlacer(spec.system, None)
+    rng = np.random.default_rng(16)
+    start = placer.initial_placement()
+    placements = []
+    for _ in range(16):
+        current = start
+        for _ in range(40):
+            candidate = placer.propose(current, rng, 0.0)
+            if candidate is not None:
+                current = candidate
+        placements.append(current)
+    return evaluators, placements
+
+
 class TestScalarIsBatchRow:
     """Scalar evaluation is a row of the batched one, to the last bit.
 
-    multi_gpu's production evaluators (default budget, bump-assigned
-    wirelength) on 16 random-walk placements from the shelf packing.
+    multi_gpu's production evaluators on 16 random-walk placements.
     Any second scalar kernel would show up here as a last-bit
     difference in some die's temperature.
     """
-
-    N_PLACEMENTS = 16
-    WALK_MOVES = 40
-
-    @pytest.fixture(scope="class")
-    def production(self, tmp_path_factory):
-        spec = get_benchmark("multi_gpu")
-        evaluators = build_evaluators(
-            spec, ExperimentBudget(), tmp_path_factory.mktemp("tables")
-        )
-        placer = TAP25DPlacer(spec.system, None)
-        rng = np.random.default_rng(16)
-        start = placer.initial_placement()
-        placements = []
-        for _ in range(self.N_PLACEMENTS):
-            current = start
-            for _ in range(self.WALK_MOVES):
-                candidate = placer.propose(current, rng, 0.0)
-                if candidate is not None:
-                    current = candidate
-            placements.append(current)
-        return evaluators, placements
 
     def test_fast_evaluate_is_batch_row(self, production):
         evaluators, placements = production
@@ -181,16 +182,24 @@ class TestScalarIsBatchRow:
             assert scalar.reward == many[i], i
 
 
-class _StubThermal:
-    """Thermal evaluator stub: optionally sets an event, sleeps or raises."""
+class _SerialStubThermal:
+    """Thermal evaluator stub: optionally sets an event, sleeps or raises.
+
+    Records the thread it ran on and how many threads were alive then.
+    Declares no ``RELEASES_GIL``, so the reward call runs it inline.
+    """
 
     def __init__(self, ready=None, delay=0.0, error=None):
         self.ready = ready
         self.delay = delay
         self.error = error
         self.finished = False
+        self.thread = None
+        self.threads_alive = None
 
     def max_temperatures(self, placements):
+        self.thread = threading.get_ident()
+        self.threads_alive = threading.active_count()
         if self.ready is not None:
             self.ready.set()
         time.sleep(self.delay)
@@ -198,6 +207,18 @@ class _StubThermal:
         if self.error is not None:
             raise self.error
         return np.full(len(placements), 350.0)
+
+
+class _StubThermal(_SerialStubThermal):
+    """Releases the GIL, as far as the reward call knows: it overlaps."""
+
+    RELEASES_GIL = True
+
+
+class _GilHoldingStubThermal(_SerialStubThermal):
+    """Declares that it holds the GIL, like the fast model."""
+
+    RELEASES_GIL = False
 
 
 class _StubAssigner:
@@ -226,9 +247,9 @@ ENTRY_POINTS = {
 
 
 class TestThermalOverlap:
-    """The thermal half runs on a worker thread while this thread
-    assigns bumps; the worker never outlives the call, and errors
-    surface as in a serial evaluation."""
+    """An evaluator that releases the GIL runs on a worker thread
+    while this thread assigns bumps; the worker never outlives the
+    call, and errors surface as in a serial evaluation."""
 
     PLACEMENTS = [object(), object()]
 
@@ -270,3 +291,90 @@ class TestThermalOverlap:
         assert info.value is wirelength_error
         assert thermal.finished
         assert threading.active_count() == threads
+
+
+class TestThermalInline:
+    """An evaluator that holds the GIL, or declares nothing, runs on
+    the caller's thread after bump assignment: the call starts no
+    thread, and errors surface as in a serial evaluation."""
+
+    PLACEMENTS = [object(), object()]
+    THERMALS = [_SerialStubThermal, _GilHoldingStubThermal]
+
+    @pytest.fixture(autouse=True)
+    def no_thread_starts(self, monkeypatch):
+        def refuse(thread):
+            raise AssertionError(f"thread {thread.name!r} started")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+
+    @pytest.mark.parametrize("thermal_class", THERMALS)
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_thermal_runs_on_the_calling_thread(self, entry, thermal_class):
+        thermal = thermal_class()
+        calc = RewardCalculator(thermal, assigner=_StubAssigner())
+        threads = threading.active_count()
+        ENTRY_POINTS[entry](calc, self.PLACEMENTS)
+        assert thermal.thread == threading.get_ident()
+        assert thermal.threads_alive == threads
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("thermal_class", THERMALS)
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_thermal_error_is_reraised_unchanged(self, entry, thermal_class):
+        error = RuntimeError("thermal failed")
+        calc = RewardCalculator(
+            thermal_class(error=error), assigner=_StubAssigner()
+        )
+        with pytest.raises(RuntimeError) as info:
+            ENTRY_POINTS[entry](calc, self.PLACEMENTS)
+        assert info.value is error
+        assert calc.evaluation_count == 0
+
+    @pytest.mark.parametrize("thermal_class", THERMALS)
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_wirelength_error_wins(self, entry, thermal_class):
+        """Both halves would raise: wirelength runs first, so its
+        error reaches the caller and the thermal half never starts."""
+        wirelength_error = ValueError("assignment failed")
+        thermal = thermal_class(error=RuntimeError("thermal failed"))
+        calc = RewardCalculator(
+            thermal, assigner=_StubAssigner(error=wirelength_error)
+        )
+        with pytest.raises(ValueError) as info:
+            ENTRY_POINTS[entry](calc, self.PLACEMENTS)
+        assert info.value is wirelength_error
+        assert thermal.thread is None
+
+
+def test_shipped_evaluators_declare_whether_they_release_the_gil():
+    """Only the grid solver's SuperLU calls release the GIL, so only a
+    grid-backed reward call overlaps its halves on a worker thread."""
+    assert GridThermalSolver.__dict__["RELEASES_GIL"] is True
+    assert FastThermalModel.__dict__["RELEASES_GIL"] is False
+
+
+def test_inline_and_threaded_scores_are_bitwise_equal(production, monkeypatch):
+    """Forcing either path on multi_gpu's production fast model yields
+    the same rows at batches of 1, 5 and 16 (each path from a cold
+    bump-pairing memo); only the threaded path starts threads."""
+    evaluators, placements = production
+    thermal = evaluators["fast_model"]
+    config = evaluators["reward_fast"].config
+    starts = []
+    real_start = threading.Thread.start
+
+    def counting_start(thread):
+        starts.append(thread.name)
+        real_start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counting_start)
+    rows = {}
+    for releases_gil in (False, True):
+        monkeypatch.setattr(FastThermalModel, "RELEASES_GIL", releases_gil)
+        calc = RewardCalculator(thermal, config)
+        rows[releases_gil] = [
+            calc.evaluate_batch(placements[:n]) for n in (1, 5, 16)
+        ]
+    assert starts == ["reward-thermal"] * 3
+    assert rows[False] == rows[True]

@@ -794,6 +794,15 @@ class TestSchema:
         default = getattr(ExperimentBudget(), field)
         assert getattr(budget_from_dict({field: default}), field) == default
 
+    @pytest.mark.parametrize(
+        "field,ceiling",
+        [("rl_epochs", 600), ("episodes_per_epoch", 64), ("grid_size", 64)],
+    )
+    def test_budget_above_its_ceiling_is_rejected(self, field, ceiling):
+        with pytest.raises(BadRequest, match=field):
+            budget_from_dict({field: ceiling + 1})
+        assert getattr(budget_from_dict({field: ceiling}), field) == ceiling
+
     def test_non_object_budget_is_rejected(self):
         with pytest.raises(BadRequest):
             budget_from_dict([1, 2, 3])
