@@ -1,7 +1,9 @@
 """Serving throughput and tail latency: cold start vs the warm path.
 
 Starts one in-process :class:`~repro.serve.FloorplanServer` (real HTTP,
-one thread per request) over fresh store/cache roots and measures the
+one thread per kept-alive connection; the client threads share one
+``ServeClient``, which keeps a connection per thread) over fresh
+store/cache roots and measures the
 three request regimes the serve layer distinguishes:
 
 * **cold start** — the first place request: thermal characterization,
@@ -123,9 +125,8 @@ def run(args) -> int:
             window_s=args.batch_window_ms / 1000.0,
             max_batch=args.max_batch,
         ).start()
+        client = ServeClient(server.url)
         try:
-            client = ServeClient(server.url)
-
             # -- cold start (characterization + evaluators + full arm) --
             start = time.perf_counter()
             cold = client.place(args.system, METHOD, budget_dict)
@@ -171,6 +172,7 @@ def run(args) -> int:
                 f"(largest coalesced batch: {batcher['largest_batch']})"
             )
         finally:
+            client.close()
             server.close()
 
     speedup = (cold_s * 1000.0) / memoized["p50_ms"]

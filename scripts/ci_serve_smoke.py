@@ -18,7 +18,10 @@ threads — and checks every guarantee the serve layer makes:
    must be identical.
 4. **Warm repeat** — a repeated warm evaluate must return a
    bitwise-identical response, and ``/v1/stats`` must then report
-   bump-pairing memo hits on that benchmark's warm bundle.
+   bump-pairing memo hits on that benchmark's warm bundle.  The
+   repeats are sent one after another from one client thread, and
+   ``/v1/stats`` must show that they all rode one kept-alive
+   connection.
 5. **Memoized repeat** — a server *restart* later, the same request
    must come back ``cache=hit`` with ``evaluator_calls == 0`` and zero
    registry builds (the store outlives the process; nothing recomputes,
@@ -39,7 +42,6 @@ import subprocess
 import sys
 import tempfile
 import time
-import urllib.error
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -53,6 +55,8 @@ from repro.systems import get_benchmark  # noqa: E402
 
 METHOD = "TAP-2.5D*(FastThermal)"
 SYSTEMS = ("synthetic1", "synthetic2")
+#: Sequential warm evaluates in the warm-repeat leg.
+WARM_REPEATS = 5
 
 
 def tiny_budget() -> ExperimentBudget:
@@ -153,7 +157,7 @@ def wait_healthy(client: ServeClient, timeout: float = 30.0) -> None:
         try:
             if client.health().get("ok"):
                 return
-        except (ServeError, urllib.error.URLError, OSError):
+        except (ServeError, OSError):
             if time.monotonic() > deadline:
                 raise
         time.sleep(0.2)
@@ -262,24 +266,38 @@ def main(argv=None) -> int:
                 f"{stats['registry']['builds']}"
             )
 
-        print("[4/5] repeating a warm evaluate; it must hit the pairing memo")
+        print(
+            "[4/5] repeating a warm evaluate over one connection; it must "
+            "hit the pairing memo"
+        )
+        connections = client.stats()["connections"]
         warm = [
             client.evaluate(
                 SYSTEMS[0], cold[SYSTEMS[0]]["placement"], "fast", budget_dict
             )
-            for _ in range(2)
+            for _ in range(WARM_REPEATS)
         ]
         # repr() round-trips every float, so equal JSON is equal bits.
-        if json.dumps(warm[0], sort_keys=True) != json.dumps(
-            warm[1], sort_keys=True
-        ):
-            raise AssertionError(
-                f"repeated warm evaluate differs: {warm[0]!r} vs {warm[1]!r}"
-            )
+        for repeat in warm[1:]:
+            if json.dumps(repeat, sort_keys=True) != json.dumps(
+                warm[0], sort_keys=True
+            ):
+                raise AssertionError(
+                    f"repeated warm evaluate differs: {warm[0]!r} vs "
+                    f"{repeat!r}"
+                )
         key = bundle_key(get_benchmark(SYSTEMS[0]), budget)
-        memo = client.stats()["pairing_memo"][key]["reward_fast"]
+        stats = client.stats()
+        memo = stats["pairing_memo"][key]["reward_fast"]
         if memo["hits"] < 1:
             raise AssertionError(f"no bump-pairing memo hits: {memo!r}")
+        if stats["connections"] != connections:
+            raise AssertionError(
+                f"{WARM_REPEATS + 2} sequential requests of one client "
+                f"opened {stats['connections'] - connections} new "
+                "connection(s); expected them all on one kept-alive "
+                "connection"
+            )
     finally:
         server.close()
 

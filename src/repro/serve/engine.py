@@ -1,7 +1,7 @@
 """The serve engine: warm evaluators + micro-batching + memoization.
 
-One :class:`ServeEngine` instance backs every request thread of the
-HTTP front end.  It composes the three layers the tentpole names:
+One :class:`ServeEngine` instance backs every connection thread of
+the HTTP front end.  It composes the three layers the tentpole names:
 
 * the :class:`~repro.serve.registry.WarmRegistry` (characterization
   tables, ``FastThermalModel``, ``GridThermalSolver`` factorizations —
@@ -31,7 +31,11 @@ from concurrent.futures import Future
 import numpy as np
 
 from repro.chiplet import Placement
-from repro.experiments.runner import dispatch_method_arm
+from repro.experiments.runner import (
+    budget_store_payload,
+    dispatch_method_arm,
+    spec_fingerprint,
+)
 from repro.nn.serialization import loads_payload
 from repro.parallel.collector import POLICY_PAYLOAD_KIND, collect_wave
 from repro.serve.batcher import MicroBatcher
@@ -56,15 +60,21 @@ _logger = get_logger("serve.engine")
 SERVE_PLACE_KIND = "serve-place"
 
 
-def place_store_key(spec, method, budget, time_limited: bool) -> str:
+def place_store_key(
+    spec, method, budget, time_limited: bool, fingerprint=None
+) -> str:
     """Content key of one memoized place request (mirrors
-    ``arm_store_key`` structurally, under the serve kind)."""
-    from repro.experiments.runner import budget_store_payload, spec_fingerprint
+    ``arm_store_key`` structurally, under the serve kind).
 
+    ``fingerprint``, if given, is ``spec``'s fingerprint already reduced
+    (:meth:`WarmRegistry.fingerprint`); the key is the same either way.
+    """
+    if fingerprint is None:
+        fingerprint = spec_fingerprint(spec)
     return store_key(
         SERVE_PLACE_KIND,
         {
-            "spec": spec_fingerprint(spec),
+            "spec": fingerprint,
             "method": method,
             "budget": budget_store_payload(budget),
             "time_limited": bool(time_limited),
@@ -151,7 +161,11 @@ class ServeEngine:
             else None
         )
         key = place_store_key(
-            spec, method, budget, time_limited=bool(time_matched)
+            spec,
+            method,
+            budget,
+            time_limited=bool(time_matched),
+            fingerprint=self.registry.fingerprint(spec),
         )
         if self.store is not None:
             hit, cached = self.store.fetch(key)

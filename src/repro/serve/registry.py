@@ -9,7 +9,7 @@ stack once per (benchmark, characterization knobs) key and hands every
 subsequent request the warm bundle.
 
 Concurrency contract (the serve layer runs one thread per HTTP
-request):
+connection, so concurrent requests arrive on concurrent threads):
 
 * **Single-flight builds.**  N threads requesting the same cold key
   trigger exactly one ``build_evaluators`` call; the other N-1 block on
@@ -24,14 +24,22 @@ request):
   requests never drive one bundle concurrently — they serialize here,
   which is exactly what the micro-batching layer wants anyway: queue
   while busy, then coalesce into one batched call.
+* **Keys computed once.**  A warm request pays for neither the spec
+  fingerprint nor its canonical encoding: :meth:`WarmRegistry.key` and
+  :meth:`WarmRegistry.fingerprint` remember them per benchmark name
+  and characterization knobs, for the spec object they were computed
+  from.  A spec is treated as immutable once served (the engine builds
+  one per name and never changes it); a different object under the
+  same name is keyed afresh.
 """
 
 from __future__ import annotations
 
 import threading
+import time
 
 from repro.experiments.runner import build_evaluators, spec_fingerprint
-from repro.store import store_key
+from repro.store import Canonical, store_key
 from repro.utils import get_logger
 
 __all__ = ["EvaluatorBundle", "WarmRegistry", "bundle_key"]
@@ -39,23 +47,34 @@ __all__ = ["EvaluatorBundle", "WarmRegistry", "bundle_key"]
 _logger = get_logger("serve.registry")
 
 
-def bundle_key(spec, budget) -> str:
+def _bundle_knobs(budget) -> tuple:
+    """The budget knobs that change what ``build_evaluators`` builds."""
+    return (
+        tuple(budget.position_samples),
+        bool(budget.hotspot_reuse_factorization),
+    )
+
+
+def bundle_key(spec, budget, fingerprint=None) -> str:
     """Content key of one warm evaluator bundle.
 
     Only the knobs that change what ``build_evaluators`` constructs
     participate: the benchmark's content fingerprint, the
     characterization density, and whether the grid solver caches its
     factorization.  Budgets differing only in training/annealing knobs
-    share a bundle.
+    share a bundle.  ``fingerprint``, if given, is ``spec``'s
+    fingerprint already reduced (:meth:`WarmRegistry.fingerprint`); the
+    key is the same either way.
     """
+    if fingerprint is None:
+        fingerprint = spec_fingerprint(spec)
+    position_samples, reuse_factorization = _bundle_knobs(budget)
     return store_key(
         "serve-evaluators",
         {
-            "spec": spec_fingerprint(spec),
-            "position_samples": tuple(budget.position_samples),
-            "hotspot_reuse_factorization": bool(
-                budget.hotspot_reuse_factorization
-            ),
+            "spec": fingerprint,
+            "position_samples": position_samples,
+            "hotspot_reuse_factorization": reuse_factorization,
         },
     )
 
@@ -108,9 +127,39 @@ class WarmRegistry:
         self._cache_dir = cache_dir
         self._lock = threading.Lock()
         self._entries: dict = {}
+        # benchmark name -> (spec, Canonical fingerprint), and
+        # (name, *knobs) -> (spec, bundle key): one entry per benchmark
+        # and bundle, however many requests are served.
+        self._fingerprints: dict = {}
+        self._keys: dict = {}
         self.hits = 0
         self.misses = 0
         self.builds = 0
+
+    def fingerprint(self, spec) -> Canonical:
+        """``spec_fingerprint(spec)``, reduced for store keys once per
+        spec object."""
+        with self._lock:
+            cached = self._fingerprints.get(spec.name)
+        if cached is not None and cached[0] is spec:
+            return cached[1]
+        fingerprint = Canonical(spec_fingerprint(spec))
+        with self._lock:
+            self._fingerprints[spec.name] = (spec, fingerprint)
+        return fingerprint
+
+    def key(self, spec, budget) -> str:
+        """``bundle_key(spec, budget)``, computed once per spec object
+        and characterization knobs."""
+        memo_key = (spec.name, *_bundle_knobs(budget))
+        with self._lock:
+            cached = self._keys.get(memo_key)
+        if cached is not None and cached[0] is spec:
+            return cached[1]
+        key = bundle_key(spec, budget, self.fingerprint(spec))
+        with self._lock:
+            self._keys[memo_key] = (spec, key)
+        return key
 
     def bundle(self, spec, budget) -> EvaluatorBundle:
         """The warm bundle for (spec, budget) — built at most once.
@@ -120,9 +169,7 @@ class WarmRegistry:
         the builder's error — a failed build is dropped so a later
         request can retry rather than caching the failure forever).
         """
-        import time
-
-        key = bundle_key(spec, budget)
+        key = self.key(spec, budget)
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:

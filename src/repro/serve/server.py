@@ -1,15 +1,21 @@
 """Stdlib-HTTP front end for the floorplanning service.
 
-``ThreadingHTTPServer`` gives each request its own thread; the handler
-is a thin JSON codec around one shared :class:`ServeEngine`, which is
-where warmth, batching, and memoization live.  Endpoints:
+``ThreadingHTTPServer`` gives each connection its own thread, which
+answers that connection's requests one after another (HTTP/1.1
+keep-alive); the handler is a thin JSON codec around one shared
+:class:`ServeEngine`, which is where warmth, batching, and memoization
+live.  Responses go out with Nagle's algorithm off, a connection idle
+for ``IDLE_TIMEOUT_S`` is closed, and closing the server ends every
+idle connection.  A client that opens a connection per request works
+as before.  Endpoints:
 
 ========  =====================  ========================================
 method    path                   body / result
 ========  =====================  ========================================
 GET       /v1/health             liveness probe
 GET       /v1/stats              engine counters (store, registry, batch,
-                                 bump-pairing memo per warm bundle)
+                                 bump-pairing memo per warm bundle) and
+                                 ``connections`` accepted
 GET       /v1/benchmarks         registered benchmark names
 GET       /v1/policies           registered policy names
 POST      /v1/place              {system, method, budget} -> placement
@@ -27,6 +33,7 @@ JSON ``NaN`` tokens, matching Python's default parser.
 from __future__ import annotations
 
 import json
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -47,9 +54,25 @@ _logger = get_logger("serve.server")
 #: benchmarks is well under 1 MiB; this is a safety bound, not a quota).
 MAX_BODY_BYTES = 64 * 1024 * 1024
 
+#: Seconds a connection may sit idle between requests (or stall inside
+#: one) before the server closes it, so an idle keep-alive client
+#: cannot hold a server thread forever.  No socket wait happens while a
+#: request computes, so a long ``place`` is not cut.
+IDLE_TIMEOUT_S = 60.0
+
+#: Listen backlog.  socketserver's default of 5 overflows under a burst
+#: of connecting clients, and the kernel retries a dropped SYN only
+#: after a second.
+LISTEN_BACKLOG = 64
+
 
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
+    # The headers and the body go out as two writes; with Nagle's
+    # algorithm on, the body would wait for the client's delayed ACK
+    # of the headers on every kept-alive response.
+    disable_nagle_algorithm = True
+    timeout = IDLE_TIMEOUT_S
     # Set by FloorplanServer:
     engine: ServeEngine
 
@@ -108,7 +131,11 @@ class _Handler(BaseHTTPRequestHandler):
         if path == "/v1/health":
             self._dispatch(lambda: {"ok": True})
         elif path == "/v1/stats":
-            self._dispatch(self.engine.stats)
+            self._dispatch(
+                lambda: dict(
+                    self.engine.stats(), connections=self.server.connections
+                )
+            )
         elif path == "/v1/benchmarks":
             from repro.systems import benchmark_names
 
@@ -172,6 +199,45 @@ class _Handler(BaseHTTPRequestHandler):
         return self.engine.register_policy(name, self._read_body(), channels)
 
 
+class _HTTPServer(ThreadingHTTPServer):
+    """``ThreadingHTTPServer`` that counts the connections it accepts and
+    ends the idle ones when it closes."""
+
+    daemon_threads = True
+    request_queue_size = LISTEN_BACKLOG
+
+    def __init__(self, address, handler):
+        self.connections = 0
+        self._open: set = set()
+        self._open_lock = threading.Lock()
+        super().__init__(address, handler)
+
+    def process_request(self, request, client_address):
+        with self._open_lock:
+            self._open.add(request)
+            self.connections += 1
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request):
+        with self._open_lock:
+            self._open.discard(request)
+        super().shutdown_request(request)
+
+    def server_close(self):
+        super().server_close()
+        with self._open_lock:
+            still_open = list(self._open)
+        # A thread waiting for a connection's next request reads end of
+        # stream and closes it; one still answering writes its reply
+        # first.  A kept-alive client then reconnects to whatever
+        # listens next, not to this closed server's threads.
+        for request in still_open:
+            try:
+                request.shutdown(socket.SHUT_RD)
+            except OSError:
+                pass  # the peer closed it first
+
+
 class FloorplanServer:
     """Owns the listening socket, the engine, and the serving thread."""
 
@@ -193,8 +259,7 @@ class FloorplanServer:
             max_batch=max_batch,
         )
         handler = type("BoundHandler", (_Handler,), {"engine": self.engine})
-        self._httpd = ThreadingHTTPServer((host, port), handler)
-        self._httpd.daemon_threads = True
+        self._httpd = _HTTPServer((host, port), handler)
         self._thread: threading.Thread | None = None
 
     @property

@@ -49,7 +49,13 @@ from repro.utils import get_logger
 
 _logger = get_logger("store.runstore")
 
-__all__ = ["DEFAULT_STORE_DIR", "RunStore", "STORE_SCHEMA_VERSION", "store_key"]
+__all__ = [
+    "Canonical",
+    "DEFAULT_STORE_DIR",
+    "RunStore",
+    "STORE_SCHEMA_VERSION",
+    "store_key",
+]
 
 #: Bump on any change that silently alters what a stored result means
 #: (reward semantics, budget interpretation, checkpoint payloads...).
@@ -77,7 +83,9 @@ def _canonical(value):
 
     Dicts sort by key, tuples become lists, floats become their exact
     hex spellings (``repr`` round-trips too, but hex is unambiguous
-    across formatting changes), dataclasses become field dicts.
+    across formatting changes), dataclasses become field dicts.  A
+    :class:`Canonical` part is already reduced and is embedded as it
+    is.
     """
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         return _canonical(dataclasses.asdict(value))
@@ -91,9 +99,25 @@ def _canonical(value):
         return float(value).hex()
     if isinstance(value, Path):
         return str(value)
+    if isinstance(value, Canonical):
+        return value.value
     raise TypeError(
         f"store key payloads must be JSON-like, got {type(value).__name__}"
     )
+
+
+class Canonical:
+    """A store-key payload part reduced once, up front.
+
+    :func:`store_key` embeds it without walking it again.  The reduction
+    is idempotent, so the key is the one the unreduced value gives.  For
+    a part many keys share, such as a served benchmark's fingerprint.
+    """
+
+    __slots__ = ("value",)
+
+    def __init__(self, value):
+        self.value = _canonical(value)
 
 
 def store_key(kind: str, payload: dict) -> str:

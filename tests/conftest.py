@@ -2,12 +2,16 @@
 
 The production defaults (64x64 grid, 7x7 characterization) are exercised
 by the benchmarks; tests run a coarser configuration so the whole suite
-stays fast while covering identical code paths.
+stays fast while covering identical code paths.  The one exception,
+multi_gpu's production evaluators, is built once per session and shared
+by the modules that pin the shipped kernels on it.
 """
 
 import pytest
 
 from repro.chiplet import Chiplet, ChipletSystem, Interposer, Net
+from repro.experiments.runner import ExperimentBudget, build_evaluators
+from repro.systems import get_benchmark
 from repro.thermal import (
     FastThermalModel,
     GridThermalSolver,
@@ -69,3 +73,14 @@ def small_tables(small_interposer, small_config, small_solver, small_system):
 @pytest.fixture(scope="session")
 def small_fast_model(small_tables, small_config):
     return FastThermalModel(small_tables, small_config)
+
+
+@pytest.fixture(scope="session")
+def multi_gpu_production(tmp_path_factory):
+    """multi_gpu's production evaluators: the default budget and the
+    bundled reward (bump-assigned wirelength), characterized once."""
+    return build_evaluators(
+        get_benchmark("multi_gpu"),
+        ExperimentBudget(),
+        tmp_path_factory.mktemp("multi_gpu_tables"),
+    )

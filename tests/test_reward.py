@@ -11,7 +11,6 @@ from hypothesis import given, strategies as st
 
 from repro.baselines import TAP25DPlacer
 from repro.chiplet import Placement
-from repro.experiments.runner import ExperimentBudget, build_evaluators
 from repro.reward import RewardCalculator, RewardConfig
 from repro.systems import get_benchmark
 from repro.thermal import FastThermalModel, GridThermalSolver
@@ -132,14 +131,12 @@ class TestRewardCalculator:
 
 
 @pytest.fixture(scope="module")
-def production(tmp_path_factory):
+def production(multi_gpu_production):
     """multi_gpu's production evaluators (default budget, bump-assigned
     wirelength) and 16 placements, each 40 seeded moves from the shelf
     packing."""
     spec = get_benchmark("multi_gpu")
-    evaluators = build_evaluators(
-        spec, ExperimentBudget(), tmp_path_factory.mktemp("tables")
-    )
+    evaluators = multi_gpu_production
     placer = TAP25DPlacer(spec.system, None)
     rng = np.random.default_rng(16)
     start = placer.initial_placement()

@@ -16,6 +16,11 @@ Covers each layer in isolation and then the stack end to end:
 * The HTTP surface — health/benchmarks/error codes, served responses
   over real sockets, policy registration, and rollout determinism
   (batch-width invariance, a batch of one included).
+* Content keys — computed once per benchmark and equal to the keys the
+  plain functions compute.
+* Connections — one kept-alive connection per client thread, Nagle
+  off, the idle timeout, reconnecting after a closed or restarted
+  server, and a burst of connect-per-request clients.
 
 Serve-stack tests share one module-scoped server: the expensive parts
 (thermal characterization, the cold place arm) run once and every later
@@ -330,6 +335,7 @@ def serve_stack(tmp_path_factory):
     ).start()
     client = ServeClient(server.url, timeout=600.0)
     yield server, client
+    client.close()
     server.close()
 
 
@@ -561,6 +567,297 @@ class TestHTTPSurface:
         assert fast["hits"] > fast_before["hits"]
         assert fast["misses"] == fast_before["misses"]
         assert fast["entries"] >= 1 and fast["bytes"] > 0
+
+
+class TestContentKeys:
+    """Keys are computed once per benchmark, and equal the keys the
+    plain functions compute, so a store written before still hits."""
+
+    def test_engine_keys_equal_freshly_computed_keys(
+        self, serve_stack, serve_budget, cold_place
+    ):
+        from repro.serve.engine import place_store_key
+
+        server, _ = serve_stack
+        fresh_spec = get_benchmark("synthetic1")
+        assert cold_place["store_key"] == place_store_key(
+            fresh_spec, METHOD, serve_budget, time_limited=False
+        )
+        warm_keys = [bundle.key for bundle in server.engine.registry.bundles()]
+        assert bundle_key(fresh_spec, serve_budget) in warm_keys
+        registry = server.engine.registry
+        served_spec = server.engine._spec("synthetic1")
+        assert registry.key(served_spec, serve_budget) == bundle_key(
+            fresh_spec, serve_budget
+        )
+
+    def test_canonical_part_gives_the_same_store_key(self, synthetic1_spec):
+        from repro.experiments.runner import spec_fingerprint
+        from repro.store import Canonical, store_key
+
+        fingerprint = spec_fingerprint(synthetic1_spec)
+        for payload in (
+            {"spec": fingerprint, "x": 0.1},
+            {"a": [fingerprint, (1, 2.5)], "spec": fingerprint},
+        ):
+            reduced = {
+                name: Canonical(value) if value is fingerprint else value
+                for name, value in payload.items()
+            }
+            assert store_key("k", reduced) == store_key("k", payload)
+        assert store_key("k", {"spec": Canonical(fingerprint)}) != store_key(
+            "k", {"spec": Canonical(dict(fingerprint, name="other"))}
+        )
+
+    def test_a_spec_fingerprint_is_computed_once_per_benchmark(
+        self, serve_stack, serve_budget, cold_place, monkeypatch
+    ):
+        """50 evaluates and 10 place hits on one benchmark fingerprint
+        it once: the registry keeps the bundle key and the reduced
+        fingerprint the place key embeds."""
+        import repro.serve.engine as engine_module
+        import repro.serve.registry as registry_module
+        from repro.serve import ServeEngine
+
+        server, _ = serve_stack
+        evaluators = server.engine.registry.bundle(
+            server.engine._spec("synthetic1"), serve_budget
+        ).evaluators
+        registry = WarmRegistry(builder=lambda *_: evaluators)
+        calls = []
+        real = registry_module.spec_fingerprint
+
+        def counting(spec):
+            calls.append(spec.name)
+            return real(spec)
+
+        monkeypatch.setattr(registry_module, "spec_fingerprint", counting)
+        monkeypatch.setattr(engine_module, "spec_fingerprint", counting)
+        engine = ServeEngine(
+            store_dir=server.engine.store.root, registry=registry
+        )
+        reward = bits(cold_place["result"]["reward"])
+        try:
+            for _ in range(50):
+                response = engine.evaluate(
+                    "synthetic1", cold_place["placement"], "fast", serve_budget
+                )
+                assert bits(response["reward"]) == reward
+            for _ in range(10):
+                response = engine.place("synthetic1", METHOD, serve_budget)
+                assert response["cache"] == "hit"
+                assert response["store_key"] == cold_place["store_key"]
+        finally:
+            engine.close()
+        assert calls == ["synthetic1"]
+        assert registry.stats()["builds"] == 1
+
+    def test_a_new_spec_object_is_keyed_afresh(self, synthetic1_spec):
+        import dataclasses
+
+        registry = WarmRegistry(builder=_CountingBuilder(delay_s=0.0))
+        budget = tiny_budget()
+        first = registry.key(synthetic1_spec, budget)
+        changed = get_benchmark("synthetic1")
+        changed.thermal_config = dataclasses.replace(
+            changed.thermal_config,
+            ambient=changed.thermal_config.ambient + 1.0,
+        )
+        assert registry.key(changed, budget) == bundle_key(changed, budget)
+        assert registry.key(changed, budget) != first
+        assert registry.key(synthetic1_spec, budget) == first
+
+
+@pytest.fixture(scope="module")
+def bare_server():
+    """A server with no warm state, for connection-level tests."""
+    server = FloorplanServer("127.0.0.1", 0).start()
+    yield server
+    server.close()
+
+
+def _wait_closed_by_peer(connection, timeout: float = 10.0) -> None:
+    """Block until the server has closed ``connection``'s socket."""
+    import select
+    import socket
+
+    readable, _, _ = select.select([connection.sock], [], [], timeout)
+    assert readable, "the server never closed the idle connection"
+    assert connection.sock.recv(1, socket.MSG_PEEK) == b""
+
+
+class TestConnections:
+    """Keep-alive transport: one connection per client thread, Nagle
+    off, bounded idle time, and clients that open one connection per
+    request served as before."""
+
+    def test_sequential_requests_share_one_connection(self, bare_server):
+        client = ServeClient(bare_server.url)
+        try:
+            first = client.stats()["connections"]
+            for _ in range(5):
+                assert client.health() == {"ok": True}
+            assert client.stats()["connections"] == first
+        finally:
+            client.close()
+
+    def test_accepted_sockets_have_nagle_off(self, bare_server, monkeypatch):
+        import socket
+
+        import repro.serve.server as server_module
+
+        flags = []
+        real_setup = server_module._Handler.setup
+
+        def recording_setup(self):
+            real_setup(self)
+            flags.append(
+                self.connection.getsockopt(
+                    socket.IPPROTO_TCP, socket.TCP_NODELAY
+                )
+            )
+
+        monkeypatch.setattr(server_module._Handler, "setup", recording_setup)
+        client = ServeClient(bare_server.url)
+        try:
+            client.health()
+        finally:
+            client.close()
+        connection = http.client.HTTPConnection(*bare_server.address)
+        try:
+            connection.request("GET", "/v1/health")
+            assert connection.getresponse().read()
+        finally:
+            connection.close()
+        assert len(flags) == 2 and all(flags)
+
+    def test_one_client_shared_by_eight_threads(
+        self, serve_stack, serve_budget, cold_place
+    ):
+        from concurrent.futures import ThreadPoolExecutor
+
+        _, client = serve_stack
+        budget = budget_to_dict(serve_budget)
+        reward = bits(cold_place["result"]["reward"])
+
+        def work(index):
+            for round_ in range(6):
+                if (index + round_) % 2:
+                    assert client.health() == {"ok": True}
+                else:
+                    response = client.evaluate(
+                        "synthetic1", cold_place["placement"], "fast", budget
+                    )
+                    assert bits(response["reward"]) == reward
+                    assert response["evaluator"] == "fast"
+            return index
+
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            assert sorted(pool.map(work, range(8))) == list(range(8))
+
+    def test_error_replies_keep_the_connection_usable(
+        self, serve_stack, monkeypatch
+    ):
+        server, client = serve_stack
+        before = client.stats()["connections"]
+        with pytest.raises(ServeError) as excinfo:
+            client.place("synthetic1", "NoSuchMethod")
+        assert excinfo.value.status == 400
+        assert "NoSuchMethod" in str(excinfo.value)
+        with pytest.raises(ServeError) as excinfo:
+            client._request("GET", "/v1/nope")
+        assert excinfo.value.status == 404
+        assert "no such endpoint '/v1/nope'" in str(excinfo.value)
+
+        def broken():
+            raise RuntimeError("injected failure")
+
+        monkeypatch.setattr(server.engine, "policies", broken)
+        with pytest.raises(ServeError) as excinfo:
+            client.policies()
+        assert excinfo.value.status == 500
+        assert "RuntimeError: injected failure" in str(excinfo.value)
+        monkeypatch.undo()
+        assert client.health() == {"ok": True}
+        assert client.stats()["connections"] == before
+
+    def test_a_request_after_a_bad_content_length_succeeds(self, bare_server):
+        client = ServeClient(bare_server.url)
+        try:
+            before = client.stats()["connections"]
+            # A malformed request on the client's own kept connection:
+            # the server answers 400 and closes it.
+            connection = client._connection()
+            connection.putrequest("POST", "/v1/place")
+            connection.putheader("Content-Length", "abc")
+            connection.endheaders()
+            response = connection.getresponse()
+            assert response.status == 400
+            assert "Content-Length" in json.loads(response.read())["error"]
+            assert client.health() == {"ok": True}
+            assert client.stats()["connections"] == before + 1
+        finally:
+            client.close()
+
+    def test_an_idle_connection_is_closed_and_the_client_reconnects(
+        self, monkeypatch
+    ):
+        import repro.serve.server as server_module
+
+        monkeypatch.setattr(server_module._Handler, "timeout", 0.2)
+        with FloorplanServer("127.0.0.1", 0) as server:
+            client = ServeClient(server.url)
+            try:
+                assert client.health() == {"ok": True}
+                _wait_closed_by_peer(client._connection())
+                assert client.health() == {"ok": True}
+                assert client.stats()["connections"] == 2
+            finally:
+                client.close()
+
+    def test_the_client_survives_a_server_restart_on_its_port(self):
+        first = FloorplanServer("127.0.0.1", 0).start()
+        client = ServeClient(first.url)
+        try:
+            assert client.health() == {"ok": True}
+            host, port = first.address
+            first.close()
+            _wait_closed_by_peer(client._connection())
+            with FloorplanServer(host, port) as second:
+                assert client.health() == {"ok": True}
+                assert client.stats()["connections"] == 1
+        finally:
+            client.close()
+
+    def test_a_burst_of_connect_per_request_clients_is_not_stalled(
+        self, bare_server
+    ):
+        """32 clients connecting at once (``Connection: close``, as
+        urllib and curl send): a listen backlog of 5 drops SYNs here,
+        and each dropped one costs a 1 s retry."""
+        import urllib.request
+
+        n = 32
+        barrier = threading.Barrier(n + 1)
+        replies = []
+
+        def one():
+            barrier.wait(timeout=10.0)
+            url = f"{bare_server.url}/v1/health"
+            with urllib.request.urlopen(url, timeout=10.0) as reply:
+                replies.append(json.loads(reply.read()))
+
+        threads = [threading.Thread(target=one) for _ in range(n)]
+        for thread in threads:
+            thread.start()
+        barrier.wait(timeout=10.0)
+        start = time.perf_counter()
+        for thread in threads:
+            thread.join(timeout=10.0)
+        elapsed = time.perf_counter() - start
+        assert not any(thread.is_alive() for thread in threads)
+        assert replies == [{"ok": True}] * n
+        assert elapsed < 0.5, f"{n} connecting clients took {elapsed:.2f} s"
 
 
 class TestPolicyServing:

@@ -23,7 +23,6 @@ import pytest
 
 from repro.baselines import TAP25DPlacer
 from repro.chiplet import ChipletSystem, Placement
-from repro.experiments.runner import ExperimentBudget, build_evaluators
 from repro.systems import get_benchmark
 from repro.thermal import FastThermalModel
 from repro.thermal.fast_model import _BilinearStencil
@@ -152,11 +151,9 @@ def with_unpowered_die(placements, name):
 
 
 @pytest.fixture(scope="module")
-def production(tmp_path_factory):
+def production(multi_gpu_production):
     spec = get_benchmark("multi_gpu")
-    evaluators = build_evaluators(
-        spec, ExperimentBudget(), tmp_path_factory.mktemp("tables")
-    )
+    evaluators = multi_gpu_production
     placer = TAP25DPlacer(spec.system, None)
     rng = np.random.default_rng(30)
     current = placer.initial_placement()
